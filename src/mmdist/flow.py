@@ -1,8 +1,9 @@
 """Exact transport primitives: bipartite max-flow, subcouplings, couplings.
 
-Max-flow is Edmonds-Karp over Fraction capacities, so every value it returns
-is exact; the routines here are the single source of coupling mass used by
-the distance computations.
+Max-flow is Edmonds-Karp, exact over int or Fraction capacities (the clique
+sweeps pass int-scaled weights), so every value it returns is exact in the
+capacities' own type; the routines here are the single source of coupling
+mass used by the distance computations.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def max_subcoupling(mu, nu, allowed):
     """Maximum mass of a sub-probability coupling supported on `allowed` cells.
 
     `allowed` is an iterable of (i, j) index pairs. Returns (mass, cells)
-    where cells maps (i, j) -> positive Fraction realizing the optimum.
+    where cells maps (i, j) -> positive mass realizing the optimum, both in
+    the weights' type.
     """
     n1, n2 = len(mu), len(nu)
     S, T = 0, 1

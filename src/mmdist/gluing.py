@@ -8,11 +8,14 @@ disjoint union that keeps both originals isometrically embedded and sets
 The Prohorov distance between the two pushed-forward measures inside the
 glued space depends only on the cross block (any coupling of the two
 block-supported measures lives on A x B), and glued_upper_bound minimizes
-that value over a finite family of glues. The searched family contains, for
-every distortion threshold, every maximal clique of the cell compatibility
-graph at its two distinguished eps values, which is enough to reproduce the
-Gromov-Prohorov value exactly; seeded random glues (repaired to triangle
-validity) are thrown in on top and can only lower the reported minimum.
+that value over a finite family: each maximal clique from the sweep shared
+with box_lambda, at two eps values. A clique first yielded at threshold t
+has distortion exactly t (were it t' < t, the clique would be maximal at the
+earlier threshold t' and yielded there), so it is glued at eps1 = t/2 with
+no distortion recomputed, and at eps2 = max(eps1, 1 - maxmass), maxmass
+flowed on int-scaled weights; both eps are rebuilt as Fractions. This
+reproduces the Gromov-Prohorov value exactly; seeded random glues (repaired
+to triangle validity) can only lower the reported minimum.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exact import parse_scalar
 from .flow import max_subcoupling
-from .gromov import (
-    DEFAULT_CLIQUE_LIMIT,
-    _bits,
-    _max_cliques,
-    _neighbor_masks,
-    distortion,
-)
+from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _exact, _scaled, distortion
 from .prohorov import CommonSpaceMeasures, _scan_infimum
 from .spaces import FiniteMMSpace, canonicalize, require_valid
 
@@ -221,17 +218,17 @@ def glued_upper_bound(
     """Minimum embedded-Prohorov value over the searched family of glues.
 
     Deterministic for fixed arguments. The search walks distortion
-    thresholds in ascending order and stops once eps = threshold/2 alone can
-    no longer beat the incumbent (the glue's Prohorov value is never below
-    its eps); each maximal clique is glued at eps = dis/2 and at the
-    mass-balancing eps = max(dis/2, 1 - maxmass). `search_budget` counts the
+    thresholds t in ascending order and stops once eps = t/2 alone can no
+    longer beat the incumbent (the glue's Prohorov value is never below its
+    eps); each maximal clique is glued at eps = t/2 and at the
+    mass-balancing eps = max(t/2, 1 - maxmass). `search_budget` counts the
     extra seeded random glues.
     """
-    A = canonicalize(a)
-    B = canonicalize(b)
-    n1, n2 = A.n, B.n
-    cells = [(i, j) for i in range(n1) for j in range(n2)]
-    nc = len(cells)
+    A = _exact(canonicalize(a))
+    B = _exact(canonicalize(b))
+    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+    sweep = _CliqueSweep(A, B, cells)
+    weights, W = _scaled(A.weights + B.weights)
 
     best = None
     best_eps = None
@@ -247,42 +244,18 @@ def glued_upper_bound(
         if best is None or value < best:
             best, best_eps, best_pairs, best_source = value, eps, tuple(pairs), source
 
-    full = tuple(cells)
-    try_glue(full, distortion(full, A, B) / 2, "full")
+    # the full grid's distortion is the largest threshold
+    try_glue(tuple(cells), Fraction(sweep.thresholds[-1], 2 * sweep.D), "full")
 
-    mass_cache = {}
-
-    def mass_of(pairs):
-        key = frozenset(pairs)
-        if key not in mass_cache:
-            mass_cache[key] = max_subcoupling(A.weights, B.weights, pairs)[0]
-        return mass_cache[key]
-
-    diffs = sorted(
-        {
-            abs(A.dist[i][i2] - B.dist[j][j2])
-            for i, j in cells
-            for i2, j2 in cells
-        }
-    )
-    seen = set()
-    for threshold in diffs:
-        if best is not None and threshold / 2 >= best:
-            break
-        nbr = _neighbor_masks(cells, A, B, threshold)
-        for mask in _max_cliques(nc, nbr, clique_limit):
-            if mask in seen:
-                continue
-            seen.add(mask)
-            pairs = tuple(cells[c] for c in _bits(mask))
-            eps1 = distortion(pairs, A, B) / 2
-            if best is not None and eps1 >= best:
-                continue
-            mass = mass_of(pairs)
-            eps2 = max(eps1, 1 - mass)
-            try_glue(pairs, eps1, "clique")
-            if eps2 != eps1 and (best is None or eps2 < best):
-                try_glue(pairs, eps2, "clique")
+    # a clique glue's value is never below its eps1 = t / (2 D)
+    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * sweep.D * best):
+        pairs = sweep.pairs(mask)
+        eps1 = Fraction(t, 2 * sweep.D)
+        mass = max_subcoupling(weights[: A.n], weights[A.n :], pairs)[0]
+        eps2 = max(eps1, 1 - Fraction(mass, W))
+        try_glue(pairs, eps1, "clique")
+        if eps2 != eps1 and eps2 < best:
+            try_glue(pairs, eps2, "clique")
 
     rng = random.Random(seed)
     for _ in range(search_budget):

@@ -9,19 +9,26 @@ where distortion is the worst distance mismatch over pairs of matched pairs
 and maxmass is the largest total mass a subcoupling of the two weight
 vectors can place on K. gromov_prohorov is half the lam = 1/2 value.
 
-Search order: ascending distortion thresholds D over the finitely many
-achievable mismatch values. Correspondences with distortion <= D are the
-cliques of a compatibility graph on cells, and only maximal cliques can be
-optimal at a given threshold (mass is monotone under superset while the
-distortion bound is shared), so the sweep enumerates maximal cliques per
-threshold, scores them with exact max-flow, and stops once the threshold
-alone can no longer beat the incumbent. Exact up to `cap` cells; beyond the
-cap (or if clique enumeration exceeds its guard) the result degrades to a
-certified upper bound and says so.
+Search order: one sweep (`_CliqueSweep`, shared with glue and parametrize)
+visits the achievable mismatch values t in ascending order. Correspondences
+with distortion <= t are the cliques of a compatibility graph on cells, and
+only maximal cliques can be optimal at t (mass is monotone under superset),
+so each threshold's new maximal cliques are scored. A maximal clique first
+seen at t has distortion exactly t: were it t' < t, it would be a clique at
+t', maximal there because every outside cell conflicts with it by more than
+t > t', and so seen at the earlier threshold t'. The sweep stops once t alone
+cannot beat the incumbent. Distances of both spaces go over one common
+denominator D and weights over another, W (floats convert exactly through
+Fraction), so thresholds, mass bounds and max-flow run on ints; the
+Fractions t / D and m / W are rebuilt only for a new incumbent and at the
+API boundary. Exact up to `cap` cells; beyond the cap (or if clique
+enumeration exceeds its guard) the result degrades to a certified upper
+bound and says so.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,17 +98,75 @@ def _bits(mask):
         mask ^= low
 
 
-def _neighbor_masks(cells, a, b, threshold):
-    nc = len(cells)
-    nbr = [0] * nc
-    for c1 in range(nc):
-        i, j = cells[c1]
-        for c2 in range(c1 + 1, nc):
-            i2, j2 = cells[c2]
-            if abs(a.dist[i][i2] - b.dist[j][j2]) <= threshold:
-                nbr[c1] |= 1 << c2
-                nbr[c2] |= 1 << c1
-    return nbr
+def _scaled(values):
+    """Exact values over their least common denominator: (ints, denominator)."""
+    values = [Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _exact(space: FiniteMMSpace) -> FiniteMMSpace:
+    """The same space with every entry a Fraction (floats convert exactly)."""
+    dist = tuple(tuple(map(Fraction, row)) for row in space.dist)
+    return FiniteMMSpace(space.labels, dist, tuple(map(Fraction, space.weights)))
+
+
+class _CliqueSweep:
+    """Maximal cliques of the cell compatibility graph, threshold by threshold.
+
+    Cell pairs are bucketed once by their int mismatch over the distances'
+    common denominator D, so each threshold's masks grow from the last ones.
+    """
+
+    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells):
+        flat, self.D = _scaled([x for d in (a.dist, b.dist) for row in d for x in row])
+        da = [flat[k : k + a.n] for k in range(0, a.n * a.n, a.n)]
+        db = [flat[k : k + b.n] for k in range(a.n * a.n, len(flat), b.n)]
+        self.cells = cells
+        self.buckets = {}
+        for c1, (i, j) in enumerate(cells):
+            for c2 in range(c1 + 1, len(cells)):
+                i2, j2 = cells[c2]
+                self.buckets.setdefault(abs(da[i][i2] - db[j][j2]), []).append((c1, c2))
+        diagonal = {abs(da[i][i] - db[j][j]) for i, j in cells}
+        self.thresholds = sorted(diagonal.union(self.buckets))
+
+    def pairs(self, mask):
+        return tuple(self.cells[c] for c in _bits(mask))
+
+    def _grow(self, nbr, t):
+        for c1, c2 in self.buckets.get(t, ()):
+            nbr[c1] |= 1 << c2
+            nbr[c2] |= 1 << c1
+
+    def neighbor_masks(self, limit):
+        """Neighbour masks of the graph whose edges mismatch by at most `limit`."""
+        nbr = [0] * len(self.cells)
+        for t in self.thresholds:
+            if t <= limit:
+                self._grow(nbr, t)
+        return nbr
+
+    def cliques(self, clique_limit, stop):
+        """Yield (t, mask) for each maximal clique at threshold t not yielded
+        at a smaller threshold, in ascending t; its distortion is t / D.
+
+        The sweep ends as soon as `stop(t)` holds, checked before threshold
+        t is enumerated and before each yield; callers pass a test against
+        an incumbent that only improves, so it stays true once true.
+        """
+        nbr = [0] * len(self.cells)
+        seen = set()
+        for t in self.thresholds:
+            if stop(t):
+                return
+            self._grow(nbr, t)
+            for mask in _max_cliques(len(nbr), nbr, clique_limit):
+                if mask not in seen:
+                    if stop(t):
+                        return
+                    seen.add(mask)
+                    yield t, mask
 
 
 def _max_cliques(nc, nbr, limit):
@@ -198,23 +263,16 @@ def box_lambda_detail(
     correspondences used as starting upper bounds (and as fallbacks past the
     cap).
     """
-    if isinstance(lam, (str, int)):
-        lam = parse_scalar(lam)
+    lam = parse_scalar(lam) if isinstance(lam, (str, int)) else Fraction(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    A = canonicalize(a)
-    B = canonicalize(b)
+    A = _exact(canonicalize(a))
+    B = _exact(canonicalize(b))
     n1, n2 = A.n, B.n
     cells = [(i, j) for i in range(n1) for j in range(n2)]
     nc = len(cells)
-
-    mass_cache = {}
-
-    def mass_of(pairs):
-        key = frozenset(pairs)
-        if key not in mass_cache:
-            mass_cache[key] = max_subcoupling(A.weights, B.weights, pairs)[0]
-        return mass_cache[key]
+    weights, W = _scaled(A.weights + B.weights)
+    wa, wb = weights[:n1], weights[n1:]
 
     best = (1 - 0) / lam  # empty correspondence
     best_pairs = ()
@@ -228,8 +286,8 @@ def box_lambda_detail(
         dis = distortion(pairs, A, B)
         if dis >= best:
             return
-        m = mass_of(pairs) if pairs else 0
-        val = max(dis, (1 - m) / lam)
+        m = max_subcoupling(wa, wb, pairs)[0]
+        val = max(dis, (1 - Fraction(m, W)) / lam)
         if val < best:
             best, best_pairs = val, pairs
 
@@ -253,43 +311,31 @@ def box_lambda_detail(
             consider(cand)
         return BoxResult(best, lam, False, best_pairs)
 
-    diffs = sorted(
-        {
-            abs(A.dist[i][i2] - B.dist[j][j2])
-            for i, j in cells
-            for i2, j2 in cells
-        }
-    )
+    sweep = _CliqueSweep(A, B, cells)
+    D = sweep.D
+    row_masks = [((1 << n2) - 1) << (i * n2) for i in range(n1)]
+    col_masks = [sum(1 << (i * n2 + j) for i in range(n1)) for j in range(n2)]
 
+    def cutoffs():
+        # a clique at t with mass m beats best iff t < t_lim and m > m_cut
+        return math.ceil(best * D), math.floor(W * (1 - lam * best))
+
+    t_lim, m_cut = cutoffs()
     exact = True
-    seen = set()
     try:
-        for threshold in diffs:
-            if threshold >= best:
-                break
-            nbr = _neighbor_masks(cells, A, B, threshold)
-            for mask in _max_cliques(nc, nbr, clique_limit):
-                if mask in seen:
-                    continue
-                seen.add(mask)
-                pairs = tuple(cells[c] for c in _bits(mask))
-                dis = distortion(pairs, A, B)
-                if dis >= best:
-                    continue
-                rows = {i for i, _ in pairs}
-                cols = {j for _, j in pairs}
-                ub_mass = min(
-                    sum(A.weights[i] for i in rows),
-                    sum(B.weights[j] for j in cols),
-                )
-                if max(dis, (1 - ub_mass) / lam) >= best:
-                    continue
-                m = mass_of(pairs)
-                val = max(dis, (1 - m) / lam)
-                if val < best:
-                    best, best_pairs = val, pairs
+        for t, mask in sweep.cliques(clique_limit, lambda t: t >= t_lim):
+            row_mass = sum(w for w, rm in zip(wa, row_masks) if mask & rm)
+            col_mass = sum(w for w, cm in zip(wb, col_masks) if mask & cm)
+            if min(row_mass, col_mass) <= m_cut:
+                continue
+            pairs = sweep.pairs(mask)
+            m = max_subcoupling(wa, wb, pairs)[0]
+            if m > m_cut:
+                best, best_pairs = max(Fraction(t, D), (1 - Fraction(m, W)) / lam), pairs
+                t_lim, m_cut = cutoffs()
     except SizeError:
         exact = False
+        diffs = [Fraction(t, D) for t in sweep.thresholds]
         for cand in _heuristic_candidates(A, B, cells, diffs):
             consider(cand)
     return BoxResult(best, lam, exact, best_pairs)
@@ -333,16 +379,17 @@ def optimal_correspondence(
     detail = box_lambda_detail(a, b, lam, cap, clique_limit)
     if not detail.exact:
         raise SizeError("instance exceeds the exact cap; optimal correspondence undefined")
-    A = canonicalize(a)
-    B = canonicalize(b)
-    lam = detail.lam
+    A = _exact(canonicalize(a))
+    B = _exact(canonicalize(b))
     v = detail.value
-    m_req = 1 - lam * v
+    weights, W = _scaled(A.weights + B.weights)
+    m_req = W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
     if m_req <= 0:
         return ()
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
     nc = len(cells)
-    nbr = _neighbor_masks(cells, A, B, v)
+    sweep = _CliqueSweep(A, B, cells)
+    nbr = sweep.neighbor_masks(math.floor(v * sweep.D))
 
     mass_cache = {}
 
@@ -350,7 +397,7 @@ def optimal_correspondence(
         key = frozenset(idx_tuple)
         if key not in mass_cache:
             mass_cache[key] = max_subcoupling(
-                A.weights, B.weights, [cells[c] for c in key]
+                weights[: A.n], weights[A.n :], [cells[c] for c in key]
             )[0]
         return mass_cache[key]
 
@@ -371,7 +418,7 @@ def optimal_correspondence(
                 if nbr[c] >> c2 & 1:
                     sub_nbr[k] |= 1 << remap[c2]
                     sub_nbr[remap[c2]] |= 1 << k
-        for mask in _max_cliques(len(allowed), sub_nbr, DEFAULT_CLIQUE_LIMIT):
+        for mask in _max_cliques(len(allowed), sub_nbr, clique_limit):
             ext = prefix + tuple(allowed[k] for k in _bits(mask))
             if mass_of(ext) >= m_req:
                 return True

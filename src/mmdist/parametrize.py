@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_CELL_CAP, DEFAULT_CLIQUE_LIMIT, _bits, _max_cliques, distortion
+from .gromov import DEFAULT_CELL_CAP, DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _scaled
 from .spaces import FiniteMMSpace
 
 
@@ -111,8 +111,7 @@ def box_of_parametrizations(
     per distortion threshold matter; the sweep is exact and raises SizeError
     above `cap` occupied cells.
     """
-    if isinstance(lam, (str, int)):
-        lam = parse_scalar(lam)
+    lam = parse_scalar(lam) if isinstance(lam, (str, int)) else Fraction(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
     for p, space in ((p1, a), (p2, b)):
@@ -125,38 +124,14 @@ def box_of_parametrizations(
     if nc > cap:
         raise SizeError(f"{nc} occupied cells exceeds exact cap {cap}")
 
-    best = (1 - 0) / lam  # empty subset
-    best = min(best, distortion(tuple(cells), a, b))  # full set carries mass 1
+    sweep = _CliqueSweep(a, b, cells)
+    D = sweep.D
+    scaled, M = _scaled(masses[c] for c in cells)
+    int_mass = dict(zip(cells, scaled))
+    # the empty subset, and the full set, which carries mass 1
+    best = min((1 - 0) / lam, Fraction(sweep.thresholds[-1], D))
 
-    diffs = sorted(
-        {
-            abs(a.dist[i][i2] - b.dist[j][j2])
-            for i, j in cells
-            for i2, j2 in cells
-        }
-    )
-    seen = set()
-    for threshold in diffs:
-        if threshold >= best:
-            break
-        nbr = [0] * nc
-        for c1 in range(nc):
-            i, j = cells[c1]
-            for c2 in range(c1 + 1, nc):
-                i2, j2 = cells[c2]
-                if abs(a.dist[i][i2] - b.dist[j][j2]) <= threshold:
-                    nbr[c1] |= 1 << c2
-                    nbr[c2] |= 1 << c1
-        for mask in _max_cliques(nc, nbr, clique_limit):
-            if mask in seen:
-                continue
-            seen.add(mask)
-            pairs = tuple(cells[c] for c in _bits(mask))
-            dis = distortion(pairs, a, b)
-            if dis >= best:
-                continue
-            mass = sum(masses[c] for c in pairs)
-            val = max(dis, (1 - mass) / lam)
-            if val < best:
-                best = val
+    for t, mask in sweep.cliques(clique_limit, lambda t: t >= D * best):
+        mass = sum(int_mass[c] for c in sweep.pairs(mask))
+        best = min(best, max(Fraction(t, D), (1 - Fraction(mass, M)) / lam))
     return best

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, payload shapes, file round trips."""
 
+import hashlib
 import json
 from fractions import Fraction
+
+import pytest
 
 from mmdist import load_space, save_excursion, save_space, tent
 from mmdist.cli import main
@@ -289,6 +292,22 @@ def test_experiment_output_is_byte_identical_across_thread_counts(
     assert main(args + ["--out", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_text() == p2.read_text()
+
+
+# sha256 of the report bytes; a change to any report byte must fail here and
+# be explained, not only be caught when two reruns of one build disagree
+PINNED_REPORTS = {
+    "counterexample": "ba6c66b47595ac035f11243285b9dd0c85df486b45270edc1ca5fd784942cb39",
+    "theorem-check --seed 1 --count 60": "46f203bdbcb09aa55dfdd0559a57ca7d2b2cd8ef0769bf816617f1ca22fe649d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORTS))
+def test_experiment_report_bytes_are_pinned(capsys, tmp_path, args):
+    path = tmp_path / "report.json"
+    assert main(["experiment", *args.split(), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_REPORTS[args]
 
 
 def test_stdout_carries_only_the_payload(capsys, tmp_path):

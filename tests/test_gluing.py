@@ -12,6 +12,8 @@ from mmdist import (
     glued_common_space,
     glued_upper_bound,
     gromov_prohorov,
+    gromov_prohorov_detail,
+    mm_space,
     optimal_correspondence,
     prohorov_flow,
     prohorov_of_glue,
@@ -158,3 +160,24 @@ def test_search_witness_pairs_reproduce_the_value():
         if res.pairs is not None:
             g = build_glued_space(canonicalize(a), canonicalize(b), res.pairs, res.eps)
             assert prohorov_of_glue(g) == res.value
+
+
+def test_float_spaces_match_their_fraction_twins():
+    # dyadic entries, so each float converts to exactly its Fraction twin
+    docs = [
+        (
+            ("x", "y", "z"),
+            [["0", "0.5", "0.75"], ["0.5", "0", "0.25"], ["0.75", "0.25", "0"]],
+            ["0.5", "0.25", "0.25"],
+        ),
+        (("u", "v"), [["0", "0.375"], ["0.375", "0"]], ["0.625", "0.375"]),
+    ]
+    floats = [mm_space(*doc, exact=False) for doc in docs]
+    twins = [mm_space(*doc) for doc in docs]
+    assert isinstance(floats[0].dist[0][1], float)
+    gp = gromov_prohorov_detail(*floats)
+    assert gp == gromov_prohorov_detail(*twins)
+    assert isinstance(gp.value, Fraction)
+    glue = glued_upper_bound(*floats, search_budget=4)
+    assert glue == glued_upper_bound(*twins, search_budget=4)
+    assert glue.value == gp.value and isinstance(glue.value, Fraction)

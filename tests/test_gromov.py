@@ -9,6 +9,8 @@ from mmdist import (
     box_lambda,
     box_lambda_detail,
     canonicalize,
+    code_excursion,
+    comb,
     correspondence_info,
     distortion,
     gromov_prohorov,
@@ -16,6 +18,7 @@ from mmdist import (
     optimal_correspondence,
     sample_mm_space,
 )
+from mmdist import gromov
 
 F = Fraction
 
@@ -231,3 +234,35 @@ def test_caps_raise_or_degrade_honestly():
     assert not rough.exact
     assert rough.value >= sharp.value
     assert sharp.value == 0
+
+
+def test_sweep_threshold_is_each_new_cliques_distortion():
+    rng = random.Random(151)
+    spaces = [sample_mm_space(rng.randint(0, 10**9), n_max=5) for _ in range(24)]
+    pairs = list(zip(spaces[::2], spaces[1::2]))
+    stars = [code_excursion(comb(n)).space for n in (1, 2, 3, 4)]
+    pairs += [(s, t) for k, s in enumerate(stars) for t in stars[k:]]
+    for a, b in pairs:
+        a, b = canonicalize(a), canonicalize(b)
+        cells = [(i, j) for i in range(a.n) for j in range(b.n)]
+        sweep = gromov._CliqueSweep(a, b, cells)
+        yielded = 0
+        for t, mask in sweep.cliques(gromov.DEFAULT_CLIQUE_LIMIT, lambda t: False):
+            assert distortion(sweep.pairs(mask), a, b) == F(t, sweep.D)
+            yielded += 1
+        assert yielded >= 1
+
+
+def test_optimal_correspondence_passes_its_clique_limit_on(monkeypatch):
+    limits = []
+    real = gromov._max_cliques
+
+    def recording(nc, nbr, limit):
+        limits.append(limit)
+        return real(nc, nbr, limit)
+
+    monkeypatch.setattr(gromov, "_max_cliques", recording)
+    pairs = optimal_correspondence(uniform(2), uniform(3), F(1), clique_limit=12345)
+    assert pairs == ((0, 0), (1, 1))
+    # the sweep inside box_lambda_detail and the feasibility checks both ran
+    assert len(limits) > 1 and set(limits) == {12345}
