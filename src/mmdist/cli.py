@@ -43,7 +43,7 @@ from .harness import (
     run_lipschitz_check,
     run_theorem_check,
 )
-from .prohorov import CommonSpaceMeasures, prohorov, validate_common
+from .prohorov import CommonSpaceMeasures, prohorov
 from .spaces import (
     MMSPACE_FORMAT,
     canonicalize,
@@ -78,6 +78,42 @@ def _load_excursion_arg(path):
     return load_excursion(path)
 
 
+def _scalar_arg(text, flag):
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{flag}: invalid literal {json.dumps(text)}") from None
+
+
+def _pairs_arg(text):
+    try:
+        pairs = json.loads(text)
+    except json.JSONDecodeError:
+        pairs = None
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs
+    ):
+        raise ValidationError(f"--pairs: expected a JSON list of [i, j] index pairs, got {text!r}")
+    return tuple(map(tuple, pairs))
+
+
+def _int_list_arg(text, flag):
+    try:
+        return tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
+def _threads_from_env():
+    env = os.environ.get("MMSPACE_THREADS")
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"MMSPACE_THREADS: expected an integer, got {env!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # handlers: each returns (payload, raw string or None, exit code)
 
@@ -86,8 +122,10 @@ def _cmd_validate(args):
     obj = _load_document(args.infile)
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt == MMSPACE_FORMAT:
-        space = space_from_obj(obj, check=False)
-        violations = validate(space)
+        try:
+            violations = validate(space_from_obj(obj, check=False))
+        except ValidationError as exc:  # a field or scalar that does not parse
+            violations = exc.violations
     elif fmt == EXCURSION_FORMAT:
         h = excursion_from_obj(obj, check=False)
         violations = validate_excursion(h)
@@ -126,11 +164,8 @@ def _cmd_dist_prohorov(args):
             "dist prohorov: --a and --b must carry the same labels and distance "
             "matrix (two measures on one space)"
         )
-    cm = CommonSpaceMeasures(a.dist, a.weights, b.weights)
-    bad = validate_common(cm)
-    if bad:
-        raise ValidationError("dist prohorov: " + "; ".join(bad))
-    value = prohorov(cm)
+    # load_space validated both files, so the common space is valid too
+    value = prohorov(CommonSpaceMeasures(a.dist, a.weights, b.weights))
     payload = _value_payload(value, args.float_mode)
     return payload, format_scalar(value), 0
 
@@ -150,7 +185,7 @@ def _cmd_dist_gp(args):
 def _cmd_dist_box(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    res = box_lambda_detail(a, b, parse_scalar(args.lam), cap=args.cap)
+    res = box_lambda_detail(a, b, _scalar_arg(args.lam, "--lambda"), cap=args.cap)
     payload = _value_payload(res.value, args.float_mode)
     payload["lambda"] = format_scalar(res.lam)
     payload["exact"] = res.exact
@@ -162,7 +197,7 @@ def _cmd_dist_box(args):
 def _cmd_dist_excursion(args):
     h = _load_excursion_arg(args.a)
     g = _load_excursion_arg(args.b)
-    tol = parse_scalar(args.gamma_tol) if args.gamma_tol else DEFAULT_GAMMA_TOL
+    tol = _scalar_arg(args.gamma_tol, "--gamma-tol") if args.gamma_tol else DEFAULT_GAMMA_TOL
     res = d_excursion_detail(h, g, tol=tol, budget=args.budget)
     payload = _value_payload(res.value, args.float_mode)
     payload.update(
@@ -184,7 +219,7 @@ def _cmd_dist_excursion(args):
 
 def _cmd_dist_dh(args):
     h = _load_excursion_arg(args.infile)
-    value = dh(h, parse_scalar(args.s), parse_scalar(args.t))
+    value = dh(h, _scalar_arg(args.s, "--s"), _scalar_arg(args.t, "--t"))
     return _value_payload(value, args.float_mode), format_scalar(value), 0
 
 
@@ -192,7 +227,9 @@ def _cmd_code_excursion(args):
     h = _load_excursion_arg(args.infile)
     resolution = ()
     if args.resolution:
-        resolution = tuple(part for part in args.resolution.split(",") if part)
+        resolution = tuple(
+            _scalar_arg(part, "--resolution") for part in args.resolution.split(",") if part
+        )
     coded = code_excursion(h, resolution=resolution)
     payload = space_to_obj(coded.space)
     payload["projection"] = list(coded.projection)
@@ -219,10 +256,7 @@ def _cmd_glue(args):
         return payload, format_scalar(res.value), 0
     if args.pairs is None or args.eps is None:
         raise ValidationError("glue: --pairs and --eps must be given together")
-    pairs = tuple(
-        (int(i), int(j)) for i, j in json.loads(args.pairs)
-    )
-    glued = build_glued_space(a, b, pairs, parse_scalar(args.eps))
+    glued = build_glued_space(a, b, _pairs_arg(args.pairs), _scalar_arg(args.eps, "--eps"))
     value = prohorov_of_glue(glued)
     payload = _value_payload(value, args.float_mode)
     payload["eps"] = format_scalar(glued.eps)
@@ -241,10 +275,7 @@ _EXPERIMENT_DEFAULT_SEED = {
 
 def _cmd_experiment(args):
     seed = args.seed if args.seed is not None else _EXPERIMENT_DEFAULT_SEED[args.name]
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("MMSPACE_THREADS")
-        threads = int(env) if env else None
+    threads = args.threads if args.threads is not None else _threads_from_env()
     if args.name == "theorem-check":
         report = run_theorem_check(
             seed=seed,
@@ -259,8 +290,7 @@ def _cmd_experiment(args):
             threads=threads,
         )
     elif args.name == "counterexample":
-        n_list = tuple(int(x) for x in args.n_list.split(",") if x)
-        report = run_counterexample(n_list=n_list)
+        report = run_counterexample(n_list=_int_list_arg(args.n_list, "--n-list"))
     else:
         h = _load_excursion_arg(args.h) if args.h else None
         report = run_continuity_check(seed=seed, schedule=args.schedule, h=h)

@@ -1,7 +1,9 @@
-"""Exact rational scalars: parsing, formatting, square-root enclosures.
+"""Exact rational scalars: parsing, formatting, int scaling, square roots.
 
-All core computations run on `fractions.Fraction`. Float mode is opt-in at
-the I/O boundary; nothing in here ever rounds silently.
+Values are `fractions.Fraction` at every API boundary. Hot loops put a batch
+of them over one common denominator (`scaled`, `scaled_rows`) and compare,
+add and flow plain ints, which is exact because the scale is positive. Float
+mode is opt-in at the I/O boundary; nothing in here ever rounds silently.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 __all__ = [
     "parse_scalar",
     "format_scalar",
+    "scaled",
+    "scaled_rows",
     "decimal_str",
     "sqrt_if_square",
     "sqrt_enclosure",
@@ -40,9 +44,33 @@ def parse_scalar(value, exact: bool = True):
         raise ValueError(f"cannot parse scalar: {value!r}")
     if isinstance(value, str):
         value = Fraction(value.strip())
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, (int, float, Fraction)) and math.isfinite(value):
         return float(value)
     raise ValueError(f"cannot parse scalar: {value!r}")
+
+
+def scaled(values):
+    """Exact values over their least common denominator: (ints, denominator).
+
+    Ints and Fractions are read as they are; anything else converts exactly
+    through Fraction (a float to its binary value).
+    """
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def scaled_rows(*matrices):
+    """Matrices over one common denominator: ([int rows of each], denominator)."""
+    flat, den = scaled([x for m in matrices for row in m for x in row])
+    out, pos = [], 0
+    for m in matrices:
+        rows = []
+        for row in m:
+            rows.append(flat[pos : pos + len(row)])
+            pos += len(row)
+        out.append(rows)
+    return out, den
 
 
 def format_scalar(value) -> str:

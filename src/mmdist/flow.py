@@ -1,9 +1,12 @@
 """Exact transport primitives: bipartite max-flow, subcouplings, couplings.
 
-Max-flow is Edmonds-Karp, exact over int or Fraction capacities (the clique
-sweeps pass int-scaled weights), so every value it returns is exact in the
-capacities' own type; the routines here are the single source of coupling
-mass used by the distance computations.
+Max-flow is Edmonds-Karp, exact over int or Fraction capacities, so every
+value it returns is exact in the capacities' own type. The clique sweeps,
+the Prohorov scan and the glue search pass int-scaled weights (over a common
+denominator W) and rebuild the Fraction mass m / W themselves; coupling
+construction (`complete_subcoupling`) and `correspondence_info` work on
+Fractions. The routines here are the single source of coupling mass used by
+the distance computations.
 """
 
 from __future__ import annotations

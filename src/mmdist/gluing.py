@@ -13,9 +13,14 @@ with box_lambda, at two eps values. A clique first yielded at threshold t
 has distortion exactly t (were it t' < t, the clique would be maximal at the
 earlier threshold t' and yielded there), so it is glued at eps1 = t/2 with
 no distortion recomputed, and at eps2 = max(eps1, 1 - maxmass), maxmass
-flowed on int-scaled weights; both eps are rebuilt as Fractions. This
-reproduces the Gromov-Prohorov value exactly; seeded random glues (repaired
-to triangle validity) can only lower the reported minimum.
+flowed on int-scaled weights. This reproduces the Gromov-Prohorov value
+exactly; seeded random glues (repaired to triangle validity) can only lower
+the reported minimum.
+
+Every glue the search values, clique or repaired random, is built as int
+rows (distances over the sweep's denominator D) and valued by the shared int
+scan `prohorov._flow_scan` on weights over W; Fractions are rebuilt only for
+eps, for each value and at the public functions' boundary.
 """
 
 from __future__ import annotations
@@ -23,13 +28,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ValidationError
-from .exact import parse_scalar
+from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
-from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _exact, _scaled, distortion
-from .prohorov import CommonSpaceMeasures, _scan_infimum
-from .spaces import FiniteMMSpace, canonicalize, require_valid
+from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _exact, distortion
+from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
+from .spaces import FiniteMMSpace, canonicalize, metric_violations, require_valid
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,25 @@ class GlueSearchResult:
     evaluations: int
 
 
-def _cross_from_pairs(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps):
-    return tuple(
-        tuple(
-            min(a.dist[x][p] + eps + b.dist[q][y] for p, q in pairs)
-            for y in range(b.n)
-        )
-        for x in range(a.n)
-    )
+def _cross_from_pairs(da, db, pairs):
+    """Int cross block min over (p, q) in pairs of da[x][p] + db[q][y].
+
+    On distances over a common denominator D this is the glue's cross block
+    less its eps, over D; `_shifted` adds the eps.
+    """
+    cols = [[row[q] for p, q in pairs] for row in db]  # db is symmetric
+    out = []
+    for row in da:
+        ax = [row[p] for p, q in pairs]
+        out.append([min(map(add, ax, col)) for col in cols])
+    return out
+
+
+def _shifted(base, D, eps):
+    """Int rows of base / D + eps, and their denominator D * eps.denominator."""
+    p, q = eps.numerator, eps.denominator
+    shift = p * D
+    return [[x * q + shift for x in row] for row in base], D * q
 
 
 def _assemble(a, b, cross, eps=None, pairs=None) -> GluedSpace:
@@ -95,8 +112,7 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     """Glue along `pairs` at width `eps`; requires distortion(pairs) <= 2*eps."""
     require_valid(a)
     require_valid(b)
-    if isinstance(eps, (str, int)):
-        eps = parse_scalar(eps)
+    eps = parse_scalar(eps)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     pairs = tuple(sorted(set(map(tuple, pairs))))
@@ -110,25 +126,26 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
         raise ValidationError(
             f"correspondence distortion {dis} exceeds 2*eps = {2 * eps}"
         )
-    return _assemble(a, b, _cross_from_pairs(a, b, pairs, eps), eps, pairs)
+    (da, db), D = scaled_rows(a.dist, b.dist)
+    cross, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
+    cross = [[Fraction(x, den) for x in row] for row in cross]
+    return _assemble(a, b, cross, eps, pairs)
 
 
 def check_triangle(glued: GluedSpace) -> list:
     """All (i, j, k) with dist[i][j] > dist[i][k] + dist[k][j], exact."""
-    d = glued.dist
-    n = len(d)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][j] > d[i][k] + d[k][j]:
-                    out.append((i, j, k))
-    return out
+    return [(i, j, k) for kind, i, j, k in metric_violations(glued.dist) if kind == "triangle"]
 
 
 def prohorov_of_glue(glued: GluedSpace):
-    """Prohorov distance of the two embedded measures inside the glued space."""
-    return _prohorov_cross(glued.cross(), glued.mu_ext[: glued.n1], glued.nu_ext[glued.n1 :])
+    """Prohorov distance of the two embedded measures inside the glued space.
+
+    Computed on the cross block alone: a coupling of the two block-supported
+    measures is supported on cross cells, so only cross distances decide
+    feasibility at each threshold (tested against the generic flow route on
+    the full glued matrix).
+    """
+    return _prohorov_block(glued.cross(), glued.mu_ext[: glued.n1], glued.nu_ext[glued.n1 :])
 
 
 def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
@@ -136,76 +153,37 @@ def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
     return CommonSpaceMeasures(glued.dist, glued.mu_ext, glued.nu_ext)
 
 
-def _prohorov_cross(cross, mu, nu):
-    """Prohorov via couplings that only ever charge cross cells.
-
-    Equals the generic flow route on the full glued matrix: a coupling of
-    the two block-supported measures is supported on cross cells, so only
-    cross distances decide feasibility at each threshold.
-    """
-    n1, n2 = len(mu), len(nu)
-    values = sorted({cross[i][j] for i in range(n1) for j in range(n2)})
-    zero = Fraction(0)
-    boundaries = values if values and values[0] == 0 else [zero] + values
-
-    flow_cache = {}
-
-    def t_of_piece(j):
-        if j not in flow_cache:
-            u = boundaries[j]
-            allowed = [
-                (i, k) for i in range(n1) for k in range(n2) if cross[i][k] <= u
-            ]
-            flow_cache[j], _ = max_subcoupling(mu, nu, allowed)
-        return 1 - flow_cache[j]
-
-    return _scan_infimum(boundaries, t_of_piece)
-
-
 def repaired_random_cross(a: FiniteMMSpace, b: FiniteMMSpace, rng: random.Random):
-    """Random cross matrix made triangle-valid in two exact steps.
+    """Seeded random cross matrix made triangle-valid (see `_random_cross`)."""
+    (da, db), D = scaled_rows(a.dist, b.dist)
+    cross, den = _random_cross(da, db, D, rng)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in cross)
 
-    Tighten each entry through one cross hop (w <- min d_A + w + d_B), which
-    settles every triangle with the cross edge on the long side; then add
-    half the worst remaining within-block violation uniformly to all cross
-    entries, which fixes the reverse pattern without breaking the first.
+
+def _random_cross(da, db, D, rng):
+    """Random int cross rows over distances da, db / D, and their denominator.
+
+    Entries start at diam * k / 8 for k drawn row by row from 1..16.
+    Then they are made triangle-valid in two exact steps. First, tighten each
+    entry through one cross hop (w <- min d_A + w + d_B, as two min-plus
+    products), which settles every triangle with the cross edge on the long
+    side. Then add half the worst remaining within-block violation uniformly
+    to all cross entries, which fixes the reverse pattern without breaking
+    the first. Values live over 8 * D, and over 16 * D at the end.
     """
-    n1, n2 = a.n, b.n
-    diam = max(
-        [x for row in a.dist for x in row] + [x for row in b.dist for x in row] + [1]
-    )
     grid = 8
-    w0 = [
-        [diam * Fraction(rng.randint(1, 2 * grid), grid) for _ in range(n2)]
-        for _ in range(n1)
-    ]
-    w1 = [
-        [
-            min(
-                a.dist[x][p] + w0[p][q] + b.dist[q][y]
-                for p in range(n1)
-                for q in range(n2)
-            )
-            for y in range(n2)
-        ]
-        for x in range(n1)
-    ]
-    bump = Fraction(0)
-    for x in range(n1):
-        for x2 in range(n1):
-            for y in range(n2):
-                gap = a.dist[x][x2] - w1[x][y] - w1[x2][y]
-                if gap > 2 * bump:
-                    bump = gap / 2
-    for y in range(n2):
-        for y2 in range(n2):
-            for x in range(n1):
-                gap = b.dist[y][y2] - w1[x][y] - w1[x][y2]
-                if gap > 2 * bump:
-                    bump = gap / 2
-    if bump > 0:
-        w1 = [[w + bump for w in row] for row in w1]
-    return tuple(tuple(row) for row in w1)
+    diam = max(max(map(max, da)), max(map(max, db)), D)
+    w0 = [[diam * rng.randint(1, 2 * grid) for _ in range(len(db))] for _ in range(len(da))]
+    a = [[x * grid for x in row] for row in da]
+    b = [[x * grid for x in row] for row in db]
+    hop = [[min(map(add, row, col)) for col in zip(*w0)] for row in a]
+    w1 = [[min(map(add, row, col)) for col in b] for row in hop]  # b is symmetric
+    bump2 = 0  # twice the bump
+    for block, lines in ((a, w1), (b, list(zip(*w1)))):
+        for u, du in enumerate(block):
+            for v, d in enumerate(du):
+                bump2 = max(bump2, d - min(map(add, lines[u], lines[v])))
+    return [[2 * w + bump2 for w in row] for row in w1], 2 * D * grid
 
 
 def glued_upper_bound(
@@ -228,7 +206,9 @@ def glued_upper_bound(
     B = _exact(canonicalize(b))
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
     sweep = _CliqueSweep(A, B, cells)
-    weights, W = _scaled(A.weights + B.weights)
+    da, db, D = sweep.da, sweep.db, sweep.D
+    weights, W = scaled(A.weights + B.weights)
+    mu, nu = weights[: A.n], weights[A.n :]
 
     best = None
     best_eps = None
@@ -236,31 +216,30 @@ def glued_upper_bound(
     best_source = None
     evaluations = 0
 
-    def try_glue(pairs, eps, source):
+    def try_glue(pairs, base, eps, source):
         nonlocal best, best_eps, best_pairs, best_source, evaluations
-        cross = _cross_from_pairs(A, B, pairs, eps)
-        value = _prohorov_cross(cross, A.weights, B.weights)
+        value = _flow_scan(*_shifted(base, D, eps), mu, nu, W)
         evaluations += 1
         if best is None or value < best:
-            best, best_eps, best_pairs, best_source = value, eps, tuple(pairs), source
+            best, best_eps, best_pairs, best_source = value, eps, pairs, source
 
     # the full grid's distortion is the largest threshold
-    try_glue(tuple(cells), Fraction(sweep.thresholds[-1], 2 * sweep.D), "full")
+    full = tuple(cells)
+    try_glue(full, _cross_from_pairs(da, db, full), Fraction(sweep.thresholds[-1], 2 * D), "full")
 
     # a clique glue's value is never below its eps1 = t / (2 D)
-    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * sweep.D * best):
+    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * D * best):
         pairs = sweep.pairs(mask)
-        eps1 = Fraction(t, 2 * sweep.D)
-        mass = max_subcoupling(weights[: A.n], weights[A.n :], pairs)[0]
-        eps2 = max(eps1, 1 - Fraction(mass, W))
-        try_glue(pairs, eps1, "clique")
+        base = _cross_from_pairs(da, db, pairs)
+        eps1 = Fraction(t, 2 * D)
+        eps2 = max(eps1, 1 - Fraction(max_subcoupling(mu, nu, pairs)[0], W))
+        try_glue(pairs, base, eps1, "clique")
         if eps2 != eps1 and eps2 < best:
-            try_glue(pairs, eps2, "clique")
+            try_glue(pairs, base, eps2, "clique")
 
     rng = random.Random(seed)
     for _ in range(search_budget):
-        cross = repaired_random_cross(A, B, rng)
-        value = _prohorov_cross(cross, A.weights, B.weights)
+        value = _flow_scan(*_random_cross(da, db, D, rng), mu, nu, W)
         evaluations += 1
         if value < best:
             best, best_eps, best_pairs, best_source = value, None, None, "random"

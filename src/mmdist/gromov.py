@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError, ValidationError
-from .exact import parse_scalar
+from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
 from .spaces import FiniteMMSpace, canonicalize
 
@@ -98,13 +98,6 @@ def _bits(mask):
         mask ^= low
 
 
-def _scaled(values):
-    """Exact values over their least common denominator: (ints, denominator)."""
-    values = [Fraction(x) for x in values]
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def _exact(space: FiniteMMSpace) -> FiniteMMSpace:
     """The same space with every entry a Fraction (floats convert exactly)."""
     dist = tuple(tuple(map(Fraction, row)) for row in space.dist)
@@ -119,9 +112,8 @@ class _CliqueSweep:
     """
 
     def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells):
-        flat, self.D = _scaled([x for d in (a.dist, b.dist) for row in d for x in row])
-        da = [flat[k : k + a.n] for k in range(0, a.n * a.n, a.n)]
-        db = [flat[k : k + b.n] for k in range(a.n * a.n, len(flat), b.n)]
+        (self.da, self.db), self.D = scaled_rows(a.dist, b.dist)
+        da, db = self.da, self.db
         self.cells = cells
         self.buckets = {}
         for c1, (i, j) in enumerate(cells):
@@ -271,7 +263,7 @@ def box_lambda_detail(
     n1, n2 = A.n, B.n
     cells = [(i, j) for i in range(n1) for j in range(n2)]
     nc = len(cells)
-    weights, W = _scaled(A.weights + B.weights)
+    weights, W = scaled(A.weights + B.weights)
     wa, wb = weights[:n1], weights[n1:]
 
     best = (1 - 0) / lam  # empty correspondence
@@ -382,7 +374,7 @@ def optimal_correspondence(
     A = _exact(canonicalize(a))
     B = _exact(canonicalize(b))
     v = detail.value
-    weights, W = _scaled(A.weights + B.weights)
+    weights, W = scaled(A.weights + B.weights)
     m_req = W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
     if m_req <= 0:
         return ()

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError, ValidationError
-from .exact import parse_scalar
+from .exact import parse_scalar, scaled
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_CELL_CAP, DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _scaled
+from .gromov import DEFAULT_CELL_CAP, DEFAULT_CLIQUE_LIMIT, _CliqueSweep
 from .spaces import FiniteMMSpace
 
 
@@ -126,8 +126,8 @@ def box_of_parametrizations(
 
     sweep = _CliqueSweep(a, b, cells)
     D = sweep.D
-    scaled, M = _scaled(masses[c] for c in cells)
-    int_mass = dict(zip(cells, scaled))
+    int_masses, M = scaled(masses[c] for c in cells)
+    int_mass = dict(zip(cells, int_masses))
     # the empty subset, and the full set, which carries mass 1
     best = min((1 - 0) / lam, Fraction(sweep.thresholds[-1], D))
 

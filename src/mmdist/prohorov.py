@@ -14,6 +14,11 @@ returned value itself (it holds for every strictly larger eps). Their
 agreement on every instance is one of the package's tested invariants, not
 an assumption.
 
+Both routes run on distances as ints over their common denominator and on
+weights as ints over theirs, and share one cross-multiplied scan; a Fraction
+is built only for the value returned. The flow scan takes any rectangular
+int block, which is how `gluing` values its cross blocks.
+
 The one-sided subset condition already implies its mirror image for
 probability measures (apply it to the complement of an enlargement), so the
 brute force does not need a symmetrized pass; the flow route is symmetric
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError, ValidationError
+from .exact import scaled, scaled_rows
 from .flow import max_subcoupling
+from .spaces import metric_violations
 
 BRUTEFORCE_CAP = 12
 
@@ -49,6 +56,14 @@ class CommonSpaceMeasures:
         return len(self.dist)
 
 
+_COMMON_MESSAGES = {
+    "diagonal": "dist[{i}][{i}] != 0",
+    "negative": "dist[{i}][{j}] is negative",
+    "asymmetric": "dist[{i}][{j}] != dist[{j}][{i}]",
+    "triangle": "triangle violation at ({i}, {j}) via {k}",
+}
+
+
 def validate_common(cm: CommonSpaceMeasures, tol=0) -> list:
     violations = []
     n = cm.n
@@ -63,22 +78,10 @@ def validate_common(cm: CommonSpaceMeasures, tol=0) -> list:
             violations.append(f"{name} has a negative entry")
         if abs(sum(vec) - 1) > tol:
             violations.append(f"{name} sums to {sum(vec)}, expected 1")
-    d = cm.dist
-    for i in range(n):
-        if abs(d[i][i]) > tol:
-            violations.append(f"dist[{i}][{i}] != 0")
-        for j in range(i + 1, n):
-            if d[i][j] < -tol:
-                violations.append(f"dist[{i}][{j}] is negative")
-            if abs(d[i][j] - d[j][i]) > tol:
-                violations.append(f"dist[{i}][{j}] != dist[{j}][{i}]")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][j] > d[i][k] + d[k][j] + tol:
-                    violations.append(
-                        f"triangle violation at ({i}, {j}) via {k}"
-                    )
+    violations += [
+        _COMMON_MESSAGES[kind].format(i=i, j=j, k=k)
+        for kind, i, j, k in metric_violations(cm.dist, tol)
+    ]
     return violations
 
 
@@ -90,24 +93,49 @@ def _require_valid(cm: CommonSpaceMeasures) -> None:
         )
 
 
-def _scan_infimum(boundaries, t_of_piece):
+def _scan_infimum(boundaries, t_of_piece, D, W):
     """Exact infimum of an up-set of feasible eps described piecewise.
 
-    Piece j is the interval (boundaries[j], boundaries[j+1]] (the last piece
-    is unbounded); eps in piece j is feasible iff eps >= t_of_piece(j).
-    Feasibility is monotone, so the first piece with a solution decides.
+    `boundaries` are ascending values u / D, the first one 0. Piece j is the
+    interval (u_j / D, u_{j+1} / D] (the last piece is unbounded); eps in
+    piece j is feasible iff eps >= t_of_piece(j) / W. Feasibility is
+    monotone, so the first piece with a solution decides. Comparisons are
+    cross-multiplied; the Fraction is built only for the value returned.
     """
     K = len(boundaries)
-    for j in range(K):
+    for j, u in enumerate(boundaries):
         t = t_of_piece(j)
-        if t <= boundaries[j]:
-            return boundaries[j]
-        if j + 1 < K:
-            if t <= boundaries[j + 1]:
-                return t
-        else:
-            return t
+        if t * D <= u * W:
+            return Fraction(u, D)
+        if j + 1 == K or t * D <= boundaries[j + 1] * W:
+            return Fraction(t, W)
     raise AssertionError("unreachable: last piece is always feasible")
+
+
+def _flow_scan(rows, D, mu, nu, W):
+    """Prohorov value of int weights mu, nu (over W) whose cell (i, k) lies at
+    int distance rows[i][k] / D, rows indexing mu and columns nu.
+
+    Each distance threshold u allows the cells at distance <= u; the eps of
+    its piece must cover the mass W - maxflow that no coupling puts there.
+    """
+    values = sorted({x for row in rows for x in row})
+    boundaries = values if values[0] == 0 else [0] + values
+
+    def t_of_piece(j):
+        u = boundaries[j]
+        allowed = [(i, k) for i, row in enumerate(rows) for k, x in enumerate(row) if x <= u]
+        return W - max_subcoupling(mu, nu, allowed)[0]
+
+    return _scan_infimum(boundaries, t_of_piece, D, W)
+
+
+def _prohorov_block(dist, mu, nu):
+    """Prohorov value of mu and nu over the distance block `dist` (rows index
+    mu, columns nu), every entry scaled exactly to ints first."""
+    (rows,), D = scaled_rows(dist)
+    weights, W = scaled([*mu, *nu])
+    return _flow_scan(rows, D, weights[: len(mu)], weights[len(mu) :], W)
 
 
 def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
@@ -116,22 +144,20 @@ def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
     n = cm.n
     if n > cap:
         raise SizeError(f"{n} points exceeds brute-force cap {cap}; use prohorov_flow")
-    d = cm.dist
-    worst = None
-
+    (d,), D = scaled_rows(cm.dist)
+    weights, W = scaled([*cm.mu, *cm.nu])
+    mu, nu = weights[:n], weights[n:]
+    worst = Fraction(0)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        mu_a = sum(cm.mu[i] for i in members)
+        mu_a = sum(mu[i] for i in members)
         dist_to_a = [min(d[a][x] for a in members) for x in range(n)]
         boundaries = sorted(set(dist_to_a))  # always starts at 0 (members)
 
-        def t_of_piece(j, _b=boundaries, _da=dist_to_a, _ma=mu_a):
-            nu_v = sum(cm.nu[x] for x in range(n) if _da[x] <= _b[j])
-            return _ma - nu_v
+        def t_of_piece(j):
+            return mu_a - sum(v for v, da in zip(nu, dist_to_a) if da <= boundaries[j])
 
-        threshold = _scan_infimum(boundaries, t_of_piece)
-        if worst is None or threshold > worst:
-            worst = threshold
+        worst = max(worst, _scan_infimum(boundaries, t_of_piece, D, W))
     return worst
 
 
@@ -156,23 +182,7 @@ def prohorov_condition_holds(cm: CommonSpaceMeasures, eps, cap: int = BRUTEFORCE
 def prohorov_flow(cm: CommonSpaceMeasures):
     """Coupling route via exact max-flow at each distance threshold."""
     _require_valid(cm)
-    n = cm.n
-    d = cm.dist
-    values = sorted({d[i][j] for i in range(n) for j in range(n)})
-    boundaries = values if values and values[0] == 0 else [Fraction(0)] + values
-
-    flow_cache = {}
-
-    def t_of_piece(j):
-        u = boundaries[j]
-        if j not in flow_cache:
-            allowed = [
-                (i, k) for i in range(n) for k in range(n) if d[i][k] <= u
-            ]
-            flow_cache[j], _ = max_subcoupling(cm.mu, cm.nu, allowed)
-        return 1 - flow_cache[j]
-
-    return _scan_infimum(boundaries, t_of_piece)
+    return _prohorov_block(cm.dist, cm.mu, cm.nu)
 
 
 def prohorov(cm: CommonSpaceMeasures):

@@ -4,6 +4,11 @@ A space is a labelled finite pseudometric with a probability weight vector.
 Zero off-diagonal distances and zero weights are valid input; `canonicalize`
 removes both, which is the representative form every distance routine works
 on (distances here are invariants of the measure-preserving-isometry class).
+
+Entries stay Fractions in a space. `metric_violations`, the one metric-axiom
+check, tests an exact matrix as ints over its common denominator; messages
+quote the Fraction entries. `mm_space` names each malformed input by its
+JSON path.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import ValidationError
-from .exact import format_scalar, parse_scalar
+from .exact import format_scalar, parse_scalar, scaled_rows
 
 MMSPACE_FORMAT = "mmspace/1"
 
@@ -31,12 +37,87 @@ class FiniteMMSpace:
 
 
 def mm_space(labels, dist, weights, exact: bool = True) -> FiniteMMSpace:
-    """Build a FiniteMMSpace from loose containers, converting scalars."""
-    return FiniteMMSpace(
-        labels=tuple(str(l) for l in labels),
-        dist=tuple(tuple(parse_scalar(x, exact) for x in row) for row in dist),
-        weights=tuple(parse_scalar(w, exact) for w in weights),
+    """Build a FiniteMMSpace from lists or tuples, converting scalars.
+
+    A field that is not a list, or a scalar that does not parse, raises
+    ValidationError naming each one by its JSON path.
+    """
+    errors = []
+
+    def items(value, path):
+        if isinstance(value, (list, tuple)):
+            return enumerate(value)
+        errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
+        return ()
+
+    def scalar(value, path):
+        try:
+            return parse_scalar(value, exact)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            errors.append(f"{path}: invalid literal {json.dumps(value, default=str)}")
+
+    space = FiniteMMSpace(
+        labels=tuple(str(l) for _, l in items(labels, "labels")),
+        dist=tuple(
+            tuple(scalar(x, f"dist[{i}][{j}]") for j, x in items(row, f"dist[{i}]"))
+            for i, row in items(dist, "dist")
+        ),
+        weights=tuple(scalar(w, f"weights[{i}]") for i, w in items(weights, "weights")),
     )
+    if errors:
+        raise ValidationError(errors[0], errors)
+    return space
+
+
+def metric_violations(dist, tol=0) -> list:
+    """Metric-axiom violations of a square matrix as (kind, i, j, k) tuples.
+
+    Row by row: "diagonal" (i, i), then "negative" and "asymmetric" for each
+    j > i; then every "triangle" dist[i][j] > dist[i][k] + dist[k][j] in
+    (i, j, k) order; each comparison loosened by `tol`. An exact matrix
+    (tol = 0, no floats) is first tested as ints (see `_is_metric`) and is
+    enumerated only when it fails.
+    """
+    m = dist
+    if tol == 0 and {t for row in dist for t in map(type, row)} <= {int, Fraction}:
+        (m,), _ = scaled_rows(dist)
+        if _is_metric(m):
+            return []
+    n = len(m)
+    out = []
+    for i in range(n):
+        if abs(m[i][i]) > tol:
+            out.append(("diagonal", i, i, None))
+        for j in range(i + 1, n):
+            if m[i][j] < -tol:
+                out.append(("negative", i, j, None))
+            if abs(m[i][j] - m[j][i]) > tol:
+                out.append(("asymmetric", i, j, None))
+    for i, di in enumerate(m):
+        for j in range(n):
+            for k, dk in enumerate(m):
+                if di[j] > di[k] + dk[j] + tol:
+                    out.append(("triangle", i, j, k))
+    return out
+
+
+def _is_metric(m) -> bool:
+    """Whether int rows `m` are a pseudometric; the triangle test per rows i,
+    k is max_j (m[i][j] - m[k][j]) <= m[i][k]."""
+    return not m or (
+        not any(row[i] for i, row in enumerate(m))
+        and min(map(min, m)) >= 0
+        and list(map(list, zip(*m))) == m
+        and all(max(map(sub, di, dk)) <= dik for di in m for dk, dik in zip(m, di))
+    )
+
+
+_SPACE_MESSAGES = {
+    "diagonal": "dist[{i}][{i}] = {v}, expected 0",
+    "negative": "dist[{i}][{j}] is negative: {v}",
+    "asymmetric": "dist[{i}][{j}] != dist[{j}][{i}]",
+    "triangle": "triangle violation: dist[{i}][{j}] > dist[{i}][{k}] + dist[{k}][{j}]",
+}
 
 
 def validate(space: FiniteMMSpace, tol=0) -> list:
@@ -44,7 +125,7 @@ def validate(space: FiniteMMSpace, tol=0) -> list:
 
     Dimension mismatches are reported (not raised) and suppress the checks
     that would index out of range. `tol` loosens every comparison for float
-    inputs; exact inputs use tol=0.
+    inputs; exact inputs use tol=0 and the int check of `metric_violations`.
     """
     violations = []
     n = len(space.labels)
@@ -68,21 +149,10 @@ def validate(space: FiniteMMSpace, tol=0) -> list:
         violations.append(f"weights sum to {total}, expected 1")
 
     d = space.dist
-    for i in range(n):
-        if abs(d[i][i]) > tol:
-            violations.append(f"dist[{i}][{i}] = {d[i][i]}, expected 0")
-        for j in range(i + 1, n):
-            if d[i][j] < -tol:
-                violations.append(f"dist[{i}][{j}] is negative: {d[i][j]}")
-            if abs(d[i][j] - d[j][i]) > tol:
-                violations.append(f"dist[{i}][{j}] != dist[{j}][{i}]")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i][j] > d[i][k] + d[k][j] + tol:
-                    violations.append(
-                        f"triangle violation: dist[{i}][{j}] > dist[{i}][{k}] + dist[{k}][{j}]"
-                    )
+    violations += [
+        _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=d[i][j])
+        for kind, i, j, k in metric_violations(d, tol)
+    ]
     return violations
 
 
@@ -230,9 +300,9 @@ def space_from_obj(obj, exact: bool = True, check: bool = True) -> FiniteMMSpace
         raise ValidationError("space document must be a JSON object")
     if obj.get("format") != MMSPACE_FORMAT:
         raise ValidationError(f"unsupported format: {obj.get('format')!r}")
-    for key in ("labels", "dist", "weights"):
-        if key not in obj:
-            raise ValidationError(f"missing field: {key}")
+    missing = [f"missing field: {key}" for key in ("labels", "dist", "weights") if key not in obj]
+    if missing:
+        raise ValidationError(missing[0], missing)
     space = mm_space(obj["labels"], obj["dist"], obj["weights"], exact)
     if check:
         require_valid(space, 0 if exact else 1e-9)

@@ -310,6 +310,84 @@ def test_experiment_report_bytes_are_pinned(capsys, tmp_path, args):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_REPORTS[args]
 
 
+# sha256 of `mmdist glue` stdout at the default --budget 32 on two sampled
+# pairs, taken when the glue evaluation still ran on Fractions: the int
+# evaluation must give the same witnesses, values and evaluation counts
+PINNED_GLUES = {
+    "3 17 --n-max 5": "32b0552f0485bdeaabe1edfa3c2693052b7d040cb0afca949721b8f5da4f5140",
+    "5 11 --n-max 4": "010636782a19cdc068b3ba6286db66e229e0f2b5b12db7b03f00890c870c8406",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_GLUES))
+def test_glue_output_bytes_are_pinned(capsys, tmp_path, pair):
+    seed_a, seed_b, *n_max = pair.split()
+    paths = []
+    for seed in (seed_a, seed_b):
+        paths.append(str(tmp_path / f"{seed}.json"))
+        assert main(["sample", "--seed", seed, *n_max, "--out", paths[-1]]) == 0
+    code, out, _ = run(capsys, "glue", "--a", paths[0], "--b", paths[1])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GLUES[pair]
+
+
+GOOD_DOC = {
+    "format": "mmspace/1",
+    "labels": ["a", "b"],
+    "dist": [["0", "1"], ["1", "0"]],
+    "weights": ["1/2", "1/2"],
+}
+MALFORMED_DOCS = {
+    "letter": ({"dist": [["0", "x"], ["1", "0"]]}, 'dist[0][1]: invalid literal "x"'),
+    "zero denominator": ({"dist": [["0", "1"], ["1/0", "0"]]}, 'dist[1][0]: invalid literal "1/0"'),
+    "nan": ({"weights": ["NaN", "1/2"]}, 'weights[0]: invalid literal "NaN"'),
+    "string for rows": ({"dist": "oops"}, 'dist: expected a list, got "oops"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+def test_malformed_space_documents_name_the_json_path(capsys, tmp_path, case):
+    fields, message = MALFORMED_DOCS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GOOD_DOC, **fields}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_DOC))
+    code, out, _ = run(capsys, "validate", "--in", str(bad))
+    assert code == 0
+    assert json.loads(out) == {"format": "mmspace/1", "valid": False, "violations": [message]}
+    for argv in (
+        ["canonicalize", "--in", bad],
+        ["dist", "gp", "--a", bad, "--b", good],
+        ["dist", "prohorov", "--a", good, "--b", bad],
+        ["glue", "--a", bad, "--b", good],
+    ):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (1, "")
+        assert err.endswith(f": {message}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, threads_env, message",
+    [
+        (["glue", "--pairs", "[[0]]", "--eps", "1"], None, "--pairs: expected"),
+        (["experiment", "counterexample", "--n-list", "2,x"], None, "--n-list: expected"),
+        (["experiment", "theorem-check", "--count", "2"], "abc", "MMSPACE_THREADS: expected"),
+    ],
+    ids=["glue-pairs", "n-list", "threads-env"],
+)
+def test_bad_argv_values_exit_one_with_one_line(
+    capsys, tmp_path, monkeypatch, argv, threads_env, message
+):
+    if argv[0] == "glue":
+        path = str(sample_file(capsys, tmp_path))
+        argv = argv[:1] + ["--a", path, "--b", path] + argv[1:]
+    if threads_env is not None:
+        monkeypatch.setenv("MMSPACE_THREADS", threads_env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err and err.count("\n") == 1
+
+
 def test_stdout_carries_only_the_payload(capsys, tmp_path):
     path = sample_file(capsys, tmp_path)
     code, out, err = run(capsys, "validate", "--in", str(path))

@@ -1,5 +1,7 @@
 """Gluing along correspondences and the glue-search upper bound."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +21,8 @@ from mmdist import (
     prohorov_of_glue,
     sample_mm_space,
 )
-from mmdist.gluing import repaired_random_cross
+from mmdist.exact import format_scalar
+from mmdist.gluing import _assemble, repaired_random_cross
 
 F = Fraction
 
@@ -130,6 +133,27 @@ def test_repaired_random_cross_is_triangle_valid():
                 for y2 in range(b.n):
                     assert cross[x][y] <= cross[x][y2] + b.dist[y2][y]
                     assert b.dist[y][y2] <= cross[x][y] + cross[x][y2]
+
+
+# sha256 of 32 seeded repaired glues (cross entries and Prohorov value),
+# taken when the repair still ran on Fractions
+PINNED_RANDOM_GLUES = {
+    (3, 17, 5): "24b61f267ebe0cd9381cf3cf72297e84ad3477e57f1ad67ce530cd7abcc265f6",
+    (5, 11, 4): "0f8bc5209cd69bb7c8bc20f56fcc2433c125dfc9e454c5f30f12223e0eaf0ed5",
+}
+
+
+def test_repaired_random_glues_are_pinned():
+    for (seed_a, seed_b, n_max), digest in PINNED_RANDOM_GLUES.items():
+        a = sample_mm_space(seed_a, n_max=n_max)
+        b = sample_mm_space(seed_b, n_max=n_max)
+        rng = random.Random(0)
+        rows = []
+        for _ in range(32):
+            cross = repaired_random_cross(a, b, rng)
+            value = prohorov_of_glue(_assemble(a, b, cross))
+            rows.append([[format_scalar(x) for x in row] for row in cross] + [format_scalar(value)])
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_search_never_beats_the_distance_and_attains_it():

@@ -1,0 +1,189 @@
+"""The int-scaled metric-axiom check and Prohorov scan against references.
+
+The reference loops below are the plain Fraction enumerations the int layer
+replaced; every list they return must come back entry for entry, message for
+message, from `validate`, `validate_common` and `check_triangle`.
+"""
+
+import random
+from fractions import Fraction
+
+from mmdist import (
+    CommonSpaceMeasures,
+    build_glued_space,
+    check_triangle,
+    distortion,
+    glued_common_space,
+    prohorov_bruteforce,
+    prohorov_flow,
+    prohorov_of_glue,
+    validate,
+    validate_common,
+)
+from mmdist.gluing import GluedSpace
+from mmdist.spaces import FiniteMMSpace
+
+F = Fraction
+
+
+def ref_space_violations(d, weights, tol=0):
+    out = []
+    n = len(d)
+    for i, w in enumerate(weights):
+        if w < -tol:
+            out.append(f"weight {i} is negative: {w}")
+    total = sum(weights)
+    if abs(total - 1) > tol:
+        out.append(f"weights sum to {total}, expected 1")
+    for i in range(n):
+        if abs(d[i][i]) > tol:
+            out.append(f"dist[{i}][{i}] = {d[i][i]}, expected 0")
+        for j in range(i + 1, n):
+            if d[i][j] < -tol:
+                out.append(f"dist[{i}][{j}] is negative: {d[i][j]}")
+            if abs(d[i][j] - d[j][i]) > tol:
+                out.append(f"dist[{i}][{j}] != dist[{j}][{i}]")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j] + tol:
+                    out.append(
+                        f"triangle violation: dist[{i}][{j}] > dist[{i}][{k}] + dist[{k}][{j}]"
+                    )
+    return out
+
+
+def ref_common_violations(d, mu, nu, tol=0):
+    out = []
+    n = len(d)
+    for name, vec in (("mu", mu), ("nu", nu)):
+        if any(w < -tol for w in vec):
+            out.append(f"{name} has a negative entry")
+        if abs(sum(vec) - 1) > tol:
+            out.append(f"{name} sums to {sum(vec)}, expected 1")
+    for i in range(n):
+        if abs(d[i][i]) > tol:
+            out.append(f"dist[{i}][{i}] != 0")
+        for j in range(i + 1, n):
+            if d[i][j] < -tol:
+                out.append(f"dist[{i}][{j}] is negative")
+            if abs(d[i][j] - d[j][i]) > tol:
+                out.append(f"dist[{i}][{j}] != dist[{j}][{i}]")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][j] > d[i][k] + d[k][j] + tol:
+                    out.append(f"triangle violation at ({i}, {j}) via {k}")
+    return out
+
+
+def ref_triangles(d):
+    n = len(d)
+    return [
+        (i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+        if d[i][j] > d[i][k] + d[k][j]
+    ]
+
+
+def grid_metric(rng, n):
+    """L1 distances of random lattice points over a random denominator; a
+    repeated point gives zero off-diagonal entries (a pseudometric)."""
+    den = rng.choice((1, 2, 3, 4, 6, 12))
+    pts = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(n)]
+    return [[F(abs(p[0] - q[0]) + abs(p[1] - q[1]), den) for q in pts] for p in pts]
+
+
+def random_weights(rng, n, zeros=True):
+    raw = [rng.randint(0 if zeros else 1, 5) for _ in range(n)]
+    if sum(raw) == 0:
+        raw[rng.randrange(n)] = 1
+    return [F(r, sum(raw)) for r in raw]
+
+
+def injected(rng, d):
+    """A copy of `d` with one broken axiom (or left as is when n == 1)."""
+    d = [row[:] for row in d]
+    n = len(d)
+    if n < 2:
+        return d
+    i, j = rng.sample(range(n), 2)
+    kind = rng.choice(("triangle", "symmetry", "negative", "diagonal"))
+    if kind == "triangle":
+        d[i][j] = d[j][i] = sum(map(sum, d)) + F(1, 3)
+    elif kind == "symmetry":
+        d[i][j] += F(1, 7)
+    elif kind == "negative":
+        d[i][j] = d[j][i] = -F(1, 5)
+    else:
+        d[i][i] = F(1, 2)
+    return d
+
+
+def seeded_matrices(count=240):
+    rng = random.Random(2024)
+    for idx in range(count):
+        n = rng.randint(1, 8)
+        d = grid_metric(rng, n)
+        if idx % 4 == 1:
+            d = injected(rng, d)
+        elif idx % 4 == 2:
+            d = injected(rng, injected(rng, d))
+        weights = random_weights(rng, n)
+        if idx % 8 == 3:
+            weights[0] += F(1, 9)
+        if idx % 4 == 3:
+            # float input under a tolerance: noise well inside tol keeps a
+            # metric valid, a kick well outside breaks it
+            noisy = [[float(x) + rng.choice((0.0, 1e-12, -1e-12)) for x in row] for row in d]
+            if n > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                noisy[i][j] += 0.25
+            yield noisy, [float(w) for w in weights], 1e-9
+        else:
+            yield d, weights, 0
+
+
+def test_metric_checks_equal_the_fraction_reference_loops():
+    kinds = set()
+    for d, weights, tol in seeded_matrices():
+        n = len(d)
+        dist = tuple(map(tuple, d))
+        space = FiniteMMSpace(tuple(f"p{i}" for i in range(n)), dist, tuple(weights))
+        want = ref_space_violations(dist, weights, tol)
+        assert validate(space, tol) == want
+        nu = tuple(reversed(weights))
+        cm = CommonSpaceMeasures(dist, tuple(weights), nu)
+        assert validate_common(cm, tol) == ref_common_violations(dist, weights, nu, tol)
+        if tol == 0:
+            glued = GluedSpace(1, n - 1, dist, tuple(weights), nu)
+            assert check_triangle(glued) == ref_triangles(dist)
+        kinds.add((tol > 0, bool(want)))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_flow_equals_bruteforce_with_zero_weights_and_zero_distances():
+    rng = random.Random(77)
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        d = tuple(map(tuple, grid_metric(rng, n)))
+        cm = CommonSpaceMeasures(d, tuple(random_weights(rng, n)), tuple(random_weights(rng, n)))
+        assert prohorov_flow(cm) == prohorov_bruteforce(cm)
+
+
+def test_glue_prohorov_equals_the_flow_route_with_zero_weights():
+    rng = random.Random(79)
+    for _ in range(60):
+        spaces = []
+        for _ in range(2):
+            n = rng.randint(1, 4)
+            d = tuple(map(tuple, grid_metric(rng, n)))
+            spaces.append(FiniteMMSpace(tuple(map(str, range(n))), d, tuple(random_weights(rng, n))))
+        a, b = spaces
+        cells = [(i, j) for i in range(a.n) for j in range(b.n)]
+        pairs = rng.sample(cells, rng.randint(1, len(cells)))
+        eps = distortion(pairs, a, b) / 2 + F(rng.randint(0, 3), 4)
+        g = build_glued_space(a, b, pairs, eps)
+        assert prohorov_of_glue(g) == prohorov_flow(glued_common_space(g))
