@@ -74,10 +74,6 @@ def _load_document(path):
         return loads_document(f.read())
 
 
-def _load_excursion_arg(path):
-    return load_excursion(path)
-
-
 def _scalar_arg(text, flag):
     try:
         return parse_scalar(text)
@@ -121,16 +117,15 @@ def _threads_from_env():
 def _cmd_validate(args):
     obj = _load_document(args.infile)
     fmt = obj.get("format") if isinstance(obj, dict) else None
-    if fmt == MMSPACE_FORMAT:
-        try:
-            violations = validate(space_from_obj(obj, check=False))
-        except ValidationError as exc:  # a field or scalar that does not parse
-            violations = exc.violations
-    elif fmt == EXCURSION_FORMAT:
-        h = excursion_from_obj(obj, check=False)
-        violations = validate_excursion(h)
-    else:
+    if fmt not in (MMSPACE_FORMAT, EXCURSION_FORMAT):
         raise ValidationError(f"validate: unsupported document format {fmt!r}")
+    try:
+        if fmt == MMSPACE_FORMAT:
+            violations = validate(space_from_obj(obj, check=False))
+        else:
+            violations = validate_excursion(excursion_from_obj(obj, check=False))
+    except ValidationError as exc:  # a document that does not parse: list why
+        violations = exc.violations or [str(exc)]
     payload = {
         "format": fmt,
         "valid": not violations,
@@ -195,9 +190,13 @@ def _cmd_dist_box(args):
 
 
 def _cmd_dist_excursion(args):
-    h = _load_excursion_arg(args.a)
-    g = _load_excursion_arg(args.b)
+    h = load_excursion(args.a)
+    g = load_excursion(args.b)
     tol = _scalar_arg(args.gamma_tol, "--gamma-tol") if args.gamma_tol else DEFAULT_GAMMA_TOL
+    if tol < 0:
+        raise ValidationError(f"--gamma-tol: expected a nonnegative number, got {args.gamma_tol!r}")
+    if args.budget < 0:
+        raise ValidationError(f"--budget: expected a nonnegative integer, got {args.budget}")
     res = d_excursion_detail(h, g, tol=tol, budget=args.budget)
     payload = _value_payload(res.value, args.float_mode)
     payload.update(
@@ -218,13 +217,13 @@ def _cmd_dist_excursion(args):
 
 
 def _cmd_dist_dh(args):
-    h = _load_excursion_arg(args.infile)
+    h = load_excursion(args.infile)
     value = dh(h, _scalar_arg(args.s, "--s"), _scalar_arg(args.t, "--t"))
     return _value_payload(value, args.float_mode), format_scalar(value), 0
 
 
 def _cmd_code_excursion(args):
-    h = _load_excursion_arg(args.infile)
+    h = load_excursion(args.infile)
     resolution = ()
     if args.resolution:
         resolution = tuple(
@@ -292,7 +291,7 @@ def _cmd_experiment(args):
     elif args.name == "counterexample":
         report = run_counterexample(n_list=_int_list_arg(args.n_list, "--n-list"))
     else:
-        h = _load_excursion_arg(args.h) if args.h else None
+        h = load_excursion(args.h) if args.h else None
         report = run_continuity_check(seed=seed, schedule=args.schedule, h=h)
     if args.csv:
         report.save_csv(args.csv)

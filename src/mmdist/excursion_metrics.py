@@ -28,6 +28,16 @@ breakpoint bottoms. Two regimes:
   enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
   current enclosure when the split budget runs out.
 
+Where ints are used: the target's features go over one denominator once
+per call (`_int_features`), and each point's squared distances to all of
+them are one int vector over a per-point denominator (`_dist_sq_vector`),
+computed once when the point is created. A point's enclosure is the
+vector's minimum; a segment's convexity cap is min_i max(vp_i, vq_i) over
+its two end vectors, compared by cross-multiplying their denominators.
+What stays Fraction: the points themselves, the square-root enclosures,
+the Lipschitz bound and the heap keys, so the visit order and every bound
+are those of the plain Fraction computation.
+
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 """
 
@@ -37,10 +47,17 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import ValidationError
-from .exact import sqrt_enclosure, sqrt_if_square
-from .excursions import Excursion, evaluate, normalize, require_valid_excursion
+from .exact import scaled, sqrt_enclosure, sqrt_if_square
+from .excursions import (
+    Excursion,
+    _piece_limits,
+    evaluate,
+    normalize,
+    require_valid_excursion,
+)
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -63,13 +80,6 @@ class IntervalResult:
 
 # ---------------------------------------------------------------------------
 # level-measure distance
-
-
-def _piece_limits(h: Excursion, lo, hi):
-    if h.kind == "pl":
-        return evaluate(h, lo), evaluate(h, hi)
-    v = evaluate(h, (lo + hi) / 2)
-    return v, v
 
 
 def _abs_diff_pieces(h: Excursion, g: Excursion):
@@ -162,27 +172,55 @@ def _epi_features(h: Excursion):
     return feats
 
 
-def _seg_dist_sq(px, py, a, b):
-    (ax, ay), (bx, by) = a, b
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    vv = vx * vx + vy * vy
-    if vv == 0:
-        return wx * wx + wy * wy
-    t = (wx * vx + wy * vy) / vv
-    if t < 0:
-        t = 0
-    elif t > 1:
-        t = 1
-    dx = wx - t * vx
-    dy = wy - t * vy
-    return dx * dx + dy * dy
+def _int_features(h: Excursion):
+    """The features of epi(h) over one denominator `den`, as int rows.
+
+    Each row is (ax, ay, bx, by, vx, vy, vv, big_v // vv) with v = b - a and
+    vv = |v|^2; big_v is a common multiple of the nonzero vv, so every
+    squared distance below is an int over one per-point denominator.
+    """
+    coords, den = scaled([c for seg in _epi_features(h) for pt in seg for c in pt])
+    segs = [(ax, ay, bx, by, bx - ax, by - ay) for ax, ay, bx, by in zip(*[iter(coords)] * 4)]
+    vvs = [vx * vx + vy * vy for *_, vx, vy in segs]
+    big_v = lcm(*filter(None, vvs))
+    return den, big_v, [(*seg, vv, big_v // vv if vv else 0) for seg, vv in zip(segs, vvs)]
 
 
-def _epi_dist_sq(px, py, tgt: Excursion, features):
+def _dist_sq_vector(px, py, feats):
+    """Squared distances from (px, py) to every feature: (ints, l2).
+
+    The ints are over the denominator l2 * big_v, where l2 = L^2 and L is
+    the lcm of the point's denominators and the feature denominator. The
+    projection test picks the nearest point of each segment: an end when the
+    projection falls outside, else the foot, at squared distance cross^2/vv.
+    """
+    den, big_v, rows = feats
+    big_l = lcm(px.denominator, py.denominator, den)
+    k = big_l // den
+    x = px.numerator * (big_l // px.denominator)
+    y = py.numerator * (big_l // py.denominator)
+    out = []
+    for ax, ay, bx, by, vx, vy, vv, m in rows:
+        wx = x - ax * k
+        wy = y - ay * k
+        dot = wx * vx + wy * vy
+        if dot <= 0:
+            out.append((wx * wx + wy * wy) * big_v)
+        elif dot >= vv * k:
+            wx = x - bx * k
+            wy = y - by * k
+            out.append((wx * wx + wy * wy) * big_v)
+        else:
+            c = wx * vy - wy * vx
+            out.append(c * c * m)
+    return out, big_l * big_l
+
+
+def _epi_dist_sq(px, py, tgt: Excursion, feats):
     if py >= evaluate(tgt, px):
         return Fraction(0)
-    return min(_seg_dist_sq(px, py, a, b) for a, b in features)
+    vec, l2 = _dist_sq_vector(px, py, feats)
+    return Fraction(min(vec), l2 * feats[1])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +295,7 @@ def directed_gamma_sq(src: Excursion, tgt: Excursion):
         raise ValidationError("exact directed sup needs both excursions pc")
     src = normalize(src)
     tgt = normalize(tgt)
-    tgt_features = _epi_features(tgt)
+    tgt_features = _int_features(tgt)
     best = Fraction(0)
     for k, t in enumerate(src.breakpoints):
         v = _epi_dist_sq(t, src.breakpoint_values[k], tgt, tgt_features)
@@ -314,13 +352,25 @@ def _outside_subsegments(p, q, tgt: Excursion):
 
 
 def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
-    """Certified enclosure (lo, hi) of the one-sided epigraph sup."""
+    """Certified enclosure (lo, hi) of the one-sided epigraph sup.
+
+    Each point of the search is (xy, lo, hi, vec, l2): its coordinates, the
+    enclosure of its distance to epi(tgt), and its squared distances to
+    every target feature as ints over l2 * big_v (`_dist_sq_vector`). The
+    vector is computed once per point and shared by its enclosure and the
+    upper bounds of both segments it ends.
+    """
     src = normalize(src)
     tgt = normalize(tgt)
-    features = _epi_features(tgt)
+    feats = _int_features(tgt)
+    big_v = feats[1]
 
-    def dist_encl(px, py):
-        return sqrt_enclosure(_epi_dist_sq(px, py, tgt, features))
+    def node(xy):
+        px, py = xy
+        vec, l2 = _dist_sq_vector(px, py, feats)
+        inside = py >= evaluate(tgt, px)
+        d_sq = Fraction(0) if inside else Fraction(min(vec), l2 * big_v)
+        return (xy, *sqrt_enclosure(d_sq), vec, l2)
 
     lo = Fraction(0)
     hi_points = Fraction(0)
@@ -337,18 +387,17 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
         ]
         points = []
     for px, py in points:
-        plo, phi = dist_encl(px, py)
+        plo, phi = sqrt_enclosure(_epi_dist_sq(px, py, tgt, feats))
         lo = max(lo, plo)
         hi_points = max(hi_points, phi)
 
-    def seg_ub(p, q, dp_hi, dq_hi):
+    def seg_ub(s, t):
         # per-feature convexity: max over the segment of the distance to one
-        # feature is at an endpoint; any single feature caps the distance
-        cap_sq = min(
-            max(_seg_dist_sq(p[0], p[1], a, b), _seg_dist_sq(q[0], q[1], a, b))
-            for a, b in features
-        )
-        cap = sqrt_enclosure(cap_sq)[1]
+        # feature is at an endpoint; any single feature caps the distance.
+        # The two vectors are compared over l2_s * l2_t * big_v.
+        (p, _, dp_hi, vp, lp), (q, _, dq_hi, vq, lq) = s, t
+        cap_sq = min(map(max, [v * lq for v in vp], [v * lp for v in vq]))
+        cap = sqrt_enclosure(Fraction(cap_sq, lp * lq * big_v))[1]
         len_hi = sqrt_enclosure((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2)[1]
         lip = (dp_hi + dq_hi + len_hi) / 2
         return min(cap, lip)
@@ -357,28 +406,26 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
     counter = 0
     for p, q in segments:
         for a, b in _outside_subsegments(p, q, tgt):
-            alo, ahi = dist_encl(*a)
-            blo, bhi = dist_encl(*b)
-            lo = max(lo, alo, blo)
-            ub = seg_ub(a, b, ahi, bhi)
-            heapq.heappush(heap, (-ub, counter, a, b, ahi, bhi))
+            na, nb = node(a), node(b)
+            lo = max(lo, na[1], nb[1])
+            heapq.heappush(heap, (-seg_ub(na, nb), counter, na, nb))
             counter += 1
 
     spent = 0
     final_hi = hi_points
     while heap:
-        neg_ub, _, a, b, ahi, bhi = heapq.heappop(heap)
+        neg_ub, _, na, nb = heapq.heappop(heap)
         ub = -neg_ub
         if ub <= lo + tol or spent >= budget:
             final_hi = max(final_hi, ub)
             break
         spent += 1
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        mlo, mhi = dist_encl(*mid)
-        lo = max(lo, mlo)
-        for s, t, shi, thi in ((a, mid, ahi, mhi), (mid, b, mhi, bhi)):
-            ub2 = min(ub, seg_ub(s, t, shi, thi))
-            heapq.heappush(heap, (-ub2, counter, s, t, shi, thi))
+        a, b = na[0], nb[0]
+        nm = node(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        lo = max(lo, nm[1])
+        for s, t in ((na, nm), (nm, nb)):
+            ub2 = min(ub, seg_ub(s, t))
+            heapq.heappush(heap, (-ub2, counter, s, t))
             counter += 1
     return lo, max(final_hi, lo, hi_points)
 

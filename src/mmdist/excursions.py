@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exact import format_scalar, parse_scalar
-from .spaces import dumps_json, loads_document
+from .spaces import JsonFields, dumps_json, loads_document
 
 EXCURSION_FORMAT = "excursion/1"
 
@@ -318,16 +318,16 @@ def excursion_from_obj(obj, check: bool = True) -> Excursion:
     for key in ("breakpoints", "values"):
         if key not in obj:
             raise ValidationError(f"missing field: {key}")
-    bps = tuple(parse_scalar(t) for t in obj["breakpoints"])
-    values = tuple(parse_scalar(v) for v in obj["values"])
-    if kind == "pl":
-        h = Excursion("pl", bps, values)
-    else:
-        bv = obj.get("breakpoint_values")
-        bv = tuple(parse_scalar(v) for v in bv) if bv is not None else None
-        if bv is None:
-            return pc_excursion(bps, values)
-        h = Excursion("pc", bps, values, bv)
+    fields = JsonFields()
+    bps = fields.scalars(obj["breakpoints"], "breakpoints")
+    values = fields.scalars(obj["values"], "values")
+    bv = obj.get("breakpoint_values") if kind == "pc" else None
+    if bv is not None:
+        bv = fields.scalars(bv, "breakpoint_values")
+    fields.check()
+    if kind == "pc" and bv is None:
+        return pc_excursion(bps, values)
+    h = Excursion(kind, bps, values, bv)
     if check:
         require_valid_excursion(h)
     return h

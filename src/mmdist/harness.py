@@ -139,6 +139,8 @@ def run_theorem_check(
     cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Random pairs: gluing search equals gp, box chain, lambda ladder."""
+    if count < 0:
+        raise ValidationError("count must be at least 0")
 
     def one(idx):
         if idx == 0:
@@ -251,6 +253,8 @@ def run_lipschitz_check(
     cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Shared-breakpoint pl pairs: coded-tree distance <= 2 * sup |h - g|."""
+    if count < 0:
+        raise ValidationError("count must be at least 0")
 
     def sample_pair(rng, tiny):
         den = 4 if tiny else rng.choice((4, 6))

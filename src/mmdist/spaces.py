@@ -36,36 +36,51 @@ class FiniteMMSpace:
         return len(self.labels)
 
 
+class JsonFields:
+    """Converts the fields of a JSON document, naming each bad one by its path.
+
+    `items`, `scalar` and `scalars` record an error such as `dist[0][1]:
+    invalid literal "x"` and return nothing for it; `check` then raises
+    every recorded error as one ValidationError.
+    """
+
+    def __init__(self, exact: bool = True):
+        self.exact = exact
+        self.errors = []
+
+    def items(self, value, path):
+        if isinstance(value, (list, tuple)):
+            return enumerate(value)
+        self.errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
+        return ()
+
+    def scalar(self, value, path):
+        try:
+            return parse_scalar(value, self.exact)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            self.errors.append(f"{path}: invalid literal {json.dumps(value, default=str)}")
+
+    def scalars(self, value, path):
+        return tuple(self.scalar(x, f"{path}[{i}]") for i, x in self.items(value, path))
+
+    def check(self) -> None:
+        if self.errors:
+            raise ValidationError(self.errors[0], self.errors)
+
+
 def mm_space(labels, dist, weights, exact: bool = True) -> FiniteMMSpace:
     """Build a FiniteMMSpace from lists or tuples, converting scalars.
 
     A field that is not a list, or a scalar that does not parse, raises
     ValidationError naming each one by its JSON path.
     """
-    errors = []
-
-    def items(value, path):
-        if isinstance(value, (list, tuple)):
-            return enumerate(value)
-        errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
-        return ()
-
-    def scalar(value, path):
-        try:
-            return parse_scalar(value, exact)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            errors.append(f"{path}: invalid literal {json.dumps(value, default=str)}")
-
+    fields = JsonFields(exact)
     space = FiniteMMSpace(
-        labels=tuple(str(l) for _, l in items(labels, "labels")),
-        dist=tuple(
-            tuple(scalar(x, f"dist[{i}][{j}]") for j, x in items(row, f"dist[{i}]"))
-            for i, row in items(dist, "dist")
-        ),
-        weights=tuple(scalar(w, f"weights[{i}]") for i, w in items(weights, "weights")),
+        labels=tuple(str(l) for _, l in fields.items(labels, "labels")),
+        dist=tuple(fields.scalars(row, f"dist[{i}]") for i, row in fields.items(dist, "dist")),
+        weights=fields.scalars(weights, "weights"),
     )
-    if errors:
-        raise ValidationError(errors[0], errors)
+    fields.check()
     return space
 
 

@@ -297,7 +297,9 @@ def test_experiment_output_is_byte_identical_across_thread_counts(
 # sha256 of the report bytes; a change to any report byte must fail here and
 # be explained, not only be caught when two reruns of one build disagree
 PINNED_REPORTS = {
+    "continuity": "8d79d861f51803c1e0f1742e14fb6a0b0024186f95ed9ca306d11bf4a123320a",
     "counterexample": "ba6c66b47595ac035f11243285b9dd0c85df486b45270edc1ca5fd784942cb39",
+    "lipschitz": "dd2023e543f2dd60772f3bfb4ca5793f5b8b341c475144bccd4dba34206a9381",
     "theorem-check --seed 1 --count 60": "46f203bdbcb09aa55dfdd0559a57ca7d2b2cd8ef0769bf816617f1ca22fe649d",
 }
 
@@ -366,14 +368,60 @@ def test_malformed_space_documents_name_the_json_path(capsys, tmp_path, case):
         assert err.endswith(f": {message}\n") and err.count("\n") == 1
 
 
+GOOD_EXCURSION = {
+    "format": "excursion/1",
+    "kind": "pl",
+    "breakpoints": ["0", "1/2", "1"],
+    "values": ["0", "1", "0"],
+}
+MALFORMED_EXCURSIONS = {
+    "letter": ({"values": ["0", "x", "0"]}, 'values[1]: invalid literal "x"'),
+    "zero denominator": ({"values": ["0", "1/0", "0"]}, 'values[1]: invalid literal "1/0"'),
+    "string for breakpoints": ({"breakpoints": "oops"}, 'breakpoints: expected a list, got "oops"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EXCURSIONS))
+def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case):
+    fields, message = MALFORMED_EXCURSIONS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**GOOD_EXCURSION, **fields}))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(GOOD_EXCURSION))
+    code, out, _ = run(capsys, "validate", "--in", str(bad))
+    assert code == 0
+    assert json.loads(out) == {"format": "excursion/1", "valid": False, "violations": [message]}
+    for argv in (
+        ["dist", "dh", "--in", bad, "--s", "0", "--t", "1"],
+        ["dist", "excursion", "--a", good, "--b", bad],
+        ["code-excursion", "--in", bad],
+        ["canonicalize", "--in", bad],
+    ):
+        code, out, err = run(capsys, *map(str, argv))
+        assert (code, out) == (1, "")
+        assert err.endswith(f": {message}\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, threads_env, message",
     [
         (["glue", "--pairs", "[[0]]", "--eps", "1"], None, "--pairs: expected"),
         (["experiment", "counterexample", "--n-list", "2,x"], None, "--n-list: expected"),
         (["experiment", "theorem-check", "--count", "2"], "abc", "MMSPACE_THREADS: expected"),
+        (["experiment", "theorem-check", "--count", "-1"], None, "count must be at least 0"),
+        (["experiment", "lipschitz", "--count", "-1"], None, "count must be at least 0"),
+        (["dist", "excursion", "--gamma-tol", "-1"], None, "--gamma-tol: expected a nonnegative"),
+        (["dist", "excursion", "--budget", "-1"], None, "--budget: expected a nonnegative"),
     ],
-    ids=["glue-pairs", "n-list", "threads-env"],
+    ids=[
+        "glue-pairs",
+        "n-list",
+        "threads-env",
+        "negative-count",
+        "lipschitz-count",
+        "gamma-tol",
+        "gamma-budget",
+    ],
 )
 def test_bad_argv_values_exit_one_with_one_line(
     capsys, tmp_path, monkeypatch, argv, threads_env, message
@@ -381,11 +429,22 @@ def test_bad_argv_values_exit_one_with_one_line(
     if argv[0] == "glue":
         path = str(sample_file(capsys, tmp_path))
         argv = argv[:1] + ["--a", path, "--b", path] + argv[1:]
+    if argv[0] == "dist":
+        path = tmp_path / "tent.json"
+        save_excursion(path, tent())
+        argv = argv[:2] + ["--a", str(path), "--b", str(path)] + argv[2:]
     if threads_env is not None:
         monkeypatch.setenv("MMSPACE_THREADS", threads_env)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["theorem-check", "lipschitz"])
+def test_experiment_count_zero_runs_one_instance(capsys, name):
+    code, out, _ = run(capsys, "experiment", name, "--count", "0")
+    assert code == 0
+    assert json.loads(out)["totals"]["instances"] == 1
 
 
 def test_stdout_carries_only_the_payload(capsys, tmp_path):

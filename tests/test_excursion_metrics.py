@@ -1,5 +1,6 @@
 """Level distance, epigraph Hausdorff distance, and their sum on excursions."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -20,7 +21,15 @@ from mmdist import (
     tent,
     zero_excursion,
 )
-from mmdist.excursion_metrics import _directed_bb
+from mmdist.exact import sqrt_enclosure
+from mmdist.excursion_metrics import (
+    DEFAULT_GAMMA_TOL,
+    _directed_bb,
+    _epi_features,
+    _horizontal_max_sq,
+    _outside_subsegments,
+)
+from mmdist.excursions import normalize
 
 F = Fraction
 
@@ -216,3 +225,138 @@ def test_excursion_distance_zero_on_equivalent_functions():
     bumped = pl_excursion((0, F(1, 4), F(1, 2), 1), (0, F(1, 2), 1, 0))
     assert d_excursion(tent(), bumped) == 0
     assert d_excursion(comb(4), comb(4)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the int point kernel: the same branch and bound with
+# every point-to-segment distance recomputed in Fractions (`ref_seg_dist_sq`).
+# The visit order and every bound must be the same, so (lo, hi) must be equal.
+
+
+def ref_seg_dist_sq(px, py, a, b):
+    (ax, ay), (bx, by) = a, b
+    vx, vy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    vv = vx * vx + vy * vy
+    if vv == 0:
+        return wx * wx + wy * wy
+    t = (wx * vx + wy * vy) / vv
+    t = min(max(t, 0), 1)
+    dx = wx - t * vx
+    dy = wy - t * vy
+    return dx * dx + dy * dy
+
+
+def ref_epi_dist_sq(px, py, tgt, features):
+    if py >= evaluate(tgt, px):
+        return F(0)
+    return min(ref_seg_dist_sq(px, py, a, b) for a, b in features)
+
+
+def ref_directed_bb(src, tgt, tol, budget):
+    src = normalize(src)
+    tgt = normalize(tgt)
+    features = _epi_features(tgt)
+
+    def dist_encl(px, py):
+        return sqrt_enclosure(ref_epi_dist_sq(px, py, tgt, features))
+
+    bps, vals = src.breakpoints, src.values
+    lo = hi_points = F(0)
+    if src.kind == "pc":
+        segments = [((bps[k], v), (bps[k + 1], v)) for k, v in enumerate(vals)]
+        for point in zip(bps, src.breakpoint_values):
+            plo, phi = dist_encl(*point)
+            lo, hi_points = max(lo, plo), max(hi_points, phi)
+    else:
+        segments = [((bps[k], vals[k]), (bps[k + 1], vals[k + 1])) for k in range(len(vals) - 1)]
+
+    def seg_ub(p, q, dp_hi, dq_hi):
+        cap_sq = min(
+            max(ref_seg_dist_sq(*p, a, b), ref_seg_dist_sq(*q, a, b)) for a, b in features
+        )
+        cap = sqrt_enclosure(cap_sq)[1]
+        len_hi = sqrt_enclosure((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2)[1]
+        return min(cap, (dp_hi + dq_hi + len_hi) / 2)
+
+    heap = []
+    counter = 0
+    for p, q in segments:
+        for a, b in _outside_subsegments(p, q, tgt):
+            (alo, ahi), (blo, bhi) = dist_encl(*a), dist_encl(*b)
+            lo = max(lo, alo, blo)
+            heapq.heappush(heap, (-seg_ub(a, b, ahi, bhi), counter, a, b, ahi, bhi))
+            counter += 1
+    spent = 0
+    final_hi = hi_points
+    while heap:
+        neg_ub, _, a, b, ahi, bhi = heapq.heappop(heap)
+        ub = -neg_ub
+        if ub <= lo + tol or spent >= budget:
+            final_hi = max(final_hi, ub)
+            break
+        spent += 1
+        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+        mlo, mhi = dist_encl(*mid)
+        lo = max(lo, mlo)
+        for s, t, shi, thi in ((a, mid, ahi, mhi), (mid, b, mhi, bhi)):
+            heapq.heappush(heap, (-min(ub, seg_ub(s, t, shi, thi)), counter, s, t, shi, thi))
+            counter += 1
+    return lo, max(final_hi, lo, hi_points)
+
+
+def ref_directed_gamma_sq(src, tgt):
+    src = normalize(src)
+    tgt = normalize(tgt)
+    features = _epi_features(tgt)
+    best = F(0)
+    for point in zip(src.breakpoints, src.breakpoint_values):
+        best = max(best, ref_epi_dist_sq(*point, tgt, features))
+    for k, v in enumerate(src.values):
+        bps = src.breakpoints
+        best = max(best, _horizontal_max_sq(bps[k], bps[k + 1], v, tgt, best))
+    return best
+
+
+def oracle_pool():
+    rng = random.Random(181)
+    pool = [tent(), comb(3), step_one(), zero_excursion("pl"), zero_excursion("pc")]
+    for kind in ("pl", "pc") * 4:
+        pool.append(random_excursion(rng, kind=kind, max_pieces=5))
+    return pool
+
+
+# (budget, tol) settings dealt round-robin over the ordered pairs; tol 0 with
+# the full budget stops early only where the sup is met exactly, so it runs
+# on such pairs alone
+ORACLE_SETTINGS = [
+    (budget, tol)
+    for budget in (0, 3, 40, 6000)
+    for tol in (F(0), F(1, 100), DEFAULT_GAMMA_TOL)
+    if (budget, tol) != (6000, 0)
+]
+
+
+def test_int_kernel_matches_the_fraction_branch_and_bound():
+    pool = oracle_pool()
+    pairs = [(h, g) for h in pool for g in pool]
+    kinds = {(h.kind, g.kind) for h, g in pairs}
+    assert kinds == {("pl", "pl"), ("pl", "pc"), ("pc", "pl"), ("pc", "pc")}
+    for idx, (h, g) in enumerate(pairs):
+        budget, tol = ORACLE_SETTINGS[idx % len(ORACLE_SETTINGS)]
+        assert _directed_bb(h, g, tol, budget) == ref_directed_bb(h, g, tol, budget)
+    # pool pairs of each kind combination whose directed sup is rational
+    for i, j in ((0, 9), (11, 9), (0, 1), (1, 9), (1, 6), (6, 10)):
+        h, g = pool[i], pool[j]
+        lo_hi = _directed_bb(h, g, 0, 6000)
+        assert lo_hi == ref_directed_bb(h, g, 0, 6000)
+        assert lo_hi[0] == lo_hi[1] > 0
+
+
+def test_int_kernel_leaves_the_exact_pc_route_unchanged():
+    rng = random.Random(163)  # the pairs of the branch-and-bound agreement test
+    for _ in range(15):
+        h = random_excursion(rng, kind="pc", max_pieces=4)
+        g = random_excursion(rng, kind="pc", max_pieces=4)
+        for src, tgt in ((h, g), (g, h)):
+            assert directed_gamma_sq(src, tgt) == ref_directed_gamma_sq(src, tgt)
