@@ -1,7 +1,10 @@
 """Command-line entry point.
 
-Results go to stdout (or --out) as canonical JSON; --raw prints just the
-value. Human notes and timing go to stderr so stdout stays machine-readable.
+Results go to stdout (or --out) as canonical JSON. Commands that compute
+one value take --raw (print just the value) and, except validate, --float
+(IEEE doubles instead of exact rationals); a command rejects every flag its
+handler does not read. Human notes and timing go to stderr so stdout stays
+machine-readable.
 Exit codes: 0 success, 1 domain error (invalid input, size cap), 2 usage
 error, 3 experiment report with failing checks.
 """
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -100,16 +102,6 @@ def _int_list_arg(text, flag):
         raise ValidationError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def _threads_from_env():
-    env = os.environ.get("MMSPACE_THREADS")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"MMSPACE_THREADS: expected an integer, got {env!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # handlers: each returns (payload, raw string or None, exit code)
 
@@ -147,7 +139,7 @@ def _cmd_canonicalize(args):
 
 
 def _cmd_sample(args):
-    space = sample_mm_space(args.seed or 0, n_max=args.n_max)
+    space = sample_mm_space(args.seed, n_max=args.n_max)
     return space_to_obj(space), None, 0
 
 
@@ -245,7 +237,7 @@ def _cmd_glue(args):
     a = load_space(args.a)
     b = load_space(args.b)
     if args.pairs is None and args.eps is None:
-        res = glued_upper_bound(a, b, search_budget=args.budget, seed=args.seed or 0)
+        res = glued_upper_bound(a, b, search_budget=args.budget, seed=args.seed)
         payload = _value_payload(res.value, args.float_mode)
         payload["eps"] = format_scalar(res.eps)
         payload["evaluations"] = res.evaluations
@@ -264,35 +256,14 @@ def _cmd_glue(args):
     return payload, format_scalar(value), 0
 
 
-_EXPERIMENT_DEFAULT_SEED = {
-    "theorem-check": 42,
-    "lipschitz": 7,
-    "counterexample": 0,
-    "continuity": 0,
-}
-
-
 def _cmd_experiment(args):
-    seed = args.seed if args.seed is not None else _EXPERIMENT_DEFAULT_SEED[args.name]
-    threads = args.threads if args.threads is not None else _threads_from_env()
-    if args.name == "theorem-check":
-        report = run_theorem_check(
-            seed=seed,
-            count=args.count if args.count is not None else 200,
-            n_max=args.n_max,
-            threads=threads,
-        )
-    elif args.name == "lipschitz":
-        report = run_lipschitz_check(
-            seed=seed,
-            count=args.count if args.count is not None else 100,
-            threads=threads,
-        )
-    elif args.name == "counterexample":
-        report = run_counterexample(n_list=_int_list_arg(args.n_list, "--n-list"))
-    else:
-        h = load_excursion(args.h) if args.h else None
-        report = run_continuity_check(seed=seed, schedule=args.schedule, h=h)
+    # a flag the user did not give is absent, so the run_* default applies
+    kwargs = {k: v for k, v in vars(args).items() if k in ("seed", "count", "n_max", "schedule")}
+    if "n_list" in args:
+        kwargs["n_list"] = _int_list_arg(args.n_list, "--n-list")
+    if "h" in args:
+        kwargs["h"] = load_excursion(args.h)
+    report = args.run(**kwargs)
     if args.csv:
         report.save_csv(args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
@@ -307,26 +278,28 @@ def _cmd_experiment(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each command accepts only the flags its handler reads
+
+_SHARED_FLAGS = {
+    "--out": {"default": None, "help": "write the JSON payload here instead of stdout"},
+    "--raw": {"action": "store_true", "help": "print only the bare value"},
+    "--float": {
+        "dest": "float_mode",
+        "action": "store_true",
+        "help": "emit IEEE doubles instead of rationals",
+    },
+    "--seed": {"type": int, "default": 0},
+}
+_VALUE = ("--raw", "--float")  # for commands whose handler returns one value
 
 
-def _common_flags(p):
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--rational",
-        action="store_true",
-        help="emit exact rationals (default)",
-    )
-    mode.add_argument(
-        "--float",
-        dest="float_mode",
-        action="store_true",
-        help="emit IEEE doubles instead of rationals",
-    )
-    p.add_argument("--threads", type=int, default=None, help="worker threads (or MMSPACE_THREADS)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="write the JSON payload here instead of stdout")
-    p.add_argument("--raw", action="store_true", help="print only the bare value")
+def _command(sub, name, handler, help, *flags):
+    """A subcommand taking --out and the named `_SHARED_FLAGS`."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    for flag in ("--out", *flags):
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    return p
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -336,91 +309,101 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="report violations of a space or excursion file")
+    p = _command(
+        sub, "validate", _cmd_validate, "report violations of a space or excursion file", "--raw"
+    )
     p.add_argument("--in", dest="infile", required=True)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("canonicalize", help="canonical form of a space (or normalized excursion)")
+    p = _command(
+        sub,
+        "canonicalize",
+        _cmd_canonicalize,
+        "canonical form of a space (or normalized excursion)",
+    )
     p.add_argument("--in", dest="infile", required=True)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_canonicalize)
 
-    p = sub.add_parser("sample", help="deterministic random space on a rational grid")
+    p = _command(
+        sub, "sample", _cmd_sample, "deterministic random space on a rational grid", "--seed"
+    )
     p.add_argument("--n-max", type=int, default=5)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_sample)
 
     dist = sub.add_parser("dist", help="distances")
     dsub = dist.add_subparsers(dest="distance", required=True)
 
-    p = dsub.add_parser("prohorov", help="two measures on one space")
+    p = _command(dsub, "prohorov", _cmd_dist_prohorov, "two measures on one space", *_VALUE)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dist_prohorov)
 
-    p = dsub.add_parser("gp", help="Gromov-Prohorov distance of two spaces")
+    p = _command(dsub, "gp", _cmd_dist_gp, "Gromov-Prohorov distance of two spaces", *_VALUE)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP)
     p.add_argument("--witness", action="store_true")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dist_gp)
 
-    p = dsub.add_parser("box", help="box metric at a given lambda")
+    p = _command(dsub, "box", _cmd_dist_box, "box metric at a given lambda", *_VALUE)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP)
     p.add_argument("--witness", action="store_true")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dist_box)
 
-    p = dsub.add_parser("excursion", help="epigraph plus level-measure distance")
+    p = _command(
+        dsub, "excursion", _cmd_dist_excursion, "epigraph plus level-measure distance", *_VALUE
+    )
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--gamma-tol", default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_GAMMA_BUDGET)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dist_excursion)
 
-    p = dsub.add_parser("dh", help="tree distance between two times of one excursion")
+    p = _command(
+        dsub, "dh", _cmd_dist_dh, "tree distance between two times of one excursion", *_VALUE
+    )
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--t", required=True)
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_dist_dh)
 
-    p = sub.add_parser("code-excursion", help="finite space coded by an excursion")
+    p = _command(sub, "code-excursion", _cmd_code_excursion, "finite space coded by an excursion")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--resolution", default=None, help="comma list of extra cut times")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_code_excursion)
 
-    p = sub.add_parser("glue", help="glue two spaces and take the Prohorov distance")
+    p = _command(
+        sub, "glue", _cmd_glue, "glue two spaces and take the Prohorov distance", *_VALUE, "--seed"
+    )
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--pairs", default=None, help='JSON like "[[0,0],[1,2]]"')
     p.add_argument("--eps", default=None)
     p.add_argument("--check", action="store_true", help="also verify the glued triangle inequality")
     p.add_argument("--budget", type=int, default=32, help="random repairs tried without --pairs")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_glue)
 
-    p = sub.add_parser("experiment", help="seeded experiment reports")
-    p.add_argument(
-        "name",
-        choices=("theorem-check", "lipschitz", "counterexample", "continuity"),
+    experiment = sub.add_parser("experiment", help="seeded experiment reports")
+    esub = experiment.add_subparsers(dest="name", required=True)
+
+    def experiment_command(name, run, help, *int_flags):
+        p = _command(esub, name, _cmd_experiment, help)
+        p.set_defaults(run=run)
+        p.add_argument("--csv", default=None, help="also write the instance table as CSV")
+        for flag in int_flags:
+            p.add_argument(flag, type=int, default=argparse.SUPPRESS)
+        return p
+
+    experiment_command(
+        "theorem-check",
+        run_theorem_check,
+        "gp = glue search = half box",
+        "--seed",
+        "--count",
+        "--n-max",
     )
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--n-list", default="2,3,4,6,8")
-    p.add_argument("--schedule", type=int, default=8)
-    p.add_argument("--h", default=None, help="excursion file for the continuity base")
-    p.add_argument("--csv", default=None, help="also write the instance table as CSV")
-    _common_flags(p)
-    p.set_defaults(handler=_cmd_experiment)
+    experiment_command(
+        "lipschitz", run_lipschitz_check, "coded gp <= 2 sup|h - g|", "--seed", "--count"
+    )
+    p = experiment_command("counterexample", run_counterexample, "the comb-family table")
+    p.add_argument("--n-list", default=argparse.SUPPRESS)
+    p = experiment_command(
+        "continuity", run_continuity_check, "perturbation envelopes", "--seed", "--schedule"
+    )
+    p.add_argument("--h", default=argparse.SUPPRESS, help="excursion file for the continuity base")
 
     return parser
 
@@ -449,7 +432,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    text = raw + "\n" if (args.raw and raw is not None) else dumps_json(payload)
+    text = raw + "\n" if getattr(args, "raw", False) else dumps_json(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)

@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import ValidationError
-from .exact import parse_scalar
+from .exact import parse_scalar, scaled_rows
 from .excursions import Excursion, evaluate, normalize
-from .spaces import FiniteMMSpace
+from .spaces import FiniteMMSpace, _class_roots
 
 
 @dataclass(frozen=True)
@@ -67,27 +66,13 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
 def _merge_to_space(d, lengths):
     """Quotient by d == 0 (leftmost representative), weights summed."""
     m = len(lengths)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d[i][j] == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    classes = sorted({find(i) for i in range(m)})
+    roots = _class_roots(m, ((i, j) for i in range(m) for j in range(i + 1, m) if d[i][j] == 0))
+    classes = sorted(set(roots))
     index_of = {r: k for k, r in enumerate(classes)}
-    projection = tuple(index_of[find(i)] for i in range(m))
+    projection = tuple(index_of[r] for r in roots)
     weights = [Fraction(0)] * len(classes)
-    for i in range(m):
-        weights[projection[i]] += lengths[i]
+    for k, length in zip(projection, lengths):
+        weights[k] += length
     space = FiniteMMSpace(
         labels=tuple(f"s{r}" for r in classes),
         dist=tuple(tuple(d[a][b] for b in classes) for a in classes),
@@ -178,11 +163,8 @@ def four_point_check(space: FiniteMMSpace) -> list:
     """
     n = space.n
     d = space.dist
-    if n >= 4 and all(
-        isinstance(x, Fraction) or isinstance(x, int) for row in d for x in row
-    ):
-        scale = lcm(*(Fraction(x).denominator for row in d for x in row))
-        d = [[int(x * scale) for x in row] for row in d]
+    if n >= 4 and {t for row in d for t in map(type, row)} <= {int, Fraction}:
+        (d,), _ = scaled_rows(d)
     violations = []
     for i, j, k, l in combinations(range(n), 4):
         s1 = d[i][j] + d[k][l]

@@ -153,7 +153,7 @@ class _CliqueSweep:
             if stop(t):
                 return
             self._grow(nbr, t)
-            for mask in _max_cliques(len(nbr), nbr, clique_limit):
+            for mask in _max_cliques((1 << len(nbr)) - 1, nbr, clique_limit):
                 if mask not in seen:
                     if stop(t):
                         return
@@ -161,8 +161,9 @@ class _CliqueSweep:
                     yield t, mask
 
 
-def _max_cliques(nc, nbr, limit):
-    """Maximal cliques as bitmasks (Bron-Kerbosch with pivoting).
+def _max_cliques(candidates, nbr, limit):
+    """Maximal cliques, as bitmasks, of the sub-graph of `nbr` induced by the
+    `candidates` mask (Bron-Kerbosch with pivoting).
 
     Raises SizeError when more than `limit` cliques come out, which callers
     treat as "fall back to the certified upper bound".
@@ -193,7 +194,7 @@ def _max_cliques(nc, nbr, limit):
             p &= ~vbit
             x |= vbit
 
-    bk(0, (1 << nc) - 1, 0)
+    bk(0, candidates, 0)
     return out
 
 
@@ -396,22 +397,14 @@ def optimal_correspondence(
     def feasible(prefix, prefix_mask, last):
         if mass_of(prefix) >= m_req:
             return True
-        allowed = [
-            c
-            for c in range(last + 1, nc)
-            if nbr[c] & prefix_mask == prefix_mask
-        ]
+        allowed = 0
+        for c in range(last + 1, nc):
+            if nbr[c] & prefix_mask == prefix_mask:
+                allowed |= 1 << c
         if not allowed:
             return False
-        remap = {c: k for k, c in enumerate(allowed)}
-        sub_nbr = [0] * len(allowed)
-        for k, c in enumerate(allowed):
-            for c2 in allowed[k + 1 :]:
-                if nbr[c] >> c2 & 1:
-                    sub_nbr[k] |= 1 << remap[c2]
-                    sub_nbr[remap[c2]] |= 1 << k
-        for mask in _max_cliques(len(allowed), sub_nbr, clique_limit):
-            ext = prefix + tuple(allowed[k] for k in _bits(mask))
+        for mask in _max_cliques(allowed, nbr, clique_limit):
+            ext = prefix + tuple(_bits(mask))
             if mass_of(ext) >= m_req:
                 return True
         return False

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,14 +118,6 @@ def _finish(experiment, seed, params, instances, summary) -> ExperimentReport:
     return ExperimentReport(experiment, seed, params, tuple(instances), summary, totals)
 
 
-def _map_ordered(fn, args, threads):
-    # results are assembled in argument order regardless of completion order
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return [fn(x) for x in args]
-
-
 # ---------------------------------------------------------------------------
 # identity between the tree distance and the half box-metric
 
@@ -135,7 +126,6 @@ def run_theorem_check(
     seed: int = 42,
     count: int = 200,
     n_max: int = 3,
-    threads=None,
     cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Random pairs: gluing search equals gp, box chain, lambda ladder."""
@@ -191,7 +181,7 @@ def run_theorem_check(
         }
         return inst, glue.value - gp.value
 
-    results = _map_ordered(one, range(count + 1), threads)
+    results = [one(idx) for idx in range(count + 1)]
     instances = [inst for inst, _ in results]
     gaps = [gap for _, gap in results]
     summary = {
@@ -249,7 +239,6 @@ def _diagonal_certificate(h, g, cap, want_exact):
 def run_lipschitz_check(
     seed: int = 7,
     count: int = 100,
-    threads=None,
     cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Shared-breakpoint pl pairs: coded-tree distance <= 2 * sup |h - g|."""
@@ -309,7 +298,7 @@ def run_lipschitz_check(
                 inst["ratio"] = _entry(ratio)
         return inst, ratio
 
-    results = _map_ordered(one, range(count + 1), threads)
+    results = [one(idx) for idx in range(count + 1)]
     instances = [inst for inst, _ in results]
     ratios = [r for _, r in results if r is not None]
     summary = {

@@ -191,15 +191,9 @@ def is_canonical(space: FiniteMMSpace, tol=0) -> bool:
     return True
 
 
-def canonicalize(space: FiniteMMSpace, tol=0) -> FiniteMMSpace:
-    """Merge distance-<=tol pairs (summing weights) and drop weight-<=tol points.
-
-    Representatives keep the smallest original index and its label; order is
-    by representative index. With tol > 0 the weights are renormalized to sum
-    to exactly 1 after dropping; with exact input that is a no-op.
-    """
-    require_valid(space, tol)
-    n = space.n
+def _class_roots(n, pairs) -> list:
+    """Each of n points' class root once every pair (i, j) in `pairs` is
+    merged, transitively; a root is the smallest index of its class."""
     parent = list(range(n))
 
     def find(x):
@@ -208,17 +202,26 @@ def canonicalize(space: FiniteMMSpace, tol=0) -> FiniteMMSpace:
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.dist[i][j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
 
+
+def canonicalize(space: FiniteMMSpace, tol=0) -> FiniteMMSpace:
+    """Merge distance-<=tol pairs (summing weights) and drop weight-<=tol points.
+
+    Representatives keep the smallest original index and its label; order is
+    by representative index. With tol > 0 the weights are renormalized to sum
+    to exactly 1 after dropping; with exact input that is a no-op.
+    """
+    require_valid(space, tol)
+    d, n = space.dist, space.n
+    close = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][j] <= tol)
     class_weight = {}
-    for i in range(n):
-        r = find(i)
-        class_weight[r] = class_weight.get(r, 0) + space.weights[i]
+    for r, w in zip(_class_roots(n, close), space.weights):
+        class_weight[r] = class_weight.get(r, 0) + w
     reps = sorted(r for r, w in class_weight.items() if w > tol)
 
     weights = [class_weight[r] for r in reps]

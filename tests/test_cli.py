@@ -281,19 +281,6 @@ def test_experiment_passes_and_writes_csv(capsys, tmp_path):
     assert csv_path.read_text().startswith("checks.")
 
 
-def test_experiment_output_is_byte_identical_across_thread_counts(
-    capsys, tmp_path, monkeypatch
-):
-    args = ["experiment", "theorem-check", "--count", "4"]
-    p1 = tmp_path / "r1.json"
-    p2 = tmp_path / "r2.json"
-    assert main(args + ["--out", str(p1), "--threads", "1"]) == 0
-    monkeypatch.setenv("MMSPACE_THREADS", "4")
-    assert main(args + ["--out", str(p2)]) == 0
-    capsys.readouterr()
-    assert p1.read_text() == p2.read_text()
-
-
 # sha256 of the report bytes; a change to any report byte must fail here and
 # be explained, not only be caught when two reruns of one build disagree
 PINNED_REPORTS = {
@@ -403,29 +390,25 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
 
 
 @pytest.mark.parametrize(
-    "argv, threads_env, message",
+    "argv, message",
     [
-        (["glue", "--pairs", "[[0]]", "--eps", "1"], None, "--pairs: expected"),
-        (["experiment", "counterexample", "--n-list", "2,x"], None, "--n-list: expected"),
-        (["experiment", "theorem-check", "--count", "2"], "abc", "MMSPACE_THREADS: expected"),
-        (["experiment", "theorem-check", "--count", "-1"], None, "count must be at least 0"),
-        (["experiment", "lipschitz", "--count", "-1"], None, "count must be at least 0"),
-        (["dist", "excursion", "--gamma-tol", "-1"], None, "--gamma-tol: expected a nonnegative"),
-        (["dist", "excursion", "--budget", "-1"], None, "--budget: expected a nonnegative"),
+        (["glue", "--pairs", "[[0]]", "--eps", "1"], "--pairs: expected"),
+        (["experiment", "counterexample", "--n-list", "2,x"], "--n-list: expected"),
+        (["experiment", "theorem-check", "--count", "-1"], "count must be at least 0"),
+        (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
+        (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
+        (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
     ],
     ids=[
         "glue-pairs",
         "n-list",
-        "threads-env",
         "negative-count",
         "lipschitz-count",
         "gamma-tol",
         "gamma-budget",
     ],
 )
-def test_bad_argv_values_exit_one_with_one_line(
-    capsys, tmp_path, monkeypatch, argv, threads_env, message
-):
+def test_bad_argv_values_exit_one_with_one_line(capsys, tmp_path, argv, message):
     if argv[0] == "glue":
         path = str(sample_file(capsys, tmp_path))
         argv = argv[:1] + ["--a", path, "--b", path] + argv[1:]
@@ -433,11 +416,44 @@ def test_bad_argv_values_exit_one_with_one_line(
         path = tmp_path / "tent.json"
         save_excursion(path, tent())
         argv = argv[:2] + ["--a", str(path), "--b", str(path)] + argv[2:]
-    if threads_env is not None:
-        monkeypatch.setenv("MMSPACE_THREADS", threads_env)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert message in err and err.count("\n") == 1
+
+
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("MMSPACE_THREADS", "abc")
+    code, out, _ = run(capsys, "experiment", "theorem-check", "--count", "2")
+    assert code == 0
+    assert json.loads(out)["totals"]["instances"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        ("validate --in {path}", "--seed 1"),
+        ("canonicalize --in {path}", "--float"),
+        ("dist gp --a {path} --b {path}", "--threads 2"),
+        ("experiment theorem-check", "--rational"),
+        ("experiment counterexample", "--count 3"),
+        ("sample", "--raw"),
+    ],
+    ids=[
+        "validate-seed",
+        "canonicalize-float",
+        "gp-threads",
+        "theorem-check-rational",
+        "counterexample-count",
+        "sample-raw",
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path, argv, unread):
+    path = sample_file(capsys, tmp_path)
+    code, out, err = run(capsys, *argv.format(path=path).split(), *unread.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mmdist")
+    assert f"unrecognized arguments: {unread}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["theorem-check", "lipschitz"])

@@ -257,9 +257,9 @@ def test_optimal_correspondence_passes_its_clique_limit_on(monkeypatch):
     limits = []
     real = gromov._max_cliques
 
-    def recording(nc, nbr, limit):
+    def recording(candidates, nbr, limit):
         limits.append(limit)
-        return real(nc, nbr, limit)
+        return real(candidates, nbr, limit)
 
     monkeypatch.setattr(gromov, "_max_cliques", recording)
     pairs = optimal_correspondence(uniform(2), uniform(3), F(1), clique_limit=12345)

@@ -75,10 +75,7 @@ def test_reports_are_deterministic():
 
 
 def test_thread_count_never_reaches_the_report():
-    a = run_theorem_check(seed=5, count=4, n_max=3, threads=None)
-    b = run_theorem_check(seed=5, count=4, n_max=3, threads=3)
-    assert a.to_json() == b.to_json()
-    lowered = a.to_json().lower()
+    lowered = run_theorem_check(seed=5, count=4, n_max=3).to_json().lower()
     assert "thread" not in lowered
     assert "time" not in lowered
 
