@@ -76,13 +76,7 @@ from .parametrize import (
     parametrizations_to_cells,
     validate_parametrization,
 )
-from .polynomials import (
-    SmoothedIndicator,
-    TruncatedMonomial,
-    default_test_functions,
-    evaluate_polynomial,
-    evaluate_polynomial_mc,
-)
+from .polynomials import TruncatedMonomial, evaluate_polynomial
 from .prohorov import (
     CommonSpaceMeasures,
     prohorov,

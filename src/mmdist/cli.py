@@ -236,6 +236,8 @@ def _cmd_code_excursion(args):
 def _cmd_glue(args):
     a = load_space(args.a)
     b = load_space(args.b)
+    if args.budget < 0:
+        raise ValidationError(f"--budget: expected a nonnegative integer, got {args.budget}")
     if args.pairs is None and args.eps is None:
         res = glued_upper_bound(a, b, search_budget=args.budget, seed=args.seed)
         payload = _value_payload(res.value, args.float_mode)
@@ -296,7 +298,7 @@ _VALUE = ("--raw", "--float")  # for commands whose handler returns one value
 def _command(sub, name, handler, help, *flags):
     """A subcommand taking --out and the named `_SHARED_FLAGS`."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, usage_of=p)
     for flag in ("--out", *flags):
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
@@ -410,7 +412,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        # a flag the subcommand does not read is reported with its own usage
+        args, unread = _parser().parse_known_args(argv)
+        if unread:
+            args.usage_of.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     label = args.command if args.command != "dist" else f"dist {args.distance}"

@@ -56,7 +56,7 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
             if lo < level < hi:
                 cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
     for r in resolution:
-        r = parse_scalar(r) if isinstance(r, (str, int)) else r
+        r = parse_scalar(r)
         if not (0 <= r <= 1):
             raise ValidationError(f"resolution point {r} outside [0, 1]")
         cuts.add(r)
@@ -92,9 +92,7 @@ def _code_pc(h: Excursion, resolution) -> CodedTree:
     bps = list(h.breakpoints)
     pvals = list(h.values)
     bvals = list(h.breakpoint_values)
-    extras = {
-        parse_scalar(r) if isinstance(r, (str, int)) else r for r in resolution
-    }
+    extras = set(map(parse_scalar, resolution))
     for r in sorted(extras):
         if not (0 <= r <= 1):
             raise ValidationError(f"resolution point {r} outside [0, 1]")
@@ -162,9 +160,7 @@ def four_point_check(space: FiniteMMSpace) -> list:
     quadruples are scanned; spaces with fewer than 4 points return [].
     """
     n = space.n
-    d = space.dist
-    if n >= 4 and {t for row in d for t in map(type, row)} <= {int, Fraction}:
-        (d,), _ = scaled_rows(d)
+    (d,), _ = scaled_rows(space.dist)
     violations = []
     for i, j, k, l in combinations(range(n), 4):
         s1 = d[i][j] + d[k][l]

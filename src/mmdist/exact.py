@@ -1,9 +1,11 @@
 """Exact rational scalars: parsing, formatting, int scaling, square roots.
 
-Values are `fractions.Fraction` at every API boundary. Hot loops put a batch
-of them over one common denominator (`scaled`, `scaled_rows`) and compare,
-add and flow plain ints, which is exact because the scale is positive. Float
-mode is opt-in at the I/O boundary; nothing in here ever rounds silently.
+Every scalar enters through `parse_scalar` and is a `fractions.Fraction`
+from then on; a float converts to its exact binary value, so nothing here
+ever rounds. Hot loops put a batch of values over one common denominator
+(`scaled`, `scaled_rows`) and compare, add and flow plain ints, which is
+exact because the scale is positive. Floats come out only where the CLI's
+`--float` flag asks for them.
 """
 
 from __future__ import annotations
@@ -22,40 +24,35 @@ __all__ = [
 ]
 
 
-def parse_scalar(value, exact: bool = True):
-    """Convert a JSON-level scalar to Fraction (exact mode) or float.
+def parse_scalar(value) -> Fraction:
+    """Convert a scalar to Fraction, exactly.
 
-    Accepts ints, "p/q" strings, decimal strings, and floats. Decimal
-    strings convert exactly ("0.1" -> 1/10, not the binary float). Floats
-    in exact mode convert via Fraction(float), i.e. to the exact binary
-    value, which only happens when a caller already holds a float.
+    Accepts ints, "p/q" strings, decimal strings, floats and Fractions.
+    Decimal strings convert exactly ("0.1" -> 1/10, not the binary float);
+    a float converts to its exact binary value (0.1 -> 3602879701896397 /
+    2**55). Anything else, including NaN and the infinities, raises
+    ValueError; "1/0" raises ZeroDivisionError.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise ValueError(f"not a scalar: {value!r}")
-    if exact:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value.strip())
-        if isinstance(value, float):
-            return Fraction(value)
-        raise ValueError(f"cannot parse scalar: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, str):
-        value = Fraction(value.strip())
-    if isinstance(value, (int, float, Fraction)) and math.isfinite(value):
-        return float(value)
+        return Fraction(value.strip())
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
     raise ValueError(f"cannot parse scalar: {value!r}")
 
 
 def scaled(values):
     """Exact values over their least common denominator: (ints, denominator).
 
-    Ints and Fractions are read as they are; anything else converts exactly
-    through Fraction (a float to its binary value).
+    Ints and Fractions are read as they are; anything else goes through
+    `parse_scalar` (a float to its exact binary value).
     """
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    values = [x if isinstance(x, (int, Fraction)) else parse_scalar(x) for x in values]
     den = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
 
@@ -74,20 +71,14 @@ def scaled_rows(*matrices):
 
 
 def format_scalar(value) -> str:
-    """Render a scalar for serialization: "p/q" (or "n") for rationals."""
-    if isinstance(value, Fraction):
+    """Render a rational for serialization: "p/q", or "n" when whole."""
+    if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     raise ValueError(f"cannot format scalar: {value!r}")
 
 
 def decimal_str(value, digits: int = 12) -> str:
     """Decimal rendering of a rational, round-half-even at `digits` places."""
-    if isinstance(value, float):
-        return f"{value:.{digits}f}"
     q = Fraction(value)
     scaled = round(q * 10**digits)  # round() on Fraction is half-even
     sign = "-" if scaled < 0 else ""

@@ -159,7 +159,7 @@ def normalize(h: Excursion) -> Excursion:
 
 
 def evaluate(h: Excursion, t):
-    t = parse_scalar(t) if isinstance(t, (str, int)) else t
+    t = parse_scalar(t)
     if not (0 <= t <= 1):
         raise ValidationError(f"t = {t} outside [0, 1]")
     bps = h.breakpoints
@@ -179,8 +179,8 @@ def evaluate(h: Excursion, t):
 
 def infimum(h: Excursion, s, t):
     """Exact inf of h over the closed interval between s and t."""
-    s = parse_scalar(s) if isinstance(s, (str, int)) else s
-    t = parse_scalar(t) if isinstance(t, (str, int)) else t
+    s = parse_scalar(s)
+    t = parse_scalar(t)
     if s > t:
         s, t = t, s
     if not (0 <= s and t <= 1):

@@ -47,7 +47,7 @@ class Coupling:
         )
 
 
-def validate_coupling(coupling: Coupling, mu, nu, tol=0) -> list:
+def validate_coupling(coupling: Coupling, mu, nu) -> list:
     violations = []
     n1, n2 = coupling.shape
     if n1 != len(mu) or n2 != len(nu):
@@ -55,13 +55,13 @@ def validate_coupling(coupling: Coupling, mu, nu, tol=0) -> list:
         return violations
     for i, row in enumerate(coupling.matrix):
         for j, x in enumerate(row):
-            if x < -tol:
+            if x < 0:
                 violations.append(f"coupling[{i}][{j}] is negative: {x}")
     for i, s in enumerate(coupling.row_marginal()):
-        if abs(s - mu[i]) > tol:
+        if s != mu[i]:
             violations.append(f"row {i} marginal {s} != mu[{i}] = {mu[i]}")
     for j, s in enumerate(coupling.col_marginal()):
-        if abs(s - nu[j]) > tol:
+        if s != nu[j]:
             violations.append(f"column {j} marginal {s} != nu[{j}] = {nu[j]}")
     return violations
 

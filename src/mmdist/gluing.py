@@ -33,7 +33,7 @@ from operator import add
 from .errors import ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
-from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, _exact, distortion
+from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, distortion
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
 from .spaces import FiniteMMSpace, canonicalize, metric_violations, require_valid
 
@@ -202,8 +202,8 @@ def glued_upper_bound(
     mass-balancing eps = max(t/2, 1 - maxmass). `search_budget` counts the
     extra seeded random glues.
     """
-    A = _exact(canonicalize(a))
-    B = _exact(canonicalize(b))
+    A = canonicalize(a)
+    B = canonicalize(b)
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
     sweep = _CliqueSweep(A, B, cells)
     da, db, D = sweep.da, sweep.db, sweep.D

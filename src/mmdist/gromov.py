@@ -18,8 +18,8 @@ seen at t has distortion exactly t: were it t' < t, it would be a clique at
 t', maximal there because every outside cell conflicts with it by more than
 t > t', and so seen at the earlier threshold t'. The sweep stops once t alone
 cannot beat the incumbent. Distances of both spaces go over one common
-denominator D and weights over another, W (floats convert exactly through
-Fraction), so thresholds, mass bounds and max-flow run on ints; the
+denominator D and weights over another, W (`canonicalize` has made every
+entry a Fraction), so thresholds, mass bounds and max-flow run on ints; the
 Fractions t / D and m / W are rebuilt only for a new incumbent and at the
 API boundary. Exact up to `cap` cells; beyond the cap (or if clique
 enumeration exceeds its guard) the result degrades to a certified upper
@@ -96,12 +96,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _exact(space: FiniteMMSpace) -> FiniteMMSpace:
-    """The same space with every entry a Fraction (floats convert exactly)."""
-    dist = tuple(tuple(map(Fraction, row)) for row in space.dist)
-    return FiniteMMSpace(space.labels, dist, tuple(map(Fraction, space.weights)))
 
 
 class _CliqueSweep:
@@ -256,11 +250,11 @@ def box_lambda_detail(
     correspondences used as starting upper bounds (and as fallbacks past the
     cap).
     """
-    lam = parse_scalar(lam) if isinstance(lam, (str, int)) else Fraction(lam)
+    lam = parse_scalar(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    A = _exact(canonicalize(a))
-    B = _exact(canonicalize(b))
+    A = canonicalize(a)
+    B = canonicalize(b)
     n1, n2 = A.n, B.n
     cells = [(i, j) for i in range(n1) for j in range(n2)]
     nc = len(cells)
@@ -372,8 +366,8 @@ def optimal_correspondence(
     detail = box_lambda_detail(a, b, lam, cap, clique_limit)
     if not detail.exact:
         raise SizeError("instance exceeds the exact cap; optimal correspondence undefined")
-    A = _exact(canonicalize(a))
-    B = _exact(canonicalize(b))
+    A = canonicalize(a)
+    B = canonicalize(b)
     v = detail.value
     weights, W = scaled(A.weights + B.weights)
     m_req = W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses

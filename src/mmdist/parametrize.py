@@ -111,7 +111,7 @@ def box_of_parametrizations(
     per distortion threshold matter; the sweep is exact and raises SizeError
     above `cap` occupied cells.
     """
-    lam = parse_scalar(lam) if isinstance(lam, (str, int)) else Fraction(lam)
+    lam = parse_scalar(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
     for p, space in ((p1, a), (p2, b)):

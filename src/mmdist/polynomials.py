@@ -1,23 +1,20 @@
-"""Distance-matrix polynomials: exact expectations and Monte Carlo fallback.
+"""Distance-matrix polynomials: exact expectations.
 
 A test function looks at the pairwise-distance matrix of an i.i.d. sample of
 points and returns a bounded value; its expectation is a sampling invariant
-of the space (invariant under measure-preserving isometry). Two bounded
-continuous families are provided: truncated monomials and smoothed
-indicators.
+of the space (invariant under measure-preserving isometry). The bounded
+continuous family provided is the truncated monomial.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar
-from .spaces import FiniteMMSpace, require_valid
+from .spaces import FiniteMMSpace, canonicalize
 
 EXACT_TERM_CAP = 10**6
 
@@ -33,21 +30,18 @@ class DistanceMatrixSample:
         return self.entries[i][j]
 
 
-def _check_factors(factors):
-    for i, j, *_ in factors:
-        if i < 0 or j < 0:
-            raise ValidationError(f"factor position ({i}, {j}) must be nonnegative")
-
-
 @dataclass(frozen=True)
 class TruncatedMonomial:
-    """prod over (i, j, exp) of min(r_ij, cap) ** exp."""
+    """prod over (i, j, exp) of min(r_ij, cap) ** exp; the cap is exact."""
 
     factors: tuple  # of (i, j, exponent)
     cap: Fraction = Fraction(1)
 
     def __post_init__(self):
-        _check_factors(self.factors)
+        for i, j, _ in self.factors:
+            if i < 0 or j < 0:
+                raise ValidationError(f"factor position ({i}, {j}) must be nonnegative")
+        object.__setattr__(self, "cap", parse_scalar(self.cap))
 
     def order(self) -> int:
         return 1 + max((max(i, j) for i, j, _ in self.factors), default=0)
@@ -57,8 +51,7 @@ class TruncatedMonomial:
         return max(self.cap, 1) ** degree
 
     def __call__(self, sample: DistanceMatrixSample):
-        # A float cap opts the whole evaluation into float mode.
-        out = 1.0 if isinstance(self.cap, float) else Fraction(1)
+        out = Fraction(1)
         for i, j, e in self.factors:
             out *= min(sample[i, j], self.cap) ** e
         return out
@@ -71,43 +64,6 @@ class TruncatedMonomial:
         }
 
 
-@dataclass(frozen=True)
-class SmoothedIndicator:
-    """prod over (i, j) of clamp((level - r_ij) / width, 0, 1).
-
-    Tends to the indicator of {all r_ij < level} as width -> 0 while staying
-    1-Lipschitz in each entry at scale 1/width.
-    """
-
-    positions: tuple  # of (i, j)
-    level: Fraction = Fraction(1)
-    width: Fraction = Fraction(1, 4)
-
-    def __post_init__(self):
-        _check_factors(self.positions)
-
-    def order(self) -> int:
-        return 1 + max((max(i, j) for i, j in self.positions), default=0)
-
-    def bound(self):
-        return 1
-
-    def __call__(self, sample: DistanceMatrixSample):
-        out = 1.0 if isinstance(self.level, float) else Fraction(1)
-        for i, j in self.positions:
-            t = (self.level - sample[i, j]) / self.width
-            out *= min(1, max(0, t))
-        return out
-
-    def describe(self) -> dict:
-        return {
-            "family": "smoothed_indicator",
-            "positions": [list(p) for p in self.positions],
-            "level": str(self.level),
-            "width": str(self.width),
-        }
-
-
 def _sample_matrix(space: FiniteMMSpace, idx) -> DistanceMatrixSample:
     return DistanceMatrixSample(
         tuple(tuple(space.dist[a][b] for b in idx) for a in idx)
@@ -117,59 +73,22 @@ def _sample_matrix(space: FiniteMMSpace, idx) -> DistanceMatrixSample:
 def evaluate_polynomial(space: FiniteMMSpace, n: int, phi, cap: int = EXACT_TERM_CAP):
     """Exact expectation of phi over n i.i.d. points from the space's weights.
 
-    Enumerates all s**n index tuples; raises SizeError above `cap` terms with
-    a pointer to evaluate_polynomial_mc.
+    Enumerates all s**n index tuples of the canonical form (the expectation
+    is an invariant of it, and its entries are exact); raises SizeError above
+    `cap` terms.
     """
-    require_valid(space)
+    space = canonicalize(space)
     if n < 1:
         raise ValidationError("sample order must be >= 1")
     if hasattr(phi, "order") and phi.order() > n:
         raise ValidationError(f"phi reads entry positions up to {phi.order() - 1}, sample order is {n}")
     s = space.n
     if s**n > cap:
-        raise SizeError(
-            f"{s}**{n} terms exceeds exact cap {cap}; use evaluate_polynomial_mc"
-        )
+        raise SizeError(f"{s}**{n} terms exceeds exact cap {cap}")
     total = Fraction(0)
     for idx in product(range(s), repeat=n):
         w = Fraction(1)
         for k in idx:
             w *= space.weights[k]
-        if w == 0:
-            continue
         total += w * phi(_sample_matrix(space, idx))
     return total
-
-
-def evaluate_polynomial_mc(space: FiniteMMSpace, n: int, phi, samples: int, seed: int):
-    """Monte Carlo estimate of the same expectation: (mean, standard error).
-
-    Deterministic for a fixed seed. Weights are converted to float for the
-    sampler; the estimate is float by nature, so this is not a precision
-    loss beyond the method's own.
-    """
-    require_valid(space)
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    rng = random.Random(seed)
-    weights = [float(w) for w in space.weights]
-    points = range(space.n)
-    values = []
-    for _ in range(samples):
-        idx = rng.choices(points, weights=weights, k=n)
-        values.append(float(phi(_sample_matrix(space, idx))))
-    mean = sum(values) / samples
-    if samples == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (samples - 1)
-    return mean, math.sqrt(var / samples)
-
-
-def default_test_functions(n: int = 2):
-    """Small fixed battery used by reports; order-n functions on (0, 1)."""
-    cap = Fraction(1)
-    return (
-        TruncatedMonomial(factors=((0, 1, 1),), cap=cap),
-        TruncatedMonomial(factors=((0, 1, 2),), cap=cap),
-        SmoothedIndicator(positions=((0, 1),), level=Fraction(1, 2), width=Fraction(1, 4)),
-    )

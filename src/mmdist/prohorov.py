@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError, ValidationError
-from .exact import scaled, scaled_rows
+from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
 from .spaces import metric_violations
 
@@ -64,7 +64,7 @@ _COMMON_MESSAGES = {
 }
 
 
-def validate_common(cm: CommonSpaceMeasures, tol=0) -> list:
+def validate_common(cm: CommonSpaceMeasures) -> list:
     violations = []
     n = cm.n
     if any(len(row) != n for row in cm.dist):
@@ -74,13 +74,14 @@ def validate_common(cm: CommonSpaceMeasures, tol=0) -> list:
         if len(vec) != n:
             violations.append(f"{name} length {len(vec)} != {n}")
             continue
-        if any(w < -tol for w in vec):
+        if any(w < 0 for w in vec):
             violations.append(f"{name} has a negative entry")
-        if abs(sum(vec) - 1) > tol:
-            violations.append(f"{name} sums to {sum(vec)}, expected 1")
+        total = sum(map(parse_scalar, vec))
+        if total != 1:
+            violations.append(f"{name} sums to {total}, expected 1")
     violations += [
         _COMMON_MESSAGES[kind].format(i=i, j=j, k=k)
-        for kind, i, j, k in metric_violations(cm.dist, tol)
+        for kind, i, j, k in metric_violations(cm.dist)
     ]
     return violations
 

@@ -5,10 +5,13 @@ Zero off-diagonal distances and zero weights are valid input; `canonicalize`
 removes both, which is the representative form every distance routine works
 on (distances here are invariants of the measure-preserving-isometry class).
 
-Entries stay Fractions in a space. `metric_violations`, the one metric-axiom
-check, tests an exact matrix as ints over its common denominator; messages
-quote the Fraction entries. `mm_space` names each malformed input by its
-JSON path.
+Every entry of a space is exact. `mm_space`, the mmspace/1 parse layer,
+converts each one with `exact.parse_scalar` and names each malformed input
+by its JSON path. A space built by hand with int or float entries converts
+exactly in `canonicalize`, which every distance routine calls first.
+Validation has no tolerance: `metric_violations`, the one metric-axiom
+check, tests a matrix as ints over its common denominator (floats at their
+exact binary values); messages quote the entries as given.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ class JsonFields:
     every recorded error as one ValidationError.
     """
 
-    def __init__(self, exact: bool = True):
-        self.exact = exact
+    def __init__(self):
         self.errors = []
 
     def items(self, value, path):
@@ -56,8 +58,8 @@ class JsonFields:
 
     def scalar(self, value, path):
         try:
-            return parse_scalar(value, self.exact)
-        except (ValueError, ZeroDivisionError, OverflowError):
+            return parse_scalar(value)
+        except (ValueError, ZeroDivisionError):
             self.errors.append(f"{path}: invalid literal {json.dumps(value, default=str)}")
 
     def scalars(self, value, path):
@@ -68,13 +70,13 @@ class JsonFields:
             raise ValidationError(self.errors[0], self.errors)
 
 
-def mm_space(labels, dist, weights, exact: bool = True) -> FiniteMMSpace:
-    """Build a FiniteMMSpace from lists or tuples, converting scalars.
+def mm_space(labels, dist, weights) -> FiniteMMSpace:
+    """Build a FiniteMMSpace from lists or tuples, parsing every scalar exactly.
 
     A field that is not a list, or a scalar that does not parse, raises
     ValidationError naming each one by its JSON path.
     """
-    fields = JsonFields(exact)
+    fields = JsonFields()
     space = FiniteMMSpace(
         labels=tuple(str(l) for _, l in fields.items(labels, "labels")),
         dist=tuple(fields.scalars(row, f"dist[{i}]") for i, row in fields.items(dist, "dist")),
@@ -84,34 +86,31 @@ def mm_space(labels, dist, weights, exact: bool = True) -> FiniteMMSpace:
     return space
 
 
-def metric_violations(dist, tol=0) -> list:
+def metric_violations(dist) -> list:
     """Metric-axiom violations of a square matrix as (kind, i, j, k) tuples.
 
     Row by row: "diagonal" (i, i), then "negative" and "asymmetric" for each
     j > i; then every "triangle" dist[i][j] > dist[i][k] + dist[k][j] in
-    (i, j, k) order; each comparison loosened by `tol`. An exact matrix
-    (tol = 0, no floats) is first tested as ints (see `_is_metric`) and is
-    enumerated only when it fails.
+    (i, j, k) order. The matrix goes over its common denominator and is
+    tested as ints (see `_is_metric`); it is enumerated only when it fails.
     """
-    m = dist
-    if tol == 0 and {t for row in dist for t in map(type, row)} <= {int, Fraction}:
-        (m,), _ = scaled_rows(dist)
-        if _is_metric(m):
-            return []
+    (m,), _ = scaled_rows(dist)
+    if _is_metric(m):
+        return []
     n = len(m)
     out = []
     for i in range(n):
-        if abs(m[i][i]) > tol:
+        if m[i][i]:
             out.append(("diagonal", i, i, None))
         for j in range(i + 1, n):
-            if m[i][j] < -tol:
+            if m[i][j] < 0:
                 out.append(("negative", i, j, None))
-            if abs(m[i][j] - m[j][i]) > tol:
+            if m[i][j] != m[j][i]:
                 out.append(("asymmetric", i, j, None))
     for i, di in enumerate(m):
         for j in range(n):
             for k, dk in enumerate(m):
-                if di[j] > di[k] + dk[j] + tol:
+                if di[j] > di[k] + dk[j]:
                     out.append(("triangle", i, j, k))
     return out
 
@@ -135,12 +134,11 @@ _SPACE_MESSAGES = {
 }
 
 
-def validate(space: FiniteMMSpace, tol=0) -> list:
+def validate(space: FiniteMMSpace) -> list:
     """Return a list of human-readable violations, empty when valid.
 
     Dimension mismatches are reported (not raised) and suppress the checks
-    that would index out of range. `tol` loosens every comparison for float
-    inputs; exact inputs use tol=0 and the int check of `metric_violations`.
+    that would index out of range. Every check is exact, with no tolerance.
     """
     violations = []
     n = len(space.labels)
@@ -157,22 +155,22 @@ def validate(space: FiniteMMSpace, tol=0) -> list:
         return violations
 
     for i, w in enumerate(space.weights):
-        if w < -tol:
+        if w < 0:
             violations.append(f"weight {i} is negative: {w}")
-    total = sum(space.weights)
-    if abs(total - 1) > tol:
+    total = sum(map(parse_scalar, space.weights))
+    if total != 1:
         violations.append(f"weights sum to {total}, expected 1")
 
     d = space.dist
     violations += [
         _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=d[i][j])
-        for kind, i, j, k in metric_violations(d, tol)
+        for kind, i, j, k in metric_violations(d)
     ]
     return violations
 
 
-def require_valid(space: FiniteMMSpace, tol=0) -> None:
-    violations = validate(space, tol)
+def require_valid(space: FiniteMMSpace) -> None:
+    violations = validate(space)
     if violations:
         raise ValidationError(
             f"invalid space: {violations[0]} ({len(violations)} violation(s))",
@@ -180,13 +178,13 @@ def require_valid(space: FiniteMMSpace, tol=0) -> None:
         )
 
 
-def is_canonical(space: FiniteMMSpace, tol=0) -> bool:
-    if any(w <= tol for w in space.weights):
+def is_canonical(space: FiniteMMSpace) -> bool:
+    if any(w <= 0 for w in space.weights):
         return False
     n = space.n
     for i in range(n):
         for j in range(i + 1, n):
-            if space.dist[i][j] <= tol:
+            if space.dist[i][j] <= 0:
                 return False
     return True
 
@@ -209,36 +207,31 @@ def _class_roots(n, pairs) -> list:
     return [find(i) for i in range(n)]
 
 
-def canonicalize(space: FiniteMMSpace, tol=0) -> FiniteMMSpace:
-    """Merge distance-<=tol pairs (summing weights) and drop weight-<=tol points.
+def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
+    """Merge distance-0 pairs (summing weights) and drop weight-0 points.
 
     Representatives keep the smallest original index and its label; order is
-    by representative index. With tol > 0 the weights are renormalized to sum
-    to exactly 1 after dropping; with exact input that is a no-op.
+    by representative index. Every entry of the result is a Fraction: int
+    and float entries of a hand-built space convert exactly here.
     """
-    require_valid(space, tol)
+    require_valid(space)
     d, n = space.dist, space.n
-    close = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][j] <= tol)
+    close = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][j] == 0)
     class_weight = {}
-    for r, w in zip(_class_roots(n, close), space.weights):
+    for r, w in zip(_class_roots(n, close), map(parse_scalar, space.weights)):
         class_weight[r] = class_weight.get(r, 0) + w
-    reps = sorted(r for r, w in class_weight.items() if w > tol)
-
-    weights = [class_weight[r] for r in reps]
-    total = sum(weights)
-    if total != 1 and total > 0:
-        weights = [w / total for w in weights]
+    reps = sorted(r for r, w in class_weight.items() if w > 0)
     return FiniteMMSpace(
         labels=tuple(space.labels[r] for r in reps),
-        dist=tuple(tuple(space.dist[a][b] for b in reps) for a in reps),
-        weights=tuple(weights),
+        dist=tuple(tuple(parse_scalar(d[a][b]) for b in reps) for a in reps),
+        weights=tuple(class_weight[r] for r in reps),
     )
 
 
-def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace, tol=0) -> bool:
+def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
     """Measure-preserving isometry test between canonical forms (backtracking)."""
-    a = canonicalize(a, tol)
-    b = canonicalize(b, tol)
+    a = canonicalize(a)
+    b = canonicalize(b)
     if a.n != b.n:
         return False
     if sorted(a.weights) != sorted(b.weights):
@@ -313,7 +306,7 @@ def space_to_obj(space: FiniteMMSpace) -> dict:
     }
 
 
-def space_from_obj(obj, exact: bool = True, check: bool = True) -> FiniteMMSpace:
+def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
     if not isinstance(obj, dict):
         raise ValidationError("space document must be a JSON object")
     if obj.get("format") != MMSPACE_FORMAT:
@@ -321,9 +314,9 @@ def space_from_obj(obj, exact: bool = True, check: bool = True) -> FiniteMMSpace
     missing = [f"missing field: {key}" for key in ("labels", "dist", "weights") if key not in obj]
     if missing:
         raise ValidationError(missing[0], missing)
-    space = mm_space(obj["labels"], obj["dist"], obj["weights"], exact)
+    space = mm_space(obj["labels"], obj["dist"], obj["weights"])
     if check:
-        require_valid(space, 0 if exact else 1e-9)
+        require_valid(space)
     return space
 
 
@@ -337,9 +330,9 @@ def loads_document(text: str):
     return json.loads(text, parse_float=str)
 
 
-def load_space(path, exact: bool = True, check: bool = True) -> FiniteMMSpace:
+def load_space(path, check: bool = True) -> FiniteMMSpace:
     with open(path, "r", encoding="utf-8") as f:
-        return space_from_obj(loads_document(f.read()), exact, check)
+        return space_from_obj(loads_document(f.read()), check)
 
 
 def save_space(path, space: FiniteMMSpace) -> None:

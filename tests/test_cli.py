@@ -1,12 +1,28 @@
 """Command line interface: exit codes, payload shapes, file round trips."""
 
+import copy
 import hashlib
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mmdist import load_space, save_excursion, save_space, tent
+from mmdist import (
+    excursion_to_obj,
+    load_space,
+    pc_excursion,
+    sample_mm_space,
+    save_excursion,
+    save_space,
+    space_to_obj,
+    tent,
+)
 from mmdist.cli import main
 from mmdist.prohorov import CommonSpaceMeasures, prohorov
 from mmdist.spaces import dumps_json
@@ -330,6 +346,8 @@ MALFORMED_DOCS = {
     "letter": ({"dist": [["0", "x"], ["1", "0"]]}, 'dist[0][1]: invalid literal "x"'),
     "zero denominator": ({"dist": [["0", "1"], ["1/0", "0"]]}, 'dist[1][0]: invalid literal "1/0"'),
     "nan": ({"weights": ["NaN", "1/2"]}, 'weights[0]: invalid literal "NaN"'),
+    # JSON's Infinity loads as a float, which has no exact value
+    "infinity": ({"weights": [math.inf, "1/2"]}, "weights[0]: invalid literal Infinity"),
     "string for rows": ({"dist": "oops"}, 'dist: expected a list, got "oops"'),
 }
 
@@ -398,6 +416,7 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
+        (["glue", "--budget", "-1"], "--budget: expected a nonnegative"),
     ],
     ids=[
         "glue-pairs",
@@ -406,6 +425,7 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         "lipschitz-count",
         "gamma-tol",
         "gamma-budget",
+        "glue-budget",
     ],
 )
 def test_bad_argv_values_exit_one_with_one_line(capsys, tmp_path, argv, message):
@@ -451,8 +471,9 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, tmp_path, argv, 
     path = sample_file(capsys, tmp_path)
     code, out, err = run(capsys, *argv.format(path=path).split(), *unread.split())
     assert (code, out) == (2, "")
-    assert err.startswith("usage: mmdist")
-    assert f"unrecognized arguments: {unread}" in err
+    command = " ".join(takewhile(lambda word: not word.startswith("-"), argv.split()))
+    assert err.startswith(f"usage: mmdist {command} [-h]")
+    assert f"mmdist {command}: error: unrecognized arguments: {unread}" in err
     assert "Traceback" not in err
 
 
@@ -469,3 +490,82 @@ def test_stdout_carries_only_the_payload(capsys, tmp_path):
     assert code == 0
     json.loads(out)  # parses as a whole
     assert "s" in err  # human timing line mentions seconds
+
+
+# ---------------------------------------------------------------------------
+# property: a mutated document never ends in a traceback
+
+LITERALS = ("0", "1", "-1", "1/2", "1/0", "0.25", "x", "", " 3/4 ", "NaN", "Infinity", "1e3")
+# the documents' own field names, so an added key can shadow a real one
+KEYS = (
+    "format", "labels", "dist", "weights", "kind", "breakpoints", "values", "breakpoint_values"
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(LITERALS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=2),
+    max_leaves=6,
+)
+SEED_DOCUMENTS = {
+    "mmspace": space_to_obj(sample_mm_space(3)),
+    "excursion": excursion_to_obj(pc_excursion((0, "1/3", 1), ("1/2", 2), (0, "1/4", 2))),
+}
+# each command reads the mutated document as FILE; OTHER is a valid space
+FUZZED_COMMANDS = {
+    "mmspace": ("validate --in FILE", "canonicalize --in FILE", "dist gp --a FILE --b OTHER"),
+    "excursion": (
+        "validate --in FILE",
+        "canonicalize --in FILE",
+        "dist dh --in FILE --s 1/4 --t 3/4",
+        "code-excursion --in FILE",
+    ),
+}
+
+
+def slots(node):
+    """Every (container, key) pair of a JSON tree."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from slots(node[key])
+
+
+@st.composite
+def mutated_documents(draw):
+    kind = draw(st.sampled_from(sorted(SEED_DOCUMENTS)))
+    doc = copy.deepcopy(SEED_DOCUMENTS[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(list(slots(doc))))
+        action = draw(st.sampled_from(("literal", "replace", "delete", "add")))
+        if action == "literal":
+            node[key] = draw(st.sampled_from(LITERALS))
+        elif action == "replace":
+            node[key] = draw(json_values)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = draw(json_values)
+        else:
+            node.append(draw(json_values))
+    return kind, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_space(path / "other.json", sample_mm_space(5))
+    return path
+
+
+@settings(max_examples=80)
+@given(mutated_documents(), st.data())
+def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
+    kind, doc = kind_doc
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    command = data.draw(st.sampled_from(FUZZED_COMMANDS[kind]))
+    argv = command.replace("FILE", str(path)).replace("OTHER", str(fuzz_dir / "other.json"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv.split())
+    assert code in (0, 1), (argv, doc, err.getvalue())

@@ -1,9 +1,27 @@
-"""Scalar parsing, decimal rendering, and square-root enclosures."""
+"""Scalar parsing at the one exact boundary, decimal rendering, square roots."""
 
+import math
 import random
 from fractions import Fraction
 
-from mmdist import decimal_str, format_scalar, parse_scalar, sqrt_if_square
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmdist import (
+    box_lambda,
+    code_excursion,
+    comb,
+    decimal_str,
+    dh,
+    evaluate,
+    format_scalar,
+    infimum,
+    mm_space,
+    parse_scalar,
+    pl_cut_points,
+    sqrt_if_square,
+    tent,
+)
 from mmdist.exact import sqrt_enclosure
 
 
@@ -17,24 +35,23 @@ def test_parse_exact_forms():
     assert parse_scalar(Fraction(2, 6)) == Fraction(1, 3)
 
 
-def test_parse_float_mode():
-    x = parse_scalar("1/3", exact=False)
-    assert isinstance(x, float)
-    assert x == 1 / 3
-    y = parse_scalar(2, exact=False)
-    assert isinstance(y, float)
-    assert y == 2.0
+@settings(max_examples=200)
+@given(st.floats())
+def test_parse_float_is_its_exact_binary_value(x):
+    # every float, NaN and the infinities included: the exact Fraction of its
+    # binary value, or ValueError
+    try:
+        q = parse_scalar(x)
+    except ValueError:
+        assert not math.isfinite(x)
+    else:
+        assert type(q) is Fraction and q == Fraction(x)
 
 
 def test_parse_rejects_non_scalars():
-    for bad in (True, False, None, [1], {"a": 1}):
+    for bad in (True, False, None, [1], {"a": 1}, math.nan, math.inf, -math.inf):
         try:
             parse_scalar(bad)
-            assert False, bad
-        except ValueError:
-            pass
-        try:
-            parse_scalar(bad, exact=False)
             assert False, bad
         except ValueError:
             pass
@@ -95,3 +112,24 @@ def test_sqrt_enclosure_brackets_the_root():
         assert False
     except ValueError:
         pass
+
+
+def test_float_inputs_equal_their_decimal_twins():
+    # dyadic floats, so each one's exact binary value is its decimal twin
+    h = tent()
+    a = mm_space(("x", "y"), (("0", "1/2"), ("1/2", "0")), ("1/4", "3/4"))
+    b = mm_space(("u",), (("0",),), ("1",))
+    pairs = [
+        (evaluate(h, 0.375), evaluate(h, "0.375")),
+        (dh(h, 0.125, 0.75), dh(h, "0.125", "0.75")),
+        (infimum(h, 0.25, 0.875), infimum(h, "0.25", "0.875")),
+        (box_lambda(a, b, 0.5), box_lambda(a, b, "0.5")),
+    ]
+    for got, want in pairs:
+        assert type(got) is Fraction and got == want
+    cuts = pl_cut_points(h, (0.375, 0.625))
+    assert cuts == pl_cut_points(h, ("0.375", "0.625"))
+    assert all(type(t) is Fraction for t in cuts)
+    coded = code_excursion(comb(2), resolution=(0.25,))
+    assert coded == code_excursion(comb(2), resolution=("0.25",))
+    assert all(type(t) is Fraction for t in coded.representatives)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from mmdist import (
+    FiniteMMSpace,
     ValidationError,
     build_glued_space,
     canonicalize,
@@ -196,7 +197,10 @@ def test_float_spaces_match_their_fraction_twins():
         ),
         (("u", "v"), [["0", "0.375"], ["0.375", "0"]], ["0.625", "0.375"]),
     ]
-    floats = [mm_space(*doc, exact=False) for doc in docs]
+    floats = [
+        FiniteMMSpace(labels, tuple(tuple(map(float, row)) for row in dist), tuple(map(float, w)))
+        for labels, dist, w in docs
+    ]
     twins = [mm_space(*doc) for doc in docs]
     assert isinstance(floats[0].dist[0][1], float)
     gp = gromov_prohorov_detail(*floats)

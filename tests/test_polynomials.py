@@ -1,18 +1,13 @@
-"""Distance-matrix test functions: exact expectations and the MC fallback."""
+"""Distance-matrix test functions: exact expectations."""
 
-import random
 from fractions import Fraction
 
 from mmdist import (
     FiniteMMSpace,
     SizeError,
-    SmoothedIndicator,
     TruncatedMonomial,
     ValidationError,
-    default_test_functions,
     evaluate_polynomial,
-    evaluate_polynomial_mc,
-    sample_mm_space,
 )
 
 F = Fraction
@@ -58,42 +53,32 @@ def test_order_is_checked_against_sample_size():
         pass
 
 
-def test_exact_cap_points_to_the_mc_route():
+def test_exact_cap_raises_size_error():
     phi = TruncatedMonomial(factors=((0, 1, 1),), cap=F(1))
     try:
         evaluate_polynomial(uniform(10), 7, phi)
         assert False
     except SizeError as e:
-        assert "evaluate_polynomial_mc" in str(e)
+        assert "10**7 terms exceeds exact cap" in str(e)
 
 
-def test_mc_is_deterministic_and_close():
-    phi = TruncatedMonomial(factors=((0, 1, 1),), cap=F(2))
-    space = uniform(3)
-    exact = evaluate_polynomial(space, 2, phi)
-    mean, err = evaluate_polynomial_mc(space, 2, phi, samples=4000, seed=5)
-    again = evaluate_polynomial_mc(space, 2, phi, samples=4000, seed=5)
-    assert (mean, err) == again
-    assert err > 0
-    assert abs(mean - float(exact)) <= 5 * err
+def test_float_cap_converts_exactly():
+    # 2.0 and 0.5 are dyadic, so each float is exactly its Fraction twin
+    for cap, twin in ((2.0, F(2)), (0.5, F(1, 2))):
+        float_phi = TruncatedMonomial(factors=((0, 1, 1),), cap=cap)
+        assert float_phi.cap == twin and isinstance(float_phi.cap, Fraction)
+        value = evaluate_polynomial(uniform(2), 2, float_phi)
+        assert isinstance(value, Fraction)
+        assert value == evaluate_polynomial(uniform(2), 2, TruncatedMonomial(((0, 1, 1),), twin))
 
 
-def test_smoothed_indicator_values():
-    # At level 1/2 and width 1/4 the clamp is 1 at distance 0, 0 at distance 1.
-    phi = SmoothedIndicator(positions=((0, 1),), level=F(1, 2), width=F(1, 4))
-    assert evaluate_polynomial(uniform(2), 2, phi) == F(1, 2)
-    mid = SmoothedIndicator(positions=((0, 1),), level=F(1, 2), width=F(1, 2))
-    # Distance 1 gives clamp((1/2 - 1)/(1/2)) = 0; distance 1/2 would give 0 too.
-    assert evaluate_polynomial(uniform(2), 2, mid) == F(1, 2)
-    wide = SmoothedIndicator(positions=((0, 1),), level=F(3, 2), width=F(1))
-    assert evaluate_polynomial(uniform(2), 2, wide) == F(1, 2) * 1 + F(1, 2) * F(1, 2)
-
-
-def test_float_mode_is_opt_in_by_float_parameter():
-    exact_phi = TruncatedMonomial(factors=((0, 1, 1),), cap=F(2))
-    assert isinstance(evaluate_polynomial(uniform(2), 2, exact_phi), Fraction)
-    float_phi = TruncatedMonomial(factors=((0, 1, 1),), cap=2.0)
-    assert isinstance(evaluate_polynomial(uniform(2), 2, float_phi), float)
+def test_float_space_gives_the_fraction_twins_expectation():
+    phi = TruncatedMonomial(factors=((0, 1, 2),), cap=F(2))
+    floats = FiniteMMSpace(("a", "b"), ((0.0, 1.5), (1.5, 0.0)), (0.25, 0.75))
+    twin = FiniteMMSpace(("a", "b"), ((F(0), F(3, 2)), (F(3, 2), F(0))), (F(1, 4), F(3, 4)))
+    value = evaluate_polynomial(floats, 2, phi)
+    assert isinstance(value, Fraction)
+    assert value == evaluate_polynomial(twin, 2, phi) == 2 * F(3, 16) * F(9, 4)
 
 
 def test_positions_must_be_nonnegative():
@@ -102,19 +87,3 @@ def test_positions_must_be_nonnegative():
         assert False
     except ValidationError:
         pass
-    try:
-        SmoothedIndicator(positions=((0, -2),), level=F(1, 2), width=F(1, 4))
-        assert False
-    except ValidationError:
-        pass
-
-
-def test_default_test_functions_are_usable():
-    rng = random.Random(3)
-    for phi in default_test_functions(2):
-        assert phi.order() <= 2
-        assert phi.bound() >= 0
-        for _ in range(5):
-            space = sample_mm_space(rng.randint(0, 10**6), n_max=3)
-            v = evaluate_polynomial(space, 2, phi)
-            assert 0 <= v <= phi.bound()
