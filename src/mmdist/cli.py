@@ -86,7 +86,7 @@ def _scalar_arg(text, flag):
 def _pairs_arg(text):
     try:
         pairs = json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # malformed JSON, or an int past the digit limit
         pairs = None
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs

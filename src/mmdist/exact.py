@@ -11,6 +11,7 @@ exact because the scale is positive. Floats come out only where the CLI's
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -31,7 +32,10 @@ def parse_scalar(value) -> Fraction:
     Decimal strings convert exactly ("0.1" -> 1/10, not the binary float);
     a float converts to its exact binary value (0.1 -> 3602879701896397 /
     2**55). Anything else, including NaN and the infinities, raises
-    ValueError; "1/0" raises ZeroDivisionError.
+    ValueError; "1/0" raises ZeroDivisionError. So does a decimal string
+    whose exponent is larger in magnitude than the interpreter's limit on
+    int string digits (`sys.get_int_max_str_digits()`): "1e400000000" is 12
+    characters, but its power of ten would take hours to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -40,6 +44,11 @@ def parse_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _, e, exponent = value.upper().partition("E")
+        # 0 means no limit, as on interpreters older than 3.10.7 (no such call)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent beyond {limit} digits: {value!r}")
         return Fraction(value.strip())
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(value)

@@ -1,23 +1,32 @@
 """Exact transport primitives: bipartite max-flow, subcouplings, couplings.
 
-Max-flow is Edmonds-Karp, exact over int or Fraction capacities, so every
-value it returns is exact in the capacities' own type. The clique sweeps,
-the Prohorov scan and the glue search pass int-scaled weights (over a common
-denominator W) and rebuild the Fraction mass m / W themselves; coupling
-construction (`complete_subcoupling`) and `correspondence_info` work on
-Fractions. The routines here are the single source of coupling mass used by
-the distance computations.
+`Transport` holds one bipartite flow from row supplies mu to column demands
+nu over the cells opened so far: residual supplies and demands as lists,
+each row's allowed columns as a list, each column's positive cell flows as a
+dict from row to flow. `augment` runs multi-source BFS augmenting paths
+(row -> allowed column -> back along a positive flow to its row) until none
+is left. Opening a cell keeps the current flow feasible, so a caller whose
+cells only grow augments from the flow it has: the Prohorov scan
+(`prohorov._flow_scan`) keeps one `Transport` for all its distance
+thresholds, the monotone case of parametric max-flow (Gallo, Grigoriadis &
+Tarjan 1989). `max_subcoupling` is the one-shot form. Every mass is exact
+in the weights' own type, int or Fraction.
+
+The clique sweeps, the Prohorov scan and the glue search pass int-scaled
+weights (over a common denominator W) and rebuild the Fraction mass m / W
+themselves; coupling construction (`complete_subcoupling`) and
+`correspondence_info` work on Fractions. The routines here are the single
+source of coupling mass used by the distance computations.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 
-__all__ = ["Coupling", "max_subcoupling", "complete_subcoupling", "validate_coupling"]
+__all__ = ["Coupling", "Transport", "max_subcoupling", "complete_subcoupling", "validate_coupling"]
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,83 @@ def validate_coupling(coupling: Coupling, mu, nu) -> list:
     return violations
 
 
+class Transport:
+    """Maximum subcoupling of row supplies `mu` and column demands `nu` on
+    the cells opened so far (see the module docstring).
+
+    A cell has no capacity of its own: its flow is bounded by mu[i] and
+    nu[j] already, so a path is limited only by its end points' residuals
+    and the flows it cancels.
+    """
+
+    def __init__(self, mu, nu):
+        self.supply = list(mu)  # residual supply of each row
+        self.demand = list(nu)  # residual demand of each column
+        self.cols = [[] for _ in self.supply]  # allowed columns of each row
+        self.flow = [{} for _ in self.demand]  # column -> {row: positive flow}
+        self.mass = 0
+
+    def allow(self, i, j):
+        """Open cell (i, j); the flow so far stays feasible."""
+        self.cols[i].append(j)
+
+    def augment(self):
+        """Augment until no path is left; the total mass of the flow."""
+        supply, demand, cols, flow = self.supply, self.demand, self.cols, self.flow
+        while True:
+            # multi-source BFS: rows with supply -> allowed column -> back
+            # along a positive flow to its row, until a column with demand
+            row_from = {i: None for i, s in enumerate(supply) if s > 0}
+            col_from = {}
+            frontier = list(row_from)
+            end = None
+            while frontier and end is None:
+                reached = []
+                for i in frontier:
+                    for j in cols[i]:
+                        if j in col_from:
+                            continue
+                        col_from[j] = i
+                        if demand[j] > 0:
+                            end = j
+                            break
+                        for k in flow[j]:
+                            if k not in row_from:
+                                row_from[k] = j
+                                reached.append(k)
+                    if end is not None:
+                        break
+                frontier = reached
+            if end is None:
+                return self.mass
+            path = []
+            j = end
+            while j is not None:
+                i = col_from[j]
+                path.append((i, j))
+                j = row_from[i]
+            aug = min(demand[end], supply[i])
+            for k, _ in path[:-1]:
+                aug = min(aug, flow[row_from[k]][k])
+            demand[end] -= aug
+            supply[i] -= aug
+            for i, j in path:
+                f = flow[j].get(i, 0) + aug
+                flow[j][i] = f
+                back = row_from[i]
+                if back is not None:
+                    f = flow[back][i] - aug
+                    if f:
+                        flow[back][i] = f
+                    else:
+                        del flow[back][i]
+            self.mass += aug
+
+    def cells(self):
+        """Positive cell flows as {(i, j): flow}."""
+        return {(i, j): f for j, col in enumerate(self.flow) for i, f in col.items()}
+
+
 def max_subcoupling(mu, nu, allowed):
     """Maximum mass of a sub-probability coupling supported on `allowed` cells.
 
@@ -74,62 +160,15 @@ def max_subcoupling(mu, nu, allowed):
     the weights' type.
     """
     n1, n2 = len(mu), len(nu)
-    S, T = 0, 1
-    left = lambda i: 2 + i
-    right = lambda j: 2 + n1 + j
-    cap = {}
-    adj = [set() for _ in range(2 + n1 + n2)]
-
-    def add_edge(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-        adj[u].add(v)
-        adj[v].add(u)
-
-    for i in range(n1):
-        if mu[i] > 0:
-            add_edge(S, left(i), mu[i])
-    for j in range(n2):
-        if nu[j] > 0:
-            add_edge(right(j), T, nu[j])
-    edge_set = set()
+    transport = Transport(mu, nu)
+    seen = set()
     for i, j in allowed:
         if not (0 <= i < n1 and 0 <= j < n2):
             raise ValidationError(f"cell ({i}, {j}) out of range")
-        if (i, j) not in edge_set:
-            edge_set.add((i, j))
-            add_edge(left(i), right(j), min(mu[i], nu[j]))
-
-    total = 0
-    while True:
-        pred = {S: None}
-        queue = deque([S])
-        while queue:
-            u = queue.popleft()
-            if u == T:
-                break
-            for v in adj[u]:
-                if v not in pred and cap.get((u, v), 0) > 0:
-                    pred[v] = u
-                    queue.append(v)
-        if T not in pred:
-            break
-        path = []
-        v = T
-        while pred[v] is not None:
-            path.append((pred[v], v))
-            v = pred[v]
-        aug = min(cap[(u, w)] for u, w in path)
-        for u, w in path:
-            cap[(u, w)] -= aug
-            cap[(w, u)] = cap.get((w, u), 0) + aug
-        total += aug
-
-    cells = {}
-    for i, j in edge_set:
-        f = cap.get((right(j), left(i)), 0)
-        if f > 0:
-            cells[(i, j)] = f
-    return total, cells
+        if (i, j) not in seen:
+            seen.add((i, j))
+            transport.allow(i, j)
+    return transport.augment(), transport.cells()
 
 
 def complete_subcoupling(cells, mu, nu) -> Coupling:

@@ -6,8 +6,11 @@ Two independent routes are provided and kept intentionally separate:
   inf { eps > 0 : mu(A) <= nu(A^eps) + eps for all A }, with the strict
   enlargement A^eps = { x : d(A, x) < eps }, enumerating all 2^n subsets.
 * `prohorov_flow` uses the coupling characterization
-  inf { eps : some coupling puts mass >= 1 - eps on { d < eps } }, computing
-  coupling mass by exact max-flow per distance threshold.
+  inf { eps : some coupling puts mass >= 1 - eps on { d < eps } }. It walks
+  the distance thresholds in ascending order with one incremental max-flow
+  (`flow.Transport`): each threshold opens the cells at its distance and
+  augments the previous threshold's flow, so the coupling mass at every
+  threshold is exact and no flow restarts from zero.
 
 Both return the exact infimum; the defining condition may fail at the
 returned value itself (it holds for every strictly larger eps). Their
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
-from .flow import max_subcoupling
+from .flow import Transport
 from .spaces import metric_violations
 
 BRUTEFORCE_CAP = 12
@@ -100,8 +103,10 @@ def _scan_infimum(boundaries, t_of_piece, D, W):
     `boundaries` are ascending values u / D, the first one 0. Piece j is the
     interval (u_j / D, u_{j+1} / D] (the last piece is unbounded); eps in
     piece j is feasible iff eps >= t_of_piece(j) / W. Feasibility is
-    monotone, so the first piece with a solution decides. Comparisons are
-    cross-multiplied; the Fraction is built only for the value returned.
+    monotone, so the first piece with a solution decides. Pieces are asked
+    for in ascending order, once each, which `_flow_scan`'s incremental flow
+    relies on. Comparisons are cross-multiplied; the Fraction is built only
+    for the value returned.
     """
     K = len(boundaries)
     for j, u in enumerate(boundaries):
@@ -119,14 +124,23 @@ def _flow_scan(rows, D, mu, nu, W):
 
     Each distance threshold u allows the cells at distance <= u; the eps of
     its piece must cover the mass W - maxflow that no coupling puts there.
+    The allowed cells only grow with u, so one `Transport` serves the whole
+    scan: each threshold opens its own bucket of cells and augments from the
+    previous threshold's flow (`_scan_infimum` asks for pieces in ascending
+    order, once each).
     """
-    values = sorted({x for row in rows for x in row})
+    buckets = {}
+    for i, row in enumerate(rows):
+        for k, x in enumerate(row):
+            buckets.setdefault(x, []).append((i, k))
+    values = sorted(buckets)
     boundaries = values if values[0] == 0 else [0] + values
+    transport = Transport(mu, nu)
 
     def t_of_piece(j):
-        u = boundaries[j]
-        allowed = [(i, k) for i, row in enumerate(rows) for k, x in enumerate(row) if x <= u]
-        return W - max_subcoupling(mu, nu, allowed)[0]
+        for i, k in buckets.get(boundaries[j], ()):
+            transport.allow(i, k)
+        return W - transport.augment()
 
     return _scan_infimum(boundaries, t_of_piece, D, W)
 
@@ -181,7 +195,7 @@ def prohorov_condition_holds(cm: CommonSpaceMeasures, eps, cap: int = BRUTEFORCE
 
 
 def prohorov_flow(cm: CommonSpaceMeasures):
-    """Coupling route via exact max-flow at each distance threshold."""
+    """Coupling route: one max-flow grown threshold by threshold (`_flow_scan`)."""
     _require_valid(cm)
     return _prohorov_block(cm.dist, cm.mu, cm.nu)
 

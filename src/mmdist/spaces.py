@@ -325,9 +325,16 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_int(literal: str):
+    try:
+        return int(literal)
+    except ValueError:  # past the int string digit limit: JsonFields names it
+        return literal
+
+
 def loads_document(text: str):
     # parse_float=str defers float conversion so "0.1" can become 1/10 exactly
-    return json.loads(text, parse_float=str)
+    return json.loads(text, parse_float=str, parse_int=_json_int)
 
 
 def load_space(path, check: bool = True) -> FiniteMMSpace:

@@ -342,6 +342,8 @@ GOOD_DOC = {
     "dist": [["0", "1"], ["1", "0"]],
     "weights": ["1/2", "1/2"],
 }
+# one digit past the interpreter's limit on int strings (4300 by default)
+HUGE_INT = "1" * 5001
 MALFORMED_DOCS = {
     "letter": ({"dist": [["0", "x"], ["1", "0"]]}, 'dist[0][1]: invalid literal "x"'),
     "zero denominator": ({"dist": [["0", "1"], ["1/0", "0"]]}, 'dist[1][0]: invalid literal "1/0"'),
@@ -349,6 +351,10 @@ MALFORMED_DOCS = {
     # JSON's Infinity loads as a float, which has no exact value
     "infinity": ({"weights": [math.inf, "1/2"]}, "weights[0]: invalid literal Infinity"),
     "string for rows": ({"dist": "oops"}, 'dist: expected a list, got "oops"'),
+    "int for rows": ({"dist": 5}, "dist: expected a list, got 5"),
+    # the test writes HUGE_INT as a bare JSON int literal
+    "huge int": ({"weights": ["HUGE_INT", "1/2"]}, f'weights[0]: invalid literal "{HUGE_INT}"'),
+    "huge exponent": ({"weights": ["1e5000", "1/2"]}, 'weights[0]: invalid literal "1e5000"'),
 }
 
 
@@ -356,7 +362,7 @@ MALFORMED_DOCS = {
 def test_malformed_space_documents_name_the_json_path(capsys, tmp_path, case):
     fields, message = MALFORMED_DOCS[case]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**GOOD_DOC, **fields}))
+    bad.write_text(json.dumps({**GOOD_DOC, **fields}).replace('"HUGE_INT"', HUGE_INT))
     good = tmp_path / "good.json"
     good.write_text(json.dumps(GOOD_DOC))
     code, out, _ = run(capsys, "validate", "--in", str(bad))
@@ -411,6 +417,8 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
     "argv, message",
     [
         (["glue", "--pairs", "[[0]]", "--eps", "1"], "--pairs: expected"),
+        (["glue", "--pairs", f"[[0, {HUGE_INT}]]", "--eps", "1"], "--pairs: expected"),
+        (["glue", "--pairs", "[[0, 0]]", "--eps", "1e5000"], '--eps: invalid literal "1e5000"'),
         (["experiment", "counterexample", "--n-list", "2,x"], "--n-list: expected"),
         (["experiment", "theorem-check", "--count", "-1"], "count must be at least 0"),
         (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
@@ -420,6 +428,8 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
     ],
     ids=[
         "glue-pairs",
+        "glue-pairs-huge-int",
+        "glue-eps-huge-exponent",
         "n-list",
         "negative-count",
         "lipschitz-count",

@@ -57,6 +57,19 @@ def test_parse_rejects_non_scalars():
             pass
 
 
+def test_parse_rejects_exponents_past_the_int_digit_limit():
+    # the limit Python applies to int strings (4300 digits by default) also
+    # bounds a decimal exponent, so a short literal cannot ask for 10**(10**8)
+    for bad in ("1e5000", "1e-5000", "2.5E+5000", "1e1_000_000"):
+        try:
+            parse_scalar(bad)
+            assert False, bad
+        except ValueError:
+            pass
+    assert parse_scalar("1e4000") == 10**4000
+    assert parse_scalar("1e-4000") == Fraction(1, 10**4000)
+
+
 def test_format_round_trips_through_parse():
     rng = random.Random(1)
     for _ in range(300):

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mmdist import (
     Coupling,
     ValidationError,
@@ -10,6 +13,7 @@ from mmdist import (
     max_subcoupling,
     validate_coupling,
 )
+from mmdist.flow import Transport
 
 F = Fraction
 
@@ -80,6 +84,43 @@ def test_max_subcoupling_matches_min_cut_oracle():
             assert sum((x for (a, _), x in cells.items() if a == i), F(0)) <= mu[i]
         for j in range(n2):
             assert sum((x for (_, b), x in cells.items() if b == j), F(0)) <= nu[j]
+
+
+@st.composite
+def transport_runs(draw):
+    """Int supplies and demands (totals may differ) and batches of cells,
+    duplicates included."""
+    n1 = draw(st.integers(1, 5))
+    n2 = draw(st.integers(1, 5))
+    mu = draw(st.lists(st.integers(0, 6), min_size=n1, max_size=n1))
+    nu = draw(st.lists(st.integers(0, 6), min_size=n2, max_size=n2))
+    cell = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    batches = draw(st.lists(st.lists(cell, max_size=6), min_size=1, max_size=5))
+    return mu, nu, batches
+
+
+@settings(max_examples=100)
+@given(transport_runs())
+def test_incremental_transport_matches_min_cut_after_every_batch(run):
+    # augmenting from the previous batch's flow reaches the same mass as a
+    # flow from scratch on every cell allowed so far
+    mu, nu, batches = run
+    transport = Transport(mu, nu)
+    allowed = []
+    for batch in batches:
+        for i, j in batch:
+            transport.allow(i, j)
+        allowed += batch
+        mass = transport.augment()
+        assert type(mass) is int and mass == min_cut_mass(mu, nu, allowed)
+        cells = transport.cells()
+        assert set(cells) <= set(allowed)
+        assert all(x > 0 for x in cells.values())
+        assert sum(cells.values()) == mass
+        for i in range(len(mu)):
+            assert sum(x for (a, _), x in cells.items() if a == i) <= mu[i]
+        for j in range(len(nu)):
+            assert sum(x for (_, b), x in cells.items() if b == j) <= nu[j]
 
 
 def test_max_subcoupling_rejects_out_of_range_cells():

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mmdist import (
     CommonSpaceMeasures,
     SizeError,
@@ -55,6 +58,35 @@ def test_flow_equals_bruteforce():
         cm = rand_common(rng)
         assert validate_common(cm) == []
         assert prohorov_flow(cm) == prohorov_bruteforce(cm)
+
+
+@st.composite
+def common_spaces(draw):
+    """Up to 6 points: a shortest-path pseudometric over small rationals (a
+    drawn 0 off the diagonal stays a zero distance) and two probability
+    vectors that may have zero weights."""
+    n = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    d = [[0 if i == j else raw[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    den = draw(st.integers(1, 3))
+    weights = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+    mu, nu = draw(weights), draw(weights)
+    return CommonSpaceMeasures(
+        tuple(tuple(F(x, den) for x in row) for row in d),
+        tuple(F(x, sum(mu)) for x in mu),
+        tuple(F(x, sum(nu)) for x in nu),
+    )
+
+
+@settings(max_examples=100)
+@given(common_spaces())
+def test_flow_equals_bruteforce_on_generated_spaces(cm):
+    assert validate_common(cm) == []
+    assert prohorov_flow(cm) == prohorov_bruteforce(cm)
 
 
 def test_value_is_infimum_of_condition():
