@@ -33,7 +33,7 @@ def main():
         a = sample_mm_space(2 * seed, n_max=3)
         b = sample_mm_space(2 * seed + 1, n_max=3)
         detail = gromov_prohorov_detail(a, b)
-        glue = glued_upper_bound(a, b, search_budget=16, seed=seed)
+        glue = glued_upper_bound(a, b)
         print(f"seed {seed}: gp = {detail.value} ({a.n}x{b.n} points)")
         print(f"  box value {detail.box_value}, search exact: {detail.exact}")
         print(f"  best glue {glue.value} at eps {glue.eps} from the {glue.source} search")

@@ -51,7 +51,7 @@ from .spaces import (
     canonicalize,
     dumps_json,
     load_space,
-    loads_document,
+    load_document,
     sample_mm_space,
     space_from_obj,
     space_to_obj,
@@ -71,16 +71,17 @@ def _value_payload(q, float_mode: bool) -> dict:
     }
 
 
-def _load_document(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return loads_document(f.read())
-
-
 def _scalar_arg(text, flag):
     try:
         return parse_scalar(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{flag}: invalid literal {json.dumps(text)}") from None
+
+
+def _nonnegative_arg(value, flag):
+    if value < 0:
+        raise ValidationError(f"{flag}: expected a nonnegative integer, got {value}")
+    return value
 
 
 def _pairs_arg(text):
@@ -107,7 +108,7 @@ def _int_list_arg(text, flag):
 
 
 def _cmd_validate(args):
-    obj = _load_document(args.infile)
+    obj = load_document(args.infile)
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt not in (MMSPACE_FORMAT, EXCURSION_FORMAT):
         raise ValidationError(f"validate: unsupported document format {fmt!r}")
@@ -127,7 +128,7 @@ def _cmd_validate(args):
 
 
 def _cmd_canonicalize(args):
-    obj = _load_document(args.infile)
+    obj = load_document(args.infile)
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt == MMSPACE_FORMAT:
         payload = space_to_obj(canonicalize(space_from_obj(obj)))
@@ -160,7 +161,7 @@ def _cmd_dist_prohorov(args):
 def _cmd_dist_gp(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    res = gromov_prohorov_detail(a, b, cap=args.cap)
+    res = gromov_prohorov_detail(a, b, cap=_nonnegative_arg(args.cap, "--cap"))
     payload = _value_payload(res.value, args.float_mode)
     payload["box_half"] = _value_payload(res.box_value, args.float_mode)["value"]
     payload["exact"] = res.exact
@@ -172,7 +173,8 @@ def _cmd_dist_gp(args):
 def _cmd_dist_box(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    res = box_lambda_detail(a, b, _scalar_arg(args.lam, "--lambda"), cap=args.cap)
+    lam = _scalar_arg(args.lam, "--lambda")
+    res = box_lambda_detail(a, b, lam, cap=_nonnegative_arg(args.cap, "--cap"))
     payload = _value_payload(res.value, args.float_mode)
     payload["lambda"] = format_scalar(res.lam)
     payload["exact"] = res.exact
@@ -187,9 +189,7 @@ def _cmd_dist_excursion(args):
     tol = _scalar_arg(args.gamma_tol, "--gamma-tol") if args.gamma_tol else DEFAULT_GAMMA_TOL
     if tol < 0:
         raise ValidationError(f"--gamma-tol: expected a nonnegative number, got {args.gamma_tol!r}")
-    if args.budget < 0:
-        raise ValidationError(f"--budget: expected a nonnegative integer, got {args.budget}")
-    res = d_excursion_detail(h, g, tol=tol, budget=args.budget)
+    res = d_excursion_detail(h, g, tol=tol, budget=_nonnegative_arg(args.budget, "--budget"))
     payload = _value_payload(res.value, args.float_mode)
     payload.update(
         {
@@ -236,16 +236,13 @@ def _cmd_code_excursion(args):
 def _cmd_glue(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    if args.budget < 0:
-        raise ValidationError(f"--budget: expected a nonnegative integer, got {args.budget}")
     if args.pairs is None and args.eps is None:
-        res = glued_upper_bound(a, b, search_budget=args.budget, seed=args.seed)
+        res = glued_upper_bound(a, b)
         payload = _value_payload(res.value, args.float_mode)
         payload["eps"] = format_scalar(res.eps)
         payload["evaluations"] = res.evaluations
         payload["source"] = res.source
-        if res.pairs is not None:
-            payload["pairs"] = [list(p) for p in res.pairs]
+        payload["pairs"] = [list(p) for p in res.pairs]
         return payload, format_scalar(res.value), 0
     if args.pairs is None or args.eps is None:
         raise ValidationError("glue: --pairs and --eps must be given together")
@@ -369,14 +366,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default=None, help="comma list of extra cut times")
 
     p = _command(
-        sub, "glue", _cmd_glue, "glue two spaces and take the Prohorov distance", *_VALUE, "--seed"
+        sub, "glue", _cmd_glue, "glue two spaces and take the Prohorov distance", *_VALUE
     )
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--pairs", default=None, help='JSON like "[[0,0],[1,2]]"')
     p.add_argument("--eps", default=None)
     p.add_argument("--check", action="store_true", help="also verify the glued triangle inequality")
-    p.add_argument("--budget", type=int, default=32, help="random repairs tried without --pairs")
 
     experiment = sub.add_parser("experiment", help="seeded experiment reports")
     esub = experiment.add_subparsers(dest="name", required=True)
@@ -422,6 +418,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, raw, code = args.handler(args)
+        text = raw + "\n" if getattr(args, "raw", False) else dumps_json(payload)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+            print(f"wrote {args.out}", file=sys.stderr)
+        else:
+            sys.stdout.write(text)
     except ValidationError as exc:
         print(f"mmdist {label}: {exc}", file=sys.stderr)
         return 1
@@ -431,19 +434,16 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"mmdist {label}: no such file: {exc.filename}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a directory given as a file, a file we may not write
+        reason = (exc.strerror or str(exc)).lower()
+        print(f"mmdist {label}: {reason}: {exc.filename}", file=sys.stderr)
+        return 1
     except json.JSONDecodeError as exc:
         print(
             f"mmdist {label}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return 1
-    text = raw + "\n" if getattr(args, "raw", False) else dumps_json(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     print(f"{label}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

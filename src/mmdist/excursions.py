@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exact import format_scalar, parse_scalar
-from .spaces import JsonFields, dumps_json, loads_document
+from .spaces import JsonFields, dumps_json, load_document
 
 EXCURSION_FORMAT = "excursion/1"
 
@@ -334,8 +334,7 @@ def excursion_from_obj(obj, check: bool = True) -> Excursion:
 
 
 def load_excursion(path, check: bool = True) -> Excursion:
-    with open(path, "r", encoding="utf-8") as f:
-        return excursion_from_obj(loads_document(f.read()), check)
+    return excursion_from_obj(load_document(path), check)
 
 
 def save_excursion(path, h: Excursion) -> None:

@@ -14,18 +14,18 @@ has distortion exactly t (were it t' < t, the clique would be maximal at the
 earlier threshold t' and yielded there), so it is glued at eps1 = t/2 with
 no distortion recomputed, and at eps2 = max(eps1, 1 - maxmass), maxmass
 flowed on int-scaled weights. This reproduces the Gromov-Prohorov value
-exactly; seeded random glues (repaired to triangle validity) can only lower
-the reported minimum.
+exactly, and no other glue can do better: gp is the infimum over all
+embeddings, so every glue's value is at least gp, and gluing a maximal
+clique K at max(dis(K)/2, 1 - maxmass(K)) attains gp = box_{1/2} / 2.
 
-Every glue the search values, clique or repaired random, is built as int
-rows (distances over the sweep's denominator D) and valued by the shared int
-scan `prohorov._flow_scan` on weights over W; Fractions are rebuilt only for
-eps, for each value and at the public functions' boundary.
+Every glue the search values is built as int rows (distances over the
+sweep's denominator D) and valued by the shared int scan
+`prohorov._flow_scan` on weights over W; Fractions are rebuilt only for eps,
+for each value and at the public functions' boundary.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -63,8 +63,8 @@ class GluedSpace:
 class GlueSearchResult:
     value: object
     eps: object
-    pairs: tuple  # None when the witness is a repaired random glue
-    source: str
+    pairs: tuple
+    source: str  # "full" or "clique"
     evaluations: int
 
 
@@ -89,25 +89,6 @@ def _shifted(base, D, eps):
     return [[x * q + shift for x in row] for row in base], D * q
 
 
-def _assemble(a, b, cross, eps=None, pairs=None) -> GluedSpace:
-    n1, n2 = a.n, b.n
-    rows = []
-    for x in range(n1):
-        rows.append(tuple(a.dist[x]) + tuple(cross[x]))
-    for y in range(n2):
-        rows.append(tuple(cross[x][y] for x in range(n1)) + tuple(b.dist[y]))
-    zero = Fraction(0)
-    return GluedSpace(
-        n1=n1,
-        n2=n2,
-        dist=tuple(rows),
-        mu_ext=tuple(a.weights) + (zero,) * n2,
-        nu_ext=(zero,) * n1 + tuple(b.weights),
-        eps=eps,
-        pairs=tuple(pairs) if pairs is not None else None,
-    )
-
-
 def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSpace:
     """Glue along `pairs` at width `eps`; requires distortion(pairs) <= 2*eps."""
     require_valid(a)
@@ -129,7 +110,18 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     (da, db), D = scaled_rows(a.dist, b.dist)
     cross, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
     cross = [[Fraction(x, den) for x in row] for row in cross]
-    return _assemble(a, b, cross, eps, pairs)
+    rows = [tuple(a.dist[x]) + tuple(cross[x]) for x in range(a.n)]
+    rows += [tuple(row[y] for row in cross) + tuple(b.dist[y]) for y in range(b.n)]
+    zero = Fraction(0)
+    return GluedSpace(
+        n1=a.n,
+        n2=b.n,
+        dist=tuple(rows),
+        mu_ext=tuple(a.weights) + (zero,) * b.n,
+        nu_ext=(zero,) * a.n + tuple(b.weights),
+        eps=eps,
+        pairs=pairs,
+    )
 
 
 def check_triangle(glued: GluedSpace) -> list:
@@ -153,55 +145,24 @@ def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
     return CommonSpaceMeasures(glued.dist, glued.mu_ext, glued.nu_ext)
 
 
-def repaired_random_cross(a: FiniteMMSpace, b: FiniteMMSpace, rng: random.Random):
-    """Seeded random cross matrix made triangle-valid (see `_random_cross`)."""
-    (da, db), D = scaled_rows(a.dist, b.dist)
-    cross, den = _random_cross(da, db, D, rng)
-    return tuple(tuple(Fraction(x, den) for x in row) for row in cross)
-
-
-def _random_cross(da, db, D, rng):
-    """Random int cross rows over distances da, db / D, and their denominator.
-
-    Entries start at diam * k / 8 for k drawn row by row from 1..16.
-    Then they are made triangle-valid in two exact steps. First, tighten each
-    entry through one cross hop (w <- min d_A + w + d_B, as two min-plus
-    products), which settles every triangle with the cross edge on the long
-    side. Then add half the worst remaining within-block violation uniformly
-    to all cross entries, which fixes the reverse pattern without breaking
-    the first. Values live over 8 * D, and over 16 * D at the end.
-    """
-    grid = 8
-    diam = max(max(map(max, da)), max(map(max, db)), D)
-    w0 = [[diam * rng.randint(1, 2 * grid) for _ in range(len(db))] for _ in range(len(da))]
-    a = [[x * grid for x in row] for row in da]
-    b = [[x * grid for x in row] for row in db]
-    hop = [[min(map(add, row, col)) for col in zip(*w0)] for row in a]
-    w1 = [[min(map(add, row, col)) for col in b] for row in hop]  # b is symmetric
-    bump2 = 0  # twice the bump
-    for block, lines in ((a, w1), (b, list(zip(*w1)))):
-        for u, du in enumerate(block):
-            for v, d in enumerate(du):
-                bump2 = max(bump2, d - min(map(add, lines[u], lines[v])))
-    return [[2 * w + bump2 for w in row] for row in w1], 2 * D * grid
-
-
 def glued_upper_bound(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
-    search_budget: int = 32,
-    seed: int = 0,
     clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    *,
+    search_budget: int = 0,
 ) -> GlueSearchResult:
     """Minimum embedded-Prohorov value over the searched family of glues.
 
-    Deterministic for fixed arguments. The search walks distortion
-    thresholds t in ascending order and stops once eps = t/2 alone can no
-    longer beat the incumbent (the glue's Prohorov value is never below its
-    eps); each maximal clique is glued at eps = t/2 and at the
-    mass-balancing eps = max(t/2, 1 - maxmass). `search_budget` counts the
-    extra seeded random glues.
+    Deterministic. The search walks distortion thresholds t in ascending
+    order and stops once eps = t/2 alone can no longer beat the incumbent
+    (the glue's Prohorov value is never below its eps); each maximal clique
+    is glued at eps = t/2 and at the mass-balancing eps = max(t/2,
+    1 - maxmass). `search_budget` is accepted only as 0.
     """
+    # bench/workloads.py (excursion-pairs check) still passes search_budget=0
+    if search_budget != 0:
+        raise ValidationError(f"search_budget: expected 0, got {search_budget!r}")
     A = canonicalize(a)
     B = canonicalize(b)
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
@@ -210,38 +171,28 @@ def glued_upper_bound(
     weights, W = scaled(A.weights + B.weights)
     mu, nu = weights[: A.n], weights[A.n :]
 
-    best = None
-    best_eps = None
-    best_pairs = None
-    best_source = None
+    best = None  # (value, eps, pairs, source)
     evaluations = 0
 
     def try_glue(pairs, base, eps, source):
-        nonlocal best, best_eps, best_pairs, best_source, evaluations
+        nonlocal best, evaluations
         value = _flow_scan(*_shifted(base, D, eps), mu, nu, W)
         evaluations += 1
-        if best is None or value < best:
-            best, best_eps, best_pairs, best_source = value, eps, pairs, source
+        if best is None or value < best[0]:
+            best = (value, eps, pairs, source)
 
     # the full grid's distortion is the largest threshold
     full = tuple(cells)
     try_glue(full, _cross_from_pairs(da, db, full), Fraction(sweep.thresholds[-1], 2 * D), "full")
 
     # a clique glue's value is never below its eps1 = t / (2 D)
-    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * D * best):
+    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * D * best[0]):
         pairs = sweep.pairs(mask)
         base = _cross_from_pairs(da, db, pairs)
         eps1 = Fraction(t, 2 * D)
         eps2 = max(eps1, 1 - Fraction(max_subcoupling(mu, nu, pairs)[0], W))
         try_glue(pairs, base, eps1, "clique")
-        if eps2 != eps1 and eps2 < best:
+        if eps2 != eps1 and eps2 < best[0]:
             try_glue(pairs, base, eps2, "clique")
 
-    rng = random.Random(seed)
-    for _ in range(search_budget):
-        value = _flow_scan(*_random_cross(da, db, D, rng), mu, nu, W)
-        evaluations += 1
-        if value < best:
-            best, best_eps, best_pairs, best_source = value, None, None, "random"
-
-    return GlueSearchResult(best, best_eps, best_pairs, best_source, evaluations)
+    return GlueSearchResult(*best, evaluations)

@@ -146,7 +146,7 @@ def run_theorem_check(
             b = sample_mm_space(seed * 2_000_003 + 2 * idx + 1, n_max=n_max)
             kind = "random"
         gp = gromov_prohorov_detail(a, b, cap)
-        glue = glued_upper_bound(a, b, search_budget=16, seed=seed + 7 * idx)
+        glue = glued_upper_bound(a, b)
         boxes = {}
         for lam in LAMBDA_LADDER:
             if lam == Fraction(1, 2):

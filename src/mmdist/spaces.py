@@ -337,9 +337,18 @@ def loads_document(text: str):
     return json.loads(text, parse_float=str, parse_int=_json_int)
 
 
-def load_space(path, check: bool = True) -> FiniteMMSpace:
+def load_document(path):
+    """The JSON document in the file at `path`; text that is not UTF-8 is invalid."""
     with open(path, "r", encoding="utf-8") as f:
-        return space_from_obj(loads_document(f.read()), check)
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"not UTF-8 text ({exc.reason}): {path}") from None
+    return loads_document(text)
+
+
+def load_space(path, check: bool = True) -> FiniteMMSpace:
+    return space_from_obj(load_document(path), check)
 
 
 def save_space(path, space: FiniteMMSpace) -> None:
