@@ -414,7 +414,11 @@ def main(argv=None) -> int:
             args.usage_of.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    label = args.command if args.command != "dist" else f"dist {args.distance}"
+    label = args.command
+    if args.command == "dist":
+        label += f" {args.distance}"
+    elif args.command == "experiment":
+        label += f" {args.name}"
     started = time.perf_counter()
     try:
         payload, raw, code = args.handler(args)

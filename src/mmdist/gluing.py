@@ -9,14 +9,16 @@ The Prohorov distance between the two pushed-forward measures inside the
 glued space depends only on the cross block (any coupling of the two
 block-supported measures lives on A x B), and glued_upper_bound minimizes
 that value over a finite family: each maximal clique from the sweep shared
-with box_lambda, at two eps values. A clique first yielded at threshold t
-has distortion exactly t (were it t' < t, the clique would be maximal at the
-earlier threshold t' and yielded there), so it is glued at eps1 = t/2 with
-no distortion recomputed, and at eps2 = max(eps1, 1 - maxmass), maxmass
-flowed on int-scaled weights. This reproduces the Gromov-Prohorov value
-exactly, and no other glue can do better: gp is the infimum over all
-embeddings, so every glue's value is at least gp, and gluing a maximal
-clique K at max(dis(K)/2, 1 - maxmass(K)) attains gp = box_{1/2} / 2.
+with box_lambda, glued at eps = t/2. A clique yielded at threshold t has
+distortion exactly t (see `gromov._CliqueSweep.cliques`), so no distortion
+is recomputed. This reproduces the Gromov-Prohorov value exactly, and no
+other glue can do better: gp is the infimum over all embeddings, so every
+glue's value is at least gp, and gluing a maximal clique K at
+eps = max(dis(K)/2, 1 - maxmass(K)) attains gp = box_{1/2} / 2. That glue
+is never needed: K glued at dis(K)/2 already has a value at most that eps
+(its clique cells sit at cross distance dis(K)/2 and carry maxmass). The
+sweep skips a clique that a swap of twin points maps onto an earlier one,
+whose glue is isometric to it.
 
 Every glue the search values is built as int rows (distances over the
 sweep's denominator D) and valued by the shared int scan
@@ -32,7 +34,6 @@ from operator import add
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
-from .flow import max_subcoupling
 from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, distortion
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
 from .spaces import FiniteMMSpace, canonicalize, metric_violations, require_valid
@@ -157,8 +158,7 @@ def glued_upper_bound(
     Deterministic. The search walks distortion thresholds t in ascending
     order and stops once eps = t/2 alone can no longer beat the incumbent
     (the glue's Prohorov value is never below its eps); each maximal clique
-    is glued at eps = t/2 and at the mass-balancing eps = max(t/2,
-    1 - maxmass). `search_budget` is accepted only as 0.
+    is glued at eps = t/2. `search_budget` is accepted only as 0.
     """
     # bench/workloads.py (excursion-pairs check) still passes search_budget=0
     if search_budget != 0:
@@ -166,10 +166,10 @@ def glued_upper_bound(
     A = canonicalize(a)
     B = canonicalize(b)
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
-    sweep = _CliqueSweep(A, B, cells)
-    da, db, D = sweep.da, sweep.db, sweep.D
     weights, W = scaled(A.weights + B.weights)
     mu, nu = weights[: A.n], weights[A.n :]
+    sweep = _CliqueSweep(A, B, cells, (mu, nu))
+    da, db, D = sweep.da, sweep.db, sweep.D
 
     best = None  # (value, eps, pairs, source)
     evaluations = 0
@@ -185,14 +185,9 @@ def glued_upper_bound(
     full = tuple(cells)
     try_glue(full, _cross_from_pairs(da, db, full), Fraction(sweep.thresholds[-1], 2 * D), "full")
 
-    # a clique glue's value is never below its eps1 = t / (2 D)
+    # a clique glue's value is never below its eps = t / (2 D)
     for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * D * best[0]):
         pairs = sweep.pairs(mask)
-        base = _cross_from_pairs(da, db, pairs)
-        eps1 = Fraction(t, 2 * D)
-        eps2 = max(eps1, 1 - Fraction(max_subcoupling(mu, nu, pairs)[0], W))
-        try_glue(pairs, base, eps1, "clique")
-        if eps2 != eps1 and eps2 < best[0]:
-            try_glue(pairs, base, eps2, "clique")
+        try_glue(pairs, _cross_from_pairs(da, db, pairs), Fraction(t, 2 * D), "clique")
 
     return GlueSearchResult(*best, evaluations)

@@ -13,17 +13,21 @@ Search order: one sweep (`_CliqueSweep`, shared with glue and parametrize)
 visits the achievable mismatch values t in ascending order. Correspondences
 with distortion <= t are the cliques of a compatibility graph on cells, and
 only maximal cliques can be optimal at t (mass is monotone under superset),
-so each threshold's new maximal cliques are scored. A maximal clique first
-seen at t has distortion exactly t: were it t' < t, it would be a clique at
-t', maximal there because every outside cell conflicts with it by more than
-t > t', and so seen at the earlier threshold t'. The sweep stops once t alone
-cannot beat the incumbent. Distances of both spaces go over one common
+so each threshold's new maximal cliques are scored. A maximal clique is new
+at t when it holds a cell pair that mismatches by exactly t; its distortion
+is then exactly t. The sweep is lazy: Bron-Kerbosch hands each clique over
+as it finds it, and the sweep stops at the first clique after which t alone
+cannot beat the incumbent, so two isometric spaces stop at their first
+clique. For box and glue it also lists one clique per orbit of twin
+swaps (two points with equal weights and equal distances to every other
+point are interchangeable), so a star's interchangeable leaves are matched
+once, not in every order. Distances of both spaces go over one common
 denominator D and weights over another, W (`canonicalize` has made every
 entry a Fraction), so thresholds, mass bounds and max-flow run on ints; the
 Fractions t / D and m / W are rebuilt only for a new incumbent and at the
-API boundary. Exact up to `cap` cells; beyond the cap (or if clique
-enumeration exceeds its guard) the result degrades to a certified upper
-bound and says so.
+API boundary. Exact up to `cap` cells; beyond the cap (or if one
+threshold's search lists more cliques than its guard) the result degrades
+to a certified upper bound and says so.
 """
 
 from __future__ import annotations
@@ -98,14 +102,46 @@ def _bits(mask):
         mask ^= low
 
 
+def _twins(d, w):
+    """Pairs i < i2 of twin points: equal weights, and equal distances to
+    every other point, so that swapping them is a measure-preserving isometry."""
+    n = len(d)
+    return [
+        (i, i2)
+        for i in range(n)
+        for i2 in range(i + 1, n)
+        if w[i] == w[i2]
+        and d[i][:i] == d[i2][:i]
+        and d[i][i + 1 : i2] == d[i2][i + 1 : i2]
+        and d[i][i2 + 1 :] == d[i2][i2 + 1 :]
+    ]
+
+
+def _fixes(swaps, mask):
+    """Whether `swaps`, applied in turn, map `mask` onto itself; a swap
+    (low, shift) exchanges the bits under `low` with those `shift` above."""
+    image = mask
+    for low, shift in swaps:
+        d = ((image >> shift) ^ image) & low
+        image ^= d ^ (d << shift)
+    return image == mask
+
+
 class _CliqueSweep:
     """Maximal cliques of the cell compatibility graph, threshold by threshold.
 
     Cell pairs are bucketed once by their int mismatch over the distances'
     common denominator D, so each threshold's masks grow from the last ones.
+
+    `weights`, given as the two spaces' weight vectors and only together
+    with the full row-major grid of cells, turns on twin pruning: a swap of
+    two twin points of A and/or of B permutes the cells by an automorphism
+    of every threshold's graph that keeps every clique's distortion, mass
+    and glue value, so `_max_cliques` may skip a branch that such a swap
+    maps onto an earlier branch of the same node.
     """
 
-    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells):
+    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells, weights=None):
         (self.da, self.db), self.D = scaled_rows(a.dist, b.dist)
         da, db = self.da, self.db
         self.cells = cells
@@ -116,14 +152,50 @@ class _CliqueSweep:
                 self.buckets.setdefault(abs(da[i][i2] - db[j][j2]), []).append((c1, c2))
         diagonal = {abs(da[i][i] - db[j][j]) for i, j in cells}
         self.thresholds = sorted(diagonal.union(self.buckets))
+        self.twins = None if weights is None else self._twin_swaps(*weights)
+
+    def _twin_swaps(self, wa, wb):
+        """Per cell v, the (bit of u, swap) pairs for each cell u < v that one
+        A-row twin swap and/or one B-column twin swap maps to v, the swap
+        given as `_fixes` reads it."""
+        twins_a, twins_b = _twins(self.da, wa), _twins(self.db, wb)
+        if not (twins_a or twins_b):
+            return None
+        n1, n2 = len(self.da), len(self.db)
+        row_low = (1 << n2) - 1
+        col_low = sum(1 << (i * n2) for i in range(n1))
+        rows = [[(i, ())] for i in range(n1)]
+        for i, i2 in twins_a:
+            swap = ((row_low << (i * n2), (i2 - i) * n2),)
+            rows[i].append((i2, swap))
+            rows[i2].append((i, swap))
+        cols = [[(j, ())] for j in range(n2)]
+        for j, j2 in twins_b:
+            swap = ((col_low << j, j2 - j),)
+            cols[j].append((j2, swap))
+            cols[j2].append((j, swap))
+        return [
+            [
+                (1 << (i * n2 + j), rs + cs)
+                for i, rs in rows[v // n2]
+                for j, cs in cols[v % n2]
+                if i * n2 + j < v
+            ]
+            for v in range(n1 * n2)
+        ]
 
     def pairs(self, mask):
         return tuple(self.cells[c] for c in _bits(mask))
 
     def _grow(self, nbr, t):
+        """Add bucket t's edges to `nbr`; return them alone as neighbour masks."""
+        fresh = [0] * len(nbr)
         for c1, c2 in self.buckets.get(t, ()):
-            nbr[c1] |= 1 << c2
-            nbr[c2] |= 1 << c1
+            fresh[c1] |= 1 << c2
+            fresh[c2] |= 1 << c1
+        for c, f in enumerate(fresh):
+            nbr[c] |= f
+        return fresh
 
     def neighbor_masks(self, limit):
         """Neighbour masks of the graph whose edges mismatch by at most `limit`."""
@@ -134,41 +206,67 @@ class _CliqueSweep:
         return nbr
 
     def cliques(self, clique_limit, stop):
-        """Yield (t, mask) for each maximal clique at threshold t not yielded
-        at a smaller threshold, in ascending t; its distortion is t / D.
+        """Yield (t, mask) for each maximal clique new at threshold t, in
+        ascending t and, within t, in Bron-Kerbosch order; its distortion is
+        t / D.
 
-        The sweep ends as soon as `stop(t)` holds, checked before threshold
-        t is enumerated and before each yield; callers pass a test against
-        an incumbent that only improves, so it stays true once true.
+        Lazy: each clique is yielded as the search finds it, and the sweep
+        ends as soon as `stop(t)` holds, checked before threshold t is
+        searched and before each yield. Callers pass a test against an
+        incumbent that only improves, so it stays true once true, and the
+        sweep ends at the first clique that settles the incumbent.
+
+        New at t: a maximal clique is yielded at t iff it holds an edge of
+        bucket t (every clique is new at the first threshold, 0). Such a
+        clique has distortion exactly t and was no clique before t. One
+        without such an edge has distortion t' < t, is maximal at t' too
+        (every outside cell conflicts with it by more than t > t'), and
+        was yielded there.
         """
         nbr = [0] * len(self.cells)
-        seen = set()
+        everything = (1 << len(nbr)) - 1
+        first = True
         for t in self.thresholds:
             if stop(t):
                 return
-            self._grow(nbr, t)
-            for mask in _max_cliques((1 << len(nbr)) - 1, nbr, clique_limit):
-                if mask not in seen:
+            fresh = self._grow(nbr, t)
+            for mask in _max_cliques(everything, nbr, clique_limit, self.twins):
+                if first or any(fresh[c] & mask for c in _bits(mask)):
                     if stop(t):
                         return
-                    seen.add(mask)
                     yield t, mask
+            first = False
 
 
-def _max_cliques(candidates, nbr, limit):
-    """Maximal cliques, as bitmasks, of the sub-graph of `nbr` induced by the
-    `candidates` mask (Bron-Kerbosch with pivoting).
+def _max_cliques(candidates, nbr, limit, twins=None):
+    """Yield the maximal cliques, as bitmasks, of the sub-graph of `nbr`
+    induced by the `candidates` mask as Bron-Kerbosch (with pivoting) finds
+    them, so a caller that has what it needs stops the search.
 
-    Raises SizeError when more than `limit` cliques come out, which callers
-    treat as "fall back to the certified upper bound".
+    Raises SizeError once more than `limit` cliques have come out of one
+    search, which callers treat as "fall back to the certified upper
+    bound"; a search its caller stops early never gets that far.
+
+    `twins` (from `_CliqueSweep`, only with every cell a candidate) prunes
+    by symmetry. At a node with entry masks R and P, branch vertex v is
+    skipped, though still moved from P to X, when an earlier branch vertex u
+    of the node maps to v under a twin swap g that fixes R and P. g maps
+    every maximal clique K with R + v <= K <= R + P onto g(K), which holds
+    u, lies between R and R + P, and so comes out of an earlier branch of
+    the node; g(K) has the same threshold newness, distortion, mass and
+    glue value as K, so a caller scanning for a strict improvement skips K
+    anyway. A pruned g(K) has in turn an earlier image, down to one that
+    comes out.
     """
-    out = []
+    listed = 0
 
     def bk(r, p, x):
+        nonlocal listed
         if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > limit:
+            listed += 1
+            if listed > limit:
                 raise SizeError(f"maximal clique count exceeds guard {limit}")
+            yield r
             return
         px = p | x
         pivot, best = -1, -1
@@ -179,17 +277,20 @@ def _max_cliques(candidates, nbr, limit):
             cnt = (p & nbr[u]).bit_count()
             if cnt > best:
                 best, pivot = cnt, u
-        m = p & ~nbr[pivot]
+        branch = m = p & ~nbr[pivot]
+        p0 = p
         while m:
             vbit = m & -m
             v = vbit.bit_length() - 1
             m &= m - 1
-            bk(r | vbit, p & nbr[v], x & nbr[v])
+            if twins is None or not any(
+                branch & ubit and _fixes(g, r) and _fixes(g, p0) for ubit, g in twins[v]
+            ):
+                yield from bk(r | vbit, p & nbr[v], x & nbr[v])
             p &= ~vbit
             x |= vbit
 
-    bk(0, candidates, 0)
-    return out
+    yield from bk(0, candidates, 0)
 
 
 def _northwest_support(mu, nu):
@@ -298,7 +399,7 @@ def box_lambda_detail(
             consider(cand)
         return BoxResult(best, lam, False, best_pairs)
 
-    sweep = _CliqueSweep(A, B, cells)
+    sweep = _CliqueSweep(A, B, cells, (wa, wb))
     D = sweep.D
     row_masks = [((1 << n2) - 1) << (i * n2) for i in range(n1)]
     col_masks = [sum(1 << (i * n2 + j) for i in range(n1)) for j in range(n2)]

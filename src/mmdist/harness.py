@@ -321,6 +321,9 @@ def run_counterexample(
     ns = tuple(sorted({int(n) for n in n_list}))
     if not ns or ns[0] < 1:
         raise ValidationError("tooth counts must be positive integers")
+    if len(ns) < 2:
+        # the table's assertions are about off-diagonal pairs
+        raise ValidationError(f"need at least two distinct tooth counts, got {ns[0]}")
     combs = {n: comb(n) for n in ns}
     stars = {n: code_excursion(combs[n]).space for n in ns}
     instances = []

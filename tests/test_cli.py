@@ -421,6 +421,10 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         (["glue", "--pairs", f"[[0, {HUGE_INT}]]", "--eps", "1"], "--pairs: expected"),
         (["glue", "--pairs", "[[0, 0]]", "--eps", "1e5000"], '--eps: invalid literal "1e5000"'),
         (["experiment", "counterexample", "--n-list", "2,x"], "--n-list: expected"),
+        (
+            ["experiment", "counterexample", "--n-list", "2,2"],
+            "mmdist experiment counterexample: need at least two distinct tooth counts, got 2",
+        ),
         (["experiment", "theorem-check", "--count", "-1"], "count must be at least 0"),
         (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
@@ -433,6 +437,7 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         "glue-pairs-huge-int",
         "glue-eps-huge-exponent",
         "n-list",
+        "n-list-one-count",
         "negative-count",
         "lipschitz-count",
         "gamma-tol",
@@ -595,7 +600,7 @@ def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
         ("validate --in {dir}", "validate: is a directory: {dir}"),
         ("dist gp --a {dir} --b {space}", "dist gp: is a directory: {dir}"),
         ("dist gp --a {space} --b {dir}", "dist gp: is a directory: {dir}"),
-        ("experiment continuity --h {dir}", "experiment: is a directory: {dir}"),
+        ("experiment continuity --h {dir}", "experiment continuity: is a directory: {dir}"),
         ("validate --in {bad}", "validate: not UTF-8 text (invalid start byte): {bad}"),
         ("dist gp --a {bad} --b {space}", "dist gp: not UTF-8 text (invalid start byte): {bad}"),
         (
@@ -604,7 +609,10 @@ def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
         ),
         ("sample --out {dir}/missing/x.json", "sample: no such file: {dir}/missing/x.json"),
         ("sample --out {dir}", "sample: is a directory: {dir}"),
-        ("experiment counterexample --n-list 2 --csv {dir}", "experiment: is a directory: {dir}"),
+        (
+            "experiment counterexample --n-list 2,3 --csv {dir}",
+            "experiment counterexample: is a directory: {dir}",
+        ),
     ],
     ids=[
         "validate-dir",

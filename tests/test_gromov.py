@@ -2,6 +2,10 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmdist import (
     FiniteMMSpace,
@@ -13,12 +17,15 @@ from mmdist import (
     comb,
     correspondence_info,
     distortion,
+    glued_upper_bound,
     gromov_prohorov,
     gromov_prohorov_detail,
     optimal_correspondence,
+    run_counterexample,
     sample_mm_space,
 )
 from mmdist import gromov
+from mmdist.exact import scaled
 
 F = Fraction
 
@@ -257,12 +264,133 @@ def test_optimal_correspondence_passes_its_clique_limit_on(monkeypatch):
     limits = []
     real = gromov._max_cliques
 
-    def recording(candidates, nbr, limit):
+    def recording(candidates, nbr, limit, *rest):
         limits.append(limit)
-        return real(candidates, nbr, limit)
+        return real(candidates, nbr, limit, *rest)
 
     monkeypatch.setattr(gromov, "_max_cliques", recording)
     pairs = optimal_correspondence(uniform(2), uniform(3), F(1), clique_limit=12345)
     assert pairs == ((0, 0), (1, 1))
     # the sweep inside box_lambda_detail and the feasibility checks both ran
     assert len(limits) > 1 and set(limits) == {12345}
+
+
+# ---------------------------------------------------------------------------
+# the lazy, twin-pruned sweep against the eager, unpruned one it replaced
+
+
+def eager_max_cliques(candidates, nbr, limit):
+    """Every maximal clique, listed before any is returned (Bron-Kerbosch
+    with the sweep's pivot and order, no pruning)."""
+    out = []
+
+    def bk(r, p, x):
+        if p == 0 and x == 0:
+            out.append(r)
+            if len(out) > limit:
+                raise SizeError(f"maximal clique count exceeds guard {limit}")
+            return
+        pivot = max(gromov._bits(p | x), key=lambda u: ((p & nbr[u]).bit_count(), -u))
+        for v in list(gromov._bits(p & ~nbr[pivot])):
+            bk(r | 1 << v, p & nbr[v], x & nbr[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    bk(0, candidates, 0)
+    return out
+
+
+def eager_cliques(sweep, clique_limit, stop):
+    """The reference sweep: each threshold's maximal cliques listed in full,
+    a clique yielded the first time it is listed."""
+    nbr = [0] * len(sweep.cells)
+    seen = set()
+    for t in sweep.thresholds:
+        if stop(t):
+            return
+        sweep._grow(nbr, t)
+        for mask in eager_max_cliques((1 << len(nbr)) - 1, nbr, clique_limit):
+            if mask not in seen:
+                if stop(t):
+                    return
+                seen.add(mask)
+                yield t, mask
+
+
+def space_of(dist, raw):
+    return FiniteMMSpace(
+        tuple(f"p{i}" for i in range(len(raw))),
+        tuple(tuple(F(x) for x in row) for row in dist),
+        tuple(F(r, sum(raw)) for r in raw),
+    )
+
+
+@st.composite
+def twin_rich_spaces(draw):
+    """Up to 5 points, distances 1 or 2 (always a metric), weights 1 or 2
+    before normalizing: most such spaces have twins."""
+    n = draw(st.integers(1, 5))
+    dist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = draw(st.sampled_from((1, 2)))
+    return space_of(dist, draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=30)
+@given(twin_rich_spaces(), twin_rich_spaces(), st.sampled_from(LAMBDAS))
+# a pair on which the sweep with a `seen` set in place of the new-at-t rule
+# yields a pruned-before clique later, at a threshold above its distortion
+@example(
+    space_of([[0, 2, 1, 2], [2, 0, 2, 2], [1, 2, 0, 2], [2, 2, 2, 0]], [1, 2, 2, 1]),
+    space_of([[0, 2], [2, 0]], [1, 1]),
+    F(1, 2),
+)
+def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
+    box = box_lambda_detail(a, b, lam, cap=25)
+    glue = glued_upper_bound(a, b)
+    with mock.patch.object(gromov._CliqueSweep, "cliques", eager_cliques):
+        ref_box = box_lambda_detail(a, b, lam, cap=25)
+        ref_glue = glued_upper_bound(a, b)
+    assert (box.value, box.exact, box.pairs) == (ref_box.value, ref_box.exact, ref_box.pairs)
+    assert (glue.value, glue.eps, glue.pairs, glue.source) == (
+        ref_glue.value,
+        ref_glue.eps,
+        ref_glue.pairs,
+        ref_glue.source,
+    )
+    assert glue.evaluations <= ref_glue.evaluations
+    A, B = canonicalize(a), canonicalize(b)
+    weights, _ = scaled(A.weights + B.weights)
+    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+    sweep = gromov._CliqueSweep(A, B, cells, (weights[: A.n], weights[A.n :]))
+    limit, never = gromov.DEFAULT_CLIQUE_LIMIT, lambda t: False
+    pruned = list(sweep.cliques(limit, never))
+    for t, mask in pruned:
+        assert distortion(sweep.pairs(mask), A, B) == F(t, sweep.D)
+    # pruning only drops cliques: the rest come in the reference's order
+    reference = iter(eager_cliques(sweep, limit, never))
+    assert all(clique in reference for clique in pruned)
+
+
+def tree_star(n):
+    """A center at distance 1 from n - 1 leaves, uniform weights."""
+    dist = tuple(
+        tuple(F(0) if i == j else F(1) if 0 in (i, j) else F(2) for j in range(n))
+        for i in range(n)
+    )
+    return FiniteMMSpace(tuple(f"s{i}" for i in range(n)), dist, tuple(F(1, n) for _ in range(n)))
+
+
+def test_symmetric_frontier_is_exact_past_the_guard():
+    # eagerly listed, each pair's t = 0 matchings (9!, 10! and 10!/2) trip
+    # the default clique guard; the lazy, twin-pruned sweep lists a handful
+    star = {n: code_excursion(comb(n)).space for n in (8, 10)}
+    for a, b, value in (
+        (tree_star(10), tree_star(10), 0),
+        (star[10], star[10], 0),
+        (star[8], star[10], F(1, 5)),
+    ):
+        gp = gromov_prohorov_detail(a, b, cap=200)
+        assert (gp.value, gp.exact) == (value, True)
+    assert run_counterexample(n_list=(2, 3, 4, 6, 8, 10), cap=200).passed
