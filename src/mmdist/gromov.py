@@ -25,9 +25,19 @@ once, not in every order. Distances of both spaces go over one common
 denominator D and weights over another, W (`canonicalize` has made every
 entry a Fraction), so thresholds, mass bounds and max-flow run on ints; the
 Fractions t / D and m / W are rebuilt only for a new incumbent and at the
-API boundary. Exact up to `cap` cells; beyond the cap (or if one
+API boundary. The first incumbent is the full grid: it matches every pair
+of rows against every pair of columns and both diagonals are zero, so its
+distortion is the larger diameter, and its mass is 1.
+
+Exact up to `cap` cells (default 64); beyond the cap (or if one
 threshold's search lists more cliques than its guard) the result degrades
-to a certified upper bound and says so.
+to a certified upper bound and says so. With no cap, each of these comes
+back exact within 1 s on a 2-core host: identical stars to 32 points
+(1024 cells), coded comb(n) vs comb(n + 2) to n = 29 (899 cells) and
+random lattice pairs under the L1 metric to 11 points (121 cells); an
+8-point star with distinct leaf lengths against its reverse takes 0.25 s
+(64 cells), the 9-point one 2 s, the 10-point one 9 s, and the 11-point
+one trips the clique guard after 24 s.
 """
 
 from __future__ import annotations
@@ -41,7 +51,11 @@ from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
 from .spaces import FiniteMMSpace, canonicalize
 
-DEFAULT_CELL_CAP = 20
+# Every instance of up to 64 cells tried came back exact in under 1 s: 8-point
+# stars, identical or a perturbed one against its reverse (the slowest, about
+# 0.25 s), 8 x 8 lattice pairs and coded comb pairs. At 81 cells the perturbed
+# star takes 2 s, at 100 cells 9 s; at 121 cells it trips the clique guard.
+DEFAULT_CELL_CAP = 64
 DEFAULT_CLIQUE_LIMIT = 200_000
 
 
@@ -379,7 +393,10 @@ def box_lambda_detail(
         if val < best:
             best, best_pairs = val, pairs
 
-    consider(cells)
+    # the full grid: distortion the larger diameter, mass 1
+    diam = max(max(map(max, A.dist)), max(map(max, B.dist)))
+    if diam < best:
+        best, best_pairs = diam, tuple(cells)
     for seed in seeds:
         consider(seed)
 

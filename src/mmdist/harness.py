@@ -131,6 +131,8 @@ def run_theorem_check(
     """Random pairs: gluing search equals gp, box chain, lambda ladder."""
     if count < 0:
         raise ValidationError("count must be at least 0")
+    if n_max < 1:
+        raise ValidationError("n_max must be at least 1")
 
     def one(idx):
         if idx == 0:
@@ -315,7 +317,7 @@ def run_lipschitz_check(
 
 def run_counterexample(
     n_list=(2, 3, 4, 6, 8),
-    cap: int = 64,
+    cap: int = DEFAULT_CELL_CAP,
     clique_limit: int = 500_000,
 ) -> ExperimentReport:
     ns = tuple(sorted({int(n) for n in n_list}))

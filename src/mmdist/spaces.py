@@ -266,11 +266,13 @@ def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMM
     min-plus (Floyd-Warshall), so the triangle inequality holds exactly;
     weights are normalized small integers. Same seed, same space.
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be at least 1")
     diam_max = parse_scalar(diam_max)
     if diam_max <= 0:
         raise ValidationError("diam_max must be positive")
     rng = random.Random(seed)
-    n = rng.randint(1, max(1, n_max))
+    n = rng.randint(1, n_max)
     den = rng.choice((2, 3, 4, 6, 8, 12))
     d = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

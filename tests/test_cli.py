@@ -298,12 +298,15 @@ def test_experiment_passes_and_writes_csv(capsys, tmp_path):
 
 
 # sha256 of the report bytes; a change to any report byte must fail here and
-# be explained, not only be caught when two reruns of one build disagree
+# be explained, not only be caught when two reruns of one build disagree.
+# continuity, lipschitz and theorem-check were retaken when the default cell
+# cap went from 20 to 64: `params.cap` changed in all three, and lipschitz
+# instances random-004 and random-022 gained an exact gp (and its ratio)
 PINNED_REPORTS = {
-    "continuity": "8d79d861f51803c1e0f1742e14fb6a0b0024186f95ed9ca306d11bf4a123320a",
+    "continuity": "a5ddcbc111ca8edce65f5eb634399217776b3b2bbc777f89cd10d9185c5e10d9",
     "counterexample": "ba6c66b47595ac035f11243285b9dd0c85df486b45270edc1ca5fd784942cb39",
-    "lipschitz": "dd2023e543f2dd60772f3bfb4ca5793f5b8b341c475144bccd4dba34206a9381",
-    "theorem-check --seed 1 --count 60": "46f203bdbcb09aa55dfdd0559a57ca7d2b2cd8ef0769bf816617f1ca22fe649d",
+    "lipschitz": "7dd685fc37e61eb85c24f7bee430e118d81a281626f695ee9722645dc8508189",
+    "theorem-check --seed 1 --count 60": "6b4609e29092c3020a78afa3bd966a0b75a131286062d70e9a7e5e52cd9b04e3",
 }
 
 
@@ -427,6 +430,11 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         ),
         (["experiment", "theorem-check", "--count", "-1"], "count must be at least 0"),
         (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
+        (["sample", "--n-max", "-2"], "mmdist sample: n_max must be at least 1"),
+        (
+            ["experiment", "theorem-check", "--n-max", "-3"],
+            "mmdist experiment theorem-check: n_max must be at least 1",
+        ),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
         (["dist", "gp", "--cap", "-1"], "--cap: expected a nonnegative integer, got -1"),
@@ -440,6 +448,8 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         "n-list-one-count",
         "negative-count",
         "lipschitz-count",
+        "sample-n-max",
+        "theorem-check-n-max",
         "gamma-tol",
         "gamma-budget",
         "gp-cap",

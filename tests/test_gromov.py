@@ -21,6 +21,7 @@ from mmdist import (
     gromov_prohorov,
     gromov_prohorov_detail,
     optimal_correspondence,
+    pl_excursion,
     run_counterexample,
     sample_mm_space,
 )
@@ -394,3 +395,70 @@ def test_symmetric_frontier_is_exact_past_the_guard():
         gp = gromov_prohorov_detail(a, b, cap=200)
         assert (gp.value, gp.exact) == (value, True)
     assert run_counterexample(n_list=(2, 3, 4, 6, 8, 10), cap=200).passed
+
+
+def test_full_grid_distortion_is_the_larger_diameter():
+    # box_lambda_detail takes its first incumbent from this identity instead
+    # of scoring the full grid
+    rng = random.Random(157)
+    for t in range(60):
+        a = sample_mm_space(rng.randint(0, 10**9), n_max=1 + t % 6)
+        b = sample_mm_space(rng.randint(0, 10**9), n_max=1 + t // 10)
+        cells = [(i, j) for i in range(a.n) for j in range(b.n)]
+        diam = max(max(map(max, a.dist)), max(map(max, b.dist)))
+        assert distortion(cells, a, b) == diam
+        lam = LAMBDAS[t % 4]
+        det = box_lambda_detail(a, b, lam)
+        wide = box_lambda_detail(a, b, lam, cap=10**6)
+        assert det.exact
+        assert (det.value, det.pairs) == (wide.value, wide.pairs)
+
+
+def sawtooth(rng):
+    """A four-piece pl excursion alternating between peaks and valleys at
+    distinct levels; it codes to a tree of 5 or 6 points."""
+    interior = sorted(rng.sample(range(1, 12), 3))
+    breakpoints = [F(0)] + [F(k, 12) for k in interior] + [F(1)]
+    peaks, valleys = rng.sample(range(5, 9), 2), rng.sample(range(1, 4), 2)
+    values = [F(0)] + [F(peaks.pop() if k % 2 else valleys.pop(), 8) for k in range(1, 5)]
+    return pl_excursion(breakpoints, values)
+
+
+def star_of(lengths, raw):
+    """A center joined to one leaf per length; `raw` weights, center first."""
+    ends = [0, *lengths]
+    n = len(ends)
+    return space_of([[0 if i == j else ends[i] + ends[j] for j in range(n)] for i in range(n)], raw)
+
+
+def grid_space(rng, n):
+    """n distinct lattice points under the L1 metric over 10, weights 1..8."""
+    pts = rng.sample([(x, y) for x in range(12) for y in range(12)], n)
+    dist = [[F(abs(p[0] - q[0]) + abs(p[1] - q[1]), 10) for q in pts] for p in pts]
+    return space_of(dist, [rng.randint(1, 8) for _ in range(n)])
+
+
+def test_default_cap_frontier_is_exact_to_64_cells():
+    rng = random.Random(163)
+    pairs = []
+    for _ in range(6):
+        a, b = (code_excursion(sawtooth(rng)).space for _ in range(2))
+        assert 25 <= canonicalize(a).n * canonicalize(b).n <= 36
+        pairs.append((a, b))
+    lengths = [1 + F(k, 16) for k in range(7)]
+    pairs += [
+        (tree_star(8), tree_star(8)),
+        (star_of(lengths, range(1, 9)), star_of(lengths[::-1], range(1, 9))),
+        (grid_space(rng, 8), grid_space(rng, 8)),
+    ]
+    for a, b in pairs:
+        gp = gromov_prohorov_detail(a, b)
+        wide = gromov_prohorov_detail(a, b, cap=10**6)
+        assert (gp.value, gp.exact) == (wide.value, True)
+    # past the cap the search degrades to a certified upper bound
+    a, b = grid_space(rng, 9), grid_space(rng, 9)
+    gp = gromov_prohorov_detail(a, b)
+    wide = gromov_prohorov_detail(a, b, cap=10**6)
+    assert canonicalize(a).n * canonicalize(b).n > gromov.DEFAULT_CELL_CAP
+    assert not gp.exact and wide.exact
+    assert gp.value >= wide.value
