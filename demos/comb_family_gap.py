@@ -24,9 +24,7 @@ def main():
     for i, n in enumerate(ns):
         for m in ns[i + 1 :]:
             exc = d_excursion_detail(combs[n], combs[m])
-            gp = gromov_prohorov_detail(
-                stars[n], stars[m], cap=64, clique_limit=500_000
-            ).value
+            gp = gromov_prohorov_detail(stars[n], stars[m]).value
             print(f"{n},{m:>2}   {str(exc.value):<16}   {gp}")
             assert gp == 0 or gp >= F(1, 4)
             if n >= 6 and m >= 6:

@@ -5,7 +5,7 @@ one value take --raw (print just the value) and, except validate, --float
 (IEEE doubles instead of exact rationals); a command rejects every flag its
 handler does not read. Human notes and timing go to stderr so stdout stays
 machine-readable.
-Exit codes: 0 success, 1 domain error (invalid input, size cap), 2 usage
+Exit codes: 0 success, 1 domain error (invalid input, search budget), 2 usage
 error, 3 experiment report with failing checks.
 """
 
@@ -34,11 +34,7 @@ from .excursions import (
     validate_excursion,
 )
 from .gluing import build_glued_space, check_triangle, glued_upper_bound, prohorov_of_glue
-from .gromov import (
-    DEFAULT_CELL_CAP,
-    box_lambda_detail,
-    gromov_prohorov_detail,
-)
+from .gromov import DEFAULT_SEARCH_BUDGET, box_lambda_detail, gromov_prohorov_detail
 from .harness import (
     run_continuity_check,
     run_counterexample,
@@ -161,7 +157,7 @@ def _cmd_dist_prohorov(args):
 def _cmd_dist_gp(args):
     a = load_space(args.a)
     b = load_space(args.b)
-    res = gromov_prohorov_detail(a, b, cap=_nonnegative_arg(args.cap, "--cap"))
+    res = gromov_prohorov_detail(a, b, _nonnegative_arg(args.budget, "--budget"))
     payload = _value_payload(res.value, args.float_mode)
     payload["box_half"] = _value_payload(res.box_value, args.float_mode)["value"]
     payload["exact"] = res.exact
@@ -174,7 +170,7 @@ def _cmd_dist_box(args):
     a = load_space(args.a)
     b = load_space(args.b)
     lam = _scalar_arg(args.lam, "--lambda")
-    res = box_lambda_detail(a, b, lam, cap=_nonnegative_arg(args.cap, "--cap"))
+    res = box_lambda_detail(a, b, lam, _nonnegative_arg(args.budget, "--budget"))
     payload = _value_payload(res.value, args.float_mode)
     payload["lambda"] = format_scalar(res.lam)
     payload["exact"] = res.exact
@@ -336,14 +332,14 @@ def _parser() -> argparse.ArgumentParser:
     p = _command(dsub, "gp", _cmd_dist_gp, "Gromov-Prohorov distance of two spaces", *_VALUE)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--witness", action="store_true")
 
     p = _command(dsub, "box", _cmd_dist_box, "box metric at a given lambda", *_VALUE)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CELL_CAP)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p.add_argument("--witness", action="store_true")
 
     p = _command(

@@ -10,8 +10,8 @@ class ValidationError(ValueError):
 
 
 class SizeError(RuntimeError):
-    """Instance exceeds the exact-computation cap for the requested routine.
+    """Instance exceeds a size or work limit of the requested routine.
 
-    The message names the cap and, where one exists, the approximate or
-    Monte Carlo fallback.
+    The message names the limit and, where one exists, the routine to use
+    instead.
     """

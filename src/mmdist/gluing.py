@@ -34,7 +34,7 @@ from operator import add
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
-from .gromov import DEFAULT_CLIQUE_LIMIT, _CliqueSweep, distortion
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, distortion
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
 from .spaces import FiniteMMSpace, canonicalize, metric_violations, require_valid
 
@@ -149,7 +149,7 @@ def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
 def glued_upper_bound(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
-    clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     *,
     search_budget: int = 0,
 ) -> GlueSearchResult:
@@ -158,7 +158,10 @@ def glued_upper_bound(
     Deterministic. The search walks distortion thresholds t in ascending
     order and stops once eps = t/2 alone can no longer beat the incumbent
     (the glue's Prohorov value is never below its eps); each maximal clique
-    is glued at eps = t/2. `search_budget` is accepted only as 0.
+    is glued at eps = t/2. It spends from `budget` as gp's search does (see
+    `gromov._Budget`) and never needs more: a clique's glue value is at most
+    half its box_{1/2} value, so it stops the shared sweep no later. Past
+    the budget it raises SizeError. `search_budget` is accepted only as 0.
     """
     # bench/workloads.py (excursion-pairs check) still passes search_budget=0
     if search_budget != 0:
@@ -168,7 +171,7 @@ def glued_upper_bound(
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
     weights, W = scaled(A.weights + B.weights)
     mu, nu = weights[: A.n], weights[A.n :]
-    sweep = _CliqueSweep(A, B, cells, (mu, nu))
+    sweep = _CliqueSweep(A, B, cells, _Budget(budget), (mu, nu))
     da, db, D = sweep.da, sweep.db, sweep.D
 
     best = None  # (value, eps, pairs, source)
@@ -186,7 +189,7 @@ def glued_upper_bound(
     try_glue(full, _cross_from_pairs(da, db, full), Fraction(sweep.thresholds[-1], 2 * D), "full")
 
     # a clique glue's value is never below its eps = t / (2 D)
-    for t, mask in sweep.cliques(clique_limit, lambda t: t >= 2 * D * best[0]):
+    for t, mask in sweep.cliques(lambda t: t >= 2 * D * best[0]):
         pairs = sweep.pairs(mask)
         try_glue(pairs, _cross_from_pairs(da, db, pairs), Fraction(t, 2 * D), "clique")
 

@@ -1,4 +1,4 @@
-"""Box-type distances between metric measure spaces, exact where capped.
+"""Box-type distances between metric measure spaces, exact within a work budget.
 
 box_lambda(A, B, lam) is the minimum over correspondences K (subsets of the
 cell grid points(A) x points(B)) of
@@ -29,15 +29,18 @@ API boundary. The first incumbent is the full grid: it matches every pair
 of rows against every pair of columns and both diagonals are zero, so its
 distortion is the larger diameter, and its mass is 1.
 
-Exact up to `cap` cells (default 64); beyond the cap (or if one
-threshold's search lists more cliques than its guard) the result degrades
-to a certified upper bound and says so. With no cap, each of these comes
-back exact within 1 s on a 2-core host: identical stars to 32 points
-(1024 cells), coded comb(n) vs comb(n + 2) to n = 29 (899 cells) and
-random lattice pairs under the L1 metric to 11 points (121 cells); an
-8-point star with distinct leaf lengths against its reverse takes 0.25 s
-(64 cells), the 9-point one 2 s, the 10-point one 9 s, and the 11-point
-one trips the clique guard after 24 s.
+Exactness is bounded by one deterministic work count, `budget`: one unit
+per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
+time, so results reproduce on any host. Past it the search returns the best
+correspondence found so far or by a deterministic heuristic, a certified
+upper bound marked exact=False. At DEFAULT_SEARCH_BUDGET every bench
+workload, an 8-point star with distinct leaf lengths against its reverse
+and about fifty seeded L1 lattice pairs of 9 and 10 points came back exact,
+each within 0.6 s on a 2-core host; symmetric instances, whose twin-pruned
+sweeps visit a few dozen nodes, reach identical 18-point stars and coded
+comb(17) vs comb(19) (over 320 cells). Spending all of it took 1-2 s for
+the 9- to 11-point stars with distinct leaf lengths, and 4-7 s in the glue
+search, which flow-scans each clique, on 12- and 14-point lattice pairs.
 """
 
 from __future__ import annotations
@@ -45,18 +48,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
 from .spaces import FiniteMMSpace, canonicalize
 
-# Every instance of up to 64 cells tried came back exact in under 1 s: 8-point
-# stars, identical or a perturbed one against its reverse (the slowest, about
-# 0.25 s), 8 x 8 lattice pairs and coded comb pairs. At 81 cells the perturbed
-# star takes 2 s, at 100 cells 9 s; at 121 cells it trips the clique guard.
-DEFAULT_CELL_CAP = 64
-DEFAULT_CLIQUE_LIMIT = 200_000
+# The smallest round budget at which every bench workload's search (at most
+# 4 153 units), the 8-point star above (17 034) and each of about fifty
+# seeded 9- and 10-point lattice pairs tried (up to 59 889) is exact.
+DEFAULT_SEARCH_BUDGET = 60_000
+
+
+class _Budget:
+    """The work one public search may do, counted without a clock so that
+    results and report bytes never depend on the host: one unit per cell
+    pair a `_CliqueSweep` buckets, charged before the buckets are built, and
+    one per Bron-Kerbosch node. Spending past it raises SizeError."""
+
+    def __init__(self, units):
+        self.units = self.left = units
+
+    def spend(self, units):
+        self.left -= units
+        if self.left < 0:
+            raise SizeError(f"search exceeds its budget of {self.units} work units")
 
 
 @dataclass(frozen=True)
@@ -146,6 +163,7 @@ class _CliqueSweep:
 
     Cell pairs are bucketed once by their int mismatch over the distances'
     common denominator D, so each threshold's masks grow from the last ones.
+    Building the buckets and every clique search spend from `budget`.
 
     `weights`, given as the two spaces' weight vectors and only together
     with the full row-major grid of cells, turns on twin pruning: a swap of
@@ -155,7 +173,9 @@ class _CliqueSweep:
     maps onto an earlier branch of the same node.
     """
 
-    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells, weights=None):
+    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells, budget, weights=None):
+        budget.spend(len(cells) * (len(cells) - 1) // 2)
+        self.budget = budget
         (self.da, self.db), self.D = scaled_rows(a.dist, b.dist)
         da, db = self.da, self.db
         self.cells = cells
@@ -219,7 +239,7 @@ class _CliqueSweep:
                 self._grow(nbr, t)
         return nbr
 
-    def cliques(self, clique_limit, stop):
+    def cliques(self, stop):
         """Yield (t, mask) for each maximal clique new at threshold t, in
         ascending t and, within t, in Bron-Kerbosch order; its distortion is
         t / D.
@@ -244,7 +264,7 @@ class _CliqueSweep:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
-            for mask in _max_cliques(everything, nbr, clique_limit, self.twins):
+            for mask in _max_cliques(everything, nbr, self.budget, self.twins):
                 if first or any(fresh[c] & mask for c in _bits(mask)):
                     if stop(t):
                         return
@@ -252,14 +272,13 @@ class _CliqueSweep:
             first = False
 
 
-def _max_cliques(candidates, nbr, limit, twins=None):
+def _max_cliques(candidates, nbr, budget, twins=None):
     """Yield the maximal cliques, as bitmasks, of the sub-graph of `nbr`
     induced by the `candidates` mask as Bron-Kerbosch (with pivoting) finds
     them, so a caller that has what it needs stops the search.
 
-    Raises SizeError once more than `limit` cliques have come out of one
-    search, which callers treat as "fall back to the certified upper
-    bound"; a search its caller stops early never gets that far.
+    Each node spends one unit of `budget`, which raises SizeError once it
+    is spent; a search its caller stops early spends no more.
 
     `twins` (from `_CliqueSweep`, only with every cell a candidate) prunes
     by symmetry. At a node with entry masks R and P, branch vertex v is
@@ -272,14 +291,10 @@ def _max_cliques(candidates, nbr, limit, twins=None):
     anyway. A pruned g(K) has in turn an earlier image, down to one that
     comes out.
     """
-    listed = 0
 
     def bk(r, p, x):
-        nonlocal listed
+        budget.spend(1)
         if p == 0 and x == 0:
-            listed += 1
-            if listed > limit:
-                raise SizeError(f"maximal clique count exceeds guard {limit}")
             yield r
             return
         px = p | x
@@ -329,32 +344,30 @@ def _northwest_support(mu, nu):
     return tuple(cells)
 
 
-def _heuristic_candidates(a, b, cells, diffs):
-    """Deterministic candidate correspondences for the over-cap upper bound."""
-    yield _northwest_support(a.weights, b.weights)
+def _heuristic_candidates(da, db, wa, wb, cells, diffs):
+    """Deterministic candidate correspondences, each with its distortion,
+    for the upper bound past the budget; distances, weights, distortions and
+    the sorted mismatch sample `diffs` are ints over common denominators."""
+    nw = _northwest_support(wa, wb)
+    yield nw, max(abs(da[i][i2] - db[j][j2]) for i, j in nw for i2, j2 in nw)
     picks = sorted(set(diffs[max(0, len(diffs) * k // 12 - 1)] for k in range(1, 13)))
-    order = sorted(
-        range(len(cells)),
-        key=lambda c: (-(min(a.weights[cells[c][0]], b.weights[cells[c][1]])), c),
-    )
+    order = sorted(range(len(cells)), key=lambda c: (-min(wa[cells[c][0]], wb[cells[c][1]]), c))
     for threshold in picks:
-        chosen = []
+        chosen, worst = [], 0
         for c in order:
             i, j = cells[c]
-            if all(
-                abs(a.dist[i][i2] - b.dist[j][j2]) <= threshold
-                for i2, j2 in chosen
-            ):
+            gap = max((abs(da[i][i2] - db[j][j2]) for i2, j2 in chosen), default=0)
+            if gap <= threshold:
                 chosen.append((i, j))
-        yield tuple(sorted(chosen))
+                worst = max(worst, gap)
+        yield tuple(sorted(chosen)), worst
 
 
 def box_lambda_detail(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
     lam,
-    cap: int = DEFAULT_CELL_CAP,
-    clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     seeds=(),
 ) -> BoxResult:
     """Full result for box_lambda: value, exactness flag, achieving cells.
@@ -362,9 +375,15 @@ def box_lambda_detail(
     Inputs are canonicalized internally (the value is an isomorphism-class
     invariant, and merging zero-distance points never changes it); witness
     indices refer to the canonical forms. `seeds` are caller-supplied
-    correspondences used as starting upper bounds (and as fallbacks past the
-    cap).
+    correspondences used as starting upper bounds. Once the search has
+    spent `budget` work units (see `_Budget`) the result is the best
+    correspondence found so far or by a deterministic heuristic: a certified
+    upper bound, with exact=False.
     """
+    return _box_lambda(a, b, lam, _Budget(budget), seeds)
+
+
+def _box_lambda(a, b, lam, budget, seeds=()):
     lam = parse_scalar(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
@@ -379,13 +398,8 @@ def box_lambda_detail(
     best = (1 - 0) / lam  # empty correspondence
     best_pairs = ()
 
-    def consider(pairs):
+    def consider(pairs, dis):
         nonlocal best, best_pairs
-        pairs = tuple(sorted(set(map(tuple, pairs))))
-        for i, j in pairs:
-            if not (0 <= i < n1 and 0 <= j < n2):
-                raise ValidationError(f"seed cell ({i}, {j}) out of range")
-        dis = distortion(pairs, A, B)
         if dis >= best:
             return
         m = max_subcoupling(wa, wb, pairs)[0]
@@ -398,37 +412,25 @@ def box_lambda_detail(
     if diam < best:
         best, best_pairs = diam, tuple(cells)
     for seed in seeds:
-        consider(seed)
+        pairs = tuple(sorted(set(map(tuple, seed))))
+        for i, j in pairs:
+            if not (0 <= i < n1 and 0 <= j < n2):
+                raise ValidationError(f"seed cell ({i}, {j}) out of range")
+        consider(pairs, distortion(pairs, A, B))
 
-    if nc > cap:
-        # strided subsample keeps the fallback from going quadratic in cells
-        stride = max(1, nc * nc // 20000)
-        sampled = sorted(
-            {
-                abs(A.dist[cells[c1][0]][cells[c2][0]] - B.dist[cells[c1][1]][cells[c2][1]])
-                for k, (c1, c2) in enumerate(
-                    (u, v) for u in range(nc) for v in range(u, nc)
-                )
-                if k % stride == 0
-            }
-        )
-        for cand in _heuristic_candidates(A, B, cells, sampled):
-            consider(cand)
-        return BoxResult(best, lam, False, best_pairs)
-
-    sweep = _CliqueSweep(A, B, cells, (wa, wb))
-    D = sweep.D
-    row_masks = [((1 << n2) - 1) << (i * n2) for i in range(n1)]
-    col_masks = [sum(1 << (i * n2 + j) for i in range(n1)) for j in range(n2)]
-
-    def cutoffs():
-        # a clique at t with mass m beats best iff t < t_lim and m > m_cut
-        return math.ceil(best * D), math.floor(W * (1 - lam * best))
-
-    t_lim, m_cut = cutoffs()
     exact = True
     try:
-        for t, mask in sweep.cliques(clique_limit, lambda t: t >= t_lim):
+        sweep = _CliqueSweep(A, B, cells, budget, (wa, wb))
+        D = sweep.D
+        row_masks = [((1 << n2) - 1) << (i * n2) for i in range(n1)]
+        col_masks = [sum(1 << (i * n2 + j) for i in range(n1)) for j in range(n2)]
+
+        def cutoffs():
+            # a clique at t with mass m beats best iff t < t_lim and m > m_cut
+            return math.ceil(best * D), math.floor(W * (1 - lam * best))
+
+        t_lim, m_cut = cutoffs()
+        for t, mask in sweep.cliques(lambda t: t >= t_lim):
             row_mass = sum(w for w, rm in zip(wa, row_masks) if mask & rm)
             col_mass = sum(w for w, cm in zip(wb, col_masks) if mask & cm)
             if min(row_mass, col_mass) <= m_cut:
@@ -440,50 +442,60 @@ def box_lambda_detail(
                 t_lim, m_cut = cutoffs()
     except SizeError:
         exact = False
-        diffs = [Fraction(t, D) for t in sweep.thresholds]
-        for cand in _heuristic_candidates(A, B, cells, diffs):
-            consider(cand)
+        (da, db), D = scaled_rows(A.dist, B.dist)
+        # a strided sample bounds the mismatches taken; below 200 cells the
+        # stride is 1 and the sample is the sweep's thresholds
+        stride = max(1, nc * nc // 20000)
+        every = ((u, v) for u in range(nc) for v in range(u, nc))
+        sampled = sorted(
+            {
+                abs(da[cells[u][0]][cells[v][0]] - db[cells[u][1]][cells[v][1]])
+                for u, v in islice(every, 0, None, stride)
+            }
+        )
+        for cand, dis in _heuristic_candidates(da, db, wa, wb, cells, sampled):
+            consider(cand, Fraction(dis, D))
     return BoxResult(best, lam, exact, best_pairs)
 
 
-def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam, cap: int = DEFAULT_CELL_CAP):
-    return box_lambda_detail(a, b, lam, cap).value
+def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):
+    return box_lambda_detail(a, b, lam).value
 
 
 def gromov_prohorov_detail(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
-    cap: int = DEFAULT_CELL_CAP,
-    clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     seeds=(),
 ) -> GPResult:
-    box = box_lambda_detail(a, b, Fraction(1, 2), cap, clique_limit, seeds)
+    box = box_lambda_detail(a, b, Fraction(1, 2), budget, seeds)
     return GPResult(box.value / 2, box.value, box.exact, box.pairs)
 
 
-def gromov_prohorov(a: FiniteMMSpace, b: FiniteMMSpace, cap: int = DEFAULT_CELL_CAP):
+def gromov_prohorov(a: FiniteMMSpace, b: FiniteMMSpace):
     """Gromov-Prohorov distance: half the lam = 1/2 box value."""
-    return gromov_prohorov_detail(a, b, cap).value
+    return gromov_prohorov_detail(a, b).value
 
 
 def optimal_correspondence(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
     lam,
-    cap: int = DEFAULT_CELL_CAP,
-    clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ):
     """Lexicographically smallest optimal correspondence (row-major cell order).
 
     Tie-break contract: among all K achieving box_lambda, return the one
     whose sorted cell-index sequence is lexicographically smallest, shorter
     prefixes winning. Built greedily; each extension is validated by a
-    clique-feasibility check, so the result is exact. Raises SizeError on
-    instances past the exact cap.
+    clique-feasibility check, so the result is exact. The box search and
+    every feasibility check spend from one `budget`; past it this raises
+    SizeError.
     """
-    detail = box_lambda_detail(a, b, lam, cap, clique_limit)
+    work = _Budget(budget)
+    detail = _box_lambda(a, b, lam, work)
     if not detail.exact:
-        raise SizeError("instance exceeds the exact cap; optimal correspondence undefined")
+        raise SizeError(f"optimal correspondence undefined past a budget of {budget} work units")
     A = canonicalize(a)
     B = canonicalize(b)
     v = detail.value
@@ -493,7 +505,7 @@ def optimal_correspondence(
         return ()
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
     nc = len(cells)
-    sweep = _CliqueSweep(A, B, cells)
+    sweep = _CliqueSweep(A, B, cells, work)
     nbr = sweep.neighbor_masks(math.floor(v * sweep.D))
 
     mass_cache = {}
@@ -515,7 +527,7 @@ def optimal_correspondence(
                 allowed |= 1 << c
         if not allowed:
             return False
-        for mask in _max_cliques(allowed, nbr, clique_limit):
+        for mask in _max_cliques(allowed, nbr, work):
             ext = prefix + tuple(_bits(mask))
             if mass_of(ext) >= m_req:
                 return True

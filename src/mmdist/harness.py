@@ -29,7 +29,7 @@ from .excursions import comb, pl_excursion, step_one, sup_diff, tent, zero_excur
 from .flow import max_subcoupling
 from .gluing import glued_upper_bound
 from .gromov import (
-    DEFAULT_CELL_CAP,
+    DEFAULT_SEARCH_BUDGET,
     box_lambda_detail,
     distortion,
     gromov_prohorov_detail,
@@ -126,7 +126,6 @@ def run_theorem_check(
     seed: int = 42,
     count: int = 200,
     n_max: int = 3,
-    cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Random pairs: gluing search equals gp, box chain, lambda ladder."""
     if count < 0:
@@ -147,14 +146,16 @@ def run_theorem_check(
             a = sample_mm_space(seed * 2_000_003 + 2 * idx, n_max=n_max)
             b = sample_mm_space(seed * 2_000_003 + 2 * idx + 1, n_max=n_max)
             kind = "random"
-        gp = gromov_prohorov_detail(a, b, cap)
-        glue = glued_upper_bound(a, b)
+        gp = gromov_prohorov_detail(a, b)
+        # past gp's budget the glue search may run out too, and there is no
+        # exact gp to compare it with
+        glue = glued_upper_bound(a, b) if gp.exact else None
         boxes = {}
         for lam in LAMBDA_LADDER:
             if lam == Fraction(1, 2):
                 boxes[lam] = gp.box_value
             else:
-                boxes[lam] = box_lambda_detail(a, b, lam, cap).value
+                boxes[lam] = box_lambda_detail(a, b, lam).value
         ladder = list(zip(LAMBDA_LADDER, LAMBDA_LADDER[1:]))
         checks = {
             "box1_le_twice_gp": boxes[Fraction(1)] <= 2 * gp.value,
@@ -165,7 +166,7 @@ def run_theorem_check(
                 boxes[u] <= (v / u) * boxes[v] for u, v in ladder
             ),
             "exact_search": gp.exact,
-            "glue_equals_gp": gp.exact and glue.value == gp.value,
+            "glue_equals_gp": glue is not None and glue.value == gp.value,
             "gp_le_box1": gp.value <= boxes[Fraction(1)],
         }
         if idx == 0:
@@ -175,22 +176,22 @@ def run_theorem_check(
             "n_a": a.n,
             "n_b": b.n,
             "gp": _entry(gp.value),
-            "glue": _entry(glue.value),
-            "glue_eps": _entry(glue.eps),
-            "glue_source": glue.source,
             "box": {format_scalar(lam): _entry(v) for lam, v in boxes.items()},
             "checks": checks,
         }
+        if glue is None:
+            return inst, None
+        inst.update(glue=_entry(glue.value), glue_eps=_entry(glue.eps), glue_source=glue.source)
         return inst, glue.value - gp.value
 
     results = [one(idx) for idx in range(count + 1)]
     instances = [inst for inst, _ in results]
-    gaps = [gap for _, gap in results]
+    gaps = [gap for _, gap in results if gap is not None]
     summary = {
         "equal_pairs": sum(1 for g in gaps if g == 0),
         "max_glue_gap": _entry(max(gaps)),
     }
-    params = {"cap": cap, "count": count, "n_max": n_max}
+    params = {"budget": DEFAULT_SEARCH_BUDGET, "count": count, "n_max": n_max}
     return _finish("theorem-check", seed, params, instances, summary)
 
 
@@ -198,7 +199,7 @@ def run_theorem_check(
 # codes of nearby excursions via a shared cut set
 
 
-def _diagonal_certificate(h, g, cap, want_exact):
+def _diagonal_certificate(h, g):
     """Code h and g on the union cut set and bound gp by the aligned pairs.
 
     Both codes cut at identical times, so segment k of one code covers the
@@ -218,7 +219,6 @@ def _diagonal_certificate(h, g, cap, want_exact):
         "pairs": (),
         "mass": Fraction(0),
         "ub": None,
-        "gp": None,
     }
     if not aligned:
         return cert
@@ -233,15 +233,12 @@ def _diagonal_certificate(h, g, cap, want_exact):
         mass=mass,
         ub=max(dis, 2 * (1 - mass)) / 2,
     )
-    if want_exact and ch.space.n * cg.space.n <= cap:
-        cert["gp"] = gromov_prohorov_detail(ch.space, cg.space, cap=cap, seeds=(pairs,))
     return cert
 
 
 def run_lipschitz_check(
     seed: int = 7,
     count: int = 100,
-    cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Shared-breakpoint pl pairs: coded-tree distance <= 2 * sup |h - g|."""
     if count < 0:
@@ -274,7 +271,7 @@ def run_lipschitz_check(
             h, g = sample_pair(rng, tiny=idx % 2 == 1)
             kind = "random"
         sup = sup_diff(h, g)
-        cert = _diagonal_certificate(h, g, cap, want_exact=True)
+        cert = _diagonal_certificate(h, g)
         checks = {"codes_aligned": cert["aligned"]}
         ratio = None
         if cert["aligned"]:
@@ -290,8 +287,8 @@ def run_lipschitz_check(
             "gp_upper": _entry(cert["ub"]) if cert["ub"] is not None else {},
             "checks": checks,
         }
-        if cert["gp"] is not None:
-            gp = cert["gp"]
+        if cert["aligned"]:
+            gp = gromov_prohorov_detail(*(c.space for c in cert["codes"]), seeds=(cert["pairs"],))
             checks["bound_exact"] = gp.value <= 2 * sup
             checks["search_exact"] = gp.exact
             inst["gp"] = _entry(gp.value)
@@ -307,7 +304,7 @@ def run_lipschitz_check(
         "exact_instances": len(ratios),
         "max_ratio": _entry(max(ratios)) if ratios else _entry(Fraction(0)),
     }
-    params = {"cap": cap, "count": count}
+    params = {"budget": DEFAULT_SEARCH_BUDGET, "count": count}
     return _finish("lipschitz", seed, params, instances, summary)
 
 
@@ -315,11 +312,7 @@ def run_lipschitz_check(
 # the comb family: excursion distances shrink, coded-tree distances do not
 
 
-def run_counterexample(
-    n_list=(2, 3, 4, 6, 8),
-    cap: int = DEFAULT_CELL_CAP,
-    clique_limit: int = 500_000,
-) -> ExperimentReport:
+def run_counterexample(n_list=(2, 3, 4, 6, 8)) -> ExperimentReport:
     ns = tuple(sorted({int(n) for n in n_list}))
     if not ns or ns[0] < 1:
         raise ValidationError("tooth counts must be positive integers")
@@ -335,9 +328,7 @@ def run_counterexample(
             gam = d_gamma_detail(combs[n], combs[m])
             lam = d_lambda(combs[n], combs[m])
             exc = gam.value + lam
-            gp = gromov_prohorov_detail(
-                stars[n], stars[m], cap=cap, clique_limit=clique_limit
-            )
+            gp = gromov_prohorov_detail(stars[n], stars[m])
             table[(n, m)] = (exc, gp.value)
             checks = {"gamma_exact": gam.exact, "gp_exact": gp.exact}
             if n == m:
@@ -400,7 +391,7 @@ def run_counterexample(
         "min_positive_gp": _entry(positives[0]) if positives else _entry(Fraction(0)),
         "pairs": len(table),
     }
-    params = {"cap": cap, "clique_limit": clique_limit, "n_list": list(ns)}
+    params = {"budget": DEFAULT_SEARCH_BUDGET, "n_list": list(ns)}
     return _finish("counterexample", None, params, instances, summary)
 
 
@@ -426,7 +417,6 @@ def run_continuity_check(
     seed: int = 0,
     schedule: int = 8,
     h=None,
-    cap: int = DEFAULT_CELL_CAP,
 ) -> ExperimentReport:
     """Perturbation schedules with d_excursion -> 0 keep coded gp inside
     envelopes that halve at every step.
@@ -448,7 +438,7 @@ def run_continuity_check(
         g = pl_excursion(base_v.breakpoints, tuple(v * (1 - factor) for v in base_v.values))
         sup = sup_diff(base_v, g)
         envelope = 2 * sup
-        cert = _diagonal_certificate(base_v, g, cap, want_exact=False)
+        cert = _diagonal_certificate(base_v, g)
         dexc = d_excursion_detail(base_v, g)
         checks = {
             "codes_aligned": cert["aligned"],
@@ -490,7 +480,7 @@ def run_continuity_check(
         g = pl_excursion(bps, base_b.values)
         delta_k = delta0 * scale
         envelope = e_base * scale
-        cert = _diagonal_certificate(base_b, g, cap, want_exact=False)
+        cert = _diagonal_certificate(base_b, g)
         dexc = d_excursion_detail(base_b, g)
         checks = {"codes_aligned": cert["aligned"]}
         if cert["aligned"]:
@@ -520,5 +510,5 @@ def run_continuity_check(
         "value_envelope_base": _entry(2 * peak),
         "breakpoint_envelope_base": _entry(e_base),
     }
-    params = {"cap": cap, "schedule": schedule, "value_base_pieces": len(base_v.values) - 1}
+    params = {"schedule": schedule, "value_base_pieces": len(base_v.values) - 1}
     return _finish("continuity", seed, params, instances, summary)

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeError, ValidationError
+from .errors import ValidationError
 from .exact import parse_scalar, scaled
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_CELL_CAP, DEFAULT_CLIQUE_LIMIT, _CliqueSweep
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep
 from .spaces import FiniteMMSpace
 
 
@@ -100,8 +100,7 @@ def box_of_parametrizations(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
     lam,
-    cap: int = DEFAULT_CELL_CAP,
-    clique_limit: int = DEFAULT_CLIQUE_LIMIT,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ):
     """Box value of the specific coupling carried by (p1, p2).
 
@@ -109,7 +108,7 @@ def box_of_parametrizations(
     occupied cells, mass(K) being the summed cell masses (no re-optimization
     of the coupling). Since the mass term is additive, only maximal cliques
     per distortion threshold matter; the sweep is exact and raises SizeError
-    above `cap` occupied cells.
+    once it spends more than `budget` work units (see `gromov._Budget`).
     """
     lam = parse_scalar(lam)
     if lam <= 0:
@@ -120,18 +119,14 @@ def box_of_parametrizations(
             raise ValidationError(f"bad parametrization: {problems[0]}", problems)
     masses = parametrizations_to_cells(p1, p2)
     cells = sorted(masses)
-    nc = len(cells)
-    if nc > cap:
-        raise SizeError(f"{nc} occupied cells exceeds exact cap {cap}")
-
-    sweep = _CliqueSweep(a, b, cells)
+    sweep = _CliqueSweep(a, b, cells, _Budget(budget))
     D = sweep.D
     int_masses, M = scaled(masses[c] for c in cells)
     int_mass = dict(zip(cells, int_masses))
     # the empty subset, and the full set, which carries mass 1
     best = min((1 - 0) / lam, Fraction(sweep.thresholds[-1], D))
 
-    for t, mask in sweep.cliques(clique_limit, lambda t: t >= D * best):
+    for t, mask in sweep.cliques(lambda t: t >= D * best):
         mass = sum(int_mass[c] for c in sweep.pairs(mask))
         best = min(best, max(Fraction(t, D), (1 - Fraction(mass, M)) / lam))
     return best

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from mmdist import (
     excursion_to_obj,
     load_space,
+    mm_space,
     pc_excursion,
     sample_mm_space,
     save_excursion,
@@ -276,6 +277,28 @@ def test_glue_search_and_explicit_glue(capsys, tmp_path):
     assert run(capsys, "glue", "--a", str(a), "--b", str(b), "--eps", "1")[0] == 1
 
 
+def test_searches_past_the_budget(capsys, tmp_path):
+    # 19 points a side make 64 980 cell pairs, past the default budget of
+    # 60 000 work units, so the glue search gives up before any bucket
+    n = 19
+    dist = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(n)] for i in range(n)]
+    star = str(tmp_path / "star.json")
+    save_space(star, mm_space([f"s{i}" for i in range(n)], dist, [F(1, n)] * n))
+    code, out, err = run(capsys, "glue", "--a", star, "--b", star)
+    assert (code, out) == (1, "")
+    assert err == "mmdist glue: search exceeds its budget of 60000 work units\n"
+    # gp and box degrade to a certified bound instead
+    a = str(sample_file(capsys, tmp_path, seed="3", name="a.json"))
+    b = str(sample_file(capsys, tmp_path, seed="17", name="b.json"))
+    for argv in (["gp"], ["box", "--lambda", "1/2"]):
+        code, out, _ = run(capsys, "dist", *argv, "--a", a, "--b", b)
+        exact = json.loads(out)
+        code, out, _ = run(capsys, "dist", *argv, "--a", a, "--b", b, "--budget", "5")
+        degraded = json.loads(out)
+        assert code == 0 and exact["exact"] and not degraded["exact"]
+        assert F(degraded["value"]) >= F(exact["value"])
+
+
 def test_experiment_passes_and_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -301,12 +324,15 @@ def test_experiment_passes_and_writes_csv(capsys, tmp_path):
 # be explained, not only be caught when two reruns of one build disagree.
 # continuity, lipschitz and theorem-check were retaken when the default cell
 # cap went from 20 to 64: `params.cap` changed in all three, and lipschitz
-# instances random-004 and random-022 gained an exact gp (and its ratio)
+# instances random-004 and random-022 gained an exact gp (and its ratio).
+# All four were retaken when one search budget replaced the cell cap and the
+# clique guard: only `params` changed (`cap` and counterexample's
+# `clique_limit` became `budget`; continuity, which runs no search, lost it)
 PINNED_REPORTS = {
-    "continuity": "a5ddcbc111ca8edce65f5eb634399217776b3b2bbc777f89cd10d9185c5e10d9",
-    "counterexample": "ba6c66b47595ac035f11243285b9dd0c85df486b45270edc1ca5fd784942cb39",
-    "lipschitz": "7dd685fc37e61eb85c24f7bee430e118d81a281626f695ee9722645dc8508189",
-    "theorem-check --seed 1 --count 60": "6b4609e29092c3020a78afa3bd966a0b75a131286062d70e9a7e5e52cd9b04e3",
+    "continuity": "6d537abbc954a5aeae4a4c08af22d469bebb6d0549311a78dcef02dd6393798f",
+    "counterexample": "112a3bb9da97ae61a05f7c26451cba54168493bf9d0ad3c73cc4a6c53eb45409",
+    "lipschitz": "4e079c6197079e0cbfd5205a722ea07fcaf90f67259c883a2a332e92960e996f",
+    "theorem-check --seed 1 --count 60": "8f2bcd2763d6fd86f6570c6111f57ec0861de66928ea3027df7dec3918511d35",
 }
 
 
@@ -437,8 +463,8 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         ),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
-        (["dist", "gp", "--cap", "-1"], "--cap: expected a nonnegative integer, got -1"),
-        (["dist", "box", "--lambda", "1/2", "--cap", "-1"], "--cap: expected a nonnegative"),
+        (["dist", "gp", "--budget", "-1"], "--budget: expected a nonnegative integer, got -1"),
+        (["dist", "box", "--lambda", "1/2", "--budget", "-1"], "--budget: expected a nonnegative"),
     ],
     ids=[
         "glue-pairs",
@@ -452,8 +478,8 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         "theorem-check-n-max",
         "gamma-tol",
         "gamma-budget",
-        "gp-cap",
-        "box-cap",
+        "gp-budget",
+        "box-budget",
     ],
 )
 def test_bad_argv_values_exit_one_with_one_line(capsys, tmp_path, argv, message):
@@ -661,8 +687,8 @@ ARGV_COMMANDS = {
     "canonicalize": ("--in",),
     "sample": ("--seed", "--n-max"),
     "dist prohorov": ("--a", "--b", "--raw", "--float"),
-    "dist gp": ("--a", "--b", "--cap", "--witness", "--raw", "--float"),
-    "dist box": ("--a", "--b", "--lambda", "--cap", "--witness"),
+    "dist gp": ("--a", "--b", "--budget", "--witness", "--raw", "--float"),
+    "dist box": ("--a", "--b", "--lambda", "--budget", "--witness"),
     "dist excursion": ("--a", "--b", "--gamma-tol", "--budget", "--raw"),
     "dist dh": ("--in", "--s", "--t", "--float"),
     "code-excursion": ("--in", "--resolution"),

@@ -231,13 +231,14 @@ def test_seed_pairs_are_honored():
 def test_caps_raise_or_degrade_honestly():
     a = uniform(5)
     b = uniform(5)
+    # 25 cells make 300 cell pairs, more than a budget of 299 can bucket
     try:
-        optimal_correspondence(a, b, F(1), cap=20)
+        optimal_correspondence(a, b, F(1), budget=299)
         assert False
     except SizeError:
         pass
-    rough = box_lambda_detail(a, b, F(1), cap=20)
-    sharp = box_lambda_detail(a, b, F(1), cap=25)
+    rough = box_lambda_detail(a, b, F(1), budget=299)
+    sharp = box_lambda_detail(a, b, F(1))
     assert sharp.exact
     assert not rough.exact
     assert rough.value >= sharp.value
@@ -253,43 +254,44 @@ def test_sweep_threshold_is_each_new_cliques_distortion():
     for a, b in pairs:
         a, b = canonicalize(a), canonicalize(b)
         cells = [(i, j) for i in range(a.n) for j in range(b.n)]
-        sweep = gromov._CliqueSweep(a, b, cells)
+        sweep = gromov._CliqueSweep(a, b, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET))
         yielded = 0
-        for t, mask in sweep.cliques(gromov.DEFAULT_CLIQUE_LIMIT, lambda t: False):
+        for t, mask in sweep.cliques(lambda t: False):
             assert distortion(sweep.pairs(mask), a, b) == F(t, sweep.D)
             yielded += 1
         assert yielded >= 1
 
 
-def test_optimal_correspondence_passes_its_clique_limit_on(monkeypatch):
-    limits = []
+def test_optimal_correspondence_passes_its_budget_on(monkeypatch):
+    budgets = []
     real = gromov._max_cliques
 
-    def recording(candidates, nbr, limit, *rest):
-        limits.append(limit)
-        return real(candidates, nbr, limit, *rest)
+    def recording(candidates, nbr, budget, *rest):
+        budgets.append(budget)
+        return real(candidates, nbr, budget, *rest)
 
     monkeypatch.setattr(gromov, "_max_cliques", recording)
-    pairs = optimal_correspondence(uniform(2), uniform(3), F(1), clique_limit=12345)
+    pairs = optimal_correspondence(uniform(2), uniform(3), F(1), budget=12345)
     assert pairs == ((0, 0), (1, 1))
-    # the sweep inside box_lambda_detail and the feasibility checks both ran
-    assert len(limits) > 1 and set(limits) == {12345}
+    # the sweep inside the box search and the feasibility checks both ran,
+    # all spending from one count
+    assert len(budgets) > 1 and all(b is budgets[0] for b in budgets)
+    assert budgets[0].units == 12345
 
 
 # ---------------------------------------------------------------------------
 # the lazy, twin-pruned sweep against the eager, unpruned one it replaced
 
 
-def eager_max_cliques(candidates, nbr, limit):
+def eager_max_cliques(candidates, nbr, budget):
     """Every maximal clique, listed before any is returned (Bron-Kerbosch
     with the sweep's pivot and order, no pruning)."""
     out = []
 
     def bk(r, p, x):
+        budget.spend(1)
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > limit:
-                raise SizeError(f"maximal clique count exceeds guard {limit}")
             return
         pivot = max(gromov._bits(p | x), key=lambda u: ((p & nbr[u]).bit_count(), -u))
         for v in list(gromov._bits(p & ~nbr[pivot])):
@@ -301,7 +303,7 @@ def eager_max_cliques(candidates, nbr, limit):
     return out
 
 
-def eager_cliques(sweep, clique_limit, stop):
+def eager_cliques(sweep, stop):
     """The reference sweep: each threshold's maximal cliques listed in full,
     a clique yielded the first time it is listed."""
     nbr = [0] * len(sweep.cells)
@@ -310,7 +312,7 @@ def eager_cliques(sweep, clique_limit, stop):
         if stop(t):
             return
         sweep._grow(nbr, t)
-        for mask in eager_max_cliques((1 << len(nbr)) - 1, nbr, clique_limit):
+        for mask in eager_max_cliques((1 << len(nbr)) - 1, nbr, sweep.budget):
             if mask not in seen:
                 if stop(t):
                     return
@@ -348,10 +350,10 @@ def twin_rich_spaces(draw):
     F(1, 2),
 )
 def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
-    box = box_lambda_detail(a, b, lam, cap=25)
+    box = box_lambda_detail(a, b, lam)
     glue = glued_upper_bound(a, b)
     with mock.patch.object(gromov._CliqueSweep, "cliques", eager_cliques):
-        ref_box = box_lambda_detail(a, b, lam, cap=25)
+        ref_box = box_lambda_detail(a, b, lam)
         ref_glue = glued_upper_bound(a, b)
     assert (box.value, box.exact, box.pairs) == (ref_box.value, ref_box.exact, ref_box.pairs)
     assert (glue.value, glue.eps, glue.pairs, glue.source) == (
@@ -364,13 +366,14 @@ def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
     A, B = canonicalize(a), canonicalize(b)
     weights, _ = scaled(A.weights + B.weights)
     cells = [(i, j) for i in range(A.n) for j in range(B.n)]
-    sweep = gromov._CliqueSweep(A, B, cells, (weights[: A.n], weights[A.n :]))
-    limit, never = gromov.DEFAULT_CLIQUE_LIMIT, lambda t: False
-    pruned = list(sweep.cliques(limit, never))
+    twins = (weights[: A.n], weights[A.n :])
+    sweep = gromov._CliqueSweep(A, B, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET), twins)
+    never = lambda t: False
+    pruned = list(sweep.cliques(never))
     for t, mask in pruned:
         assert distortion(sweep.pairs(mask), A, B) == F(t, sweep.D)
     # pruning only drops cliques: the rest come in the reference's order
-    reference = iter(eager_cliques(sweep, limit, never))
+    reference = iter(eager_cliques(sweep, never))
     assert all(clique in reference for clique in pruned)
 
 
@@ -392,9 +395,9 @@ def test_symmetric_frontier_is_exact_past_the_guard():
         (star[10], star[10], 0),
         (star[8], star[10], F(1, 5)),
     ):
-        gp = gromov_prohorov_detail(a, b, cap=200)
+        gp = gromov_prohorov_detail(a, b)
         assert (gp.value, gp.exact) == (value, True)
-    assert run_counterexample(n_list=(2, 3, 4, 6, 8, 10), cap=200).passed
+    assert run_counterexample(n_list=(2, 3, 4, 6, 8, 10)).passed
 
 
 def test_full_grid_distortion_is_the_larger_diameter():
@@ -409,7 +412,7 @@ def test_full_grid_distortion_is_the_larger_diameter():
         assert distortion(cells, a, b) == diam
         lam = LAMBDAS[t % 4]
         det = box_lambda_detail(a, b, lam)
-        wide = box_lambda_detail(a, b, lam, cap=10**6)
+        wide = box_lambda_detail(a, b, lam, budget=10**9)
         assert det.exact
         assert (det.value, det.pairs) == (wide.value, wide.pairs)
 
@@ -453,12 +456,45 @@ def test_default_cap_frontier_is_exact_to_64_cells():
     ]
     for a, b in pairs:
         gp = gromov_prohorov_detail(a, b)
-        wide = gromov_prohorov_detail(a, b, cap=10**6)
+        wide = gromov_prohorov_detail(a, b, budget=10**9)
         assert (gp.value, gp.exact) == (wide.value, True)
-    # past the cap the search degrades to a certified upper bound
+    # an 81-cell lattice pair is exact within the default budget too
     a, b = grid_space(rng, 9), grid_space(rng, 9)
     gp = gromov_prohorov_detail(a, b)
-    wide = gromov_prohorov_detail(a, b, cap=10**6)
-    assert canonicalize(a).n * canonicalize(b).n > gromov.DEFAULT_CELL_CAP
-    assert not gp.exact and wide.exact
-    assert gp.value >= wide.value
+    wide = gromov_prohorov_detail(a, b, budget=10**9)
+    assert canonicalize(a).n * canonicalize(b).n == 81
+    assert (gp.value, gp.exact) == (wide.value, True)
+
+
+def test_budget_past_or_during_the_sweep_leaves_a_scored_upper_bound(monkeypatch):
+    a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
+    spent = []
+    real = gromov._Budget.spend
+
+    def recording(budget, units):
+        spent.append(units)
+        real(budget, units)
+
+    monkeypatch.setattr(gromov._Budget, "spend", recording)
+    exact = gromov_prohorov_detail(a, b)
+    monkeypatch.undo()
+    # the first charge is the cell pairs, the rest one per clique-search node
+    cell_pairs, total = spent[0], sum(spent)
+    assert exact.exact and cell_pairs == 300
+    # one budget trips before any bucket is built, the other mid-sweep
+    tight, mid = cell_pairs - 1, (cell_pairs + total) // 2
+    assert cell_pairs < mid < total
+    A, B = canonicalize(a), canonicalize(b)
+    for budget in (tight, mid):
+        gp = gromov_prohorov_detail(a, b, budget)
+        info = correspondence_info(A, B, gp.pairs)
+        assert not gp.exact and gp.value >= exact.value
+        assert max(info.distortion, 2 * (1 - info.max_coupling_mass)) == gp.box_value
+    # the box search alone spends `total`, leaving optimal_correspondence's
+    # own sweep nothing
+    try:
+        optimal_correspondence(a, b, F(1, 2), budget=total)
+        assert False
+    except SizeError:
+        pass
+    assert optimal_correspondence(a, b, F(1, 2), budget=total + cell_pairs + 10**4)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 from mmdist import (
@@ -11,6 +12,7 @@ from mmdist import (
     run_lipschitz_check,
     run_theorem_check,
 )
+from mmdist import harness
 
 F = Fraction
 
@@ -118,6 +120,33 @@ def test_failing_check_flips_passed():
     )
     assert not report.passed
     assert '"passed": false' in report.to_json()
+
+
+def test_theorem_check_runs_the_glue_search_only_where_gp_is_exact(monkeypatch):
+    # where gp is inexact there is no exact value to compare a glue with, and
+    # the glue search may run out of budget too: the check fails, the run
+    # goes on
+    real_gp, real_glue = harness.gromov_prohorov_detail, harness.glued_upper_bound
+    gps, glues = [], []
+
+    def inexact_past_the_pinned_pair(a, b):
+        gps.append(real_gp(a, b))
+        return gps[-1] if len(gps) == 1 else replace(gps[-1], exact=False)
+
+    def counted_glue(a, b):
+        glues.append(real_glue(a, b))
+        return glues[-1]
+
+    monkeypatch.setattr(harness, "gromov_prohorov_detail", inexact_past_the_pinned_pair)
+    monkeypatch.setattr(harness, "glued_upper_bound", counted_glue)
+    obj = run_theorem_check(seed=1, count=2).to_obj()
+    pinned, *rest = obj["instances"]
+    assert len(glues) == 1 and pinned["checks"]["glue_equals_gp"] and "glue" in pinned
+    for inst in rest:
+        assert inst["checks"]["glue_equals_gp"] is False and "glue" not in inst
+    # exact_search and glue_equals_gp fail on both sampled pairs
+    assert obj["totals"]["failures"] == 2 * len(rest) == 4
+    assert obj["summary"]["equal_pairs"] == 1
 
 
 def test_save_writes_deterministic_files(tmp_path):

@@ -140,7 +140,7 @@ def test_box_of_parametrizations_raises_above_cell_cap():
     b = uniform(5, F(1, 2))
     p1, p2 = coupling_to_parametrizations(product_coupling(a, b), a, b)
     try:
-        box_of_parametrizations(p1, p2, a, b, F(1), cap=20)
+        box_of_parametrizations(p1, p2, a, b, F(1), budget=20)
         assert False
     except SizeError:
         pass
