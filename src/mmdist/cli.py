@@ -410,11 +410,7 @@ def main(argv=None) -> int:
             args.usage_of.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    label = args.command
-    if args.command == "dist":
-        label += f" {args.distance}"
-    elif args.command == "experiment":
-        label += f" {args.name}"
+    label = args.usage_of.prog.removeprefix("mmdist ")  # "dist gp", "experiment lipschitz"
     started = time.perf_counter()
     try:
         payload, raw, code = args.handler(args)
@@ -425,10 +421,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}", file=sys.stderr)
         else:
             sys.stdout.write(text)
-    except ValidationError as exc:
-        print(f"mmdist {label}: {exc}", file=sys.stderr)
-        return 1
-    except SizeError as exc:
+    except (ValidationError, SizeError) as exc:
         print(f"mmdist {label}: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -103,33 +103,26 @@ def _code_pc(h: Excursion, resolution) -> CodedTree:
         pvals.insert(k + 1, pvals[k])  # split piece, same value both sides
         bvals.insert(k + 1, pvals[k])  # function unchanged at the new cut
 
-    m = len(pvals)
-    d = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        # running inf of h over pieces i..j and the breakpoints between them
-        run_min = pvals[i]
-        for j in range(i + 1, m):
-            run_min = min(run_min, bvals[j], pvals[j])
-            d[i][j] = d[j][i] = pvals[i] + pvals[j] - 2 * run_min
-    lengths = [bps[k + 1] - bps[k] for k in range(m)]
-    reps = [(bps[k] + bps[k + 1]) / 2 for k in range(m)]
-    space, projection = _merge_to_space(d, lengths)
-    return CodedTree(
-        space=space,
-        segments=tuple((bps[k], bps[k + 1]) for k in range(m)),
-        projection=projection,
-        representatives=tuple(reps),
-        resolution_bound=Fraction(0),
-    )
+    # pieces are the segments; a valid breakpoint value is at most both
+    # neighbouring pieces, so it alone is the inf across its cut
+    return _coded_tree(bps, bvals, pvals, Fraction(0))
 
 
 def _code_pl(h: Excursion, resolution) -> CodedTree:
     cuts = pl_cut_points(h, resolution)
-    m = len(cuts) - 1
     cutvals = [evaluate(h, c) for c in cuts]
-    reps = [(cuts[k] + cuts[k + 1]) / 2 for k in range(m)]
-    heights = [evaluate(h, r) for r in reps]
+    heights = [evaluate(h, (cuts[k] + cuts[k + 1]) / 2) for k in range(len(cuts) - 1)]
+    bound = max(
+        (abs(cutvals[k + 1] - cutvals[k]) for k in range(len(heights))), default=Fraction(0)
+    )
+    return _coded_tree(cuts, cutvals, heights, bound)
 
+
+def _coded_tree(cuts, cutvals, heights, bound) -> CodedTree:
+    """The coded tree of the segments [cuts[k], cuts[k + 1]], given the
+    height of each segment's midpoint and, as cutvals[j], the inf of h
+    across the cut between segments j - 1 and j."""
+    m = len(heights)
     d = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):
         run_min = heights[i]
@@ -139,14 +132,11 @@ def _code_pl(h: Excursion, resolution) -> CodedTree:
             d[i][j] = d[j][i] = heights[i] + heights[j] - 2 * inf_ij
     lengths = [cuts[k + 1] - cuts[k] for k in range(m)]
     space, projection = _merge_to_space(d, lengths)
-    bound = max(
-        (abs(cutvals[k + 1] - cutvals[k]) for k in range(m)), default=Fraction(0)
-    )
     return CodedTree(
         space=space,
         segments=tuple((cuts[k], cuts[k + 1]) for k in range(m)),
         projection=projection,
-        representatives=tuple(reps),
+        representatives=tuple((cuts[k] + cuts[k + 1]) / 2 for k in range(m)),
         resolution_bound=bound,
     )
 

@@ -20,10 +20,11 @@ is never needed: K glued at dis(K)/2 already has a value at most that eps
 sweep skips a clique that a swap of twin points maps onto an earlier one,
 whose glue is isometric to it.
 
-Every glue the search values is built as int rows (distances over the
-sweep's denominator D) and valued by the shared int scan
-`prohorov._flow_scan` on weights over W; Fractions are rebuilt only for eps,
-for each value and at the public functions' boundary.
+The search starts from the prepared pair gp's search uses (`gromov._Pair`):
+both spaces canonicalized once, distances as int rows over one denominator
+D and weights over another, W. Every glue it values is built on those rows
+and valued by the shared int scan `prohorov._flow_scan`; Fractions are
+rebuilt only for eps, for each value and at the public functions' boundary.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ValidationError
-from .exact import parse_scalar, scaled, scaled_rows
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, distortion
+from .exact import parse_scalar, scaled_rows
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Pair, distortion
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
-from .spaces import FiniteMMSpace, canonicalize, metric_violations, require_valid
+from .spaces import FiniteMMSpace, metric_violations, require_valid
 
 
 @dataclass(frozen=True)
@@ -166,31 +167,25 @@ def glued_upper_bound(
     # bench/workloads.py (excursion-pairs check) still passes search_budget=0
     if search_budget != 0:
         raise ValidationError(f"search_budget: expected 0, got {search_budget!r}")
-    A = canonicalize(a)
-    B = canonicalize(b)
-    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
-    weights, W = scaled(A.weights + B.weights)
-    mu, nu = weights[: A.n], weights[A.n :]
-    sweep = _CliqueSweep(A, B, cells, _Budget(budget), (mu, nu))
-    da, db, D = sweep.da, sweep.db, sweep.D
+    P = _Pair(a, b)
+    mu, nu, D, W = P.wa, P.wb, P.D, P.W
+    sweep = _CliqueSweep(P.da, P.db, P.cells, _Budget(budget), (mu, nu))
 
     best = None  # (value, eps, pairs, source)
     evaluations = 0
 
-    def try_glue(pairs, base, eps, source):
+    def try_glue(pairs, eps, source):
         nonlocal best, evaluations
-        value = _flow_scan(*_shifted(base, D, eps), mu, nu, W)
+        value = _flow_scan(*_shifted(_cross_from_pairs(P.da, P.db, pairs), D, eps), mu, nu, W)
         evaluations += 1
         if best is None or value < best[0]:
             best = (value, eps, pairs, source)
 
-    # the full grid's distortion is the largest threshold
-    full = tuple(cells)
-    try_glue(full, _cross_from_pairs(da, db, full), Fraction(sweep.thresholds[-1], 2 * D), "full")
+    # the full grid's distortion is the larger diameter
+    try_glue(tuple(P.cells), Fraction(P.diam, 2 * D), "full")
 
     # a clique glue's value is never below its eps = t / (2 D)
     for t, mask in sweep.cliques(lambda t: t >= 2 * D * best[0]):
-        pairs = sweep.pairs(mask)
-        try_glue(pairs, _cross_from_pairs(da, db, pairs), Fraction(t, 2 * D), "clique")
+        try_glue(sweep.pairs(mask), Fraction(t, 2 * D), "clique")
 
     return GlueSearchResult(*best, evaluations)

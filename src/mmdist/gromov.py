@@ -21,13 +21,16 @@ cannot beat the incumbent, so two isometric spaces stop at their first
 clique. For box and glue it also lists one clique per orbit of twin
 swaps (two points with equal weights and equal distances to every other
 point are interchangeable), so a star's interchangeable leaves are matched
-once, not in every order. Distances of both spaces go over one common
-denominator D and weights over another, W (`canonicalize` has made every
-entry a Fraction), so thresholds, mass bounds and max-flow run on ints; the
-Fractions t / D and m / W are rebuilt only for a new incumbent and at the
-API boundary. The first incumbent is the full grid: it matches every pair
-of rows against every pair of columns and both diagonals are zero, so its
-distortion is the larger diameter, and its mass is 1.
+once, not in every order.
+
+Box, gp, `optimal_correspondence` and the glue search start from one
+prepared pair (`_Pair`): both spaces canonicalized once, distances over one
+common denominator D and weights over another, W (`canonicalize` has made
+every entry a Fraction). The full grid (distortion the larger diameter,
+mass 1), each seed, each sweep clique and each heuristic candidate pass one
+int test against the incumbent; the Fractions t / D and m / W are rebuilt
+only for a new incumbent and at the API boundary. `optimal_correspondence`
+reuses its box search's pair and sweep.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
@@ -158,12 +161,34 @@ def _fixes(swaps, mask):
     return image == mask
 
 
+class _Pair:
+    """Two spaces prepared once for a clique search: their canonical forms
+    A and B, the row-major cell grid, distances as int rows over one common
+    denominator D, weights as ints over another, W, and the full grid's
+    distortion over D, the larger diameter (it matches every pair of rows
+    against every pair of columns, and both diagonals are zero)."""
+
+    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace):
+        self.A, self.B = A, B = canonicalize(a), canonicalize(b)
+        self.cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+        (self.da, self.db), self.D = scaled_rows(A.dist, B.dist)
+        weights, self.W = scaled(A.weights + B.weights)
+        self.wa, self.wb = weights[: A.n], weights[A.n :]
+        self.diam = max(max(map(max, self.da)), max(map(max, self.db)))
+
+
+def _int_distortion(da, db, pairs):
+    """Distortion of `pairs` over int distance rows, over their denominator."""
+    return max((abs(da[i][i2] - db[j][j2]) for i, j in pairs for i2, j2 in pairs), default=0)
+
+
 class _CliqueSweep:
     """Maximal cliques of the cell compatibility graph, threshold by threshold.
 
-    Cell pairs are bucketed once by their int mismatch over the distances'
-    common denominator D, so each threshold's masks grow from the last ones.
-    Building the buckets and every clique search spend from `budget`.
+    `da` and `db` are the two spaces' distances as int rows over one common
+    denominator D. Cell pairs are bucketed once by their int mismatch, so
+    each threshold's masks grow from the last ones. Building the buckets and
+    every clique search spend from `budget`.
 
     `weights`, given as the two spaces' weight vectors and only together
     with the full row-major grid of cells, turns on twin pruning: a swap of
@@ -173,11 +198,10 @@ class _CliqueSweep:
     maps onto an earlier branch of the same node.
     """
 
-    def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace, cells, budget, weights=None):
+    def __init__(self, da, db, cells, budget, weights=None):
         budget.spend(len(cells) * (len(cells) - 1) // 2)
         self.budget = budget
-        (self.da, self.db), self.D = scaled_rows(a.dist, b.dist)
-        da, db = self.da, self.db
+        self.da, self.db = da, db
         self.cells = cells
         self.buckets = {}
         for c1, (i, j) in enumerate(cells):
@@ -349,7 +373,7 @@ def _heuristic_candidates(da, db, wa, wb, cells, diffs):
     for the upper bound past the budget; distances, weights, distortions and
     the sorted mismatch sample `diffs` are ints over common denominators."""
     nw = _northwest_support(wa, wb)
-    yield nw, max(abs(da[i][i2] - db[j][j2]) for i, j in nw for i2, j2 in nw)
+    yield nw, _int_distortion(da, db, nw)
     picks = sorted(set(diffs[max(0, len(diffs) * k // 12 - 1)] for k in range(1, 13)))
     order = sorted(range(len(cells)), key=lambda c: (-min(wa[cells[c][0]], wb[cells[c][1]]), c))
     for threshold in picks:
@@ -380,69 +404,54 @@ def box_lambda_detail(
     correspondence found so far or by a deterministic heuristic: a certified
     upper bound, with exact=False.
     """
-    return _box_lambda(a, b, lam, _Budget(budget), seeds)
+    return _box_lambda(a, b, lam, _Budget(budget), seeds)[0]
 
 
 def _box_lambda(a, b, lam, budget, seeds=()):
+    """The BoxResult, the prepared pair and its sweep (None past `budget`)."""
     lam = parse_scalar(lam)
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    A = canonicalize(a)
-    B = canonicalize(b)
-    n1, n2 = A.n, B.n
-    cells = [(i, j) for i in range(n1) for j in range(n2)]
-    nc = len(cells)
-    weights, W = scaled(A.weights + B.weights)
-    wa, wb = weights[:n1], weights[n1:]
+    P = _Pair(a, b)
+    cells, da, db, D, wa, wb, W = P.cells, P.da, P.db, P.D, P.wa, P.wb, P.W
 
     best = (1 - 0) / lam  # empty correspondence
     best_pairs = ()
+    # a candidate of distortion t / D and mass m / W beats best iff
+    # t < t_lim and m > m_cut
+    t_lim, m_cut = math.ceil(best * D), 0
 
-    def consider(pairs, dis):
-        nonlocal best, best_pairs
-        if dis >= best:
-            return
-        m = max_subcoupling(wa, wb, pairs)[0]
-        val = max(dis, (1 - Fraction(m, W)) / lam)
-        if val < best:
-            best, best_pairs = val, pairs
+    def consider(pairs, t, m=None):
+        nonlocal best, best_pairs, t_lim, m_cut
+        if t < t_lim:
+            if m is None:
+                m = max_subcoupling(wa, wb, pairs)[0]
+            if m > m_cut:
+                best, best_pairs = max(Fraction(t, D), (1 - Fraction(m, W)) / lam), pairs
+                t_lim, m_cut = math.ceil(best * D), math.floor(W * (1 - lam * best))
 
-    # the full grid: distortion the larger diameter, mass 1
-    diam = max(max(map(max, A.dist)), max(map(max, B.dist)))
-    if diam < best:
-        best, best_pairs = diam, tuple(cells)
+    consider(tuple(cells), P.diam, W)  # the full grid carries mass 1
     for seed in seeds:
         pairs = tuple(sorted(set(map(tuple, seed))))
         for i, j in pairs:
-            if not (0 <= i < n1 and 0 <= j < n2):
+            if not (0 <= i < P.A.n and 0 <= j < P.B.n):
                 raise ValidationError(f"seed cell ({i}, {j}) out of range")
-        consider(pairs, distortion(pairs, A, B))
+        consider(pairs, _int_distortion(da, db, pairs))
 
     exact = True
     try:
-        sweep = _CliqueSweep(A, B, cells, budget, (wa, wb))
-        D = sweep.D
-        row_masks = [((1 << n2) - 1) << (i * n2) for i in range(n1)]
-        col_masks = [sum(1 << (i * n2 + j) for i in range(n1)) for j in range(n2)]
-
-        def cutoffs():
-            # a clique at t with mass m beats best iff t < t_lim and m > m_cut
-            return math.ceil(best * D), math.floor(W * (1 - lam * best))
-
-        t_lim, m_cut = cutoffs()
+        sweep = _CliqueSweep(da, db, cells, budget, (wa, wb))
+        n2 = P.B.n
+        row_masks = [((1 << n2) - 1) << (i * n2) for i in range(P.A.n)]
+        col_masks = [sum(1 << (i * n2 + j) for i in range(P.A.n)) for j in range(n2)]
         for t, mask in sweep.cliques(lambda t: t >= t_lim):
             row_mass = sum(w for w, rm in zip(wa, row_masks) if mask & rm)
             col_mass = sum(w for w, cm in zip(wb, col_masks) if mask & cm)
-            if min(row_mass, col_mass) <= m_cut:
-                continue
-            pairs = sweep.pairs(mask)
-            m = max_subcoupling(wa, wb, pairs)[0]
-            if m > m_cut:
-                best, best_pairs = max(Fraction(t, D), (1 - Fraction(m, W)) / lam), pairs
-                t_lim, m_cut = cutoffs()
+            if min(row_mass, col_mass) > m_cut:
+                consider(sweep.pairs(mask), t)
     except SizeError:
-        exact = False
-        (da, db), D = scaled_rows(A.dist, B.dist)
+        exact, sweep = False, None
+        nc = len(cells)
         # a strided sample bounds the mismatches taken; below 200 cells the
         # stride is 1 and the sample is the sweep's thresholds
         stride = max(1, nc * nc // 20000)
@@ -453,9 +462,9 @@ def _box_lambda(a, b, lam, budget, seeds=()):
                 for u, v in islice(every, 0, None, stride)
             }
         )
-        for cand, dis in _heuristic_candidates(da, db, wa, wb, cells, sampled):
-            consider(cand, Fraction(dis, D))
-    return BoxResult(best, lam, exact, best_pairs)
+        for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled):
+            consider(cand, t)
+    return BoxResult(best, lam, exact, best_pairs), P, sweep
 
 
 def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):
@@ -493,29 +502,23 @@ def optimal_correspondence(
     SizeError.
     """
     work = _Budget(budget)
-    detail = _box_lambda(a, b, lam, work)
+    detail, P, sweep = _box_lambda(a, b, lam, work)
     if not detail.exact:
         raise SizeError(f"optimal correspondence undefined past a budget of {budget} work units")
-    A = canonicalize(a)
-    B = canonicalize(b)
     v = detail.value
-    weights, W = scaled(A.weights + B.weights)
-    m_req = W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
+    m_req = P.W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
     if m_req <= 0:
         return ()
-    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+    cells = P.cells
     nc = len(cells)
-    sweep = _CliqueSweep(A, B, cells, work)
-    nbr = sweep.neighbor_masks(math.floor(v * sweep.D))
+    nbr = sweep.neighbor_masks(math.floor(v * P.D))
 
     mass_cache = {}
 
     def mass_of(idx_tuple):
         key = frozenset(idx_tuple)
         if key not in mass_cache:
-            mass_cache[key] = max_subcoupling(
-                weights[: A.n], weights[A.n :], [cells[c] for c in key]
-            )[0]
+            mass_cache[key] = max_subcoupling(P.wa, P.wb, [cells[c] for c in key])[0]
         return mass_cache[key]
 
     def feasible(prefix, prefix_mask, last):

@@ -26,12 +26,11 @@ from .errors import ValidationError
 from .exact import decimal_str, format_scalar
 from .excursion_metrics import d_excursion_detail, d_gamma_detail, d_lambda
 from .excursions import comb, pl_excursion, step_one, sup_diff, tent, zero_excursion
-from .flow import max_subcoupling
 from .gluing import glued_upper_bound
 from .gromov import (
     DEFAULT_SEARCH_BUDGET,
     box_lambda_detail,
-    distortion,
+    correspondence_info,
     gromov_prohorov_detail,
 )
 from .spaces import dumps_json, mm_space, sample_mm_space
@@ -225,8 +224,8 @@ def _diagonal_certificate(h, g):
     pairs = tuple(
         sorted({(ch.projection[k], cg.projection[k]) for k in range(len(ch.projection))})
     )
-    dis = distortion(pairs, ch.space, cg.space)
-    mass = max_subcoupling(ch.space.weights, cg.space.weights, pairs)[0]
+    info = correspondence_info(ch.space, cg.space, pairs)
+    dis, mass = info.distortion, info.max_coupling_mass
     cert.update(
         pairs=pairs,
         dis=dis,

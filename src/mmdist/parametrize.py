@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exact import parse_scalar, scaled
+from .exact import parse_scalar, scaled, scaled_rows
 from .flow import Coupling, validate_coupling
 from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep
 from .spaces import FiniteMMSpace
@@ -119,8 +119,8 @@ def box_of_parametrizations(
             raise ValidationError(f"bad parametrization: {problems[0]}", problems)
     masses = parametrizations_to_cells(p1, p2)
     cells = sorted(masses)
-    sweep = _CliqueSweep(a, b, cells, _Budget(budget))
-    D = sweep.D
+    (da, db), D = scaled_rows(a.dist, b.dist)
+    sweep = _CliqueSweep(da, db, cells, _Budget(budget))
     int_masses, M = scaled(masses[c] for c in cells)
     int_mass = dict(zip(cells, int_masses))
     # the empty subset, and the full set, which carries mass 1

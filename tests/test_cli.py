@@ -366,6 +366,69 @@ def test_glue_output_bytes_are_pinned(capsys, tmp_path, pair):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GLUES[pair]
 
 
+# sha256 of exit code, stdout and stderr for usage texts: bare and `-h`
+# calls, unknown names, each command with no flags (where it has required
+# ones) and each command with a flag it does not read, at an 80-column
+# terminal; a leaner parser must keep every byte
+PINNED_USAGE = {
+    "": "81fc48b2082456d50242449df45430863e0e8ca1be7f75789b5549e4d516f66a",
+    "-h": "126b7aa5c1b74538bd7d74276d732f46b8f3d8c9872083d84831c26a74a114b0",
+    "dist": "038ac07bfb054bbdfe35232e88a223e93f8ae1f382e554fe3dca60436b142390",
+    "dist -h": "e383986ea132b75241fd003e728eea3e25d6d021660e9f0b21172a56778b2add",
+    "experiment": "1de30c2db40783b3ccf008e3902a06d415eaf20679917c8a979d446a17b9e683",
+    "experiment -h": "6f92e9fcb184ea420f2992002d3928a88e503e1c3db1fb83f2b68c66bd91e648",
+    "no-such-command": "eb18056fd2cf6c4c92be19d43f6db19766499290facb90185fa1025ed8cf7e06",
+    "dist no-such-distance": "c128fc8a8cbde2a17b164027a6e59f10cb819baf3649e6e560fbdb7ef5005967",
+    "experiment no-such-name": "7495bbdbec3ec4ef5030063553f4f725dd15d88435839d1ca6b01adb18946a24",
+    "validate -h": "1dc3a09f27ed1ae0c217d872e3e2dcf96b0c7b82d85249d1c15ad736120fe6f9",
+    "validate": "8d0093c40082e95a010bb38d8a5f83b7a15b2d76cf3d5e3184c157f53cffbe67",
+    "validate --in x --no-such-flag": "3221135cb49d6ec7024c4c05743e0e305bdb37a0aa0234c9eda20ff783e49640",
+    "canonicalize -h": "1cc38aed78a740cb35b5160b408a157b7552e41084910de99928b4452a30dab2",
+    "canonicalize": "bce17d1abcd73ccc3ce5cc8ab956e033f757697133fe6ae4e5ed8ffa5d8e1629",
+    "canonicalize --in x --no-such-flag": "e1fb41e2f16cec56ea609062fbd90ddf50ef7bf71a9c2f8daddc66076b9494c0",
+    "sample -h": "53fdd147a1989fdba05b35e44a69273b01cba46339933f620d310ec726e428f5",
+    "sample --no-such-flag": "6c1cc2a25cf8d1c81241963d85b82cadb0a00e05217bc6b5535b501d07872f57",
+    "dist prohorov -h": "fd0f4af7479fb82ac8b6fe2ec11225ecc2fbc05a4298c75d93fb773fc0827c38",
+    "dist prohorov": "17e78593ab01354ff4c7fbd28addc5f0c1d54e8e1f4126653d0b23eccdb7a288",
+    "dist prohorov --a x --b x --no-such-flag": "a60de1cd54f322d8a5323438a0f37faea2e67253258088c9afc6d6ca3207bfa8",
+    "dist gp -h": "40700f03590b1611360d6eec8a8ae4545419dda3211c5d1a8186710007307e92",
+    "dist gp": "16b763cd56648209ec5b502893bff2ce69f9378ad600352b160ecdc31ad8cf53",
+    "dist gp --a x --b x --no-such-flag": "e6ed7c7c1a055fbfa80a27b2bccfe093715523fc3072f525dc98cafb43c53b53",
+    "dist box -h": "1ae6e2b5b1f24d613af7ff820c6838734050c581cdb2be75e434303f30948c48",
+    "dist box": "bd580cc6cad8eb3a84baabac17b94942e6dda7a72b6545980181a1d04328bb6c",
+    "dist box --a x --b x --lambda 1 --no-such-flag": "5f360b6e3f7e3890662de5c6dd0db76cd1cd3f52817caa6fe31b66de81d8f60b",
+    "dist excursion -h": "27d14352407bb4c9c4d85d76bc56fc9078869fff44a4ce07feaca301aca5f486",
+    "dist excursion": "126b55c5b9be0c694b7ae31a1ce9f65ebbc099b5242e17d04153d09122675fc8",
+    "dist excursion --a x --b x --no-such-flag": "b9edf24d4cad04e5c4349cebf05e5e60e69f15142fbe37166f6a7f4ae8f8f41e",
+    "dist dh -h": "fbaaa8fd78c6b890f03661f2ac22c3ec5046eefb0923c7d67ae7538465f58f8f",
+    "dist dh": "27d30c36cee578e4e3c14517554d042fbb66ab0941c7e3097d47da2efe7d7a9b",
+    "dist dh --in x --s 0 --t 1 --no-such-flag": "ecabce7a1e63c577b972ae3e36699c453583620179615eae91c4b860d5da2a15",
+    "code-excursion -h": "0848cdd9d8da6ae92cfe8d8fa92f232ed270aaf27728cd29d51f5d4a73c2b267",
+    "code-excursion": "9d1558e6b15d22568f0865ca485dfe7c4d333f43d9e4941138a62f4841cf98b7",
+    "code-excursion --in x --no-such-flag": "0fb7893ea881f5d643c4f47aa72e7299fcecef5ddbe551951721a2cfbf706835",
+    "glue -h": "7e3c3a924b8465ba6f6b8e2369b54cece53b311b97d331498b2fda21fa759a3c",
+    "glue": "dbd1234bb3a49061de4f8a1cc8e3562dd4e508f95268b6989f63819dc38cac07",
+    "glue --a x --b x --no-such-flag": "d6034772eb8882e34ec79b8b36e13ef0c4af1a03aa4ee43caaf6ee1bc0cd774b",
+    "experiment theorem-check -h": "06ec612b8121b371cc1299fc1c489adb46e72f9ca42f139b406167a974b1697d",
+    "experiment theorem-check --no-such-flag": "9eabf3dc5be14615390510c9b346ac556ab700e96e5403c87e147d56f7423162",
+    "experiment lipschitz -h": "14a9204ceb12b729be2dd2e3ac37f0d5d8c5476dd76a3abf52ac3a063c8ef30f",
+    "experiment lipschitz --no-such-flag": "b6fc49c54a585ede2331fb754a44f2fb9deaa21dc525643d7f8215ba7e8d19e0",
+    "experiment counterexample -h": "433a0930cb2ddd42e80184cba6e355c009f60c03e6a39d709c0a6092b89d9605",
+    "experiment counterexample --no-such-flag": "e99a8f667178e67285eeec07139498a9b5ea8830255083709960e0de73c1d523",
+    "experiment continuity -h": "8e79a87ec450f4bfcab9d9b05588bf2008d1b7280363cd8b11e7ee8354d0e7a1",
+    "experiment continuity --no-such-flag": "1b5e04ae3eb395f8e5d1aae5382f20c8041e11d61dd1d1b78fe52fe797e34c5b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_USAGE))
+def test_usage_texts_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv.split())
+    assert code == (0 if "-h" in argv.split() else 2)
+    digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+    assert digest == PINNED_USAGE[argv]
+
+
 GOOD_DOC = {
     "format": "mmspace/1",
     "labels": ["a", "b"],

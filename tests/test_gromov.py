@@ -26,7 +26,6 @@ from mmdist import (
     sample_mm_space,
 )
 from mmdist import gromov
-from mmdist.exact import scaled
 
 F = Fraction
 
@@ -252,12 +251,12 @@ def test_sweep_threshold_is_each_new_cliques_distortion():
     stars = [code_excursion(comb(n)).space for n in (1, 2, 3, 4)]
     pairs += [(s, t) for k, s in enumerate(stars) for t in stars[k:]]
     for a, b in pairs:
-        a, b = canonicalize(a), canonicalize(b)
-        cells = [(i, j) for i in range(a.n) for j in range(b.n)]
-        sweep = gromov._CliqueSweep(a, b, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET))
+        P = gromov._Pair(a, b)
+        budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
+        sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget)
         yielded = 0
         for t, mask in sweep.cliques(lambda t: False):
-            assert distortion(sweep.pairs(mask), a, b) == F(t, sweep.D)
+            assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
             yielded += 1
         assert yielded >= 1
 
@@ -363,15 +362,13 @@ def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
         ref_glue.source,
     )
     assert glue.evaluations <= ref_glue.evaluations
-    A, B = canonicalize(a), canonicalize(b)
-    weights, _ = scaled(A.weights + B.weights)
-    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
-    twins = (weights[: A.n], weights[A.n :])
-    sweep = gromov._CliqueSweep(A, B, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET), twins)
+    P = gromov._Pair(a, b)
+    budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
+    sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget, (P.wa, P.wb))
     never = lambda t: False
     pruned = list(sweep.cliques(never))
     for t, mask in pruned:
-        assert distortion(sweep.pairs(mask), A, B) == F(t, sweep.D)
+        assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
     # pruning only drops cliques: the rest come in the reference's order
     reference = iter(eager_cliques(sweep, never))
     assert all(clique in reference for clique in pruned)
@@ -490,11 +487,25 @@ def test_budget_past_or_during_the_sweep_leaves_a_scored_upper_bound(monkeypatch
         info = correspondence_info(A, B, gp.pairs)
         assert not gp.exact and gp.value >= exact.value
         assert max(info.distortion, 2 * (1 - info.max_coupling_mass)) == gp.box_value
-    # the box search alone spends `total`, leaving optimal_correspondence's
-    # own sweep nothing
+    # the box search alone spends `total`, leaving the feasibility checks
+    # nothing
     try:
         optimal_correspondence(a, b, F(1, 2), budget=total)
         assert False
     except SizeError:
         pass
     assert optimal_correspondence(a, b, F(1, 2), budget=total + cell_pairs + 10**4)
+
+
+def test_optimal_correspondence_charges_the_cell_pairs_once():
+    # the box search spends 501 units (300 cell pairs, 201 nodes) and the
+    # feasibility checks reuse its sweep for 89 more; a second sweep over
+    # the same cells would charge the 300 cell pairs again
+    a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
+    wide = optimal_correspondence(a, b, F(1, 2), budget=10**9)
+    assert optimal_correspondence(a, b, F(1, 2), budget=590) == wide
+    try:
+        optimal_correspondence(a, b, F(1, 2), budget=589)
+        assert False
+    except SizeError:
+        pass
