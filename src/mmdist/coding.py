@@ -44,7 +44,11 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
     of a pl function is attained at a breakpoint, so these are exactly the
     critical levels.
     """
-    h = normalize(h)
+    return _pl_cuts(normalize(h), resolution)
+
+
+def _pl_cuts(h: Excursion, resolution) -> tuple:
+    """`pl_cut_points` of a normalized pl excursion."""
     bps = h.breakpoints
     values = h.values
     cuts = set(bps)
@@ -109,7 +113,7 @@ def _code_pc(h: Excursion, resolution) -> CodedTree:
 
 
 def _code_pl(h: Excursion, resolution) -> CodedTree:
-    cuts = pl_cut_points(h, resolution)
+    cuts = _pl_cuts(h, resolution)
     cutvals = [evaluate(h, c) for c in cuts]
     heights = [evaluate(h, (cuts[k] + cuts[k + 1]) / 2) for k in range(len(cuts) - 1)]
     bound = max(

@@ -22,6 +22,7 @@ __all__ = [
     "decimal_str",
     "sqrt_if_square",
     "sqrt_enclosure",
+    "isqrt_enclosure",
 ]
 
 
@@ -107,7 +108,10 @@ def sqrt_if_square(q: Fraction):
     return None
 
 
-def sqrt_enclosure(q: Fraction, scale: int = 10**15):
+SQRT_SCALE = 10**15  # a square-root enclosure is [r, r + 1] / SQRT_SCALE unless exact
+
+
+def sqrt_enclosure(q: Fraction, scale: int = SQRT_SCALE):
     """Rational enclosure [lo, hi] of sqrt(q) with hi - lo <= 1/scale.
 
     Returns (lo, lo) exactly when q is a perfect rational square.
@@ -120,3 +124,18 @@ def sqrt_enclosure(q: Fraction, scale: int = 10**15):
     n = (q.numerator * scale * scale) // q.denominator
     r = math.isqrt(n)
     return Fraction(r, scale), Fraction(r + 1, scale)
+
+
+def isqrt_enclosure(num: int, den: int):
+    """`sqrt_enclosure(Fraction(num, den))` in ints: (lo, hi, d) for [lo/d, hi/d].
+
+    num >= 0 and den > 0 need not be coprime: num/den is a rational square
+    exactly when num * den is an int square (an unreduced 2/8 is one), and
+    then the root is isqrt(num * den) / den with lo == hi. Otherwise d is
+    SQRT_SCALE and the bounds are those of `sqrt_enclosure`.
+    """
+    root = math.isqrt(num * den)
+    if root * root == num * den:
+        return root, root, den
+    r = math.isqrt(num * SQRT_SCALE * SQRT_SCALE // den)
+    return r, r + 1, SQRT_SCALE

@@ -28,15 +28,15 @@ breakpoint bottoms. Two regimes:
   enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
   current enclosure when the split budget runs out.
 
-Where ints are used: the target's features go over one denominator once
-per call (`_int_features`), and each point's squared distances to all of
-them are one int vector over a per-point denominator (`_dist_sq_vector`),
-computed once when the point is created. A point's enclosure is the
-vector's minimum; a segment's convexity cap is min_i max(vp_i, vq_i) over
-its two end vectors, compared by cross-multiplying their denominators.
-What stays Fraction: the points themselves, the square-root enclosures,
-the Lipschitz bound and the heap keys, so the visit order and every bound
-are those of the plain Fraction computation.
+Both regimes work in ints from start to finish. A call puts the target's
+breakpoints, values and epigraph features over one denominator once
+(`_int_epi`); a point is an int triple (x, y, d), and its squared distances
+to all features are one int vector (`_dist_sq_vector`), computed once when
+the point is created. Square roots come from `math.isqrt`
+(`isqrt_enclosure`); bounds and heap keys are (num, den) pairs compared by
+cross-multiplication, so the visit order and every bound are those of the
+plain Fraction computation. What stays Fraction: only the returned
+enclosure.
 
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 """
@@ -44,20 +44,16 @@ d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import ValidationError
-from .exact import scaled, sqrt_enclosure, sqrt_if_square
-from .excursions import (
-    Excursion,
-    _piece_limits,
-    evaluate,
-    normalize,
-    require_valid_excursion,
-)
+from .exact import isqrt_enclosure, scaled_rows, sqrt_enclosure, sqrt_if_square
+from .excursions import Excursion, _piece_limits, normalize, require_valid_excursion
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -139,18 +135,11 @@ def d_lambda(h: Excursion, g: Excursion):
 
 def _pc_walls(h: Excursion):
     """Vertical boundary segments (x, y_bottom, y_top) of a pc epigraph."""
-    walls = []
-    m = len(h.values)
-    for k, t in enumerate(h.breakpoints):
-        tops = []
-        if k > 0:
-            tops.append(h.values[k - 1])
-        if k < m:
-            tops.append(h.values[k])
-        top = max(tops)
-        bottom = h.breakpoint_values[k]
-        walls.append((t, bottom, top))
-    return walls
+    v = h.values  # the top is the higher of the pieces on either side
+    return [
+        (t, bottom, max(v[max(k - 1, 0) : k + 1]))
+        for k, (t, bottom) in enumerate(zip(h.breakpoints, h.breakpoint_values))
+    ]
 
 
 def _epi_features(h: Excursion):
@@ -172,35 +161,51 @@ def _epi_features(h: Excursion):
     return feats
 
 
-def _int_features(h: Excursion):
-    """The features of epi(h) over one denominator `den`, as int rows.
+def _int_excursions(*hs):
+    """The excursions with int fields over one common denominator: (hs, den)."""
+    rows, den = scaled_rows(*[(h.breakpoints, h.values, h.breakpoint_values or ()) for h in hs])
+    return [Excursion(h.kind, b, v, bv or None) for h, (b, v, bv) in zip(hs, rows)], den
 
-    Each row is (ax, ay, bx, by, vx, vy, vv, big_v // vv) with v = b - a and
-    vv = |v|^2; big_v is a common multiple of the nonzero vv, so every
-    squared distance below is an int over one per-point denominator.
+
+class _Epi(NamedTuple):
+    """epi(h) over one denominator `den`, as ints (see `_int_epi`)."""
+
+    h: Excursion  # int fields
+    den: int
+    big_v: int
+    rows: list
+
+
+def _int_epi(h: Excursion) -> _Epi:
+    """h and the features of epi(h) over one denominator.
+
+    Each feature row is (ax, ay, bx, by, vx, vy, vv, big_v // vv) with
+    v = b - a and vv = |v|^2; big_v is a common multiple of the nonzero vv,
+    so every squared distance below is an int over one per-point denominator.
     """
-    coords, den = scaled([c for seg in _epi_features(h) for pt in seg for c in pt])
-    segs = [(ax, ay, bx, by, bx - ax, by - ay) for ax, ay, bx, by in zip(*[iter(coords)] * 4)]
+    (ih,), den = _int_excursions(h)
+    segs = [(ax, ay, bx, by, bx - ax, by - ay) for (ax, ay), (bx, by) in _epi_features(ih)]
     vvs = [vx * vx + vy * vy for *_, vx, vy in segs]
     big_v = lcm(*filter(None, vvs))
-    return den, big_v, [(*seg, vv, big_v // vv if vv else 0) for seg, vv in zip(segs, vvs)]
+    rows = [(*seg, vv, big_v // vv if vv else 0) for seg, vv in zip(segs, vvs)]
+    return _Epi(ih, den, big_v, rows)
 
 
-def _dist_sq_vector(px, py, feats):
-    """Squared distances from (px, py) to every feature: (ints, l2).
+def _dist_sq_vector(x, y, d, epi: _Epi):
+    """Squared distances from the point (x/d, y/d) to every feature: (ints, l2).
 
     The ints are over the denominator l2 * big_v, where l2 = L^2 and L is
-    the lcm of the point's denominators and the feature denominator. The
-    projection test picks the nearest point of each segment: an end when the
-    projection falls outside, else the foot, at squared distance cross^2/vv.
+    the lcm of d and the feature denominator. The projection test picks the
+    nearest point of each segment: an end when the projection falls
+    outside, else the foot, at squared distance cross^2/vv.
     """
-    den, big_v, rows = feats
-    big_l = lcm(px.denominator, py.denominator, den)
-    k = big_l // den
-    x = px.numerator * (big_l // px.denominator)
-    y = py.numerator * (big_l // py.denominator)
+    big_l = lcm(d, epi.den)
+    k = big_l // epi.den
+    x *= big_l // d
+    y *= big_l // d
+    big_v = epi.big_v
     out = []
-    for ax, ay, bx, by, vx, vy, vv, m in rows:
+    for ax, ay, bx, by, vx, vy, vv, m in epi.rows:
         wx = x - ax * k
         wy = y - ay * k
         dot = wx * vx + wy * vy
@@ -216,36 +221,55 @@ def _dist_sq_vector(px, py, feats):
     return out, big_l * big_l
 
 
-def _epi_dist_sq(px, py, tgt: Excursion, feats):
-    if py >= evaluate(tgt, px):
-        return Fraction(0)
-    vec, l2 = _dist_sq_vector(px, py, feats)
-    return Fraction(min(vec), l2 * feats[1])
+def _gap(x, y, d, epi: _Epi):
+    """An int with the sign of y/d - h(x/d); >= 0 means inside epi(h)."""
+    h, den = epi.h, epi.den
+    bps, vals = h.breakpoints, h.values
+    xt = x * den
+    j = bisect_right(bps, xt // d) - 1
+    if xt == bps[j] * d:
+        return y * den - (h.breakpoint_values or vals)[j] * d
+    b0, b1, v0 = bps[j], bps[j + 1], vals[j]
+    v1 = vals[j + 1] if h.kind == "pl" else v0  # pc: constant on the open piece
+    return (y * den - v0 * d) * (b1 - b0) - (v1 - v0) * (xt - b0 * d)
+
+
+# rationals as (num, den) pairs, den > 0, compared by cross-multiplying;
+# _qmax and _qmin return p on a tie
+def _qle(p, q):
+    return p[0] * q[1] <= q[0] * p[1]
+
+
+def _qmax(p, q):
+    return q if q[0] * p[1] > p[0] * q[1] else p
+
+
+def _qmin(p, q):
+    return q if q[0] * p[1] < p[0] * q[1] else p
 
 
 # ---------------------------------------------------------------------------
 # exact directed sup, pc source and pc target
 
 
-def _horizontal_max_sq(x1, x2, c, tgt: Excursion, incumbent):
+def _horizontal_max_sq(x1, x2, c, tgt: Excursion, walls, incumbent):
     """Exact max over t in [x1, x2] of squared distance from (t, c) to epi(tgt).
 
-    `incumbent` is the best squared value found so far (used only to prune);
-    the return value is exact for this window regardless.
+    x1, x2, c, tgt and its `_pc_walls` are ints over one denominator D, so
+    squared distances are over D^2, or (D * m)^2 at a parabola crossing.
+    `incumbent`, the best (num, den) found so far, only prunes; the return
+    value is exact for this window regardless.
     """
-    bounds = sorted({x1, x2} | {t for t in tgt.breakpoints if x1 < t < x2})
-    horizontals = [
-        (tgt.breakpoints[k], tgt.breakpoints[k + 1], tgt.values[k])
-        for k in range(len(tgt.values))
-    ]
-    walls = _pc_walls(tgt)
-    best = Fraction(0)
+    tb = tgt.breakpoints
+    bounds = sorted({x1, x2} | {t for t in tb if x1 < t < x2})
+    dd = tb[-1] * tb[-1]  # D^2, as the last breakpoint is 1
+    best = (0, 1)
     for s1, s2 in zip(bounds, bounds[1:]):
-        if c >= evaluate(tgt, (s1 + s2) / 2):
+        if c >= tgt.values[bisect_right(tb, s1) - 1]:
             continue  # subwindow sits inside the epigraph, distance 0
         consts = []
         paras = set()
-        for u1, u2, b in horizontals:
+        for u1, u2, b in zip(tb, tb[1:], tgt.values):
             esq = (c - b) ** 2
             if u1 <= s1 and s2 <= u2:
                 consts.append(esq)
@@ -257,177 +281,186 @@ def _horizontal_max_sq(x1, x2, c, tgt: Excursion, incumbent):
                 raise AssertionError("subdivision bounds must include piece ends")
         for a, y1, y2 in walls:
             if y1 <= c <= y2:
-                paras.add((a, Fraction(0)))
+                paras.add((a, 0))
             else:
                 e = min(abs(c - y1), abs(c - y2))
                 paras.add((a, e * e))
-        cap = min(consts) if consts else None
-        if cap is not None and cap <= best and cap <= incumbent:
+        cap = (min(consts), dd) if consts else None
+        if cap is not None and _qle(cap, best) and _qle(cap, incumbent):
             continue  # this subwindow cannot beat what we already have
         paras = sorted(paras)
-
-        def envelope(t):
-            return min((t - a) ** 2 + esq for a, esq in paras)
-
-        pmax = max(envelope(s1), envelope(s2)) if paras else None
+        pmax = None
         if paras:
+            pmax = (max(min((t - a) ** 2 + esq for a, esq in paras) for t in (s1, s2)), dd)
             for (a1, e1), (a2, e2) in combinations(paras, 2):
                 if a1 == a2:
                     continue
-                tc = (a2 * a2 + e2 - a1 * a1 - e1) / (2 * (a2 - a1))
-                if not (s1 < tc < s2):
+                # the crossing tc = n / (D * m) of the two parabolas
+                n, m = a2 * a2 + e2 - a1 * a1 - e1, 2 * (a2 - a1)
+                if not (s1 * m < n < s2 * m):
                     continue
-                vc = (tc - a1) ** 2 + e1
-                if vc <= pmax:
+                vc = ((n - a1 * m) ** 2 + e1 * m * m, dd * m * m)
+                if _qle(vc, pmax):
                     continue  # the full envelope at tc is <= vc already
-                pmax = max(pmax, envelope(tc))
-        sub = pmax if cap is None else (cap if pmax is None else min(cap, pmax))
-        if sub > best:
-            best = sub
+                pmax = _qmax(pmax, (min((n - a * m) ** 2 + esq * m * m for a, esq in paras), vc[1]))
+        sub = pmax if cap is None else (cap if pmax is None else _qmin(cap, pmax))
+        best = _qmax(best, sub)
     return best
 
 
 def directed_gamma_sq(src: Excursion, tgt: Excursion):
     """Exact squared one-sided epigraph sup, pc source and pc target only."""
-    require_valid_excursion(src)
-    require_valid_excursion(tgt)
+    src, tgt = normalize(src), normalize(tgt)
     if src.kind != "pc" or tgt.kind != "pc":
         raise ValidationError("exact directed sup needs both excursions pc")
-    src = normalize(src)
-    tgt = normalize(tgt)
-    tgt_features = _int_features(tgt)
-    best = Fraction(0)
-    for k, t in enumerate(src.breakpoints):
-        v = _epi_dist_sq(t, src.breakpoint_values[k], tgt, tgt_features)
-        if v > best:
-            best = v
-    for k in range(len(src.values)):
-        v = _horizontal_max_sq(
-            src.breakpoints[k], src.breakpoints[k + 1], src.values[k], tgt, best
-        )
-        if v > best:
-            best = v
-    return best
+    return _directed_gamma_sq(src, tgt)
+
+
+def _directed_gamma_sq(src: Excursion, tgt: Excursion):
+    """`directed_gamma_sq` of two normalized pc excursions."""
+    epi = _int_epi(tgt)
+    (s, t), den = _int_excursions(src, tgt)
+    best = (0, 1)
+    for x, y in zip(s.breakpoints, s.breakpoint_values):
+        if _gap(x, y, den, epi) < 0:
+            vec, l2 = _dist_sq_vector(x, y, den, epi)
+            best = _qmax(best, (min(vec), l2 * epi.big_v))
+    walls = _pc_walls(t)
+    for x1, x2, c in zip(s.breakpoints, s.breakpoints[1:], s.values):
+        best = _qmax(best, _horizontal_max_sq(x1, x2, c, t, walls, best))
+    return Fraction(*best)
 
 
 # ---------------------------------------------------------------------------
 # certified directed sup (any kinds) via branch and bound
 
 
-def _outside_subsegments(p, q, tgt: Excursion):
+def _outside_subsegments(p, q, epi: _Epi):
     """Closed subsegments of [p, q] whose interiors avoid epi(tgt), exact.
 
-    p, q are plane points with p.x < q.x. The segment is cut at the target's
-    breakpoints and at crossings with the target graph inside each piece, so
-    each resulting subsegment is entirely inside or entirely outside.
+    p, q are int points (x, y, d) over one d, with p.x < q.x. The segment is
+    cut at the target's breakpoints and at crossings with the target graph
+    inside each piece, so each resulting subsegment is entirely inside or
+    entirely outside; cut points come back in lowest terms. Between two
+    cuts x1 < x2 (over c) the source's height above the target is g(x)
+    times one positive scale, so the crossing is (x2 g1 - x1 g2) / (g1 - g2).
     """
-    (px, py), (qx, qy) = p, q
-    xs = sorted({px, qx} | {t for t in tgt.breakpoints if px < t < qx})
+    (px, py, d), (qx, qy, _) = p, q
+    c = lcm(d, epi.den)
+    k = c // epi.den
+    px, py, qx, qy = (v * (c // d) for v in (px, py, qx, qy))
+    w = qx - px
+    bps, vals = epi.h.breakpoints, epi.h.values
+    xs = sorted({px, qx} | {t * k for t in bps if px < t * k < qx})
 
-    def src_y(x):
-        return py + (qy - py) * (x - px) / (qx - px)
+    def point(x, m):  # the source point at abscissa x / (c * m)
+        if m < 0:
+            x, m = -x, -m
+        y = py * w * m + (qy - py) * (x - px * m)
+        g = gcd(x * w, y, c * w * m)
+        return x * w // g, y // g, c * w * m // g
 
     out = []
     for x1, x2 in zip(xs, xs[1:]):
-        y1, y2 = src_y(x1), src_y(x2)
-        if tgt.kind == "pl":
-            g1, g2 = evaluate(tgt, x1), evaluate(tgt, x2)
-        else:
-            gv = evaluate(tgt, (x1 + x2) / 2)
-            g1 = g2 = gv
-        d1, d2 = y1 - g1, y2 - g2  # >= 0 means inside on that side
-        pieces = [(x1, y1, d1, x2, y2, d2)]
-        if (d1 < 0 < d2) or (d2 < 0 < d1):
-            frac = d1 / (d1 - d2)
-            xm = x1 + (x2 - x1) * frac
-            ym = src_y(xm)
-            pieces = [
-                (x1, y1, d1, xm, ym, Fraction(0)),
-                (xm, ym, Fraction(0), x2, y2, d2),
-            ]
-        for ax, ay, da, bx, by, db in pieces:
-            if da < 0 or db < 0:  # interior outside the epigraph
-                out.append(((ax, ay), (bx, by)))
+        j = bisect_right(bps, x1 // k) - 1
+        b0, db, v0 = bps[j], bps[j + 1] - bps[j], vals[j]
+        dv = vals[j + 1] - v0 if epi.h.kind == "pl" else 0  # pc: constant on the piece
+        g1, g2 = (
+            (py * w + (qy - py) * (x - px)) * db - (v0 * db * k + dv * (x - b0 * k)) * w
+            for x in (x1, x2)
+        )
+        a, b = point(x1, 1), point(x2, 1)
+        pieces = [(a, g1, b, g2)]  # g >= 0 means inside on that side
+        if (g1 < 0 < g2) or (g2 < 0 < g1):
+            m = point(x2 * g1 - x1 * g2, g1 - g2)
+            pieces = [(a, g1, m, 0), (m, 0, b, g2)]
+        out += [(s, t) for s, ga, t, gb in pieces if ga < 0 or gb < 0]
     return out
+
+
+class _Seg:
+    """A heap entry: segment (s, t) under the bound n / d. It pops first for
+    a larger bound, then for an earlier push, as Fraction keys would."""
+
+    __slots__ = ("n", "d", "count", "s", "t")
+
+    def __init__(self, bound, count, s, t):
+        (self.n, self.d), self.count, self.s, self.t = bound, count, s, t
+
+    def __lt__(self, other):
+        a, b = self.n * other.d, other.n * self.d
+        return a > b or (a == b and self.count < other.count)
 
 
 def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
     """Certified enclosure (lo, hi) of the one-sided epigraph sup.
 
-    Each point of the search is (xy, lo, hi, vec, l2): its coordinates, the
+    src and tgt are normalized. Each point of the search is
+    (x, y, d, lo, hi, vec, l2): its coordinates over d, the (num, den)
     enclosure of its distance to epi(tgt), and its squared distances to
-    every target feature as ints over l2 * big_v (`_dist_sq_vector`). The
-    vector is computed once per point and shared by its enclosure and the
-    upper bounds of both segments it ends.
+    every target feature as ints over l2 * big_v (`_dist_sq_vector`),
+    shared by its enclosure and the bounds of both segments it ends.
     """
-    src = normalize(src)
-    tgt = normalize(tgt)
-    feats = _int_features(tgt)
-    big_v = feats[1]
+    epi = _int_epi(tgt)
+    big_v = epi.big_v
+    tn, td = Fraction(tol).as_integer_ratio()
 
-    def node(xy):
-        px, py = xy
-        vec, l2 = _dist_sq_vector(px, py, feats)
-        inside = py >= evaluate(tgt, px)
-        d_sq = Fraction(0) if inside else Fraction(min(vec), l2 * big_v)
-        return (xy, *sqrt_enclosure(d_sq), vec, l2)
-
-    lo = Fraction(0)
-    hi_points = Fraction(0)
-    if src.kind == "pc":
-        segments = [
-            ((src.breakpoints[k], src.values[k]), (src.breakpoints[k + 1], src.values[k]))
-            for k in range(len(src.values))
-        ]
-        points = [(t, src.breakpoint_values[k]) for k, t in enumerate(src.breakpoints)]
-    else:
-        segments = [
-            ((src.breakpoints[k], src.values[k]), (src.breakpoints[k + 1], src.values[k + 1]))
-            for k in range(len(src.values) - 1)
-        ]
-        points = []
-    for px, py in points:
-        plo, phi = sqrt_enclosure(_epi_dist_sq(px, py, tgt, feats))
-        lo = max(lo, plo)
-        hi_points = max(hi_points, phi)
+    def node(x, y, d):
+        vec, l2 = _dist_sq_vector(x, y, d, epi)
+        r0, r1, e = isqrt_enclosure(0 if _gap(x, y, d, epi) >= 0 else min(vec), l2 * big_v)
+        return x, y, d, (r0, e), (r1, e), vec, l2
 
     def seg_ub(s, t):
         # per-feature convexity: max over the segment of the distance to one
         # feature is at an endpoint; any single feature caps the distance.
         # The two vectors are compared over l2_s * l2_t * big_v.
-        (p, _, dp_hi, vp, lp), (q, _, dq_hi, vq, lq) = s, t
-        cap_sq = min(map(max, [v * lq for v in vp], [v * lp for v in vq]))
-        cap = sqrt_enclosure(Fraction(cap_sq, lp * lq * big_v))[1]
-        len_hi = sqrt_enclosure((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2)[1]
-        lip = (dp_hi + dq_hi + len_hi) / 2
-        return min(cap, lip)
+        x1, y1, d1, _, (h1, e1), v1, l1 = s
+        x2, y2, d2, _, (h2, e2), v2, l2 = t
+        cap_sq = min(map(max, [v * l2 for v in v1], [v * l1 for v in v2]))
+        _, cap, ce = isqrt_enclosure(cap_sq, l1 * l2 * big_v)
+        dx, dy, dd = x2 * d1 - x1 * d2, y2 * d1 - y1 * d2, d1 * d2
+        _, ln, le = isqrt_enclosure(dx * dx + dy * dy, dd * dd)
+        lip = ((h1 * e2 + h2 * e1) * le + ln * e1 * e2, 2 * e1 * e2 * le)
+        return _qmin((cap, ce), lip)
+
+    (s,), den = _int_excursions(src)
+    bps, vals = s.breakpoints, s.values
+    lo = hi_points = (0, 1)
+    if src.kind == "pc":
+        segments = [((x1, v, den), (x2, v, den)) for x1, x2, v in zip(bps, bps[1:], vals)]
+        for x, y in zip(bps, s.breakpoint_values):
+            _, _, _, plo, phi, _, _ = node(x, y, den)
+            lo, hi_points = _qmax(lo, plo), _qmax(hi_points, phi)
+    else:
+        ends = [(x, v, den) for x, v in zip(bps, vals)]
+        segments = list(zip(ends, ends[1:]))
 
     heap = []
     counter = 0
     for p, q in segments:
-        for a, b in _outside_subsegments(p, q, tgt):
-            na, nb = node(a), node(b)
-            lo = max(lo, na[1], nb[1])
-            heapq.heappush(heap, (-seg_ub(na, nb), counter, na, nb))
+        for a, b in _outside_subsegments(p, q, epi):
+            na, nb = node(*a), node(*b)
+            lo = _qmax(_qmax(lo, na[3]), nb[3])
+            heapq.heappush(heap, _Seg(seg_ub(na, nb), counter, na, nb))
             counter += 1
 
     spent = 0
     final_hi = hi_points
     while heap:
-        neg_ub, _, na, nb = heapq.heappop(heap)
-        ub = -neg_ub
-        if ub <= lo + tol or spent >= budget:
-            final_hi = max(final_hi, ub)
+        top = heapq.heappop(heap)
+        ub = top.n, top.d
+        if _qle(ub, (lo[0] * td + tn * lo[1], lo[1] * td)) or spent >= budget:  # ub <= lo + tol
+            final_hi = _qmax(final_hi, ub)
             break
         spent += 1
-        a, b = na[0], nb[0]
-        nm = node(((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
-        lo = max(lo, nm[1])
-        for s, t in ((na, nm), (nm, nb)):
-            ub2 = min(ub, seg_ub(s, t))
-            heapq.heappush(heap, (-ub2, counter, s, t))
+        (ax, ay, ad, *_), (bx, by, bd, *_) = top.s, top.t
+        m = lcm(ad, bd)
+        nm = node(ax * (m // ad) + bx * (m // bd), ay * (m // ad) + by * (m // bd), 2 * m)
+        lo = _qmax(lo, nm[3])
+        for s, t in ((top.s, nm), (nm, top.t)):
+            heapq.heappush(heap, _Seg(_qmin(ub, seg_ub(s, t)), counter, s, t))
             counter += 1
-    return lo, max(final_hi, lo, hi_points)
+    return Fraction(*lo), Fraction(*_qmax(_qmax(final_hi, lo), hi_points))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +473,9 @@ def d_gamma_detail(
     tol=DEFAULT_GAMMA_TOL,
     budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> IntervalResult:
-    require_valid_excursion(h)
-    require_valid_excursion(g)
+    h, g = normalize(h), normalize(g)  # validates each input, once
     if h.kind == "pc" and g.kind == "pc":
-        ssq = max(directed_gamma_sq(h, g), directed_gamma_sq(g, h))
+        ssq = max(_directed_gamma_sq(h, g), _directed_gamma_sq(g, h))
         root = sqrt_if_square(ssq)
         if root is not None:
             return IntervalResult(root, root, root, True, True)

@@ -501,10 +501,11 @@ def optimal_correspondence(
     every feasibility check spend from one `budget`; past it this raises
     SizeError.
     """
+    undefined = f"optimal correspondence undefined past a budget of {budget} work units"
     work = _Budget(budget)
     detail, P, sweep = _box_lambda(a, b, lam, work)
     if not detail.exact:
-        raise SizeError(f"optimal correspondence undefined past a budget of {budget} work units")
+        raise SizeError(undefined)
     v = detail.value
     m_req = P.W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
     if m_req <= 0:
@@ -543,7 +544,11 @@ def optimal_correspondence(
         for c in range(start, nc):
             if nbr[c] & chosen_mask != chosen_mask:
                 continue
-            if feasible(chosen + (c,), chosen_mask | 1 << c, c):
+            try:
+                ok = feasible(chosen + (c,), chosen_mask | 1 << c, c)
+            except SizeError:
+                raise SizeError(undefined) from None  # the checks ran out
+            if ok:
                 chosen = chosen + (c,)
                 chosen_mask |= 1 << c
                 start = c + 1

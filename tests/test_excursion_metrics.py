@@ -3,8 +3,12 @@
 import heapq
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from mmdist import (
+    Excursion,
+    ValidationError,
+    code_excursion,
     comb,
     d_excursion,
     d_excursion_detail,
@@ -21,14 +25,8 @@ from mmdist import (
     tent,
     zero_excursion,
 )
-from mmdist.exact import sqrt_enclosure
-from mmdist.excursion_metrics import (
-    DEFAULT_GAMMA_TOL,
-    _directed_bb,
-    _epi_features,
-    _horizontal_max_sq,
-    _outside_subsegments,
-)
+from mmdist.exact import isqrt_enclosure, sqrt_enclosure
+from mmdist.excursion_metrics import DEFAULT_GAMMA_TOL, _directed_bb
 from mmdist.excursions import normalize
 
 F = Fraction
@@ -227,10 +225,53 @@ def test_excursion_distance_zero_on_equivalent_functions():
     assert d_excursion(comb(4), comb(4)) == 0
 
 
+def test_invalid_excursions_raise_the_same_text_from_every_entry():
+    bad_pl = Excursion("pl", (F(0), F(1)), (F(1), F(0)))
+    bad_pc = Excursion("pc", (F(0), F(1)), (F(1),), (F(0), F(2)))
+    texts = {
+        bad_pl: "invalid excursion: h(0) must be 0",
+        bad_pc: "invalid excursion: breakpoint value at index 1 exceeds an adjacent piece value",
+    }
+    entries = [d_lambda, d_gamma, d_gamma_detail, d_excursion, d_excursion_detail]
+    for bad, text in texts.items():
+        good = comb(2) if bad.kind == "pc" else tent()
+        calls = [(f, args) for f in entries for args in ((bad, good), (good, bad))]
+        calls += [(directed_gamma_sq, (bad, comb(2))), (directed_gamma_sq, (tent(), bad))]
+        calls += [(code_excursion, (bad,))]
+        for f, args in calls:
+            try:
+                f(*args)
+                assert False, f.__name__
+            except ValidationError as exc:
+                assert str(exc) == text, (f.__name__, str(exc))
+
+
 # ---------------------------------------------------------------------------
-# Fraction reference for the int point kernel: the same branch and bound with
-# every point-to-segment distance recomputed in Fractions (`ref_seg_dist_sq`).
-# The visit order and every bound must be the same, so (lo, hi) must be equal.
+# Fraction reference for the int branch and bound: the same search with every
+# point, distance, bound and heap key in Fractions. The visit order and every
+# bound must be the same, so (lo, hi) must be equal.
+
+
+def ref_pc_walls(h):
+    walls = []
+    m = len(h.values)
+    for k, t in enumerate(h.breakpoints):
+        tops = []
+        if k > 0:
+            tops.append(h.values[k - 1])
+        if k < m:
+            tops.append(h.values[k])
+        walls.append((t, h.breakpoint_values[k], max(tops)))
+    return walls
+
+
+def ref_epi_features(h):
+    """The boundary of epi(h) as closed segments ((ax, ay), (bx, by))."""
+    bps, v = h.breakpoints, h.values
+    if h.kind == "pl":
+        return [((bps[k], v[k]), (bps[k + 1], v[k + 1])) for k in range(len(bps) - 1)]
+    horizontals = [((bps[k], v[k]), (bps[k + 1], v[k])) for k in range(len(v))]
+    return horizontals + [((x, y1), (x, y2)) for x, y1, y2 in ref_pc_walls(h)]
 
 
 def ref_seg_dist_sq(px, py, a, b):
@@ -253,10 +294,37 @@ def ref_epi_dist_sq(px, py, tgt, features):
     return min(ref_seg_dist_sq(px, py, a, b) for a, b in features)
 
 
+def ref_outside_subsegments(p, q, tgt):
+    """Subsegments of [p, q] (p.x < q.x) whose interiors avoid epi(tgt)."""
+    (px, py), (qx, qy) = p, q
+    xs = sorted({px, qx} | {t for t in tgt.breakpoints if px < t < qx})
+
+    def src_y(x):
+        return py + (qy - py) * (x - px) / (qx - px)
+
+    out = []
+    for x1, x2 in zip(xs, xs[1:]):
+        y1, y2 = src_y(x1), src_y(x2)
+        if tgt.kind == "pl":
+            g1, g2 = evaluate(tgt, x1), evaluate(tgt, x2)
+        else:
+            g1 = g2 = evaluate(tgt, (x1 + x2) / 2)
+        d1, d2 = y1 - g1, y2 - g2  # >= 0 means inside on that side
+        pieces = [(x1, y1, d1, x2, y2, d2)]
+        if (d1 < 0 < d2) or (d2 < 0 < d1):
+            xm = x1 + (x2 - x1) * d1 / (d1 - d2)
+            ym = src_y(xm)
+            pieces = [(x1, y1, d1, xm, ym, F(0)), (xm, ym, F(0), x2, y2, d2)]
+        for ax, ay, da, bx, by, db in pieces:
+            if da < 0 or db < 0:  # interior outside the epigraph
+                out.append(((ax, ay), (bx, by)))
+    return out
+
+
 def ref_directed_bb(src, tgt, tol, budget):
     src = normalize(src)
     tgt = normalize(tgt)
-    features = _epi_features(tgt)
+    features = ref_epi_features(tgt)
 
     def dist_encl(px, py):
         return sqrt_enclosure(ref_epi_dist_sq(px, py, tgt, features))
@@ -282,7 +350,7 @@ def ref_directed_bb(src, tgt, tol, budget):
     heap = []
     counter = 0
     for p, q in segments:
-        for a, b in _outside_subsegments(p, q, tgt):
+        for a, b in ref_outside_subsegments(p, q, tgt):
             (alo, ahi), (blo, bhi) = dist_encl(*a), dist_encl(*b)
             lo = max(lo, alo, blo)
             heapq.heappush(heap, (-seg_ub(a, b, ahi, bhi), counter, a, b, ahi, bhi))
@@ -305,16 +373,72 @@ def ref_directed_bb(src, tgt, tol, budget):
     return lo, max(final_hi, lo, hi_points)
 
 
+def ref_horizontal_max_sq(x1, x2, c, tgt, incumbent):
+    """Exact max over t in [x1, x2] of squared distance from (t, c) to epi(tgt)."""
+    bounds = sorted({x1, x2} | {t for t in tgt.breakpoints if x1 < t < x2})
+    horizontals = [
+        (tgt.breakpoints[k], tgt.breakpoints[k + 1], tgt.values[k])
+        for k in range(len(tgt.values))
+    ]
+    walls = ref_pc_walls(tgt)
+    best = F(0)
+    for s1, s2 in zip(bounds, bounds[1:]):
+        if c >= evaluate(tgt, (s1 + s2) / 2):
+            continue  # subwindow sits inside the epigraph, distance 0
+        consts = []
+        paras = set()
+        for u1, u2, b in horizontals:
+            esq = (c - b) ** 2
+            if u1 <= s1 and s2 <= u2:
+                consts.append(esq)
+            elif s2 <= u1:
+                paras.add((u1, esq))
+            elif s1 >= u2:
+                paras.add((u2, esq))
+            else:
+                raise AssertionError("subdivision bounds must include piece ends")
+        for a, y1, y2 in walls:
+            if y1 <= c <= y2:
+                paras.add((a, F(0)))
+            else:
+                e = min(abs(c - y1), abs(c - y2))
+                paras.add((a, e * e))
+        cap = min(consts) if consts else None
+        if cap is not None and cap <= best and cap <= incumbent:
+            continue  # this subwindow cannot beat what we already have
+        paras = sorted(paras)
+
+        def envelope(t):
+            return min((t - a) ** 2 + esq for a, esq in paras)
+
+        pmax = max(envelope(s1), envelope(s2)) if paras else None
+        if paras:
+            for (a1, e1), (a2, e2) in combinations(paras, 2):
+                if a1 == a2:
+                    continue
+                tc = (a2 * a2 + e2 - a1 * a1 - e1) / (2 * (a2 - a1))
+                if not (s1 < tc < s2):
+                    continue
+                vc = (tc - a1) ** 2 + e1
+                if vc <= pmax:
+                    continue  # the full envelope at tc is <= vc already
+                pmax = max(pmax, envelope(tc))
+        sub = pmax if cap is None else (cap if pmax is None else min(cap, pmax))
+        if sub > best:
+            best = sub
+    return best
+
+
 def ref_directed_gamma_sq(src, tgt):
     src = normalize(src)
     tgt = normalize(tgt)
-    features = _epi_features(tgt)
+    features = ref_epi_features(tgt)
     best = F(0)
     for point in zip(src.breakpoints, src.breakpoint_values):
         best = max(best, ref_epi_dist_sq(*point, tgt, features))
     for k, v in enumerate(src.values):
         bps = src.breakpoints
-        best = max(best, _horizontal_max_sq(bps[k], bps[k + 1], v, tgt, best))
+        best = max(best, ref_horizontal_max_sq(bps[k], bps[k + 1], v, tgt, best))
     return best
 
 
@@ -323,7 +447,7 @@ def oracle_pool():
     pool = [tent(), comb(3), step_one(), zero_excursion("pl"), zero_excursion("pc")]
     for kind in ("pl", "pc") * 4:
         pool.append(random_excursion(rng, kind=kind, max_pieces=5))
-    return pool
+    return [normalize(h) for h in pool]  # `_directed_bb` takes normalized forms
 
 
 # (budget, tol) settings dealt round-robin over the ordered pairs; tol 0 with
@@ -351,6 +475,48 @@ def test_int_kernel_matches_the_fraction_branch_and_bound():
         lo_hi = _directed_bb(h, g, 0, 6000)
         assert lo_hi == ref_directed_bb(h, g, 0, 6000)
         assert lo_hi[0] == lo_hi[1] > 0
+    # equal bounds pop in push order; here the reverse order ends lower, 89478485/2^29
+    h, g = pool[6], pool[1]
+    assert _directed_bb(h, g, TOL, 6000) == ref_directed_bb(h, g, TOL, 6000) == (F(1, 6), F(1, 6))
+
+
+def positive_pl(rng):
+    """Three pl pieces on the 1/12 grid whose interior values are positive."""
+    interior = sorted(rng.sample(range(1, 12), 2))
+    values = [F(0)] + [F(rng.randint(1, 4), 4) for _ in range(2)] + [F(rng.randint(0, 4), 4)]
+    return pl_excursion([F(0)] + [F(k, 12) for k in interior] + [F(1)], values)
+
+
+def sawtooth(rng):
+    """Four pl pieces alternating between peaks and valleys at distinct levels."""
+    interior = sorted(rng.sample(range(1, 12), 3))
+    peaks, valleys = rng.sample(range(5, 9), 2), rng.sample(range(1, 4), 2)
+    values = [F(0)] + [F(peaks.pop() if k % 2 else valleys.pop(), 8) for k in range(1, 5)]
+    return pl_excursion([F(0)] + [F(k, 12) for k in interior] + [F(1)], values)
+
+
+def test_int_kernel_matches_on_the_benchmarked_shapes():
+    rng = random.Random(191)
+    pairs = [(positive_pl(rng), positive_pl(rng)) for _ in range(4)]
+    pairs += [(sawtooth(rng), sawtooth(rng)) for _ in range(2)]
+    # the tent's rising side meets the level 1/2 at 1/4, inside the target's
+    # piece (1/8, 1): a crossing cut that is no breakpoint of either side
+    crossing = (tent(), pl_excursion((0, F(1, 8), 1), (0, F(1, 2), F(1, 2))))
+    outside = ref_outside_subsegments((F(0), F(0)), (F(1, 2), F(1)), crossing[1])
+    assert [(a[0], b[0]) for a, b in outside] == [(0, F(1, 8)), (F(1, 8), F(1, 4))]
+    pairs.append(crossing)
+    for h, g in pairs:  # at the default tolerance and budget, as benchmarked
+        for src, tgt in ((h, g), (g, h)):
+            src, tgt = normalize(src), normalize(tgt)
+            assert _directed_bb(src, tgt, TOL, 6000) == ref_directed_bb(src, tgt, TOL, 6000)
+
+
+def test_int_square_root_enclosure_matches_the_fraction_one():
+    # 2/8 and 9/4 are rational squares, 2/8 only once reduced; 1/3 is not
+    for num, den in ((2, 8), (1, 4), (9, 4), (18, 8), (0, 1), (0, 7), (1, 3), (3, 9), (2, 1)):
+        lo, hi, d = isqrt_enclosure(num, den)
+        assert (F(lo, d), F(hi, d)) == sqrt_enclosure(F(num, den))
+        assert (lo == hi) == (sqrt_if_square(F(num, den)) is not None)
 
 
 def test_int_kernel_leaves_the_exact_pc_route_unchanged():

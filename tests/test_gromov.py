@@ -509,3 +509,16 @@ def test_optimal_correspondence_charges_the_cell_pairs_once():
         assert False
     except SizeError:
         pass
+
+
+def test_optimal_correspondence_names_a_spent_budget_one_way():
+    # below 501 units the box search runs out, from 501 to 589 the
+    # feasibility checks do; both must read the same
+    a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
+    for budget in (299, 300, 499, 500, 501, 502, 520, 555, 588, 589):
+        try:
+            optimal_correspondence(a, b, F(1, 2), budget=budget)
+            assert False
+        except SizeError as exc:
+            assert str(exc) == f"optimal correspondence undefined past a budget of {budget} work units"
+    assert optimal_correspondence(a, b, F(1, 2), budget=590)
