@@ -14,6 +14,12 @@ the reported resolution certificate is 0. For piecewise-linear excursions
 the certificate is the maximum height variation over a segment, which
 bounds twice the sup-distance between h and its midpoint snap, hence the
 distance to the full tree.
+
+Both kinds read h once on the cut set (`excursions._on_grid`): the cut
+values are h at the cuts, and a segment's height is the value at its
+midpoint, which is the mean of h's limits at the segment's ends (pl) or the
+piece value (pc). Resolution points join the cuts of either kind, each
+checked to lie in [0, 1] in the order given.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from itertools import combinations
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
-from .excursions import Excursion, evaluate, normalize
+from .excursions import Excursion, _on_grid, normalize
 from .spaces import FiniteMMSpace, _class_roots
 
 
@@ -38,33 +44,35 @@ class CodedTree:
 
 
 def pl_cut_points(h: Excursion, resolution=()) -> tuple:
-    """Cut set for coding a pl excursion: breakpoints, level crossings, extras.
+    """Cut set for coding an excursion: breakpoints, pl level crossings, extras.
 
     Levels are the breakpoint values themselves; every pairwise path infimum
     of a pl function is attained at a breakpoint, so these are exactly the
     critical levels.
     """
-    return _pl_cuts(normalize(h), resolution)
+    return _cuts(normalize(h), resolution)
 
 
-def _pl_cuts(h: Excursion, resolution) -> tuple:
-    """`pl_cut_points` of a normalized pl excursion."""
+def _cuts(h: Excursion, resolution) -> tuple:
+    """Cut set for coding a normalized excursion: its breakpoints, for pl its
+    level crossings, and the resolution points, checked in the order given."""
     bps = h.breakpoints
     values = h.values
-    cuts = set(bps)
-    levels = sorted(set(values))
-    for k in range(len(bps) - 1):
-        v0, v1 = values[k], values[k + 1]
-        lo, hi = min(v0, v1), max(v0, v1)
-        for level in levels:
-            if lo < level < hi:
-                cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
+    cuts = set()
+    if h.kind == "pl":
+        levels = sorted(set(values))
+        for k in range(len(bps) - 1):
+            v0, v1 = values[k], values[k + 1]
+            lo, hi = min(v0, v1), max(v0, v1)
+            for level in levels:
+                if lo < level < hi:
+                    cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
     for r in resolution:
         r = parse_scalar(r)
         if not (0 <= r <= 1):
             raise ValidationError(f"resolution point {r} outside [0, 1]")
         cuts.add(r)
-    return tuple(sorted(cuts))
+    return tuple(sorted(cuts.union(bps))) if cuts else bps
 
 
 def _merge_to_space(d, lengths):
@@ -87,45 +95,16 @@ def _merge_to_space(d, lengths):
 
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
     h = normalize(h)
-    if h.kind == "pc":
-        return _code_pc(h, resolution)
-    return _code_pl(h, resolution)
-
-
-def _code_pc(h: Excursion, resolution) -> CodedTree:
-    bps = list(h.breakpoints)
-    pvals = list(h.values)
-    bvals = list(h.breakpoint_values)
-    extras = set(map(parse_scalar, resolution))
-    for r in sorted(extras):
-        if not (0 <= r <= 1):
-            raise ValidationError(f"resolution point {r} outside [0, 1]")
-        if r in bps:
-            continue
-        k = next(i for i in range(len(bps) - 1) if bps[i] < r < bps[i + 1])
-        bps.insert(k + 1, r)
-        pvals.insert(k + 1, pvals[k])  # split piece, same value both sides
-        bvals.insert(k + 1, pvals[k])  # function unchanged at the new cut
-
-    # pieces are the segments; a valid breakpoint value is at most both
-    # neighbouring pieces, so it alone is the inf across its cut
-    return _coded_tree(bps, bvals, pvals, Fraction(0))
-
-
-def _code_pl(h: Excursion, resolution) -> CodedTree:
-    cuts = _pl_cuts(h, resolution)
-    cutvals = [evaluate(h, c) for c in cuts]
-    heights = [evaluate(h, (cuts[k] + cuts[k + 1]) / 2) for k in range(len(cuts) - 1)]
-    bound = max(
-        (abs(cutvals[k + 1] - cutvals[k]) for k in range(len(heights))), default=Fraction(0)
-    )
-    return _coded_tree(cuts, cutvals, heights, bound)
-
-
-def _coded_tree(cuts, cutvals, heights, bound) -> CodedTree:
-    """The coded tree of the segments [cuts[k], cuts[k + 1]], given the
-    height of each segment's midpoint and, as cutvals[j], the inf of h
-    across the cut between segments j - 1 and j."""
+    cuts = _cuts(h, resolution)
+    # cutvals[j], h at the cut between segments j - 1 and j, is the inf of h
+    # across that cut: pl is continuous, and a valid pc breakpoint value is at
+    # most both neighbouring pieces
+    cutvals, pieces = _on_grid(h, cuts)
+    if h.kind == "pc":  # constant on each segment
+        heights, bound = [left for left, _ in pieces], Fraction(0)
+    else:
+        heights = [(left + right) / 2 for left, right in pieces]  # at the midpoints
+        bound = max((abs(right - left) for left, right in pieces), default=Fraction(0))
     m = len(heights)
     d = [[Fraction(0)] * m for _ in range(m)]
     for i in range(m):

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .exact import isqrt_enclosure, scaled_rows, sqrt_enclosure, sqrt_if_square
-from .excursions import Excursion, _piece_limits, normalize, require_valid_excursion
+from .excursions import Excursion, _on_grid, normalize, require_valid_excursion
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -81,11 +81,10 @@ class IntervalResult:
 def _abs_diff_pieces(h: Excursion, g: Excursion):
     """(length, lo, hi) pieces of |h - g|: linear from lo or hi, ends sorted."""
     cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
+    h_pieces, g_pieces = _on_grid(h, cuts)[1], _on_grid(g, cuts)[1]
     out = []
-    for lo_t, hi_t in zip(cuts, cuts[1:]):
+    for lo_t, hi_t, (h0, h1), (g0, g1) in zip(cuts, cuts[1:], h_pieces, g_pieces):
         ln = hi_t - lo_t
-        h0, h1 = _piece_limits(h, lo_t, hi_t)
-        g0, g1 = _piece_limits(g, lo_t, hi_t)
         a, b = h0 - g0, h1 - g1
         if (a < 0 < b) or (b < 0 < a):
             frac = a / (a - b)  # zero crossing

@@ -6,17 +6,23 @@ most the neighbouring piece values (the lower-semicontinuous convention);
 the constructor defaults each interior breakpoint to the minimum of its
 neighbours and the right endpoint to the last piece value.
 
-`infimum` and `dh` are exact: the path infimum of a piecewise function over
-an interval is attained at a breakpoint, an interval endpoint, or on an
-open piece, all of which are finitely many candidates.
+Every exact read of an excursion goes through one grid reader, `_on_grid`.
+Given ascending cuts with no breakpoint strictly between two neighbours, it
+walks the breakpoints once and returns h at each cut and the one-sided
+limits of h at the ends of each open piece between cuts. On such a piece h
+is constant or linear, so these finitely many values bound it from both
+sides. `infimum` and `dh` are exact because the path infimum over [s, t] is
+the least of them on the grid {s, t} and the breakpoints between.
+`sup_diff` and `d_lambda` read both excursions on the union of their
+breakpoints, and the coding reads h on its cut set.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ValidationError
 from .exact import format_scalar, parse_scalar
@@ -158,23 +164,41 @@ def normalize(h: Excursion) -> Excursion:
     )
 
 
+def _on_grid(h: Excursion, cuts):
+    """(points, pieces): h read on ascending cuts in [0, 1], in one walk.
+
+    points[k] is h(cuts[k]), a pc excursion's breakpoint value at its
+    breakpoints; pieces[k] is the pair of one-sided limits of h at the two
+    ends of the open piece (cuts[k], cuts[k + 1]). No breakpoint of h may
+    lie strictly inside such a piece.
+    """
+    bps, vals = h.breakpoints, h.values
+    pl = h.kind == "pl"
+    at_bp = vals if pl else h.breakpoint_values
+    last = len(bps) - 1
+    points, piece_of = [], []
+    k = 0
+    for t in cuts:
+        while k < last and bps[k + 1] <= t:
+            k += 1
+        if t == bps[k]:
+            points.append(at_bp[k])
+        elif pl:
+            t0, t1, v0, v1 = bps[k], bps[k + 1], vals[k], vals[k + 1]
+            points.append(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+        else:
+            points.append(vals[k])
+        piece_of.append(k)
+    if pl:
+        return points, list(zip(points, points[1:]))
+    return points, [(vals[k], vals[k]) for k in piece_of[:-1]]
+
+
 def evaluate(h: Excursion, t):
     t = parse_scalar(t)
     if not (0 <= t <= 1):
         raise ValidationError(f"t = {t} outside [0, 1]")
-    bps = h.breakpoints
-    k = bisect_right(bps, t) - 1
-    if k == len(bps) - 1:  # t == 1
-        if h.kind == "pl":
-            return h.values[-1]
-        return h.breakpoint_values[-1]
-    if h.kind == "pl":
-        t0, t1 = bps[k], bps[k + 1]
-        v0, v1 = h.values[k], h.values[k + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-    if t == bps[k]:
-        return h.breakpoint_values[k]
-    return h.values[k]
+    return _on_grid(h, (t,))[0][0]
 
 
 def infimum(h: Excursion, s, t):
@@ -185,21 +209,9 @@ def infimum(h: Excursion, s, t):
         s, t = t, s
     if not (0 <= s and t <= 1):
         raise ValidationError("interval must sit inside [0, 1]")
-    best = min(evaluate(h, s), evaluate(h, t))
-    bps = h.breakpoints
-    if h.kind == "pl":
-        for k in range(len(bps)):
-            if s < bps[k] < t and h.values[k] < best:
-                best = h.values[k]
-        return best
-    for k in range(len(bps)):
-        if s <= bps[k] <= t and h.breakpoint_values[k] < best:
-            best = h.breakpoint_values[k]
-    for k in range(len(bps) - 1):
-        # open piece (bps[k], bps[k+1]) meets [s, t] with positive length
-        if bps[k] < t and s < bps[k + 1] and h.values[k] < best:
-            best = h.values[k]
-    return best
+    grid = sorted({s, t}.union(b for b in h.breakpoints if s < b < t))
+    points, pieces = _on_grid(h, grid)
+    return min(chain(points, *pieces))
 
 
 def dh(h: Excursion, s, t):
@@ -209,29 +221,14 @@ def dh(h: Excursion, s, t):
 
 def sup_diff(h: Excursion, g: Excursion):
     """True sup of |h - g| over [0, 1] (not just the essential sup)."""
+    # on each open piece of the union grid both functions are linear, so the
+    # difference is extremal at the grid points or at the piece-end limits
     cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
-    worst = Fraction(0)
-    for t in cuts:
-        worst = max(worst, abs(evaluate(h, t) - evaluate(g, t)))
-    for lo, hi in zip(cuts, cuts[1:]):
-        # on the open piece both functions are linear; the difference is
-        # extremal at the piece ends (limits)
-        h0, h1 = _piece_limits(h, lo, hi)
-        g0, g1 = _piece_limits(g, lo, hi)
-        worst = max(worst, abs(h0 - g0), abs(h1 - g1))
-    return worst
-
-
-def _piece_limits(h: Excursion, lo, hi):
-    """One-sided limits of h at the ends of a piece of constancy/linearity.
-
-    (lo, hi) must not contain any breakpoint of h strictly inside.
-    """
-    if h.kind == "pl":
-        return evaluate(h, lo), evaluate(h, hi)
-    mid = (lo + hi) / 2
-    v = evaluate(h, mid)
-    return v, v
+    h_points, h_pieces = _on_grid(h, cuts)
+    g_points, g_pieces = _on_grid(g, cuts)
+    return max(
+        abs(a - b) for a, b in zip(chain(h_points, *h_pieces), chain(g_points, *g_pieces))
+    )
 
 
 # ---------------------------------------------------------------------------

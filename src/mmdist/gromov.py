@@ -122,9 +122,7 @@ def distortion(pairs, a: FiniteMMSpace, b: FiniteMMSpace):
 
 def correspondence_info(a: FiniteMMSpace, b: FiniteMMSpace, pairs) -> Correspondence:
     pairs = tuple(sorted(set(map(tuple, pairs))))
-    for i, j in pairs:
-        if not (0 <= i < a.n and 0 <= j < b.n):
-            raise ValidationError(f"cell ({i}, {j}) out of range")
+    # max_subcoupling rejects a cell out of range before distortion reads it
     mass, _ = max_subcoupling(a.weights, b.weights, pairs) if pairs else (0, {})
     return Correspondence(pairs, distortion(pairs, a, b), mass)
 

@@ -6,11 +6,11 @@ from fractions import Fraction
 from mmdist import (
     FiniteMMSpace,
     TruncatedMonomial,
+    ValidationError,
     are_isomorphic,
     code_excursion,
     comb,
     dh,
-    evaluate,
     evaluate_polynomial,
     four_point_check,
     is_canonical,
@@ -20,6 +20,8 @@ from mmdist import (
     tent,
     validate,
 )
+
+from excursion_refs import ref_evaluate
 
 F = Fraction
 
@@ -101,7 +103,7 @@ def test_redundant_breakpoints_leave_the_tree_unchanged():
         mid = (bps[k] + bps[k + 1]) / 2
         refined = pl_excursion(
             bps[: k + 1] + [mid] + bps[k + 1 :],
-            vals[: k + 1] + [evaluate(h, mid)] + vals[k + 1 :],
+            vals[: k + 1] + [ref_evaluate(h, mid)] + vals[k + 1 :],
         )
         assert are_isomorphic(code_excursion(refined).space, code_excursion(h).space)
 
@@ -148,9 +150,20 @@ def test_four_point_flags_the_unit_four_cycle():
     assert four_point_check(c4) != []
 
 
+def test_resolution_points_are_checked_in_the_order_given():
+    for h in (tent(), comb(3)):
+        for resolution, bad in (((2, -1), 2), ((-1, 2), -1), ((F(1, 2), F(3, 2)), F(3, 2))):
+            try:
+                code_excursion(h, resolution=resolution)
+                assert False
+            except ValidationError as exc:
+                assert str(exc) == f"resolution point {bad} outside [0, 1]"
+
+
 def test_pl_cut_points_merge_breakpoints_and_resolution():
     cuts = pl_cut_points(tent(), (F(1, 3),))
     assert cuts == (F(0), F(1, 3), F(1, 2), F(1))
     cuts16 = pl_cut_points(tent(), tuple(F(k, 16) for k in range(17)))
     assert len(cuts16) == 17
     assert cuts16 == tuple(sorted(set(cuts16)))
+    assert pl_cut_points(comb(3), (F(1, 2),)) == (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))

@@ -16,7 +16,6 @@ from mmdist import (
     d_gamma_detail,
     d_lambda,
     directed_gamma_sq,
-    evaluate,
     pl_excursion,
     random_excursion,
     sqrt_if_square,
@@ -28,6 +27,8 @@ from mmdist import (
 from mmdist.exact import isqrt_enclosure, sqrt_enclosure
 from mmdist.excursion_metrics import DEFAULT_GAMMA_TOL, _directed_bb
 from mmdist.excursions import normalize
+
+from excursion_refs import ref_evaluate
 
 F = Fraction
 
@@ -45,8 +46,8 @@ def measure_above(h, g, eps):
     for lo, hi in zip(cuts, cuts[1:]):
         p = lo + (hi - lo) / 3
         q = lo + 2 * (hi - lo) / 3
-        vp = evaluate(h, p) - evaluate(g, p)
-        vq = evaluate(h, q) - evaluate(g, q)
+        vp = ref_evaluate(h, p) - ref_evaluate(g, p)
+        vq = ref_evaluate(h, q) - ref_evaluate(g, q)
         slope = (vq - vp) / (q - p)
         da = vp + slope * (lo - p)
         db = vp + slope * (hi - p)
@@ -289,7 +290,7 @@ def ref_seg_dist_sq(px, py, a, b):
 
 
 def ref_epi_dist_sq(px, py, tgt, features):
-    if py >= evaluate(tgt, px):
+    if py >= ref_evaluate(tgt, px):
         return F(0)
     return min(ref_seg_dist_sq(px, py, a, b) for a, b in features)
 
@@ -306,9 +307,9 @@ def ref_outside_subsegments(p, q, tgt):
     for x1, x2 in zip(xs, xs[1:]):
         y1, y2 = src_y(x1), src_y(x2)
         if tgt.kind == "pl":
-            g1, g2 = evaluate(tgt, x1), evaluate(tgt, x2)
+            g1, g2 = ref_evaluate(tgt, x1), ref_evaluate(tgt, x2)
         else:
-            g1 = g2 = evaluate(tgt, (x1 + x2) / 2)
+            g1 = g2 = ref_evaluate(tgt, (x1 + x2) / 2)
         d1, d2 = y1 - g1, y2 - g2  # >= 0 means inside on that side
         pieces = [(x1, y1, d1, x2, y2, d2)]
         if (d1 < 0 < d2) or (d2 < 0 < d1):
@@ -383,7 +384,7 @@ def ref_horizontal_max_sq(x1, x2, c, tgt, incumbent):
     walls = ref_pc_walls(tgt)
     best = F(0)
     for s1, s2 in zip(bounds, bounds[1:]):
-        if c >= evaluate(tgt, (s1 + s2) / 2):
+        if c >= ref_evaluate(tgt, (s1 + s2) / 2):
             continue  # subwindow sits inside the epigraph, distance 0
         consts = []
         paras = set()

@@ -24,6 +24,9 @@ from mmdist import (
     validate_excursion,
     zero_excursion,
 )
+from mmdist.excursions import _on_grid
+
+from excursion_refs import ref_evaluate, ref_piece_limits
 
 F = Fraction
 
@@ -31,7 +34,7 @@ F = Fraction
 def one_sided(h, t):
     """Exact (left limit, value, right limit) of h at t."""
     if h.kind == "pl":
-        v = evaluate(h, t)
+        v = ref_evaluate(h, t)
         return v, v, v
     bps = h.breakpoints
     if t in bps:
@@ -39,7 +42,7 @@ def one_sided(h, t):
         left = h.values[m - 1] if m > 0 else h.breakpoint_values[0]
         right = h.values[m] if m < len(h.values) else h.breakpoint_values[-1]
         return left, h.breakpoint_values[m], right
-    v = evaluate(h, t)
+    v = ref_evaluate(h, t)
     return v, v, v
 
 
@@ -54,7 +57,7 @@ def sup_diff_oracle(h, g):
         best = max(best, abs(hl - gl), abs(hv - gv), abs(hr - gr))
     for lo, hi in zip(cuts, cuts[1:]):
         mid = (lo + hi) / 2
-        best = max(best, abs(evaluate(h, mid) - evaluate(g, mid)))
+        best = max(best, abs(ref_evaluate(h, mid) - ref_evaluate(g, mid)))
     return best
 
 
@@ -174,7 +177,7 @@ def test_infimum_matches_grid_scan():
         if s > t:
             s, t = t, s
         grid = [q for q in (F(k, 240) for k in range(241)) if s <= q <= t]
-        want = min(evaluate(h, q) for q in [s, t] + grid)
+        want = min(ref_evaluate(h, q) for q in [s, t] + grid)
         assert infimum(h, s, t) == want
 
 
@@ -204,6 +207,29 @@ def test_sup_diff_matches_limit_oracle():
         assert v == sup_diff_oracle(h, g)
         assert v == sup_diff(g, h)
         assert sup_diff(h, h) == 0
+
+
+def test_grid_reader_matches_the_reference_readers():
+    # each grid holds every breakpoint between its ends, as the reader needs
+    rng = random.Random(71)
+    for _ in range(150):
+        h = random_excursion(rng, time_den=rng.choice((7, 12)))
+        bps = h.breakpoints
+        picks = {F(rng.randint(0, 24), 24) for _ in range(rng.randint(1, 4))}
+        lo, hi = min(picks), max(picks)
+        grids = [
+            (F(0),),
+            (F(1),),
+            (rng.choice(bps),),
+            (F(rng.randint(0, 24), 24),),
+            sorted(picks | {b for b in bps if lo < b < hi}),
+            sorted(picks | set(bps)),
+        ]
+        for grid in grids:
+            points, pieces = _on_grid(h, grid)
+            assert points == [ref_evaluate(h, t) for t in grid]
+            assert pieces == [ref_piece_limits(h, a, b) for a, b in zip(grid, grid[1:])]
+            assert [evaluate(h, t) for t in grid] == points
 
 
 def test_sup_diff_known_values():

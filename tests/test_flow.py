@@ -124,11 +124,12 @@ def test_incremental_transport_matches_min_cut_after_every_batch(run):
 
 
 def test_max_subcoupling_rejects_out_of_range_cells():
-    try:
-        max_subcoupling((F(1),), (F(1),), [(0, 1)])
-        assert False
-    except ValidationError:
-        pass
+    for cell in ((0, 1), (1, 0), (-1, 0), (0, -1)):
+        try:
+            max_subcoupling((F(1),), (F(1),), [(0, 0), cell])
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == f"cell {cell} out of range"
 
 
 def test_complete_subcoupling_extends_without_touching_cells():

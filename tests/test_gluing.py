@@ -89,12 +89,17 @@ def test_build_rejects_bad_input():
             assert False
         except ValidationError:
             pass
-    for bad_pairs in ((), ((a.n, 0),), ((0, b.n),)):
+    try:
+        build_glued_space(a, b, (), F(1))
+        assert False
+    except ValidationError:
+        pass
+    for bad in ((a.n, 0), (0, b.n), (-1, 0), (0, -1)):
         try:
-            build_glued_space(a, b, bad_pairs, F(1))
+            build_glued_space(a, b, ((0, 0), bad), F(1))
             assert False
-        except ValidationError:
-            pass
+        except ValidationError as exc:
+            assert str(exc) == f"pair {bad} out of range"
     try:
         build_glued_space(a, b, pairs, F(-1, 2))
         assert False

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mmdist import (
     FiniteMMSpace,
     SizeError,
+    ValidationError,
     box_lambda,
     box_lambda_detail,
     canonicalize,
@@ -217,6 +218,22 @@ def test_distortion_and_info():
     assert info.distortion == 0
     assert info.max_coupling_mass == F(2, 3)
     assert info.max_coupling_mass == min_cut_mass(a.weights, b.weights, [(0, 0), (1, 1)])
+
+
+def test_out_of_range_cells_are_named():
+    a = uniform(2)
+    b = uniform(3)
+    for cell in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+        try:
+            correspondence_info(a, b, ((1, 1), cell))
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == f"cell {cell} out of range"
+        try:
+            box_lambda_detail(a, b, F(1), seeds=(((1, 1), cell),))
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == f"seed cell {cell} out of range"
 
 
 def test_seed_pairs_are_honored():
