@@ -54,6 +54,7 @@ from .gromov import (
     BoxResult,
     Correspondence,
     GPResult,
+    box_ladder,
     box_lambda,
     box_lambda_detail,
     correspondence_info,

@@ -24,6 +24,7 @@ checked to lie in [0, 1] in the order given.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -63,10 +64,10 @@ def _cuts(h: Excursion, resolution) -> tuple:
         levels = sorted(set(values))
         for k in range(len(bps) - 1):
             v0, v1 = values[k], values[k + 1]
-            lo, hi = min(v0, v1), max(v0, v1)
-            for level in levels:
-                if lo < level < hi:
-                    cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
+            # the levels strictly between v0 and v1
+            lo, hi = bisect_right(levels, min(v0, v1)), bisect_left(levels, max(v0, v1))
+            for level in levels[lo:hi]:
+                cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
     for r in resolution:
         r = parse_scalar(r)
         if not (0 <= r <= 1):

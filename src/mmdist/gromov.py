@@ -16,21 +16,22 @@ only maximal cliques can be optimal at t (mass is monotone under superset),
 so each threshold's new maximal cliques are scored. A maximal clique is new
 at t when it holds a cell pair that mismatches by exactly t; its distortion
 is then exactly t. The sweep is lazy: Bron-Kerbosch hands each clique over
-as it finds it, and the sweep stops at the first clique after which t alone
-cannot beat the incumbent, so two isometric spaces stop at their first
-clique. For box and glue it also lists one clique per orbit of twin
+as it finds it. For box and glue it lists one clique per orbit of twin
 swaps (two points with equal weights and equal distances to every other
 point are interchangeable), so a star's interchangeable leaves are matched
 once, not in every order.
 
-Box, gp, `optimal_correspondence` and the glue search start from one
-prepared pair (`_Pair`): both spaces canonicalized once, distances over one
-common denominator D and weights over another, W (`canonicalize` has made
-every entry a Fraction). The full grid (distortion the larger diameter,
-mass 1), each seed, each sweep clique and each heuristic candidate pass one
-int test against the incumbent; the Fractions t / D and m / W are rebuilt
-only for a new incumbent and at the API boundary. `optimal_correspondence`
-reuses its box search's pair and sweep.
+Every box search is one ladder (`box_ladder`; box, gp and
+`optimal_correspondence` run one lam): one sweep, an incumbent per lam, and
+one max-flow per clique whose row and column masses could beat some
+incumbent. A lam freezes at the first clique after which t alone cannot beat
+its incumbent; the sweep ends once all are frozen. Clique order and work
+count do not depend on lam, so each lam gets its own search's result.
+
+The ladder and the glue search start from one prepared pair (`_Pair`): both
+spaces canonicalized, distances over one common denominator D and weights
+over another, W. Each candidate passes one int test per incumbent; t / D
+and m / W become Fractions only for a new incumbent.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
@@ -51,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
@@ -385,6 +385,21 @@ def _heuristic_candidates(da, db, wa, wb, cells, diffs):
         yield tuple(sorted(chosen)), worst
 
 
+def box_ladder(a: FiniteMMSpace, b: FiniteMMSpace, lams, budget=DEFAULT_SEARCH_BUDGET, seeds=()):
+    """One BoxResult (value, exactness flag, achieving cells) per lam in `lams`.
+
+    Inputs are canonicalized internally (the value is an isomorphism-class
+    invariant, and merging zero-distance points never changes it); witness
+    indices refer to the canonical forms. `seeds` are caller-supplied
+    correspondences used as starting upper bounds. One search serves every
+    lam, and each lam gets the result of its own: once the search has spent
+    `budget` work units (see `_Budget`), each lam not yet frozen gets the
+    best correspondence found so far or by a deterministic heuristic, a
+    certified upper bound with exact=False.
+    """
+    return _ladder(a, b, lams, _Budget(budget), seeds)[0]
+
+
 def box_lambda_detail(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
@@ -392,41 +407,40 @@ def box_lambda_detail(
     budget: int = DEFAULT_SEARCH_BUDGET,
     seeds=(),
 ) -> BoxResult:
-    """Full result for box_lambda: value, exactness flag, achieving cells.
-
-    Inputs are canonicalized internally (the value is an isomorphism-class
-    invariant, and merging zero-distance points never changes it); witness
-    indices refer to the canonical forms. `seeds` are caller-supplied
-    correspondences used as starting upper bounds. Once the search has
-    spent `budget` work units (see `_Budget`) the result is the best
-    correspondence found so far or by a deterministic heuristic: a certified
-    upper bound, with exact=False.
-    """
-    return _box_lambda(a, b, lam, _Budget(budget), seeds)[0]
+    """Full result for box_lambda: `box_ladder` for the one `lam`."""
+    return box_ladder(a, b, (lam,), budget, seeds)[0]
 
 
-def _box_lambda(a, b, lam, budget, seeds=()):
-    """The BoxResult, the prepared pair and its sweep (None past `budget`)."""
-    lam = parse_scalar(lam)
-    if lam <= 0:
+def _ladder(a, b, lams, budget, seeds=()):
+    """The BoxResults, the prepared pair and its sweep (None past `budget`)."""
+    lams = [parse_scalar(lam) for lam in lams]
+    if any(lam <= 0 for lam in lams):
         raise ValidationError("lambda must be positive")
     P = _Pair(a, b)
     cells, da, db, D, wa, wb, W = P.cells, P.da, P.db, P.D, P.wa, P.wb, P.W
 
-    best = (1 - 0) / lam  # empty correspondence
-    best_pairs = ()
-    # a candidate of distortion t / D and mass m / W beats best iff
-    # t < t_lim and m > m_cut
-    t_lim, m_cut = math.ceil(best * D), 0
+    best, best_pairs = [1 / lam for lam in lams], [()] * len(lams)  # the empty correspondence
+    # a candidate of distortion t / D and mass m / W beats best[k] iff
+    # t < t_lim[k] and m > m_cut[k]
+    t_lim, m_cut = [math.ceil(v * D) for v in best], [0] * len(lams)
+    live = list(range(len(lams)))  # the lams not yet frozen
 
     def consider(pairs, t, m=None):
-        nonlocal best, best_pairs, t_lim, m_cut
-        if t < t_lim:
-            if m is None:
-                m = max_subcoupling(wa, wb, pairs)[0]
-            if m > m_cut:
-                best, best_pairs = max(Fraction(t, D), (1 - Fraction(m, W)) / lam), pairs
-                t_lim, m_cut = math.ceil(best * D), math.floor(W * (1 - lam * best))
+        for k in live:
+            if t < t_lim[k]:
+                if m is None:
+                    m = max_subcoupling(wa, wb, pairs)[0]
+                if m > m_cut[k]:
+                    best[k] = v = max(Fraction(t, D), (1 - Fraction(m, W)) / lams[k])
+                    best_pairs[k], t_lim[k] = pairs, math.ceil(v * D)
+                    m_cut[k] = math.floor(W * (1 - lams[k] * v))
+
+    def frozen(t):
+        if live and t >= min(t_lim):  # a lam freezes the first time t >= its t_lim
+            for k in [j for j in live if t >= t_lim[j]]:
+                live.remove(k)
+                t_lim[k], m_cut[k] = math.inf, W  # so that min(t_lim) and min(m_cut) skip k
+        return not live
 
     consider(tuple(cells), P.diam, W)  # the full grid carries mass 1
     for seed in seeds:
@@ -436,33 +450,33 @@ def _box_lambda(a, b, lam, budget, seeds=()):
                 raise ValidationError(f"seed cell ({i}, {j}) out of range")
         consider(pairs, _int_distortion(da, db, pairs))
 
-    exact = True
     try:
         sweep = _CliqueSweep(da, db, cells, budget, (wa, wb))
         n2 = P.B.n
         row_masks = [((1 << n2) - 1) << (i * n2) for i in range(P.A.n)]
         col_masks = [sum(1 << (i * n2 + j) for i in range(P.A.n)) for j in range(n2)]
-        for t, mask in sweep.cliques(lambda t: t >= t_lim):
+        for t, mask in sweep.cliques(frozen):
             row_mass = sum(w for w, rm in zip(wa, row_masks) if mask & rm)
             col_mass = sum(w for w, cm in zip(wb, col_masks) if mask & cm)
-            if min(row_mass, col_mass) > m_cut:
+            if min(row_mass, col_mass) > min(m_cut):
                 consider(sweep.pairs(mask), t)
+        live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:
-        exact, sweep = False, None
-        nc = len(cells)
-        # a strided sample bounds the mismatches taken; below 200 cells the
-        # stride is 1 and the sample is the sweep's thresholds
+        sweep, nc = None, len(cells)
+        # every stride-th cell pair u <= v (row u starts at u * nc - u * (u - 1)
+        # / 2) bounds the mismatches taken; below 200 cells the stride is 1
         stride = max(1, nc * nc // 20000)
-        every = ((u, v) for u in range(nc) for v in range(u, nc))
         sampled = sorted(
             {
                 abs(da[cells[u][0]][cells[v][0]] - db[cells[u][1]][cells[v][1]])
-                for u, v in islice(every, 0, None, stride)
+                for u in range(nc)
+                for v in range(u + (u * (u - 1) // 2 - u * nc) % stride, nc, stride)
             }
         )
         for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled):
             consider(cand, t)
-    return BoxResult(best, lam, exact, best_pairs), P, sweep
+    exact = [k not in live for k in range(len(lams))]
+    return tuple(map(BoxResult, best, lams, exact, best_pairs)), P, sweep
 
 
 def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):
@@ -475,7 +489,7 @@ def gromov_prohorov_detail(
     budget: int = DEFAULT_SEARCH_BUDGET,
     seeds=(),
 ) -> GPResult:
-    box = box_lambda_detail(a, b, Fraction(1, 2), budget, seeds)
+    box = box_ladder(a, b, (Fraction(1, 2),), budget, seeds)[0]
     return GPResult(box.value / 2, box.value, box.exact, box.pairs)
 
 
@@ -501,7 +515,7 @@ def optimal_correspondence(
     """
     undefined = f"optimal correspondence undefined past a budget of {budget} work units"
     work = _Budget(budget)
-    detail, P, sweep = _box_lambda(a, b, lam, work)
+    (detail,), P, sweep = _ladder(a, b, (lam,), work)
     if not detail.exact:
         raise SizeError(undefined)
     v = detail.value

@@ -29,11 +29,11 @@ from .excursions import comb, pl_excursion, step_one, sup_diff, tent, zero_excur
 from .gluing import glued_upper_bound
 from .gromov import (
     DEFAULT_SEARCH_BUDGET,
-    box_lambda_detail,
+    box_ladder,
     correspondence_info,
     gromov_prohorov_detail,
 )
-from .spaces import dumps_json, mm_space, sample_mm_space
+from .spaces import canonicalize, dumps_json, mm_space, sample_mm_space
 
 import random
 
@@ -140,48 +140,45 @@ def run_theorem_check(
                 ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
                 (Fraction(3, 4), Fraction(1, 4)),
             )
+            a, b = canonicalize(a), canonicalize(b)  # as sample_mm_space's are
             kind = "pinned"
         else:
             a = sample_mm_space(seed * 2_000_003 + 2 * idx, n_max=n_max)
             b = sample_mm_space(seed * 2_000_003 + 2 * idx + 1, n_max=n_max)
             kind = "random"
-        gp = gromov_prohorov_detail(a, b)
+        by_lam = {box.lam: box for box in box_ladder(a, b, LAMBDA_LADDER)}
+        boxes = {lam: box.value for lam, box in by_lam.items()}
+        exact, gp_value = by_lam[Fraction(1, 2)].exact, boxes[Fraction(1, 2)] / 2
         # past gp's budget the glue search may run out too, and there is no
         # exact gp to compare it with
-        glue = glued_upper_bound(a, b) if gp.exact else None
-        boxes = {}
-        for lam in LAMBDA_LADDER:
-            if lam == Fraction(1, 2):
-                boxes[lam] = gp.box_value
-            else:
-                boxes[lam] = box_lambda_detail(a, b, lam).value
+        glue = glued_upper_bound(a, b) if exact else None
         ladder = list(zip(LAMBDA_LADDER, LAMBDA_LADDER[1:]))
         checks = {
-            "box1_le_twice_gp": boxes[Fraction(1)] <= 2 * gp.value,
+            "box1_le_twice_gp": boxes[Fraction(1)] <= 2 * gp_value,
             "box_nonincreasing_in_lambda": all(
                 boxes[u] >= boxes[v] for u, v in ladder
             ),
             "box_ratio_bound": all(
                 boxes[u] <= (v / u) * boxes[v] for u, v in ladder
             ),
-            "exact_search": gp.exact,
-            "glue_equals_gp": glue is not None and glue.value == gp.value,
-            "gp_le_box1": gp.value <= boxes[Fraction(1)],
+            "exact_search": exact,
+            "glue_equals_gp": glue is not None and glue.value == gp_value,
+            "gp_le_box1": gp_value <= boxes[Fraction(1)],
         }
         if idx == 0:
-            checks["pinned_quarter"] = gp.value == Fraction(1, 4)
+            checks["pinned_quarter"] = gp_value == Fraction(1, 4)
         inst = {
             "id": f"{kind}-{idx:03d}",
             "n_a": a.n,
             "n_b": b.n,
-            "gp": _entry(gp.value),
+            "gp": _entry(gp_value),
             "box": {format_scalar(lam): _entry(v) for lam, v in boxes.items()},
             "checks": checks,
         }
         if glue is None:
             return inst, None
         inst.update(glue=_entry(glue.value), glue_eps=_entry(glue.eps), glue_source=glue.source)
-        return inst, glue.value - gp.value
+        return inst, glue.value - gp_value
 
     results = [one(idx) for idx in range(count + 1)]
     instances = [inst for inst, _ in results]

@@ -9,6 +9,8 @@ Every entry of a space is exact. `mm_space`, the mmspace/1 parse layer,
 converts each one with `exact.parse_scalar` and names each malformed input
 by its JSON path. A space built by hand with int or float entries converts
 exactly in `canonicalize`, which every distance routine calls first.
+`canonicalize` marks its output (outside equality, hash and repr) and returns
+a marked space as it is; any other space, even an equal one, is validated.
 Validation has no tolerance: `metric_violations`, the one metric-axiom
 check, tests a matrix as ints over its common denominator (floats at their
 exact binary values); messages quote the entries as given.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
 
@@ -33,6 +35,7 @@ class FiniteMMSpace:
     labels: tuple
     dist: tuple
     weights: tuple
+    _canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -214,6 +217,8 @@ def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
     by representative index. Every entry of the result is a Fraction: int
     and float entries of a hand-built space convert exactly here.
     """
+    if space._canonical:
+        return space
     require_valid(space)
     d, n = space.dist, space.n
     close = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][j] == 0)
@@ -221,11 +226,13 @@ def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
     for r, w in zip(_class_roots(n, close), map(parse_scalar, space.weights)):
         class_weight[r] = class_weight.get(r, 0) + w
     reps = sorted(r for r, w in class_weight.items() if w > 0)
-    return FiniteMMSpace(
+    out = FiniteMMSpace(
         labels=tuple(space.labels[r] for r in reps),
         dist=tuple(tuple(parse_scalar(d[a][b]) for b in reps) for a in reps),
         weights=tuple(class_weight[r] for r in reps),
     )
+    object.__setattr__(out, "_canonical", True)  # frozen: set past __init__
+    return out
 
 
 def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:

@@ -14,6 +14,7 @@ from mmdist import (
     evaluate_polynomial,
     four_point_check,
     is_canonical,
+    normalize,
     pl_cut_points,
     pl_excursion,
     random_excursion,
@@ -21,7 +22,7 @@ from mmdist import (
     validate,
 )
 
-from excursion_refs import ref_evaluate
+from excursion_refs import ref_cuts, ref_evaluate
 
 F = Fraction
 
@@ -167,3 +168,13 @@ def test_pl_cut_points_merge_breakpoints_and_resolution():
     assert len(cuts16) == 17
     assert cuts16 == tuple(sorted(set(cuts16)))
     assert pl_cut_points(comb(3), (F(1, 2),)) == (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+
+
+def test_cut_points_match_the_level_scan_reference():
+    rng = random.Random(613)
+    for k in range(200):
+        kind = "pl" if k % 4 else "pc"
+        h = random_excursion(rng, kind, max_pieces=12, time_den=30, value_den=6)
+        extras = rng.randint(1, 5) if k % 2 else 0
+        resolution = tuple(F(rng.randint(0, 24), 24) for _ in range(extras))
+        assert pl_cut_points(h, resolution) == ref_cuts(normalize(h), resolution)

@@ -11,6 +11,7 @@ from mmdist import (
     FiniteMMSpace,
     SizeError,
     ValidationError,
+    box_ladder,
     box_lambda,
     box_lambda_detail,
     canonicalize,
@@ -539,3 +540,87 @@ def test_optimal_correspondence_names_a_spent_budget_one_way():
         except SizeError as exc:
             assert str(exc) == f"optimal correspondence undefined past a budget of {budget} work units"
     assert optimal_correspondence(a, b, F(1, 2), budget=590)
+
+
+# ---------------------------------------------------------------------------
+# one sweep for the whole lambda ladder
+
+
+def ladder_pairs():
+    """Seeded sampled pairs and twin-rich pairs (distances and weights 1 or 2)."""
+    rng = random.Random(419)
+
+    def twin_rich():
+        n = rng.randint(1, 5)
+        dist = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = rng.choice((1, 2))
+        return space_of(dist, [rng.randint(1, 2) for _ in range(n)])
+
+    sampled = [sample_mm_space(rng.randint(0, 10**9), n_max=4) for _ in range(40)]
+    return list(zip(sampled[::2], sampled[1::2])) + [(twin_rich(), twin_rich()) for _ in range(20)]
+
+
+def test_ladder_equals_separate_calls_at_every_budget():
+    mixed = 0
+    for a, b in ladder_pairs():
+        cells = canonicalize(a).n * canonicalize(b).n
+        # a budget that buckets the cell pairs and then cuts the sweep
+        cut = cells * (cells - 1) // 2 + 5
+        for budget in (0, cut, gromov.DEFAULT_SEARCH_BUDGET):
+            ladder = box_ladder(a, b, LAMBDAS, budget)
+            assert ladder == tuple(box_lambda_detail(a, b, lam, budget) for lam in LAMBDAS)
+            mixed += len({box.exact for box in ladder}) == 2
+    # some ladders freeze a lam before the cut and run out on another
+    assert mixed >= 5
+
+
+def test_ladder_flows_only_what_some_one_lambda_search_flows(monkeypatch):
+    # one flow per clique for every live lam, and none for a clique that
+    # only a frozen lam's cut would let through
+    flowed = []
+    real = gromov.max_subcoupling
+    monkeypatch.setattr(gromov, "max_subcoupling", lambda *x: flowed.append(x[2]) or real(*x))
+    fewer = 0
+    for a, b in ladder_pairs():
+        flowed.clear()
+        box_ladder(a, b, LAMBDAS)
+        ladder = list(flowed)
+        flowed.clear()
+        for lam in LAMBDAS:
+            box_lambda_detail(a, b, lam)
+        assert set(ladder) <= set(flowed) and len(set(ladder)) == len(ladder)
+        fewer += len(ladder) < len(flowed)
+    assert fewer >= 30
+
+
+def test_ladder_keeps_the_paper_inequalities():
+    for a, b in ladder_pairs():
+        boxes = box_ladder(a, b, LAMBDAS)
+        assert all(box.exact for box in boxes)
+        value = {box.lam: box.value for box in boxes}
+        gp = gromov_prohorov(a, b)
+        assert gp == value[F(1, 2)] / 2
+        assert gp <= value[F(1)] <= 2 * gp
+        for u, v in zip(LAMBDAS, LAMBDAS[1:]):
+            assert value[u] >= value[v]
+            assert value[u] <= (v / u) * value[v]
+
+
+def test_ladder_checks_every_lambda_first():
+    # as one lam's search does, the lams are checked before the spaces
+    heavy = FiniteMMSpace(("x",), ((F(0),),), (F(2),))
+    for lams in ((F(1), 0), (F(-1, 2),)):
+        for a in (uniform(2), heavy):
+            try:
+                box_ladder(a, uniform(3), lams)
+                assert False
+            except ValidationError as exc:
+                assert str(exc) == "lambda must be positive"
+    try:
+        box_ladder(heavy, uniform(3), LAMBDAS)
+        assert False
+    except ValidationError as exc:
+        assert str(exc).startswith("invalid space: weights sum to 2")
+    assert box_ladder(uniform(2), uniform(3), ()) == ()

@@ -12,7 +12,7 @@ from mmdist import (
     run_lipschitz_check,
     run_theorem_check,
 )
-from mmdist import harness
+from mmdist import gluing, harness, spaces
 
 F = Fraction
 
@@ -126,18 +126,20 @@ def test_theorem_check_runs_the_glue_search_only_where_gp_is_exact(monkeypatch):
     # where gp is inexact there is no exact value to compare a glue with, and
     # the glue search may run out of budget too: the check fails, the run
     # goes on
-    real_gp, real_glue = harness.gromov_prohorov_detail, harness.glued_upper_bound
-    gps, glues = [], []
+    real_ladder, real_glue = harness.box_ladder, harness.glued_upper_bound
+    ladders, glues = [], []
 
-    def inexact_past_the_pinned_pair(a, b):
-        gps.append(real_gp(a, b))
-        return gps[-1] if len(gps) == 1 else replace(gps[-1], exact=False)
+    def inexact_past_the_pinned_pair(a, b, lams):
+        ladders.append(real_ladder(a, b, lams))
+        if len(ladders) == 1:
+            return ladders[-1]
+        return tuple(replace(box, exact=False) for box in ladders[-1])
 
     def counted_glue(a, b):
         glues.append(real_glue(a, b))
         return glues[-1]
 
-    monkeypatch.setattr(harness, "gromov_prohorov_detail", inexact_past_the_pinned_pair)
+    monkeypatch.setattr(harness, "box_ladder", inexact_past_the_pinned_pair)
     monkeypatch.setattr(harness, "glued_upper_bound", counted_glue)
     obj = run_theorem_check(seed=1, count=2).to_obj()
     pinned, *rest = obj["instances"]
@@ -147,6 +149,18 @@ def test_theorem_check_runs_the_glue_search_only_where_gp_is_exact(monkeypatch):
     # exact_search and glue_equals_gp fail on both sampled pairs
     assert obj["totals"]["failures"] == 2 * len(rest) == 4
     assert obj["summary"]["equal_pairs"] == 1
+
+
+def test_theorem_check_validates_each_space_once(monkeypatch):
+    # sampled spaces come out of `canonicalize` marked, so the ladder and the
+    # glue search take them as they are; only sampling validates
+    validated = []
+    real = spaces.require_valid
+    for module in (spaces, gluing):
+        monkeypatch.setattr(module, "require_valid", lambda sp: validated.append(sp) or real(sp))
+    report = run_theorem_check(seed=5, count=6, n_max=4)
+    assert report.passed
+    assert len(validated) <= 2 * report.totals["instances"]
 
 
 def test_save_writes_deterministic_files(tmp_path):

@@ -1,6 +1,7 @@
 """Finite metric measure spaces: validation, canonical form, isomorphism, IO."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from mmdist import (
@@ -16,6 +17,7 @@ from mmdist import (
     space_to_obj,
     validate,
 )
+from mmdist import spaces
 from mmdist.spaces import dumps_json, loads_document
 
 F = Fraction
@@ -76,6 +78,40 @@ def test_canonicalize_idempotent_and_flagged():
         assert is_canonical(c)
         assert canonicalize(c) == c
         assert validate(c) == []
+
+
+def test_canonicalize_returns_its_own_output_as_it_is(monkeypatch):
+    validated = []
+    real = spaces.require_valid
+    monkeypatch.setattr(spaces, "require_valid", lambda sp: validated.append(sp) or real(sp))
+    rng = random.Random(29)
+    for _ in range(30):
+        c = canonicalize(sample_mm_space(rng.randint(0, 10**6), n_max=4))
+        validated.clear()
+        assert canonicalize(c) is c and canonicalize(canonicalize(c)) is c
+        assert validated == []
+        # the mark is no part of the data: equality, hashing, repr and the
+        # document are those of the same fields built by hand
+        plain = FiniteMMSpace(c.labels, c.dist, c.weights)
+        assert plain == c and hash(plain) == hash(c) and repr(plain) == repr(c)
+        assert dumps_json(space_to_obj(plain)) == dumps_json(space_to_obj(c))
+        # a hand-built space and a replaced one are validated, equal fields or not
+        for unmarked in (plain, replace(c)):
+            validated.clear()
+            out = canonicalize(unmarked)
+            assert out is not unmarked and out == c and validated == [unmarked]
+            assert canonicalize(out) is out
+    c = canonicalize(two_point("1/2", "1/4"))
+    for bad in (
+        FiniteMMSpace(c.labels, c.dist, (F(1, 2), F(1, 4))),
+        FiniteMMSpace(c.labels, ((F(0), F(-1, 2)), (F(-1, 2), F(0))), c.weights),
+        replace(c, weights=(F(1), F(1))),
+    ):
+        try:
+            canonicalize(bad)
+            assert False
+        except ValidationError:
+            pass
 
 
 def test_are_isomorphic_under_permutation():
