@@ -236,7 +236,7 @@ def _cmd_glue(args):
         res = glued_upper_bound(a, b)
         payload = _value_payload(res.value, args.float_mode)
         payload["eps"] = format_scalar(res.eps)
-        payload["evaluations"] = res.evaluations
+        payload["exact"] = res.exact
         payload["source"] = res.source
         payload["pairs"] = [list(p) for p in res.pairs]
         return payload, format_scalar(res.value), 0

@@ -32,7 +32,7 @@ from itertools import combinations
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
 from .excursions import Excursion, _on_grid, normalize
-from .spaces import FiniteMMSpace, _class_roots
+from .spaces import FiniteMMSpace, _class_roots, _mark_canonical
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,13 @@ def _cuts(h: Excursion, resolution) -> tuple:
 
 
 def _merge_to_space(d, lengths):
-    """Quotient by d == 0 (leftmost representative), weights summed."""
+    """Quotient by d == 0 (leftmost representative), weights summed.
+
+    Marked canonical, as it is by construction when d is d_h on segment
+    midpoints (a pseudometric, in Fractions) and `lengths` partition [0, 1]:
+    the merged matrix is a metric with no zero off the diagonal, and the
+    weights are positive and sum to 1.
+    """
     m = len(lengths)
     roots = _class_roots(m, ((i, j) for i in range(m) for j in range(i + 1, m) if d[i][j] == 0))
     classes = sorted(set(roots))
@@ -91,7 +97,7 @@ def _merge_to_space(d, lengths):
         dist=tuple(tuple(d[a][b] for b in classes) for a in classes),
         weights=tuple(weights),
     )
-    return space, projection
+    return _mark_canonical(space), projection
 
 
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:

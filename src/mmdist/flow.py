@@ -12,7 +12,7 @@ thresholds, the monotone case of parametric max-flow (Gallo, Grigoriadis &
 Tarjan 1989). `max_subcoupling` is the one-shot form. Every mass is exact
 in the weights' own type, int or Fraction.
 
-The clique sweeps, the Prohorov scan and the glue search pass int-scaled
+The clique sweeps and the Prohorov scan (glues included) pass int-scaled
 weights (over a common denominator W) and rebuild the Fraction mass m / W
 themselves; coupling construction (`complete_subcoupling`) and
 `correspondence_info` work on Fractions. The routines here are the single

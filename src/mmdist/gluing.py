@@ -7,24 +7,17 @@ disjoint union that keeps both originals isometrically embedded and sets
 
 The Prohorov distance between the two pushed-forward measures inside the
 glued space depends only on the cross block (any coupling of the two
-block-supported measures lives on A x B), and glued_upper_bound minimizes
-that value over a finite family: each maximal clique from the sweep shared
-with box_lambda, glued at eps = t/2. A clique yielded at threshold t has
-distortion exactly t (see `gromov._CliqueSweep.cliques`), so no distortion
-is recomputed. This reproduces the Gromov-Prohorov value exactly, and no
-other glue can do better: gp is the infimum over all embeddings, so every
-glue's value is at least gp, and gluing a maximal clique K at
-eps = max(dis(K)/2, 1 - maxmass(K)) attains gp = box_{1/2} / 2. That glue
-is never needed: K glued at dis(K)/2 already has a value at most that eps
-(its clique cells sit at cross distance dis(K)/2 and carry maxmass). The
-sweep skips a clique that a swap of twin points maps onto an earlier one,
-whose glue is isometric to it.
-
-The search starts from the prepared pair gp's search uses (`gromov._Pair`):
-both spaces canonicalized once, distances as int rows over one denominator
-D and weights over another, W. Every glue it values is built on those rows
-and valued by the shared int scan `prohorov._flow_scan`; Fractions are
-rebuilt only for eps, for each value and at the public functions' boundary.
+block-supported measures lives on A x B). Glued at eps = dis(K)/2, K's own
+cells sit at cross distance eps and carry maxmass(K), so the glue's value is
+at most max(eps, 1 - maxmass(K)) = box_{1/2}(K) / 2. Every glue's value is
+at least gp, the infimum over all embeddings. So glued_upper_bound needs no
+search: the glue of gp's own witness, the lam = 1/2 correspondence
+`gromov.box_ladder` returns, attains gp = box_{1/2} / 2 exactly. Past the
+search budget it is a glue of the ladder's incumbent, or of the full grid
+when no candidate beat the empty correspondence: a certified upper bound on
+gp, but no longer equal to it. The glue reuses the ladder's prepared pair
+(`gromov._Pair`, int distances over D and weights over W) and is valued by
+the int scan `prohorov._flow_scan`.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from operator import add
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Pair, distortion
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _int_distortion, _ladder, distortion
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
 from .spaces import FiniteMMSpace, metric_violations, require_valid
 
@@ -66,8 +59,9 @@ class GlueSearchResult:
     value: object
     eps: object
     pairs: tuple
-    source: str  # "full" or "clique"
-    evaluations: int
+    source: str  # "full" when pairs is the whole cell grid, else "clique"
+    evaluations: int  # always 1, one glue valued; kept for callers that count it
+    exact: bool  # False past the search budget: then value only bounds gp
 
 
 def _cross_from_pairs(da, db, pairs):
@@ -147,6 +141,21 @@ def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
     return CommonSpaceMeasures(glued.dist, glued.mu_ext, glued.nu_ext)
 
 
+def _glued_ladder(a, b, lams, budget):
+    """`gromov.box_ladder(a, b, lams, budget)` and the GlueSearchResult of its
+    lam = 1/2 witness K, glued at eps = dis(K) / 2; `lams` must hold 1/2."""
+    boxes, P, _ = _ladder(a, b, lams, _Budget(budget))
+    half = next(box for box in boxes if box.lam == Fraction(1, 2))
+    # an exact search's witness is nonempty (a single cell of positive mass
+    # beats the empty correspondence), but past the budget no candidate may
+    # have beaten it; then glue the full grid, whose value is at most 1
+    pairs = half.pairs or tuple(P.cells)
+    eps = Fraction(_int_distortion(P.da, P.db, pairs), 2 * P.D)
+    value = _flow_scan(*_shifted(_cross_from_pairs(P.da, P.db, pairs), P.D, eps), P.wa, P.wb, P.W)
+    source = "full" if len(pairs) == len(P.cells) else "clique"
+    return boxes, GlueSearchResult(value, eps, pairs, source, 1, half.exact)
+
+
 def glued_upper_bound(
     a: FiniteMMSpace,
     b: FiniteMMSpace,
@@ -154,38 +163,17 @@ def glued_upper_bound(
     *,
     search_budget: int = 0,
 ) -> GlueSearchResult:
-    """Minimum embedded-Prohorov value over the searched family of glues.
+    """The glue of the Gromov-Prohorov witness and its embedded-Prohorov value.
 
-    Deterministic. The search walks distortion thresholds t in ascending
-    order and stops once eps = t/2 alone can no longer beat the incumbent
-    (the glue's Prohorov value is never below its eps); each maximal clique
-    is glued at eps = t/2. It spends from `budget` as gp's search does (see
-    `gromov._Budget`) and never needs more: a clique's glue value is at most
-    half its box_{1/2} value, so it stops the shared sweep no later. Past
-    the budget it raises SizeError. `search_budget` is accepted only as 0.
+    Deterministic. One lam = 1/2 search, gp's own (see `gromov.box_ladder`,
+    which spends `budget`), then one glue of its witness K at eps = dis(K)/2,
+    whose value equals gp when the search is exact. Past the budget K is
+    the search's incumbent (the full grid, source "full", if that is still
+    the empty correspondence), and the result, marked exact=False, is a
+    certified upper bound on gp. `evaluations` is always 1 and
+    `search_budget` is accepted only as 0; both stay for callers written
+    when the glue was searched (the bench counts one and passes the other).
     """
-    # bench/workloads.py (excursion-pairs check) still passes search_budget=0
     if search_budget != 0:
         raise ValidationError(f"search_budget: expected 0, got {search_budget!r}")
-    P = _Pair(a, b)
-    mu, nu, D, W = P.wa, P.wb, P.D, P.W
-    sweep = _CliqueSweep(P.da, P.db, P.cells, _Budget(budget), (mu, nu))
-
-    best = None  # (value, eps, pairs, source)
-    evaluations = 0
-
-    def try_glue(pairs, eps, source):
-        nonlocal best, evaluations
-        value = _flow_scan(*_shifted(_cross_from_pairs(P.da, P.db, pairs), D, eps), mu, nu, W)
-        evaluations += 1
-        if best is None or value < best[0]:
-            best = (value, eps, pairs, source)
-
-    # the full grid's distortion is the larger diameter
-    try_glue(tuple(P.cells), Fraction(P.diam, 2 * D), "full")
-
-    # a clique glue's value is never below its eps = t / (2 D)
-    for t, mask in sweep.cliques(lambda t: t >= 2 * D * best[0]):
-        try_glue(sweep.pairs(mask), Fraction(t, 2 * D), "clique")
-
-    return GlueSearchResult(*best, evaluations)
+    return _glued_ladder(a, b, (Fraction(1, 2),), budget)[1]

@@ -9,14 +9,14 @@ where distortion is the worst distance mismatch over pairs of matched pairs
 and maxmass is the largest total mass a subcoupling of the two weight
 vectors can place on K. gromov_prohorov is half the lam = 1/2 value.
 
-Search order: one sweep (`_CliqueSweep`, shared with glue and parametrize)
+Search order: one sweep (`_CliqueSweep`, shared with parametrize)
 visits the achievable mismatch values t in ascending order. Correspondences
 with distortion <= t are the cliques of a compatibility graph on cells, and
 only maximal cliques can be optimal at t (mass is monotone under superset),
 so each threshold's new maximal cliques are scored. A maximal clique is new
 at t when it holds a cell pair that mismatches by exactly t; its distortion
 is then exactly t. The sweep is lazy: Bron-Kerbosch hands each clique over
-as it finds it. For box and glue it lists one clique per orbit of twin
+as it finds it. For box it lists one clique per orbit of twin
 swaps (two points with equal weights and equal distances to every other
 point are interchangeable), so a star's interchangeable leaves are matched
 once, not in every order.
@@ -28,10 +28,11 @@ incumbent. A lam freezes at the first clique after which t alone cannot beat
 its incumbent; the sweep ends once all are frozen. Clique order and work
 count do not depend on lam, so each lam gets its own search's result.
 
-The ladder and the glue search start from one prepared pair (`_Pair`): both
-spaces canonicalized, distances over one common denominator D and weights
-over another, W. Each candidate passes one int test per incumbent; t / D
-and m / W become Fractions only for a new incumbent.
+The ladder starts from one prepared pair (`_Pair`), which the glue of its
+lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
+canonicalized, distances over one common denominator D and weights over
+another, W. Each candidate passes one int test per incumbent; t / D and
+m / W become Fractions only for a new incumbent.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
@@ -43,8 +44,7 @@ and about fifty seeded L1 lattice pairs of 9 and 10 points came back exact,
 each within 0.6 s on a 2-core host; symmetric instances, whose twin-pruned
 sweeps visit a few dozen nodes, reach identical 18-point stars and coded
 comb(17) vs comb(19) (over 320 cells). Spending all of it took 1-2 s for
-the 9- to 11-point stars with distinct leaf lengths, and 4-7 s in the glue
-search, which flow-scans each clique, on 12- and 14-point lattice pairs.
+the 9- to 11-point stars with distinct leaf lengths.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ class _CliqueSweep:
     `weights`, given as the two spaces' weight vectors and only together
     with the full row-major grid of cells, turns on twin pruning: a swap of
     two twin points of A and/or of B permutes the cells by an automorphism
-    of every threshold's graph that keeps every clique's distortion, mass
-    and glue value, so `_max_cliques` may skip a branch that such a swap
-    maps onto an earlier branch of the same node.
+    of every threshold's graph that keeps every clique's distortion and
+    mass, so `_max_cliques` may skip a branch that such a swap maps onto an
+    earlier branch of the same node.
     """
 
     def __init__(self, da, db, cells, budget, weights=None):
@@ -308,10 +308,9 @@ def _max_cliques(candidates, nbr, budget, twins=None):
     of the node maps to v under a twin swap g that fixes R and P. g maps
     every maximal clique K with R + v <= K <= R + P onto g(K), which holds
     u, lies between R and R + P, and so comes out of an earlier branch of
-    the node; g(K) has the same threshold newness, distortion, mass and
-    glue value as K, so a caller scanning for a strict improvement skips K
-    anyway. A pruned g(K) has in turn an earlier image, down to one that
-    comes out.
+    the node; g(K) has the same threshold newness, distortion and mass as
+    K, so a caller scanning for a strict improvement skips K anyway. A
+    pruned g(K) has in turn an earlier image, down to one that comes out.
     """
 
     def bk(r, p, x):

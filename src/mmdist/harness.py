@@ -1,11 +1,11 @@
 """Reproducible experiments over the distance implementations.
 
 Four experiments, each deterministic in its seed: the identity between the
-Gromov-Prohorov distance and the half box-metric (with the gluing search and
-the lambda ladder), the 2-Lipschitz bound for coding excursions in the
-uniform norm, the comb-family table separating the excursion metric from the
-coded-tree distances, and the continuity schedules (value jitter and
-breakpoint jitter).
+Gromov-Prohorov distance and the half box-metric (with the glue of gp's
+witness and the lambda ladder), the 2-Lipschitz bound for coding excursions
+in the uniform norm, the comb-family table separating the excursion metric
+from the coded-tree distances, and the continuity schedules (value jitter
+and breakpoint jitter).
 
 Reports carry exact rationals plus rounded decimals, a pass/fail flag per
 named check, and totals. They contain no timing and no environment data, so
@@ -26,10 +26,9 @@ from .errors import ValidationError
 from .exact import decimal_str, format_scalar
 from .excursion_metrics import d_excursion_detail, d_gamma_detail, d_lambda
 from .excursions import comb, pl_excursion, step_one, sup_diff, tent, zero_excursion
-from .gluing import glued_upper_bound
+from .gluing import _glued_ladder
 from .gromov import (
     DEFAULT_SEARCH_BUDGET,
-    box_ladder,
     correspondence_info,
     gromov_prohorov_detail,
 )
@@ -126,7 +125,7 @@ def run_theorem_check(
     count: int = 200,
     n_max: int = 3,
 ) -> ExperimentReport:
-    """Random pairs: gluing search equals gp, box chain, lambda ladder."""
+    """Random pairs: the glue of gp's witness equals gp, box chain, lambda ladder."""
     if count < 0:
         raise ValidationError("count must be at least 0")
     if n_max < 1:
@@ -146,12 +145,9 @@ def run_theorem_check(
             a = sample_mm_space(seed * 2_000_003 + 2 * idx, n_max=n_max)
             b = sample_mm_space(seed * 2_000_003 + 2 * idx + 1, n_max=n_max)
             kind = "random"
-        by_lam = {box.lam: box for box in box_ladder(a, b, LAMBDA_LADDER)}
-        boxes = {lam: box.value for lam, box in by_lam.items()}
-        exact, gp_value = by_lam[Fraction(1, 2)].exact, boxes[Fraction(1, 2)] / 2
-        # past gp's budget the glue search may run out too, and there is no
-        # exact gp to compare it with
-        glue = glued_upper_bound(a, b) if exact else None
+        ladder_boxes, glue = _glued_ladder(a, b, LAMBDA_LADDER, DEFAULT_SEARCH_BUDGET)
+        boxes = {box.lam: box.value for box in ladder_boxes}
+        exact, gp_value = glue.exact, boxes[Fraction(1, 2)] / 2
         ladder = list(zip(LAMBDA_LADDER, LAMBDA_LADDER[1:]))
         checks = {
             "box1_le_twice_gp": boxes[Fraction(1)] <= 2 * gp_value,
@@ -162,7 +158,8 @@ def run_theorem_check(
                 boxes[u] <= (v / u) * boxes[v] for u, v in ladder
             ),
             "exact_search": exact,
-            "glue_equals_gp": glue is not None and glue.value == gp_value,
+            # past gp's budget there is no exact gp to compare the glue with
+            "glue_equals_gp": exact and glue.value == gp_value,
             "gp_le_box1": gp_value <= boxes[Fraction(1)],
         }
         if idx == 0:
@@ -175,7 +172,7 @@ def run_theorem_check(
             "box": {format_scalar(lam): _entry(v) for lam, v in boxes.items()},
             "checks": checks,
         }
-        if glue is None:
+        if not exact:
             return inst, None
         inst.update(glue=_entry(glue.value), glue_eps=_entry(glue.eps), glue_source=glue.source)
         return inst, glue.value - gp_value

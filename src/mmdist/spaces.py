@@ -231,8 +231,13 @@ def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
         dist=tuple(tuple(parse_scalar(d[a][b]) for b in reps) for a in reps),
         weights=tuple(class_weight[r] for r in reps),
     )
-    object.__setattr__(out, "_canonical", True)  # frozen: set past __init__
-    return out
+    return _mark_canonical(out)
+
+
+def _mark_canonical(space: FiniteMMSpace) -> FiniteMMSpace:
+    """Mark a space its maker knows is its own valid canonical form."""
+    object.__setattr__(space, "_canonical", True)  # frozen: set past __init__
+    return space
 
 
 def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mmdist import (
     excursion_to_obj,
+    glued_upper_bound,
     load_space,
     mm_space,
     pc_excursion,
@@ -252,7 +253,7 @@ def test_glue_search_and_explicit_glue(capsys, tmp_path):
     payload = json.loads(out)
     value = F(payload["value"])
     assert payload["source"] in ("full", "clique")
-    assert payload["evaluations"] >= 1
+    assert payload["exact"] is True
     code, gp_out, _ = run(capsys, "dist", "gp", "--a", str(a), "--b", str(b))
     assert value == F(json.loads(gp_out)["value"])
     code, out2, _ = run(
@@ -279,15 +280,16 @@ def test_glue_search_and_explicit_glue(capsys, tmp_path):
 
 def test_searches_past_the_budget(capsys, tmp_path):
     # 19 points a side make 64 980 cell pairs, past the default budget of
-    # 60 000 work units, so the glue search gives up before any bucket
+    # 60 000 work units, so gp's search gives up before any bucket and `glue`
+    # glues its heuristic incumbent, a certified bound
     n = 19
     dist = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(n)] for i in range(n)]
     star = str(tmp_path / "star.json")
     save_space(star, mm_space([f"s{i}" for i in range(n)], dist, [F(1, n)] * n))
-    code, out, err = run(capsys, "glue", "--a", star, "--b", star)
-    assert (code, out) == (1, "")
-    assert err == "mmdist glue: search exceeds its budget of 60000 work units\n"
-    # gp and box degrade to a certified bound instead
+    code, out, _ = run(capsys, "glue", "--a", star, "--b", star)
+    payload = json.loads(out)
+    assert (code, payload["exact"], payload["value"]) == (0, False, "0")
+    # gp and box degrade to a certified bound too
     a = str(sample_file(capsys, tmp_path, seed="3", name="a.json"))
     b = str(sample_file(capsys, tmp_path, seed="17", name="b.json"))
     for argv in (["gp"], ["box", "--lambda", "1/2"]):
@@ -297,6 +299,10 @@ def test_searches_past_the_budget(capsys, tmp_path):
         degraded = json.loads(out)
         assert code == 0 and exact["exact"] and not degraded["exact"]
         assert F(degraded["value"]) >= F(exact["value"])
+    # and so does the glue, which --budget does not reach from the CLI
+    gp = F(json.loads(run(capsys, "dist", "gp", "--a", a, "--b", b)[1])["value"])
+    glue = glued_upper_bound(load_space(a), load_space(b), budget=5)
+    assert not glue.exact and glue.value >= gp
 
 
 def test_experiment_passes_and_writes_csv(capsys, tmp_path):
@@ -327,12 +333,15 @@ def test_experiment_passes_and_writes_csv(capsys, tmp_path):
 # instances random-004 and random-022 gained an exact gp (and its ratio).
 # All four were retaken when one search budget replaced the cell cap and the
 # clique guard: only `params` changed (`cap` and counterexample's
-# `clique_limit` became `budget`; continuity, which runs no search, lost it)
+# `clique_limit` became `budget`; continuity, which runs no search, lost it).
+# theorem-check was retaken when its glue became the one of gp's witness:
+# only `glue_eps` changed, in random-014, -054 and -055 (0 -> 1/8, 0 -> 1/12,
+# 7/48 -> 3/16), the glue values staying equal to gp
 PINNED_REPORTS = {
     "continuity": "6d537abbc954a5aeae4a4c08af22d469bebb6d0549311a78dcef02dd6393798f",
     "counterexample": "112a3bb9da97ae61a05f7c26451cba54168493bf9d0ad3c73cc4a6c53eb45409",
     "lipschitz": "4e079c6197079e0cbfd5205a722ea07fcaf90f67259c883a2a332e92960e996f",
-    "theorem-check --seed 1 --count 60": "8f2bcd2763d6fd86f6570c6111f57ec0861de66928ea3027df7dec3918511d35",
+    "theorem-check --seed 1 --count 60": "bf44726cf26cecfe9bdc8900df7434c4ed3cd2291b976c7498f5ce9ef96112f2",
 }
 
 
@@ -347,10 +356,12 @@ def test_experiment_report_bytes_are_pinned(capsys, tmp_path, args):
 # sha256 of `mmdist glue` stdout on two sampled pairs. The witnesses and
 # values were first pinned when the glue evaluation still ran on Fractions;
 # the pins were retaken only for the evaluation counts when the seeded
-# random glues were removed (69 -> 37 and 74 -> 42)
+# random glues were removed (69 -> 37 and 74 -> 42), and when the search gave
+# way to one glue of gp's witness (the `"evaluations": 37` and `42` lines
+# became `"exact": true`; value, eps, pairs and source stayed)
 PINNED_GLUES = {
-    "3 17 --n-max 5": "86d8f59ad2a5eb6b5e410ab3a899cd6af43079808fd6a842565cac0b7ea98e3d",
-    "5 11 --n-max 4": "566dc14dadc5df13c8854da63d7e23f6e01a79095c395633b4240ccbf5969e48",
+    "3 17 --n-max 5": "ea1d323135e9e1c49b3014934bd66b187a476a0a0ba0b7bb99ae22e1fdfa4421",
+    "5 11 --n-max 4": "7278985dc59ecfc208bef8a5bdb8f3bdff9402445697648b227bf34203f9ff87",
 }
 
 

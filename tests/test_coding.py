@@ -1,6 +1,7 @@
 """Coding excursions into finite tree-like mm-spaces."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from mmdist import (
@@ -8,6 +9,7 @@ from mmdist import (
     TruncatedMonomial,
     ValidationError,
     are_isomorphic,
+    canonicalize,
     code_excursion,
     comb,
     dh,
@@ -18,8 +20,10 @@ from mmdist import (
     pl_cut_points,
     pl_excursion,
     random_excursion,
+    step_one,
     tent,
     validate,
+    zero_excursion,
 )
 
 from excursion_refs import ref_cuts, ref_evaluate
@@ -49,12 +53,19 @@ def test_comb_codes_to_star():
 
 
 def test_coded_space_is_valid_and_canonical():
+    # coded spaces come out marked canonical, so `canonicalize` returns them
+    # as they are; an unmarked copy must canonicalize to the same space
     rng = random.Random(43)
-    for _ in range(40):
-        h = random_excursion(rng)
+    cases = [random_excursion(rng) for _ in range(40)]
+    cases += [random_excursion(rng, kind) for kind in ("pl", "pc") for _ in range(20)]
+    cases += [comb(n) for n in range(1, 8)]
+    cases += [tent(), step_one(), zero_excursion("pl"), zero_excursion("pc")]
+    for h in cases:
         coded = code_excursion(h)
         assert validate(coded.space) == []
         assert is_canonical(coded.space)
+        assert canonicalize(replace(coded.space)) == coded.space
+        assert canonicalize(coded.space) is coded.space
 
 
 def test_tree_distance_equals_path_distance_at_representatives():

@@ -1,4 +1,4 @@
-"""Gluing along correspondences and the glue-search upper bound."""
+"""Gluing along correspondences and the glue of the gp witness."""
 
 import random
 from fractions import Fraction
@@ -14,6 +14,7 @@ from mmdist import (
     build_glued_space,
     canonicalize,
     check_triangle,
+    correspondence_info,
     distortion,
     glued_common_space,
     glued_upper_bound,
@@ -155,6 +156,28 @@ def test_search_witness_pairs_reproduce_the_value():
         assert prohorov_of_glue(g) == res.value
 
 
+def test_past_the_budget_with_no_incumbent_glues_the_full_grid():
+    # distances in [10, 20] against [100, 200]: every nonzero mismatch is at
+    # least 80, so past the budget no candidate of two or more cells beats
+    # the empty correspondence, and the glue falls back to the full grid
+    def generic(seed, scale):
+        rng = random.Random(seed)
+        d = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i + 1, 5):
+                d[i][j] = d[j][i] = rng.randint(scale, 2 * scale)
+        return mm_space([f"p{i}" for i in range(5)], d, [F(1, 5)] * 5)
+
+    a, b = generic(1, 10), generic(2, 100)
+    assert gromov_prohorov_detail(a, b, budget=0).pairs == ()
+    res = glued_upper_bound(a, b, budget=0)
+    gp = gromov_prohorov_detail(a, b)
+    assert gp.exact and not res.exact
+    assert res.source == "full" and gp.value <= res.value <= 1
+    g = build_glued_space(canonicalize(a), canonicalize(b), res.pairs, res.eps)
+    assert prohorov_of_glue(g) == res.value
+
+
 def test_float_spaces_match_their_fraction_twins():
     # dyadic entries, so each float converts to exactly its Fraction twin
     docs = [
@@ -206,7 +229,15 @@ def test_glue_search_equals_gp_and_half_box(a, b):
     res = glued_upper_bound(a, b)
     assert res.value == gromov_prohorov(a, b) == box_lambda(a, b, F(1, 2)) / 2
     assert res.source in ("full", "clique")
-    g = build_glued_space(canonicalize(a), canonicalize(b), res.pairs, res.eps)
+    A, B = canonicalize(a), canonicalize(b)
+    g = build_glued_space(A, B, res.pairs, res.eps)
     assert prohorov_of_glue(g) == res.value
+    # the other direction, box_{1/2} / 2 <= gp, on this embedding: the cells
+    # within the glue's value p have distortion <= 2p by the triangle
+    # inequality and carry mass >= 1 - p (an empty set scores 2)
+    p = res.value
+    close = [(x, y) for x, row in enumerate(g.cross()) for y, d in enumerate(row) if d <= p]
+    info = correspondence_info(A, B, close)
+    assert max(info.distortion, 2 * (1 - info.max_coupling_mass)) <= 2 * p
     with pytest.raises(ValidationError):
         glued_upper_bound(a, b, search_budget=1)

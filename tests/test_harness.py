@@ -122,28 +122,26 @@ def test_failing_check_flips_passed():
     assert '"passed": false' in report.to_json()
 
 
-def test_theorem_check_runs_the_glue_search_only_where_gp_is_exact(monkeypatch):
-    # where gp is inexact there is no exact value to compare a glue with, and
-    # the glue search may run out of budget too: the check fails, the run
+def test_theorem_check_compares_the_glue_only_where_gp_is_exact(monkeypatch):
+    # where gp is inexact there is no exact value to compare the glue of its
+    # witness with: the check fails, the instance reports no glue, the run
     # goes on
-    real_ladder, real_glue = harness.box_ladder, harness.glued_upper_bound
-    ladders, glues = [], []
+    real = harness._glued_ladder
+    calls = []
 
-    def inexact_past_the_pinned_pair(a, b, lams):
-        ladders.append(real_ladder(a, b, lams))
-        if len(ladders) == 1:
-            return ladders[-1]
-        return tuple(replace(box, exact=False) for box in ladders[-1])
+    def inexact_past_the_pinned_pair(a, b, lams, budget):
+        calls.append(lams)
+        boxes, glue = real(a, b, lams, budget)
+        if len(calls) == 1:
+            return boxes, glue
+        return tuple(replace(box, exact=False) for box in boxes), replace(glue, exact=False)
 
-    def counted_glue(a, b):
-        glues.append(real_glue(a, b))
-        return glues[-1]
-
-    monkeypatch.setattr(harness, "box_ladder", inexact_past_the_pinned_pair)
-    monkeypatch.setattr(harness, "glued_upper_bound", counted_glue)
+    monkeypatch.setattr(harness, "_glued_ladder", inexact_past_the_pinned_pair)
     obj = run_theorem_check(seed=1, count=2).to_obj()
+    # one ladder per instance, the glue riding on it
+    assert calls == [harness.LAMBDA_LADDER] * 3
     pinned, *rest = obj["instances"]
-    assert len(glues) == 1 and pinned["checks"]["glue_equals_gp"] and "glue" in pinned
+    assert pinned["checks"]["glue_equals_gp"] and "glue" in pinned
     for inst in rest:
         assert inst["checks"]["glue_equals_gp"] is False and "glue" not in inst
     # exact_search and glue_equals_gp fail on both sampled pairs
@@ -153,7 +151,7 @@ def test_theorem_check_runs_the_glue_search_only_where_gp_is_exact(monkeypatch):
 
 def test_theorem_check_validates_each_space_once(monkeypatch):
     # sampled spaces come out of `canonicalize` marked, so the ladder and the
-    # glue search take them as they are; only sampling validates
+    # glue take them as they are; only sampling validates
     validated = []
     real = spaces.require_valid
     for module in (spaces, gluing):
