@@ -1,4 +1,4 @@
-"""The tree of equalities behind the main distance: gp = box_half / 2 = best glue."""
+"""The tree of equalities behind the main distance: gp = box_half / 2 = the glue of gp's witness."""
 
 from fractions import Fraction
 
@@ -36,7 +36,7 @@ def main():
         glue = glued_upper_bound(a, b)
         print(f"seed {seed}: gp = {detail.value} ({a.n}x{b.n} points)")
         print(f"  box value {detail.box_value}, search exact: {detail.exact}")
-        print(f"  best glue {glue.value} at eps {glue.eps} from the {glue.source} search")
+        print(f"  glue of gp's {glue.source} witness: {glue.value} at eps {glue.eps}")
         assert glue.value == detail.value
         one = box_lambda(a, b, F(1))
         assert detail.value <= one <= 2 * detail.value

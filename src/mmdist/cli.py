@@ -3,8 +3,9 @@
 Results go to stdout (or --out) as canonical JSON. Commands that compute
 one value take --raw (print just the value) and, except validate, --float
 (IEEE doubles instead of exact rationals); a command rejects every flag its
-handler does not read. Human notes and timing go to stderr so stdout stays
-machine-readable.
+handler does not read. Each command is declared once, in the `_COMMANDS`
+table: its words, handler, help and flags. Human notes and timing go to
+stderr so stdout stays machine-readable.
 Exit codes: 0 success, 1 domain error (invalid input, search budget), 2 usage
 error, 3 experiment report with failing checks.
 """
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from .coding import code_excursion, four_point_check
 from .errors import SizeError, ValidationError
@@ -150,43 +152,44 @@ def _cmd_dist_prohorov(args):
         )
     # load_space validated both files, so the common space is valid too
     value = prohorov(CommonSpaceMeasures(a.dist, a.weights, b.weights))
-    payload = _value_payload(value, args.float_mode)
+    payload = _value_payload(value, args.float)
     return payload, format_scalar(value), 0
 
 
-def _cmd_dist_gp(args):
+def _box_search(args, search, *params):
+    """`search(a, b, *params, budget)` on --a and --b, with its exact flag and witness."""
     a = load_space(args.a)
     b = load_space(args.b)
-    res = gromov_prohorov_detail(a, b, _nonnegative_arg(args.budget, "--budget"))
-    payload = _value_payload(res.value, args.float_mode)
-    payload["box_half"] = _value_payload(res.box_value, args.float_mode)["value"]
+    res = search(a, b, *params, _nonnegative_arg(args.budget, "--budget"))
+    payload = _value_payload(res.value, args.float)
     payload["exact"] = res.exact
     if args.witness:
         payload["pairs"] = [list(p) for p in res.pairs]
+    return res, payload
+
+
+def _cmd_dist_gp(args):
+    res, payload = _box_search(args, gromov_prohorov_detail)
+    payload["box_half"] = _value_payload(res.box_value, args.float)["value"]
     return payload, format_scalar(res.value), 0
 
 
 def _cmd_dist_box(args):
-    a = load_space(args.a)
-    b = load_space(args.b)
-    lam = _scalar_arg(args.lam, "--lambda")
-    res = box_lambda_detail(a, b, lam, _nonnegative_arg(args.budget, "--budget"))
-    payload = _value_payload(res.value, args.float_mode)
+    res, payload = _box_search(args, box_lambda_detail, _scalar_arg(args.lam, "--lambda"))
     payload["lambda"] = format_scalar(res.lam)
-    payload["exact"] = res.exact
-    if args.witness:
-        payload["pairs"] = [list(p) for p in res.pairs]
     return payload, format_scalar(res.value), 0
 
 
 def _cmd_dist_excursion(args):
     h = load_excursion(args.a)
     g = load_excursion(args.b)
-    tol = _scalar_arg(args.gamma_tol, "--gamma-tol") if args.gamma_tol else DEFAULT_GAMMA_TOL
+    tol = DEFAULT_GAMMA_TOL
+    if args.gamma_tol is not None:
+        tol = _scalar_arg(args.gamma_tol, "--gamma-tol")
     if tol < 0:
         raise ValidationError(f"--gamma-tol: expected a nonnegative number, got {args.gamma_tol!r}")
     res = d_excursion_detail(h, g, tol=tol, budget=_nonnegative_arg(args.budget, "--budget"))
-    payload = _value_payload(res.value, args.float_mode)
+    payload = _value_payload(res.value, args.float)
     payload.update(
         {
             "certified": res.certified,
@@ -207,7 +210,7 @@ def _cmd_dist_excursion(args):
 def _cmd_dist_dh(args):
     h = load_excursion(args.infile)
     value = dh(h, _scalar_arg(args.s, "--s"), _scalar_arg(args.t, "--t"))
-    return _value_payload(value, args.float_mode), format_scalar(value), 0
+    return _value_payload(value, args.float), format_scalar(value), 0
 
 
 def _cmd_code_excursion(args):
@@ -234,7 +237,7 @@ def _cmd_glue(args):
     b = load_space(args.b)
     if args.pairs is None and args.eps is None:
         res = glued_upper_bound(a, b)
-        payload = _value_payload(res.value, args.float_mode)
+        payload = _value_payload(res.value, args.float)
         payload["eps"] = format_scalar(res.eps)
         payload["exact"] = res.exact
         payload["source"] = res.source
@@ -244,21 +247,20 @@ def _cmd_glue(args):
         raise ValidationError("glue: --pairs and --eps must be given together")
     glued = build_glued_space(a, b, _pairs_arg(args.pairs), _scalar_arg(args.eps, "--eps"))
     value = prohorov_of_glue(glued)
-    payload = _value_payload(value, args.float_mode)
+    payload = _value_payload(value, args.float)
     payload["eps"] = format_scalar(glued.eps)
     if args.check:
         payload["triangle_violations"] = [list(t) for t in check_triangle(glued)]
     return payload, format_scalar(value), 0
 
 
-def _cmd_experiment(args):
-    # a flag the user did not give is absent, so the run_* default applies
+def _cmd_experiment(run, args):
     kwargs = {k: v for k, v in vars(args).items() if k in ("seed", "count", "n_max", "schedule")}
     if "n_list" in args:
         kwargs["n_list"] = _int_list_arg(args.n_list, "--n-list")
     if "h" in args:
         kwargs["h"] = load_excursion(args.h)
-    report = args.run(**kwargs)
+    report = run(**kwargs)
     if args.csv:
         report.save_csv(args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
@@ -273,147 +275,140 @@ def _cmd_experiment(args):
 
 
 # ---------------------------------------------------------------------------
-# parser: each command accepts only the flags its handler reads
+# commands: each is declared once, with only the flags its handler reads;
+# every command also takes --out, which main writes
 
-_SHARED_FLAGS = {
-    "--out": {"default": None, "help": "write the JSON payload here instead of stdout"},
-    "--raw": {"action": "store_true", "help": "print only the bare value"},
-    "--float": {
-        "dest": "float_mode",
-        "action": "store_true",
-        "help": "emit IEEE doubles instead of rationals",
-    },
-    "--seed": {"type": int, "default": 0},
+_SWITCH = {"action": "store_true"}
+_REQUIRED = {"required": True}
+_IN = {"--in": {"dest": "infile", **_REQUIRED}}
+_RAW = {"--raw": {**_SWITCH, "help": "print only the bare value"}}
+_FLOAT = {"--float": {**_SWITCH, "help": "emit IEEE doubles instead of rationals"}}
+# one value from the two files --a and --b
+_PAIR = {**_RAW, **_FLOAT, "--a": _REQUIRED, "--b": _REQUIRED}
+_SEARCH = {"--budget": {"type": int, "default": DEFAULT_SEARCH_BUDGET}, "--witness": _SWITCH}
+_CSV = {"--csv": {"help": "also write the instance table as CSV"}}
+# an experiment flag the user did not give stays absent, so the run_* default applies
+_ABSENT = {"default": argparse.SUPPRESS}
+_ABSENT_INT = {"type": int, **_ABSENT}
+
+# words -> (handler, help, flags), in the order the help lists them
+_COMMANDS = {
+    "validate": (_cmd_validate, "report violations of a space or excursion file", {**_RAW, **_IN}),
+    "canonicalize": (_cmd_canonicalize, "canonical form of a space (or normalized excursion)", _IN),
+    "sample": (
+        _cmd_sample,
+        "deterministic random space on a rational grid",
+        {"--seed": {"type": int, "default": 0}, "--n-max": {"type": int, "default": 5}},
+    ),
+    "dist prohorov": (_cmd_dist_prohorov, "two measures on one space", _PAIR),
+    "dist gp": (_cmd_dist_gp, "Gromov-Prohorov distance of two spaces", {**_PAIR, **_SEARCH}),
+    "dist box": (
+        _cmd_dist_box,
+        "box metric at a given lambda",
+        {**_PAIR, "--lambda": {"dest": "lam", **_REQUIRED}, **_SEARCH},
+    ),
+    "dist excursion": (
+        _cmd_dist_excursion,
+        "epigraph plus level-measure distance",
+        {**_PAIR, "--gamma-tol": {}, "--budget": {"type": int, "default": DEFAULT_GAMMA_BUDGET}},
+    ),
+    "dist dh": (
+        _cmd_dist_dh,
+        "tree distance between two times of one excursion",
+        {**_RAW, **_FLOAT, **_IN, "--s": _REQUIRED, "--t": _REQUIRED},
+    ),
+    "code-excursion": (
+        _cmd_code_excursion,
+        "finite space coded by an excursion",
+        {**_IN, "--resolution": {"help": "comma list of extra cut times"}},
+    ),
+    "glue": (
+        _cmd_glue,
+        "glue two spaces and take the Prohorov distance",
+        {
+            **_PAIR,
+            "--pairs": {"help": 'JSON like "[[0,0],[1,2]]"'},
+            "--eps": {},
+            "--check": {**_SWITCH, "help": "also verify the glued triangle inequality"},
+        },
+    ),
+    "experiment theorem-check": (
+        partial(_cmd_experiment, run_theorem_check),
+        "gp = glue of gp's witness = half box",
+        {**_CSV, "--seed": _ABSENT_INT, "--count": _ABSENT_INT, "--n-max": _ABSENT_INT},
+    ),
+    "experiment lipschitz": (
+        partial(_cmd_experiment, run_lipschitz_check),
+        "coded gp <= 2 sup|h - g|",
+        {**_CSV, "--seed": _ABSENT_INT, "--count": _ABSENT_INT},
+    ),
+    "experiment counterexample": (
+        partial(_cmd_experiment, run_counterexample),
+        "the comb-family table",
+        {**_CSV, "--n-list": _ABSENT},
+    ),
+    "experiment continuity": (
+        partial(_cmd_experiment, run_continuity_check),
+        "perturbation envelopes",
+        {
+            **_CSV,
+            "--seed": _ABSENT_INT,
+            "--schedule": _ABSENT_INT,
+            "--h": {**_ABSENT, "help": "excursion file for the continuity base"},
+        },
+    ),
 }
-_VALUE = ("--raw", "--float")  # for commands whose handler returns one value
+# group -> (dest, help); the dest names the missing word in a usage error
+_GROUPS = {"dist": ("distance", "distances"), "experiment": ("name", "seeded experiment reports")}
 
 
-def _command(sub, name, handler, help, *flags):
-    """A subcommand taking --out and the named `_SHARED_FLAGS`."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(handler=handler, usage_of=p)
-    for flag in ("--out", *flags):
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
-    return p
+def _leaf(parser, words):
+    """`parser` as the command `words`, with that command's flags."""
+    parser.set_defaults(words=words, usage_of=parser)
+    parser.add_argument("--out", help="write the JSON payload here instead of stdout")
+    for flag, kwargs in _COMMANDS[words][2].items():
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
-def _parser() -> argparse.ArgumentParser:
+def _tree() -> argparse.ArgumentParser:
+    """Every command under one parser, for the top-level and group usage texts."""
     parser = argparse.ArgumentParser(
         prog="mmdist",
         description="Exact distances between metric measure spaces and excursion-coded trees.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(
-        sub, "validate", _cmd_validate, "report violations of a space or excursion file", "--raw"
-    )
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = _command(
-        sub,
-        "canonicalize",
-        _cmd_canonicalize,
-        "canonical form of a space (or normalized excursion)",
-    )
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = _command(
-        sub, "sample", _cmd_sample, "deterministic random space on a rational grid", "--seed"
-    )
-    p.add_argument("--n-max", type=int, default=5)
-
-    dist = sub.add_parser("dist", help="distances")
-    dsub = dist.add_subparsers(dest="distance", required=True)
-
-    p = _command(dsub, "prohorov", _cmd_dist_prohorov, "two measures on one space", *_VALUE)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = _command(dsub, "gp", _cmd_dist_gp, "Gromov-Prohorov distance of two spaces", *_VALUE)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--witness", action="store_true")
-
-    p = _command(dsub, "box", _cmd_dist_box, "box metric at a given lambda", *_VALUE)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--witness", action="store_true")
-
-    p = _command(
-        dsub, "excursion", _cmd_dist_excursion, "epigraph plus level-measure distance", *_VALUE
-    )
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--gamma-tol", default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_GAMMA_BUDGET)
-
-    p = _command(
-        dsub, "dh", _cmd_dist_dh, "tree distance between two times of one excursion", *_VALUE
-    )
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--t", required=True)
-
-    p = _command(sub, "code-excursion", _cmd_code_excursion, "finite space coded by an excursion")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--resolution", default=None, help="comma list of extra cut times")
-
-    p = _command(
-        sub, "glue", _cmd_glue, "glue two spaces and take the Prohorov distance", *_VALUE
-    )
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--pairs", default=None, help='JSON like "[[0,0],[1,2]]"')
-    p.add_argument("--eps", default=None)
-    p.add_argument("--check", action="store_true", help="also verify the glued triangle inequality")
-
-    experiment = sub.add_parser("experiment", help="seeded experiment reports")
-    esub = experiment.add_subparsers(dest="name", required=True)
-
-    def experiment_command(name, run, help, *int_flags):
-        p = _command(esub, name, _cmd_experiment, help)
-        p.set_defaults(run=run)
-        p.add_argument("--csv", default=None, help="also write the instance table as CSV")
-        for flag in int_flags:
-            p.add_argument(flag, type=int, default=argparse.SUPPRESS)
-        return p
-
-    experiment_command(
-        "theorem-check",
-        run_theorem_check,
-        "gp = glue search = half box",
-        "--seed",
-        "--count",
-        "--n-max",
-    )
-    experiment_command(
-        "lipschitz", run_lipschitz_check, "coded gp <= 2 sup|h - g|", "--seed", "--count"
-    )
-    p = experiment_command("counterexample", run_counterexample, "the comb-family table")
-    p.add_argument("--n-list", default=argparse.SUPPRESS)
-    p = experiment_command(
-        "continuity", run_continuity_check, "perturbation envelopes", "--seed", "--schedule"
-    )
-    p.add_argument("--h", default=argparse.SUPPRESS, help="excursion file for the continuity base")
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, (_, help, _) in _COMMANDS.items():
+        group, _, name = words.rpartition(" ")
+        if group not in subparsers:
+            dest, group_help = _GROUPS[group]
+            group_parser = subparsers[""].add_parser(group, help=group_help)
+            subparsers[group] = group_parser.add_subparsers(dest=dest, required=True)
+        _leaf(subparsers[group].add_parser(name, help=help), words)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # leading words that name a command build its parser alone; -h, a missing
+    # or an unknown command build the whole tree for its usage texts
+    words = next((w for w in _COMMANDS if argv[: w.count(" ") + 1] == w.split()), None)
+    if words:
+        parser = _leaf(argparse.ArgumentParser(prog=f"mmdist {words}"), words)
+        argv = argv[words.count(" ") + 1 :]
+    else:
+        parser = _tree()
     try:
-        # a flag the subcommand does not read is reported with its own usage
-        args, unread = _parser().parse_known_args(argv)
+        # a flag the command does not read is reported with its own usage
+        args, unread = parser.parse_known_args(argv)
         if unread:
             args.usage_of.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
-    label = args.usage_of.prog.removeprefix("mmdist ")  # "dist gp", "experiment lipschitz"
+    label = args.words
     started = time.perf_counter()
     try:
-        payload, raw, code = args.handler(args)
+        payload, raw, code = _COMMANDS[label][0](args)
         text = raw + "\n" if getattr(args, "raw", False) else dumps_json(payload)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as f:

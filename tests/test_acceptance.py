@@ -114,7 +114,7 @@ def test_acceptance_01_gluing_search_equals_gp():
     announce(
         1,
         ok,
-        f"gluing search equals gp exactly on {equal}/200 random pairs "
+        f"glue of gp's witness equals gp exactly on {equal}/200 random pairs "
         f"(n <= 3) in {elapsed:.1f}s (budget 120s)",
     )
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, payload shapes, file round trips."""
 
+import argparse
 import copy
 import hashlib
 import io
@@ -112,6 +113,22 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "dist", "gp", "--a")[0] == 2
     assert run(capsys)[0] == 2
+
+
+def test_a_command_builds_only_its_own_parser(capsys, tmp_path, monkeypatch):
+    path = str(sample_file(capsys, tmp_path))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, "dist", "prohorov", "--a", path, "--b", path, "--raw")
+    assert (code, out) == (0, "0\n")
+    assert built == ["mmdist dist prohorov"]
+    assert run(capsys, "dist", "-h")[0] == 0  # group help still comes from the whole tree
 
 
 def test_canonicalize_round_trips_through_the_cli(capsys, tmp_path):
@@ -387,7 +404,7 @@ PINNED_USAGE = {
     "dist": "038ac07bfb054bbdfe35232e88a223e93f8ae1f382e554fe3dca60436b142390",
     "dist -h": "e383986ea132b75241fd003e728eea3e25d6d021660e9f0b21172a56778b2add",
     "experiment": "1de30c2db40783b3ccf008e3902a06d415eaf20679917c8a979d446a17b9e683",
-    "experiment -h": "6f92e9fcb184ea420f2992002d3928a88e503e1c3db1fb83f2b68c66bd91e648",
+    "experiment -h": "f0b39a94f5021e0416915710032c1cf681a4f98876f62cc94bd98b60210db1df",
     "no-such-command": "eb18056fd2cf6c4c92be19d43f6db19766499290facb90185fa1025ed8cf7e06",
     "dist no-such-distance": "c128fc8a8cbde2a17b164027a6e59f10cb819baf3649e6e560fbdb7ef5005967",
     "experiment no-such-name": "7495bbdbec3ec4ef5030063553f4f725dd15d88435839d1ca6b01adb18946a24",
@@ -536,6 +553,7 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
             "mmdist experiment theorem-check: n_max must be at least 1",
         ),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
+        (["dist", "excursion", "--gamma-tol", ""], '--gamma-tol: invalid literal ""'),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
         (["dist", "gp", "--budget", "-1"], "--budget: expected a nonnegative integer, got -1"),
         (["dist", "box", "--lambda", "1/2", "--budget", "-1"], "--budget: expected a nonnegative"),
@@ -551,6 +569,7 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         "sample-n-max",
         "theorem-check-n-max",
         "gamma-tol",
+        "gamma-tol-empty",
         "gamma-budget",
         "gp-budget",
         "box-budget",

@@ -15,7 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 PINNED_DEMOS = {
     "comb_family_gap.py": "ed267c5ee911878fd8f412370b10aca8d7e267a2cb18d1cd5ddacb0cf64f7bf5",
     "excursion_trees.py": "6da93a5afdfa63e51553dece164035920ee41c5b8cbd6f7252e5d91a721d009f",
-    "gp_equals_half_box.py": "bedca2b5908e75f3c93e0eec5fc35e5933a709e2ca75bcb80361d8fa14c6aeb0",
+    "gp_equals_half_box.py": "04fbad9d44a03570bab95901111169da72cd42b933378ddb045a966017b8008f",
     "spaces_and_prohorov.py": "03c0122432be548471c0be10010837fd54edf3ed49ae7a58140adf7a00311311",
 }
 
