@@ -109,7 +109,7 @@ def _cmd_validate(args):
     obj = load_document(args.infile)
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt not in (MMSPACE_FORMAT, EXCURSION_FORMAT):
-        raise ValidationError(f"validate: unsupported document format {fmt!r}")
+        raise ValidationError(f"unsupported document format {fmt!r}")
     try:
         if fmt == MMSPACE_FORMAT:
             violations = validate(space_from_obj(obj, check=False))
@@ -133,7 +133,7 @@ def _cmd_canonicalize(args):
     elif fmt == EXCURSION_FORMAT:
         payload = excursion_to_obj(normalize(excursion_from_obj(obj)))
     else:
-        raise ValidationError(f"canonicalize: unsupported document format {fmt!r}")
+        raise ValidationError(f"unsupported document format {fmt!r}")
     return payload, None, 0
 
 
@@ -147,8 +147,8 @@ def _cmd_dist_prohorov(args):
     b = load_space(args.b)
     if a.labels != b.labels or a.dist != b.dist:
         raise ValidationError(
-            "dist prohorov: --a and --b must carry the same labels and distance "
-            "matrix (two measures on one space)"
+            "--a and --b must carry the same labels and distance matrix "
+            "(two measures on one space)"
         )
     # load_space validated both files, so the common space is valid too
     value = prohorov(CommonSpaceMeasures(a.dist, a.weights, b.weights))
@@ -244,7 +244,7 @@ def _cmd_glue(args):
         payload["pairs"] = [list(p) for p in res.pairs]
         return payload, format_scalar(res.value), 0
     if args.pairs is None or args.eps is None:
-        raise ValidationError("glue: --pairs and --eps must be given together")
+        raise ValidationError("--pairs and --eps must be given together")
     glued = build_glued_space(a, b, _pairs_arg(args.pairs), _scalar_arg(args.eps, "--eps"))
     value = prohorov_of_glue(glued)
     payload = _value_payload(value, args.float)

@@ -49,14 +49,9 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
 
     Levels are the breakpoint values themselves; every pairwise path infimum
     of a pl function is attained at a breakpoint, so these are exactly the
-    critical levels.
+    critical levels. Resolution points are checked in the order given.
     """
-    return _cuts(normalize(h), resolution)
-
-
-def _cuts(h: Excursion, resolution) -> tuple:
-    """Cut set for coding a normalized excursion: its breakpoints, for pl its
-    level crossings, and the resolution points, checked in the order given."""
+    h = normalize(h)
     bps = h.breakpoints
     values = h.values
     cuts = set()
@@ -102,7 +97,7 @@ def _merge_to_space(d, lengths):
 
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
     h = normalize(h)
-    cuts = _cuts(h, resolution)
+    cuts = pl_cut_points(h, resolution)
     # cutvals[j], h at the cut between segments j - 1 and j, is the inf of h
     # across that cut: pl is continuous, and a valid pc breakpoint value is at
     # most both neighbouring pieces

@@ -28,15 +28,15 @@ breakpoint bottoms. Two regimes:
   enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
   current enclosure when the split budget runs out.
 
-Both regimes work in ints from start to finish. A call puts the target's
-breakpoints, values and epigraph features over one denominator once
-(`_int_epi`); a point is an int triple (x, y, d), and its squared distances
-to all features are one int vector (`_dist_sq_vector`), computed once when
-the point is created. Square roots come from `math.isqrt`
-(`isqrt_enclosure`); bounds and heap keys are (num, den) pairs compared by
-cross-multiplication, so the visit order and every bound are those of the
-plain Fraction computation. What stays Fraction: only the returned
-enclosure.
+Both regimes work in ints from start to finish. Each directed sup puts
+both excursions over one denominator once (`_int_excursions`) and builds
+the target's epigraph features over it (`_int_epi`); a point is an int
+triple (x, y, d), and its squared distances to all features are one int
+vector (`_dist_sq_vector`), computed once when the point is created.
+Square roots come from `math.isqrt` (`isqrt_enclosure`); bounds and heap
+keys are (num, den) pairs compared by cross-multiplication, so the visit
+order and every bound are those of the plain Fraction computation. What
+stays Fraction: only the returned enclosure.
 
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 """
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .exact import isqrt_enclosure, scaled_rows, sqrt_enclosure, sqrt_if_square
-from .excursions import Excursion, _on_grid, normalize, require_valid_excursion
+from .excursions import Excursion, _on_grid, normalize
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -103,9 +103,7 @@ def d_lambda(h: Excursion, g: Excursion):
     condition may fail at the value itself while holding just above it,
     matching the prohorov convention.
     """
-    require_valid_excursion(h)
-    require_valid_excursion(g)
-    pieces = _abs_diff_pieces(h, g)
+    pieces = _abs_diff_pieces(normalize(h), normalize(g))
     levels = sorted({Fraction(0)} | {v for _, plo, phi in pieces for v in (plo, phi)})
     for idx, level in enumerate(levels):
         nxt = levels[idx + 1] if idx + 1 < len(levels) else None
@@ -175,19 +173,18 @@ class _Epi(NamedTuple):
     rows: list
 
 
-def _int_epi(h: Excursion) -> _Epi:
-    """h and the features of epi(h) over one denominator.
+def _int_epi(h: Excursion, den: int) -> _Epi:
+    """The features of epi(h), for h with int fields over `den`.
 
     Each feature row is (ax, ay, bx, by, vx, vy, vv, big_v // vv) with
     v = b - a and vv = |v|^2; big_v is a common multiple of the nonzero vv,
     so every squared distance below is an int over one per-point denominator.
     """
-    (ih,), den = _int_excursions(h)
-    segs = [(ax, ay, bx, by, bx - ax, by - ay) for (ax, ay), (bx, by) in _epi_features(ih)]
+    segs = [(ax, ay, bx, by, bx - ax, by - ay) for (ax, ay), (bx, by) in _epi_features(h)]
     vvs = [vx * vx + vy * vy for *_, vx, vy in segs]
     big_v = lcm(*filter(None, vvs))
     rows = [(*seg, vv, big_v // vv if vv else 0) for seg, vv in zip(segs, vvs)]
-    return _Epi(ih, den, big_v, rows)
+    return _Epi(h, den, big_v, rows)
 
 
 def _dist_sq_vector(x, y, d, epi: _Epi):
@@ -312,13 +309,8 @@ def directed_gamma_sq(src: Excursion, tgt: Excursion):
     src, tgt = normalize(src), normalize(tgt)
     if src.kind != "pc" or tgt.kind != "pc":
         raise ValidationError("exact directed sup needs both excursions pc")
-    return _directed_gamma_sq(src, tgt)
-
-
-def _directed_gamma_sq(src: Excursion, tgt: Excursion):
-    """`directed_gamma_sq` of two normalized pc excursions."""
-    epi = _int_epi(tgt)
     (s, t), den = _int_excursions(src, tgt)
+    epi = _int_epi(t, den)
     best = (0, 1)
     for x, y in zip(s.breakpoints, s.breakpoint_values):
         if _gap(x, y, den, epi) < 0:
@@ -400,7 +392,8 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
     every target feature as ints over l2 * big_v (`_dist_sq_vector`),
     shared by its enclosure and the bounds of both segments it ends.
     """
-    epi = _int_epi(tgt)
+    (s, t), den = _int_excursions(src, tgt)
+    epi = _int_epi(t, den)
     big_v = epi.big_v
     tn, td = Fraction(tol).as_integer_ratio()
 
@@ -422,7 +415,6 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
         lip = ((h1 * e2 + h2 * e1) * le + ln * e1 * e2, 2 * e1 * e2 * le)
         return _qmin((cap, ce), lip)
 
-    (s,), den = _int_excursions(src)
     bps, vals = s.breakpoints, s.values
     lo = hi_points = (0, 1)
     if src.kind == "pc":
@@ -472,9 +464,9 @@ def d_gamma_detail(
     tol=DEFAULT_GAMMA_TOL,
     budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> IntervalResult:
-    h, g = normalize(h), normalize(g)  # validates each input, once
+    h, g = normalize(h), normalize(g)  # the one check of each input
     if h.kind == "pc" and g.kind == "pc":
-        ssq = max(_directed_gamma_sq(h, g), _directed_gamma_sq(g, h))
+        ssq = max(directed_gamma_sq(h, g), directed_gamma_sq(g, h))
         root = sqrt_if_square(ssq)
         if root is not None:
             return IntervalResult(root, root, root, True, True)
@@ -507,6 +499,7 @@ def d_excursion_detail(
     tol=DEFAULT_GAMMA_TOL,
     budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> ExcursionDistanceResult:
+    h, g = normalize(h), normalize(g)  # checked once, for both halves
     gamma = d_gamma_detail(h, g, tol, budget)
     lam = d_lambda(h, g)
     return ExcursionDistanceResult(

@@ -6,6 +6,10 @@ most the neighbouring piece values (the lower-semicontinuous convention);
 the constructor defaults each interior breakpoint to the minimum of its
 neighbours and the right endpoint to the last piece value.
 
+`normalize` is the one check of an excursion; every routine reads its
+inputs through it. It returns a marked input as it is, validates any other
+and marks what it builds (outside equality, hash and repr), never the input.
+
 Every exact read of an excursion goes through one grid reader, `_on_grid`.
 Given ascending cuts with no breakpoint strictly between two neighbours, it
 walks the breakpoints once and returns h at each cut and the one-sided
@@ -20,7 +24,7 @@ breakpoints, and the coding reads h on its cut set.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -37,6 +41,7 @@ class Excursion:
     breakpoints: tuple
     values: tuple  # pl: value at each breakpoint; pc: value of each open piece
     breakpoint_values: tuple = None  # pc only
+    _normalized: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def pieces(self) -> int:
@@ -132,6 +137,8 @@ def normalize(h: Excursion) -> Excursion:
     breakpoints whose value equals both neighbouring piece values (merging
     the pieces). Needed so that equal functions code to equal trees.
     """
+    if h._normalized:
+        return h
     require_valid_excursion(h)
     bps = h.breakpoints
     if h.kind == "pl":
@@ -142,26 +149,27 @@ def normalize(h: Excursion) -> Excursion:
             if left != right:
                 keep.append(k)
         keep.append(len(bps) - 1)
-        return Excursion(
+        out = Excursion(
             "pl",
             tuple(bps[k] for k in keep),
             tuple(h.values[k] for k in keep),
         )
-    keep = [0]
-    for k in range(1, len(bps) - 1):
-        if not (
-            h.values[k - 1] == h.values[k] == h.breakpoint_values[k]
-        ):
-            keep.append(k)
-    keep.append(len(bps) - 1)
-    # a merged run of pieces shares one value; keep[i] indexes its first piece
-    piece_values = [h.values[a] for a in keep[:-1]]
-    return Excursion(
-        "pc",
-        tuple(bps[k] for k in keep),
-        tuple(piece_values),
-        tuple(h.breakpoint_values[k] for k in keep),
-    )
+    else:
+        keep = [0]
+        for k in range(1, len(bps) - 1):
+            if not h.values[k - 1] == h.values[k] == h.breakpoint_values[k]:
+                keep.append(k)
+        keep.append(len(bps) - 1)
+        # a merged run of pieces shares one value; keep[i] indexes its first piece
+        piece_values = [h.values[a] for a in keep[:-1]]
+        out = Excursion(
+            "pc",
+            tuple(bps[k] for k in keep),
+            tuple(piece_values),
+            tuple(h.breakpoint_values[k] for k in keep),
+        )
+    object.__setattr__(out, "_normalized", True)  # frozen: set past __init__
+    return out
 
 
 def _on_grid(h: Excursion, cuts):
@@ -198,11 +206,12 @@ def evaluate(h: Excursion, t):
     t = parse_scalar(t)
     if not (0 <= t <= 1):
         raise ValidationError(f"t = {t} outside [0, 1]")
-    return _on_grid(h, (t,))[0][0]
+    return _on_grid(normalize(h), (t,))[0][0]
 
 
 def infimum(h: Excursion, s, t):
     """Exact inf of h over the closed interval between s and t."""
+    h = normalize(h)
     s = parse_scalar(s)
     t = parse_scalar(t)
     if s > t:
@@ -216,6 +225,7 @@ def infimum(h: Excursion, s, t):
 
 def dh(h: Excursion, s, t):
     """Tree distance induced by h: h(s) + h(t) - 2 * inf over [s, t]."""
+    h = normalize(h)
     return evaluate(h, s) + evaluate(h, t) - 2 * infimum(h, s, t)
 
 
@@ -223,6 +233,7 @@ def sup_diff(h: Excursion, g: Excursion):
     """True sup of |h - g| over [0, 1] (not just the essential sup)."""
     # on each open piece of the union grid both functions are linear, so the
     # difference is extremal at the grid points or at the piece-end limits
+    h, g = normalize(h), normalize(g)
     cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
     h_points, h_pieces = _on_grid(h, cuts)
     g_points, g_pieces = _on_grid(g, cuts)

@@ -25,7 +25,7 @@ from .coding import code_excursion, pl_cut_points
 from .errors import ValidationError
 from .exact import decimal_str, format_scalar
 from .excursion_metrics import d_excursion_detail, d_gamma_detail, d_lambda
-from .excursions import comb, pl_excursion, step_one, sup_diff, tent, zero_excursion
+from .excursions import comb, normalize, pl_excursion, step_one, sup_diff, tent, zero_excursion
 from .gluing import _glued_ladder
 from .gromov import (
     DEFAULT_SEARCH_BUDGET,
@@ -312,7 +312,7 @@ def run_counterexample(n_list=(2, 3, 4, 6, 8)) -> ExperimentReport:
     if len(ns) < 2:
         # the table's assertions are about off-diagonal pairs
         raise ValidationError(f"need at least two distinct tooth counts, got {ns[0]}")
-    combs = {n: comb(n) for n in ns}
+    combs = {n: normalize(comb(n)) for n in ns}  # checked once, for every distance and coding
     stars = {n: code_excursion(combs[n]).space for n in ns}
     instances = []
     table = {}

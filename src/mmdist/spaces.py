@@ -272,11 +272,12 @@ def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
 
 
 def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMMSpace:
-    """Seeded random canonical space with rational entries.
+    """Seeded random space with rational entries, canonical by construction.
 
-    Distances start on a coarse grid diam_max * k/q and are closed under
-    min-plus (Floyd-Warshall), so the triangle inequality holds exactly;
-    weights are normalized small integers. Same seed, same space.
+    Distances start on a coarse grid diam_max * k/q with k >= 1 and are
+    closed under min-plus (Floyd-Warshall): positive off the diagonal,
+    symmetric and metric exactly. Weights are positive and sum to 1 and every
+    entry is a Fraction, so the space is marked canonical. Same seed, same space.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
@@ -304,7 +305,7 @@ def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMM
         dist=tuple(tuple(row) for row in d),
         weights=weights,
     )
-    return canonicalize(space)
+    return _mark_canonical(space)
 
 
 # ---------------------------------------------------------------------------

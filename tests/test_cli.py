@@ -770,6 +770,31 @@ def test_file_errors_exit_one_naming_the_path(capsys, tmp_path, argv, message):
     assert err == f"mmdist {message.format(**paths)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("validate --in {doc}", "validate: unsupported document format 'x'"),
+        ("canonicalize --in {doc}", "canonicalize: unsupported document format 'x'"),
+        (
+            "dist prohorov --a {a} --b {b}",
+            "dist prohorov: --a and --b must carry the same labels and distance matrix "
+            "(two measures on one space)",
+        ),
+        ("glue --a {a} --b {a} --eps 1", "glue: --pairs and --eps must be given together"),
+    ],
+    ids=["validate-format", "canonicalize-format", "prohorov-two-spaces", "glue-eps-alone"],
+)
+def test_handler_errors_name_their_command_once(capsys, tmp_path, argv, message):
+    paths = {
+        "a": sample_file(capsys, tmp_path, seed="3", name="a.json"),
+        "b": sample_file(capsys, tmp_path, seed="17", name="b.json"),
+        "doc": tmp_path / "doc.json",
+    }
+    paths["doc"].write_text('{"format": "x"}', encoding="utf-8")
+    code, out, err = run(capsys, *argv.format(**paths).split())
+    assert (code, out, err) == (1, "", f"mmdist {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # property: any flag value from a small pool of bad ones ends in exit 0/1/2
 

@@ -24,9 +24,10 @@ from mmdist import (
     tent,
     zero_excursion,
 )
+from mmdist import excursion_metrics, excursions
 from mmdist.exact import isqrt_enclosure, sqrt_enclosure
 from mmdist.excursion_metrics import DEFAULT_GAMMA_TOL, _directed_bb
-from mmdist.excursions import normalize
+from mmdist.excursions import dh, evaluate, infimum, normalize
 
 from excursion_refs import ref_evaluate
 
@@ -229,22 +230,49 @@ def test_excursion_distance_zero_on_equivalent_functions():
 def test_invalid_excursions_raise_the_same_text_from_every_entry():
     bad_pl = Excursion("pl", (F(0), F(1)), (F(1), F(0)))
     bad_pc = Excursion("pc", (F(0), F(1)), (F(1),), (F(0), F(2)))
+    unordered = Excursion("pl", (F(0), F(3, 4), F(1, 4), F(1)), (F(0), F(1), F(1), F(0)))
     texts = {
         bad_pl: "invalid excursion: h(0) must be 0",
         bad_pc: "invalid excursion: breakpoint value at index 1 exceeds an adjacent piece value",
+        unordered: "invalid excursion: breakpoints must be strictly increasing",
     }
-    entries = [d_lambda, d_gamma, d_gamma_detail, d_excursion, d_excursion_detail]
+    entries = [d_lambda, d_gamma, d_gamma_detail, d_excursion, d_excursion_detail, sup_diff]
     for bad, text in texts.items():
         good = comb(2) if bad.kind == "pc" else tent()
         calls = [(f, args) for f in entries for args in ((bad, good), (good, bad))]
         calls += [(directed_gamma_sq, (bad, comb(2))), (directed_gamma_sq, (tent(), bad))]
-        calls += [(code_excursion, (bad,))]
+        calls += [(code_excursion, (bad,)), (evaluate, (bad, F(1, 2)))]
+        calls += [(infimum, (bad, 0, 1)), (dh, (bad, 0, F(1, 2)))]
         for f, args in calls:
             try:
                 f(*args)
                 assert False, f.__name__
             except ValidationError as exc:
                 assert str(exc) == text, (f.__name__, str(exc))
+
+
+def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkeypatch):
+    validated, scaled = [], []
+    check, scale = excursions.validate_excursion, excursion_metrics._int_excursions
+    monkeypatch.setattr(excursions, "validate_excursion", lambda h: validated.append(h) or check(h))
+    monkeypatch.setattr(
+        excursion_metrics, "_int_excursions", lambda *hs: scaled.append(hs) or scale(*hs)
+    )
+    rng = random.Random(197)
+    pairs = [(tent(), scaled_tent(F(9, 10))), (comb(6), comb(8)), (step_one(), tent())]
+    for _ in range(4):
+        pairs.append((random_excursion(rng, max_pieces=4), random_excursion(rng, max_pieces=4)))
+    for h, g in pairs:
+        validated.clear()
+        d_excursion_detail(h, g)
+        assert validated == [h, g]  # d_gamma and d_lambda share one check of each side
+        scaled.clear()
+        d_gamma_detail(h, g)
+        assert len(scaled) == 2  # one scaling per directed sup
+        n = normalize(h)
+        validated.clear()
+        code_excursion(n)
+        assert validated == []
 
 
 # ---------------------------------------------------------------------------

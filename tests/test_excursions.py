@@ -24,6 +24,7 @@ from mmdist import (
     validate_excursion,
     zero_excursion,
 )
+from mmdist import excursions
 from mmdist.excursions import _on_grid
 
 from excursion_refs import ref_evaluate, ref_piece_limits
@@ -164,6 +165,29 @@ def test_normalize_preserves_values_and_is_idempotent():
         for k in range(49):
             t = F(k, 48)
             assert evaluate(n, t) == evaluate(h, t)
+
+
+def test_normalize_returns_its_own_output_as_it_is(monkeypatch):
+    validated = []
+    real = excursions.validate_excursion
+    monkeypatch.setattr(excursions, "validate_excursion", lambda h: validated.append(h) or real(h))
+    rng = random.Random(31)
+    for h in [tent(), comb(3), step_one()] + [random_excursion(rng) for _ in range(30)]:
+        validated.clear()
+        n = normalize(h)
+        assert n is not h and validated == [h]
+        assert normalize(n) is n and normalize(normalize(n)) is n and validated == [h]
+        # the mark is no part of the data: equality, hashing, repr and the
+        # document are those of the same fields built by hand
+        plain = Excursion(n.kind, n.breakpoints, n.values, n.breakpoint_values)
+        assert plain == n and hash(plain) == hash(n) and repr(plain) == repr(n)
+        assert excursion_to_obj(plain) == excursion_to_obj(n)
+        validated.clear()
+        assert normalize(plain) is not plain and normalize(plain) == n and len(validated) == 2
+    # the caller's object is never marked, even one with list fields
+    listed, want = Excursion("pl", [0, F(1, 2), 1], [0, 1, 0]), tent()
+    validated.clear()
+    assert normalize(listed) == normalize(listed) == want and validated == [listed, listed]
 
 
 def test_infimum_matches_grid_scan():

@@ -150,8 +150,8 @@ def test_theorem_check_compares_the_glue_only_where_gp_is_exact(monkeypatch):
 
 
 def test_theorem_check_validates_each_space_once(monkeypatch):
-    # sampled spaces come out of `canonicalize` marked, so the ladder and the
-    # glue take them as they are; only sampling validates
+    # sampled spaces come out marked canonical, so the ladder and the glue
+    # take them as they are
     validated = []
     real = spaces.require_valid
     for module in (spaces, gluing):

@@ -144,6 +144,23 @@ def test_sample_space_is_valid_and_deterministic():
         assert sp == sample_mm_space(seed, n_max=4, diam_max=F(1))
 
 
+def test_sampled_space_is_its_own_canonical_form(monkeypatch):
+    # sampling marks its output canonical without validating it; the same
+    # fields built by hand canonicalize to an equal space
+    validated = []
+    real = spaces.require_valid
+    monkeypatch.setattr(spaces, "require_valid", lambda sp: validated.append(sp) or real(sp))
+    rng = random.Random(37)
+    for _ in range(200):
+        seed, n_max = rng.randint(0, 10**6), rng.randint(1, 9)
+        diam_max = rng.choice((1, "3/2", 0.5))
+        sp = sample_mm_space(seed, n_max=n_max, diam_max=diam_max)
+        assert validated == [] and canonicalize(sp) is sp
+        assert validate(sp) == [] and is_canonical(sp)
+        assert canonicalize(FiniteMMSpace(sp.labels, sp.dist, sp.weights)) == sp
+        validated.clear()
+
+
 def test_obj_round_trip_exact():
     rng = random.Random(9)
     for _ in range(40):
