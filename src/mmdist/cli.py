@@ -43,17 +43,19 @@ from .harness import (
     run_lipschitz_check,
     run_theorem_check,
 )
-from .prohorov import CommonSpaceMeasures, prohorov
+from .prohorov import _prohorov_block
 from .spaces import (
     MMSPACE_FORMAT,
     canonicalize,
     dumps_json,
     load_space,
     load_document,
+    require_valid,
     sample_mm_space,
     space_from_obj,
     space_to_obj,
     validate,
+    weight_violations,
 )
 
 ROUNDING_NOTE = "round-half-even-12"
@@ -144,14 +146,18 @@ def _cmd_sample(args):
 
 def _cmd_dist_prohorov(args):
     a = load_space(args.a)
-    b = load_space(args.b)
-    if a.labels != b.labels or a.dist != b.dist:
+    b = load_space(args.b, check=False)
+    shared = a.labels == b.labels and a.dist == b.dist
+    # b on a's valid matrix needs only its weights checked; any other b gets
+    # the full check, so an invalid --b reports before the mismatch
+    if not shared or len(b.weights) != a.n or weight_violations(b.weights):
+        require_valid(b)
+    if not shared:
         raise ValidationError(
             "--a and --b must carry the same labels and distance matrix "
             "(two measures on one space)"
         )
-    # load_space validated both files, so the common space is valid too
-    value = prohorov(CommonSpaceMeasures(a.dist, a.weights, b.weights))
+    value = _prohorov_block(a.dist, a.weights, b.weights)
     payload = _value_payload(value, args.float)
     return payload, format_scalar(value), 0
 

@@ -2,10 +2,13 @@
 
 Every scalar enters through `parse_scalar` and is a `fractions.Fraction`
 from then on; a float converts to its exact binary value, so nothing here
-ever rounds. Hot loops put a batch of values over one common denominator
-(`scaled`, `scaled_rows`) and compare, add and flow plain ints, which is
-exact because the scale is positive. Floats come out only where the CLI's
-`--float` flag asks for them.
+ever rounds. The literals documents are made of, ASCII ints and "p/q"
+strings, become Fractions of two ints without `Fraction`'s string regex;
+every other string goes to `Fraction(str)`, whose grammar and errors are
+the interpreter's own. Hot loops put a batch of values over one common
+denominator (`scaled`, `scaled_rows`) and compare, add and flow plain ints,
+which is exact because the scale is positive. Floats come out only where
+the CLI's `--float` flag asks for them.
 """
 
 from __future__ import annotations
@@ -30,13 +33,18 @@ def parse_scalar(value) -> Fraction:
     """Convert a scalar to Fraction, exactly.
 
     Accepts ints, "p/q" strings, decimal strings, floats and Fractions.
-    Decimal strings convert exactly ("0.1" -> 1/10, not the binary float);
-    a float converts to its exact binary value (0.1 -> 3602879701896397 /
-    2**55). Anything else, including NaN and the infinities, raises
-    ValueError; "1/0" raises ZeroDivisionError. So does a decimal string
-    whose exponent is larger in magnitude than the interpreter's limit on
-    int string digits (`sys.get_int_max_str_digits()`): "1e400000000" is 12
-    characters, but its power of ten would take hours to build.
+    An ASCII int string ("-12", "007") or a "p/q" of two ("-3/4") is read
+    with `int` alone, skipping `Fraction`'s string regex; every other string
+    (whitespace, "+", "_", decimals, exponents, non-ASCII digits) goes to
+    `Fraction(value.strip())`, and the two give the same value or raise the
+    same exception type. Decimal strings convert exactly ("0.1" -> 1/10, not
+    the binary float); a float converts to its exact binary value (0.1 ->
+    3602879701896397 / 2**55). Anything else, including NaN and the
+    infinities, raises ValueError; "1/0" raises ZeroDivisionError. A decimal
+    string raises ValueError too when its exponent is larger in magnitude
+    than the interpreter's limit on int string digits
+    (`sys.get_int_max_str_digits()`): "1e400000000" is 12 characters, but
+    its power of ten would take hours to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -45,6 +53,9 @@ def parse_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if _is_ascii_int(num) and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         _, e, exponent = value.upper().partition("E")
         # 0 means no limit, as on interpreters older than 3.10.7 (no such call)
         limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -54,6 +65,12 @@ def parse_scalar(value) -> Fraction:
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(value)
     raise ValueError(f"cannot parse scalar: {value!r}")
+
+
+def _is_ascii_int(text: str) -> bool:
+    """Whether `text` is ASCII digits with at most a leading "-"."""
+    digits = text[1:] if text[:1] == "-" else text
+    return digits.isascii() and digits.isdigit()
 
 
 def scaled(values):

@@ -263,8 +263,9 @@ def run_lipschitz_check(
             rng = random.Random(seed * 1_000_003 + idx)
             h, g = sample_pair(rng, tiny=idx % 2 == 1)
             kind = "random"
-        sup = sup_diff(h, g)
-        cert = _diagonal_certificate(h, g)
+        pair = normalize(h), normalize(g)  # checked once; the report reads h itself
+        sup = sup_diff(*pair)
+        cert = _diagonal_certificate(*pair)
         checks = {"codes_aligned": cert["aligned"]}
         ratio = None
         if cert["aligned"]:
@@ -423,16 +424,20 @@ def run_continuity_check(
     base_v = h if h is not None else tent()
     if base_v.kind != "pl":
         raise ValidationError("the value-jitter base must be a pl excursion")
+    # each excursion is checked once; the report reads the bases as given
+    norm_v = normalize(base_v)
     instances = []
 
     peak = max(base_v.values)
     for k in range(schedule + 1):
         factor = Fraction(0) if k == 0 else Fraction(1, 2**k)
-        g = pl_excursion(base_v.breakpoints, tuple(v * (1 - factor) for v in base_v.values))
-        sup = sup_diff(base_v, g)
+        g = normalize(
+            pl_excursion(base_v.breakpoints, tuple(v * (1 - factor) for v in base_v.values))
+        )
+        sup = sup_diff(norm_v, g)
         envelope = 2 * sup
-        cert = _diagonal_certificate(base_v, g)
-        dexc = d_excursion_detail(base_v, g)
+        cert = _diagonal_certificate(norm_v, g)
+        dexc = d_excursion_detail(norm_v, g)
         checks = {
             "codes_aligned": cert["aligned"],
             "sup_is_scaled_peak": sup == factor * peak,
@@ -454,7 +459,7 @@ def run_continuity_check(
             }
         )
 
-    base_b = _two_peak()
+    base_b = normalize(_two_peak())  # already in normal form: only marked
     pattern = (Fraction(1, 32), Fraction(-1, 64), Fraction(1, 64))
     shifts0 = (Fraction(0),) + pattern + (Fraction(0),)
     gaps = [
@@ -470,7 +475,7 @@ def run_continuity_check(
     for k in range(schedule + 1):
         scale = Fraction(0) if k == 0 else Fraction(2) / 2**k
         bps = tuple(t + s * scale for t, s in zip(base_b.breakpoints, shifts0))
-        g = pl_excursion(bps, base_b.values)
+        g = normalize(pl_excursion(bps, base_b.values))
         delta_k = delta0 * scale
         envelope = e_base * scale
         cert = _diagonal_certificate(base_b, g)

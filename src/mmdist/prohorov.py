@@ -19,7 +19,8 @@ an assumption.
 
 Both routes run on distances as ints over their common denominator and on
 weights as ints over theirs, and share one cross-multiplied scan; a Fraction
-is built only for the value returned. The flow scan takes any rectangular
+is built only for the value returned. The distances are scaled once, for
+both the metric-axiom check and the scan. The flow scan takes any rectangular
 int block, which is how `gluing` values its cross blocks.
 
 The one-sided subset condition already implies its mirror image for
@@ -36,7 +37,7 @@ from fractions import Fraction
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
 from .flow import Transport
-from .spaces import metric_violations
+from .spaces import _row_violations
 
 BRUTEFORCE_CAP = 12
 
@@ -68,11 +69,17 @@ _COMMON_MESSAGES = {
 
 
 def validate_common(cm: CommonSpaceMeasures) -> list:
-    violations = []
+    return _checked(cm)[0]
+
+
+def _checked(cm: CommonSpaceMeasures):
+    """(violations, scaled): `validate_common`'s list, and cm.dist as int rows
+    over one denominator, (rows, D), scaled once for both the metric check
+    and the scan; scaled is None when the matrix is not square."""
     n = cm.n
     if any(len(row) != n for row in cm.dist):
-        violations.append("dist is not square")
-        return violations
+        return ["dist is not square"], None
+    violations = []
     for name, vec in (("mu", cm.mu), ("nu", cm.nu)):
         if len(vec) != n:
             violations.append(f"{name} length {len(vec)} != {n}")
@@ -82,19 +89,22 @@ def validate_common(cm: CommonSpaceMeasures) -> list:
         total = sum(map(parse_scalar, vec))
         if total != 1:
             violations.append(f"{name} sums to {total}, expected 1")
+    (rows,), D = scaled_rows(cm.dist)
     violations += [
         _COMMON_MESSAGES[kind].format(i=i, j=j, k=k)
-        for kind, i, j, k in metric_violations(cm.dist)
+        for kind, i, j, k in _row_violations(rows)
     ]
-    return violations
+    return violations, (rows, D)
 
 
-def _require_valid(cm: CommonSpaceMeasures) -> None:
-    violations = validate_common(cm)
+def _require_valid(cm: CommonSpaceMeasures):
+    """cm.dist as int rows over one denominator, (rows, D), once cm is valid."""
+    violations, scaled_dist = _checked(cm)
     if violations:
         raise ValidationError(
             f"invalid common-space input: {violations[0]}", violations
         )
+    return scaled_dist
 
 
 def _scan_infimum(boundaries, t_of_piece, D, W):
@@ -155,11 +165,10 @@ def _prohorov_block(dist, mu, nu):
 
 def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
     """Subset-enumeration route; exact, exponential, capped at `cap` points."""
-    _require_valid(cm)
+    d, D = _require_valid(cm)
     n = cm.n
     if n > cap:
         raise SizeError(f"{n} points exceeds brute-force cap {cap}; use prohorov_flow")
-    (d,), D = scaled_rows(cm.dist)
     weights, W = scaled([*cm.mu, *cm.nu])
     mu, nu = weights[:n], weights[n:]
     worst = Fraction(0)
@@ -196,8 +205,9 @@ def prohorov_condition_holds(cm: CommonSpaceMeasures, eps, cap: int = BRUTEFORCE
 
 def prohorov_flow(cm: CommonSpaceMeasures):
     """Coupling route: one max-flow grown threshold by threshold (`_flow_scan`)."""
-    _require_valid(cm)
-    return _prohorov_block(cm.dist, cm.mu, cm.nu)
+    rows, D = _require_valid(cm)
+    weights, W = scaled([*cm.mu, *cm.nu])
+    return _flow_scan(rows, D, weights[: cm.n], weights[cm.n :], W)
 
 
 def prohorov(cm: CommonSpaceMeasures):

@@ -43,15 +43,21 @@ class FiniteMMSpace:
 
 
 class JsonFields:
-    """Converts the fields of a JSON document, naming each bad one by its path.
+    """Converts the fields of one JSON document, naming each bad one by its path.
 
-    `items`, `scalar` and `scalars` record an error such as `dist[0][1]:
-    invalid literal "x"` and return nothing for it; `check` then raises
-    every recorded error as one ValidationError.
+    `items` and `scalars` record an error such as `dist[0][1]: invalid
+    literal "x"` and return nothing for it; `check` then raises every
+    recorded error as one ValidationError. A path is built only for a field
+    that fails. Each distinct string literal is parsed once per document: a
+    valid n-point matrix is symmetric with a zero diagonal, so at most
+    n(n-1)/2 + 1 of its n^2 literals differ. The memo is keyed on str alone,
+    because `True == 1` and a bool must still fail, and it lives only as
+    long as this object.
     """
 
     def __init__(self):
         self.errors = []
+        self._parsed = {}
 
     def items(self, value, path):
         if isinstance(value, (list, tuple)):
@@ -59,18 +65,33 @@ class JsonFields:
         self.errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
         return ()
 
-    def scalar(self, value, path):
-        try:
-            return parse_scalar(value)
-        except (ValueError, ZeroDivisionError):
-            self.errors.append(f"{path}: invalid literal {json.dumps(value, default=str)}")
+    def _parse(self, value):
+        """`parse_scalar(value)`, or None where it fails; a str is parsed once."""
+        if not isinstance(value, str):
+            return _scalar_or_none(value)
+        if value not in self._parsed:
+            self._parsed[value] = _scalar_or_none(value)
+        return self._parsed[value]
 
     def scalars(self, value, path):
-        return tuple(self.scalar(x, f"{path}[{i}]") for i, x in self.items(value, path))
+        out = []
+        for i, x in self.items(value, path):
+            q = self._parse(x)
+            if q is None:
+                self.errors.append(f"{path}[{i}]: invalid literal {json.dumps(x, default=str)}")
+            out.append(q)
+        return tuple(out)
 
     def check(self) -> None:
         if self.errors:
             raise ValidationError(self.errors[0], self.errors)
+
+
+def _scalar_or_none(value):
+    try:
+        return parse_scalar(value)
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def mm_space(labels, dist, weights) -> FiniteMMSpace:
@@ -98,6 +119,11 @@ def metric_violations(dist) -> list:
     tested as ints (see `_is_metric`); it is enumerated only when it fails.
     """
     (m,), _ = scaled_rows(dist)
+    return _row_violations(m)
+
+
+def _row_violations(m) -> list:
+    """`metric_violations` of a matrix already scaled to int rows `m`."""
     if _is_metric(m):
         return []
     n = len(m)
@@ -137,6 +163,16 @@ _SPACE_MESSAGES = {
 }
 
 
+def weight_violations(weights) -> list:
+    """Violations of a probability vector: each negative weight, then a sum
+    other than 1."""
+    violations = [f"weight {i} is negative: {w}" for i, w in enumerate(weights) if w < 0]
+    total = sum(map(parse_scalar, weights))
+    if total != 1:
+        violations.append(f"weights sum to {total}, expected 1")
+    return violations
+
+
 def validate(space: FiniteMMSpace) -> list:
     """Return a list of human-readable violations, empty when valid.
 
@@ -157,13 +193,7 @@ def validate(space: FiniteMMSpace) -> list:
     if len(space.dist) != n or bad_rows or len(space.weights) != n:
         return violations
 
-    for i, w in enumerate(space.weights):
-        if w < 0:
-            violations.append(f"weight {i} is negative: {w}")
-    total = sum(map(parse_scalar, space.weights))
-    if total != 1:
-        violations.append(f"weights sum to {total}, expected 1")
-
+    violations += weight_violations(space.weights)
     d = space.dist
     violations += [
         _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=d[i][j])

@@ -3,6 +3,7 @@
 import argparse
 import copy
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from mmdist import (
     space_to_obj,
     tent,
 )
+from mmdist import spaces
 from mmdist.cli import main
 from mmdist.prohorov import CommonSpaceMeasures, prohorov
 from mmdist.spaces import dumps_json
@@ -209,6 +211,62 @@ def test_dist_prohorov_requires_a_shared_space(capsys, tmp_path):
     payload = json.loads(out)
     expected = prohorov(CommonSpaceMeasures(space.dist, space.weights, tuple(weights)))
     assert F(payload["value"]) == expected
+
+
+PATH3 = {
+    "format": "mmspace/1",
+    "labels": ["a", "b", "c"],
+    "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+    "weights": ["1/2", "1/4", "1/4"],
+}
+
+
+def test_dist_prohorov_checks_the_metric_once(capsys, tmp_path, monkeypatch):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(PATH3))
+    b.write_text(json.dumps({**PATH3, "weights": ["1/4", "1/4", "1/2"]}))
+    checks, scalings = [], []
+    real_check = spaces._is_metric
+    monkeypatch.setattr(spaces, "_is_metric", lambda m: checks.append(m) or real_check(m))
+    # the package exports a function named prohorov, so fetch the module
+    for module in (spaces, importlib.import_module("mmdist.prohorov")):
+        real = module.scaled_rows
+        monkeypatch.setattr(
+            module, "scaled_rows", lambda *ms, real=real: scalings.append(ms) or real(*ms)
+        )
+    code, out, _ = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
+    assert (code, out) == (0, "1/4\n")
+    # --a is checked and --b compared with it; one scaling is left for the scan
+    assert len(checks) == 1 and len(scalings) <= 2
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # an invalid --b on another matrix reports before the mismatch
+        (
+            {"dist": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]]},
+            "invalid space: triangle violation: dist[0][2] > dist[0][1] + dist[1][2] "
+            "(2 violation(s))",
+        ),
+        # --b on --a's matrix with weights that fail
+        ({"weights": ["1/2", "1/2", "1/2"]}, "invalid space: weights sum to 3/2, expected 1 (1 violation(s))"),
+        ({"weights": ["-1/4", "1/2", "3/4"]}, "invalid space: weight 0 is negative: -1/4 (1 violation(s))"),
+        ({"weights": ["1/2", "1/2"]}, "invalid space: weights length 2 != number of labels 3 (1 violation(s))"),
+        # a valid --b on another space
+        (
+            {"labels": ["x", "y", "z"]},
+            "--a and --b must carry the same labels and distance matrix (two measures on one space)",
+        ),
+    ],
+    ids=["other-matrix", "sum", "negative", "length", "other-labels"],
+)
+def test_dist_prohorov_reports_an_invalid_b_first(capsys, tmp_path, fields, message):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(PATH3))
+    b.write_text(json.dumps({**PATH3, **fields}))
+    code, out, err = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b))
+    assert (code, out, err) == (1, "", f"mmdist dist prohorov: {message}\n")
 
 
 def test_dist_dh_on_an_excursion_file(capsys, tmp_path):
@@ -476,6 +534,8 @@ MALFORMED_DOCS = {
     # the test writes HUGE_INT as a bare JSON int literal
     "huge int": ({"weights": ["HUGE_INT", "1/2"]}, f'weights[0]: invalid literal "{HUGE_INT}"'),
     "huge exponent": ({"weights": ["1e5000", "1/2"]}, 'weights[0]: invalid literal "1e5000"'),
+    # literals are parsed once per document, keyed on str: true is never "1"
+    "true beside one": ({"weights": ["1", True]}, "weights[1]: invalid literal true"),
 }
 
 

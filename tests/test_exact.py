@@ -70,6 +70,44 @@ def test_parse_rejects_exponents_past_the_int_digit_limit():
     assert parse_scalar("1e-4000") == Fraction(1, 10**4000)
 
 
+BIG = "1" * 5001  # one digit past the interpreter's limit on int strings
+LITERALS = ("1/0", "0/0", "3/-4", "3 / 4", "١٢", "²", BIG, f"1/{BIG}", " -007/0012 ", "-0")
+
+
+SPLICES = (" ", "+", "-", "--", "_", "/", "/-", " / ", ".", "0", "١٢", "²", "x", "\u2212", "\t", BIG)
+
+
+def random_literal(rng):
+    """An ASCII int or "p/q", half of them with one more piece spliced in; an
+    exponent, if any, ends the string and is small, so `Fraction` never
+    builds a huge power of ten."""
+
+    def digits():
+        return "".join(rng.choices("0123456789", k=rng.randint(1, 4)))
+
+    s = rng.choice(("", "-")) + digits() + rng.choice(("", "/" + digits()))
+    if rng.random() < 0.5:
+        k = rng.randint(0, len(s))
+        s = s[:k] + rng.choice(SPLICES) + s[k:]
+    return s + rng.choice(("",) * 6 + ("e3", "E-2", "e", " "))
+
+
+def test_parse_string_matches_fraction_of_the_stripped_string():
+    # ints and "p/q" skip Fraction's regex; every string must still give
+    # Fraction(s.strip())'s value or raise its exception type
+    rng = random.Random(19)
+    for s in LITERALS + tuple(random_literal(rng) for _ in range(3000)):
+        try:
+            expected = Fraction(s.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            expected = type(exc)
+        try:
+            got = parse_scalar(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            got = type(exc)
+        assert got == expected and type(got) is type(expected), s[:40]
+
+
 def test_format_round_trips_through_parse():
     rng = random.Random(1)
     for _ in range(300):

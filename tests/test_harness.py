@@ -12,7 +12,7 @@ from mmdist import (
     run_lipschitz_check,
     run_theorem_check,
 )
-from mmdist import gluing, harness, spaces
+from mmdist import excursions, gluing, harness, spaces
 
 F = Fraction
 
@@ -159,6 +159,21 @@ def test_theorem_check_validates_each_space_once(monkeypatch):
     report = run_theorem_check(seed=5, count=6, n_max=4)
     assert report.passed
     assert len(validated) <= 2 * report.totals["instances"]
+
+
+def test_excursion_experiments_check_each_excursion_once(monkeypatch):
+    # pl_excursion checks what it builds and normalize checks it once more;
+    # every distance, code and certificate then reads the normalized pair
+    checked = []
+    real = excursions.validate_excursion
+    monkeypatch.setattr(excursions, "validate_excursion", lambda h: checked.append(h) or real(h))
+    report = run_lipschitz_check(seed=4, count=10)
+    assert report.passed
+    assert len(checked) == 4 * report.totals["instances"]
+    checked.clear()
+    report = run_continuity_check()
+    assert report.passed
+    assert len(checked) == 2 * report.totals["instances"] + 4
 
 
 def test_save_writes_deterministic_files(tmp_path):

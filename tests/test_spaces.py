@@ -180,6 +180,43 @@ def test_obj_parses_decimal_strings_exactly():
     assert sp.weights == (F(1, 4), F(3, 4))
 
 
+def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
+    sp = sample_mm_space(11, n_max=9)
+    obj = space_to_obj(sp)
+    literals = {x for row in obj["dist"] for x in row} | set(obj["weights"])
+    for _ in range(2):  # the memo lives with one document, not across them
+        parsed = []
+        real = spaces.parse_scalar
+        monkeypatch.setattr(spaces, "parse_scalar", lambda x: parsed.append(x) or real(x))
+        assert space_from_obj(obj, check=False) == sp
+        assert sorted(parsed) == sorted(literals)
+        monkeypatch.undo()
+
+
+def test_bad_literals_are_named_by_path_in_order():
+    base = {"format": "mmspace/1", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+    # the memo holds str literals only: 1 and "1" parse, true never does
+    # (`MALFORMED_DOCS` in test_cli.py has "1" before true)
+    for weights, k in (([1, True], 1), ([True, "1"], 0)):
+        try:
+            space_from_obj({**base, "weights": weights})
+            assert False, weights
+        except ValidationError as exc:
+            assert exc.violations == [f"weights[{k}]: invalid literal true"]
+    # a bad literal met twice is named twice, each field in document order
+    obj = {**base, "dist": [["0", "x"], ["x", "1/0"]], "weights": ["y", "1/2"]}
+    try:
+        space_from_obj(obj)
+        assert False
+    except ValidationError as exc:
+        assert exc.violations == [
+            'dist[0][1]: invalid literal "x"',
+            'dist[1][0]: invalid literal "x"',
+            'dist[1][1]: invalid literal "1/0"',
+            'weights[0]: invalid literal "y"',
+        ]
+
+
 def test_obj_rejects_unknown_format():
     try:
         space_from_obj({"format": "nope/1", "labels": ["a"], "dist": [[0]], "weights": [1]})
