@@ -145,8 +145,11 @@ def _cmd_sample(args):
 
 
 def _cmd_dist_prohorov(args):
-    a = load_space(args.a)
-    b = load_space(args.b, check=False)
+    # one literal table for both files: a literal written in both parses to
+    # one Fraction, so comparing the matrices mostly compares identities
+    literals = {}
+    a = load_space(args.a, literals=literals)
+    b = load_space(args.b, check=False, literals=literals)
     shared = a.labels == b.labels and a.dist == b.dist
     # b on a's valid matrix needs only its weights checked; any other b gets
     # the full check, so an invalid --b reports before the mismatch

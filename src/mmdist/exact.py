@@ -7,8 +7,9 @@ strings, become Fractions of two ints without `Fraction`'s string regex;
 every other string goes to `Fraction(str)`, whose grammar and errors are
 the interpreter's own. Hot loops put a batch of values over one common
 denominator (`scaled`, `scaled_rows`) and compare, add and flow plain ints,
-which is exact because the scale is positive. Floats come out only where
-the CLI's `--float` flag asks for them.
+which is exact because the scale is positive. `decimal_str` rounds in
+ints too, from one `divmod` of the scaled numerator. Floats come out only
+where the CLI's `--float` flag asks for them.
 """
 
 from __future__ import annotations
@@ -105,11 +106,18 @@ def format_scalar(value) -> str:
 
 
 def decimal_str(value, digits: int = 12) -> str:
-    """Decimal rendering of a rational, round-half-even at `digits` places."""
-    q = Fraction(value)
-    scaled = round(q * 10**digits)  # round() on Fraction is half-even
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
+    """Decimal rendering of a rational, round-half-even at `digits` places.
+
+    Computed in ints: |value| * 10**digits is split by `divmod` into a
+    quotient and a remainder, and the remainder alone decides the rounding.
+    A negative value that rounds to zero prints without its sign.
+    """
+    q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    num, den = q.as_integer_ratio()
+    scaled, rem = divmod(abs(num) * 10**digits, den)
+    if 2 * rem > den or 2 * rem == den and scaled & 1:  # past half, or half to even
+        scaled += 1
+    sign = "-" if num < 0 and scaled else ""
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 

@@ -31,8 +31,11 @@ count do not depend on lam, so each lam gets its own search's result.
 The ladder starts from one prepared pair (`_Pair`), which the glue of its
 lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
 canonicalized, distances over one common denominator D and weights over
-another, W. Each candidate passes one int test per incumbent; t / D and
-m / W become Fractions only for a new incumbent.
+another, W. The search runs in ints: each incumbent is a pair (num, den),
+each candidate passes one int test per incumbent, and a new incumbent's
+value, the larger of t / D and (W - m) q / (W p) for lam = p / q, is picked
+by cross-multiplying. Each lam's value becomes a Fraction once, when the
+ladder returns.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
@@ -418,10 +421,13 @@ def _ladder(a, b, lams, budget, seeds=()):
     P = _Pair(a, b)
     cells, da, db, D, wa, wb, W = P.cells, P.da, P.db, P.D, P.wa, P.wb, P.W
 
-    best, best_pairs = [1 / lam for lam in lams], [()] * len(lams)  # the empty correspondence
+    ratios = [lam.as_integer_ratio() for lam in lams]  # lam = p / q
+    # best[k] = (num, den) is the incumbent num / den, at first the empty
+    # correspondence's 1 / lam = q / p
+    best, best_pairs = [(q, p) for p, q in ratios], [()] * len(lams)
     # a candidate of distortion t / D and mass m / W beats best[k] iff
-    # t < t_lim[k] and m > m_cut[k]
-    t_lim, m_cut = [math.ceil(v * D) for v in best], [0] * len(lams)
+    # t < t_lim[k] = ceil(num D / den) and m > m_cut[k] = floor(W (1 - lam num / den))
+    t_lim, m_cut = [-(-q * D // p) for p, q in ratios], [0] * len(lams)
     live = list(range(len(lams)))  # the lams not yet frozen
 
     def consider(pairs, t, m=None):
@@ -430,9 +436,15 @@ def _ladder(a, b, lams, budget, seeds=()):
                 if m is None:
                     m = max_subcoupling(wa, wb, pairs)[0]
                 if m > m_cut[k]:
-                    best[k] = v = max(Fraction(t, D), (1 - Fraction(m, W)) / lams[k])
-                    best_pairs[k], t_lim[k] = pairs, math.ceil(v * D)
-                    m_cut[k] = math.floor(W * (1 - lams[k] * v))
+                    p, q = ratios[k]
+                    # the larger of t / D and (1 - m / W) / lam = (W - m) q / (W p)
+                    if t * W * p >= (W - m) * q * D:
+                        num, den = t, D
+                    else:
+                        num, den = (W - m) * q, W * p
+                    best[k], best_pairs[k] = (num, den), pairs
+                    t_lim[k] = -(-num * D // den)
+                    m_cut[k] = W * (den * q - p * num) // (den * q)
 
     def frozen(t):
         if live and t >= min(t_lim):  # a lam freezes the first time t >= its t_lim
@@ -475,7 +487,8 @@ def _ladder(a, b, lams, budget, seeds=()):
         for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled):
             consider(cand, t)
     exact = [k not in live for k in range(len(lams))]
-    return tuple(map(BoxResult, best, lams, exact, best_pairs)), P, sweep
+    values = [Fraction(num, den) for num, den in best]
+    return tuple(map(BoxResult, values, lams, exact, best_pairs)), P, sweep
 
 
 def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):

@@ -51,13 +51,15 @@ class JsonFields:
     that fails. Each distinct string literal is parsed once per document: a
     valid n-point matrix is symmetric with a zero diagonal, so at most
     n(n-1)/2 + 1 of its n^2 literals differ. The memo is keyed on str alone,
-    because `True == 1` and a bool must still fail, and it lives only as
-    long as this object.
+    because `True == 1` and a bool must still fail. It lives as long as this
+    object, unless the caller passes its own dict as `literals` to share it
+    between documents read together: their equal literals then parse to one
+    Fraction object, and comparing them stops at identity.
     """
 
-    def __init__(self):
+    def __init__(self, literals=None):
         self.errors = []
-        self._parsed = {}
+        self._parsed = {} if literals is None else literals
 
     def items(self, value, path):
         if isinstance(value, (list, tuple)):
@@ -94,13 +96,14 @@ def _scalar_or_none(value):
         return None
 
 
-def mm_space(labels, dist, weights) -> FiniteMMSpace:
+def mm_space(labels, dist, weights, literals=None) -> FiniteMMSpace:
     """Build a FiniteMMSpace from lists or tuples, parsing every scalar exactly.
 
     A field that is not a list, or a scalar that does not parse, raises
-    ValidationError naming each one by its JSON path.
+    ValidationError naming each one by its JSON path. `literals` is the
+    literal memo of `JsonFields`, for a caller that shares it.
     """
-    fields = JsonFields()
+    fields = JsonFields(literals)
     space = FiniteMMSpace(
         labels=tuple(str(l) for _, l in fields.items(labels, "labels")),
         dist=tuple(fields.scalars(row, f"dist[{i}]") for i, row in fields.items(dist, "dist")),
@@ -304,10 +307,13 @@ def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
 def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMMSpace:
     """Seeded random space with rational entries, canonical by construction.
 
-    Distances start on a coarse grid diam_max * k/q with k >= 1 and are
-    closed under min-plus (Floyd-Warshall): positive off the diagonal,
-    symmetric and metric exactly. Weights are positive and sum to 1 and every
-    entry is a Fraction, so the space is marked canonical. Same seed, same space.
+    Distances start on a coarse grid diam_max * k/den with int k >= 1 and
+    are closed under min-plus (Floyd-Warshall): positive off the diagonal,
+    symmetric and metric exactly. The closure runs on the ints k, which is
+    exact because scaling by diam_max / den > 0 commutes with min-plus; each
+    distinct k is scaled to a Fraction once. Weights are positive and sum to
+    1 and every entry is a Fraction, so the space is marked canonical. Same
+    seed, same space.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
@@ -317,22 +323,25 @@ def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMM
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
     den = rng.choice((2, 3, 4, 6, 8, 12))
-    d = [[Fraction(0)] * n for _ in range(n)]
+    d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d[i][j] = d[j][i] = diam_max * Fraction(rng.randint(1, den), den)
+            d[i][j] = d[j][i] = rng.randint(1, den)
     for k in range(n):
-        for i in range(n):
+        dk = d[k]
+        for row in d:
+            to_k = row[k]
             for j in range(n):
-                via = d[i][k] + d[k][j]
-                if via < d[i][j]:
-                    d[i][j] = via
+                if to_k + dk[j] < row[j]:
+                    row[j] = to_k + dk[j]
+    unit_num, unit_den = diam_max.numerator, diam_max.denominator * den  # diam_max / den
+    scale = {k: Fraction(unit_num * k, unit_den) for k in {k for row in d for k in row}}
     raw = [rng.randint(1, 8) for _ in range(n)]
     total = sum(raw)
     weights = tuple(Fraction(r, total) for r in raw)
     space = FiniteMMSpace(
         labels=tuple(f"p{i}" for i in range(n)),
-        dist=tuple(tuple(row) for row in d),
+        dist=tuple(tuple(scale[k] for k in row) for row in d),
         weights=weights,
     )
     return _mark_canonical(space)
@@ -351,7 +360,7 @@ def space_to_obj(space: FiniteMMSpace) -> dict:
     }
 
 
-def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
+def space_from_obj(obj, check: bool = True, literals=None) -> FiniteMMSpace:
     if not isinstance(obj, dict):
         raise ValidationError("space document must be a JSON object")
     if obj.get("format") != MMSPACE_FORMAT:
@@ -359,7 +368,7 @@ def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
     missing = [f"missing field: {key}" for key in ("labels", "dist", "weights") if key not in obj]
     if missing:
         raise ValidationError(missing[0], missing)
-    space = mm_space(obj["labels"], obj["dist"], obj["weights"])
+    space = mm_space(obj["labels"], obj["dist"], obj["weights"], literals)
     if check:
         require_valid(space)
     return space
@@ -392,8 +401,8 @@ def load_document(path):
     return loads_document(text)
 
 
-def load_space(path, check: bool = True) -> FiniteMMSpace:
-    return space_from_obj(load_document(path), check)
+def load_space(path, check: bool = True, literals=None) -> FiniteMMSpace:
+    return space_from_obj(load_document(path), check, literals)
 
 
 def save_space(path, space: FiniteMMSpace) -> None:

@@ -240,6 +240,27 @@ def test_dist_prohorov_checks_the_metric_once(capsys, tmp_path, monkeypatch):
     assert len(checks) == 1 and len(scalings) <= 2
 
 
+@pytest.mark.parametrize("half", ["2/4", "0.5", "5e-1"])
+def test_dist_prohorov_compares_values_not_literals(capsys, tmp_path, half):
+    # the files share one literal table, yet a value written another way
+    # in --b is still the same matrix
+    dist = [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({**PATH3, "dist": dist}))
+    other = [[half if x == "1/2" else x for x in row] for row in dist]
+    b.write_text(json.dumps({**PATH3, "dist": other, "weights": ["1/4", "1/4", "1/2"]}))
+    code, out, _ = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
+    assert (code, out) == (0, "1/4\n")
+    other[0][2] = other[2][0] = "3/4"
+    b.write_text(json.dumps({**PATH3, "dist": other}))
+    code, out, err = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
+    assert (code, out) == (1, "")
+    assert err == (
+        "mmdist dist prohorov: --a and --b must carry the same labels and distance matrix "
+        "(two measures on one space)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -417,6 +438,11 @@ PINNED_REPORTS = {
     "counterexample": "112a3bb9da97ae61a05f7c26451cba54168493bf9d0ad3c73cc4a6c53eb45409",
     "lipschitz": "4e079c6197079e0cbfd5205a722ea07fcaf90f67259c883a2a332e92960e996f",
     "theorem-check --seed 1 --count 60": "bf44726cf26cecfe9bdc8900df7434c4ed3cd2291b976c7498f5ce9ef96112f2",
+    # spaces of up to 6 points, so sampling's min-plus closure and the
+    # ladder's int incumbents run on more than the default 3 points
+    "theorem-check --seed 3 --count 40 --n-max 6": (
+        "048a6d1d1b13e5127ff2d77e5cafcc61ec2a4d8c582ae40c1f1235cd2ec29d1b"
+    ),
 }
 
 

@@ -136,6 +136,31 @@ def test_decimal_str_rounds_half_even():
     assert decimal_str(Fraction(-1, 8), digits=2) == "-0.12"
 
 
+def decimal_str_reference(value, digits=12):
+    """The Fraction formula `decimal_str` replaced: round() of a Fraction is half-even."""
+    scaled = round(Fraction(value) * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def test_decimal_str_matches_the_fraction_rounding():
+    rng = random.Random(1009)
+    # exact halves at d digits, of both parities and both signs
+    values = [Fraction(k, 2 * 10**d) for d in range(4) for k in range(-9, 10, 2)]
+    values += [Fraction(-1, 10**13), Fraction(-4, 10**13), Fraction(-1, 3 * 10**12), 0, -0.5]
+    for _ in range(3000):
+        den = rng.choice((1, 2, 3, 7, 8, 10**12, 2 * 10**12, rng.randint(1, 10**15)))
+        values.append(Fraction(rng.randint(-(10**15), 10**15), den))
+    for value in values:
+        for digits in (0, 1, 2, 3, 12):
+            expected = decimal_str_reference(value, digits)
+            assert decimal_str(value, digits) == expected, (value, digits)
+    # a small negative that rounds to zero prints no sign
+    assert decimal_str(Fraction(-1, 10**13)) == "0.000000000000"
+    assert decimal_str(Fraction(-1, 4), digits=0) == "0.0"
+
+
 def test_sqrt_if_square_detects_squares():
     assert sqrt_if_square(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_if_square(Fraction(0)) == Fraction(0)

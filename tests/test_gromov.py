@@ -623,3 +623,53 @@ def test_ladder_checks_every_lambda_first():
     except ValidationError as exc:
         assert str(exc).startswith("invalid space: weights sum to 2")
     assert box_ladder(uniform(2), uniform(3), ()) == ()
+
+
+def heaviest_by_threshold(a, b):
+    """An independent Fraction route to the box values: for each mismatch
+    threshold t in ascending order, the largest coupling mass on a
+    correspondence of distortion <= t (the heaviest maximal clique of the
+    compatibility graph, weighed by `min_cut_mass`), up to mass 1."""
+    A, B = canonicalize(a), canonicalize(b)
+    cells = [(i, j) for i in range(A.n) for j in range(B.n)]
+
+    def gap(c1, c2):
+        return abs(A.dist[c1[0]][c2[0]] - B.dist[c1[1]][c2[1]])
+
+    for t in sorted({gap(c1, c2) for c1 in cells for c2 in cells}):
+        nbr = [
+            sum(1 << k for k, c2 in enumerate(cells) if c2 != c1 and gap(c1, c2) <= t)
+            for c1 in cells
+        ]
+        cliques = eager_max_cliques((1 << len(cells)) - 1, nbr, gromov._Budget(10**9))
+        mass = max(
+            min_cut_mass(A.weights, B.weights, [cells[c] for c in gromov._bits(mask)])
+            for mask in cliques
+        )
+        yield t, mass
+        if mass == 1:
+            return
+
+
+def test_ladder_values_are_their_witnesses_scored_in_fractions():
+    # each value is its witness's own score, and an exact one is the optimum
+    inexact = 0
+    for a, b in ladder_pairs():
+        A, B = canonicalize(a), canonicalize(b)
+        heaviest = list(heaviest_by_threshold(a, b))
+        cells = A.n * B.n
+        cut = cells * (cells - 1) // 2 + 5
+        for budget in (0, cut, gromov.DEFAULT_SEARCH_BUDGET):
+            for box in box_ladder(a, b, LAMBDAS, budget):
+                assert type(box.value) is F
+                if box.pairs:
+                    info = correspondence_info(A, B, box.pairs)
+                    score = max(info.distortion, (1 - info.max_coupling_mass) / box.lam)
+                else:
+                    score = 1 / box.lam
+                assert box.value == score
+                optimum = min([1 / box.lam] + [max(t, (1 - m) / box.lam) for t, m in heaviest])
+                assert box.value == optimum if box.exact else box.value >= optimum
+                inexact += not box.exact
+    # the past-budget fallback scores its candidates too
+    assert inexact >= 100

@@ -144,6 +144,44 @@ def test_sample_space_is_valid_and_deterministic():
         assert sp == sample_mm_space(seed, n_max=4, diam_max=F(1))
 
 
+def sample_references(seed, n_max, diam_maxes):
+    """The Fraction Floyd-Warshall `sample_mm_space` replaced, on the same
+    draws, for each of `diam_maxes`."""
+    rng = random.Random(seed)
+    n = rng.randint(1, n_max)
+    den = rng.choice((2, 3, 4, 6, 8, 12))
+    grid = [(i, j, F(rng.randint(1, den), den)) for i in range(n) for j in range(i + 1, n)]
+    raw = [rng.randint(1, 8) for _ in range(n)]
+    weights = tuple(F(r, sum(raw)) for r in raw)
+    for diam_max in diam_maxes:
+        d = [[F(0)] * n for _ in range(n)]
+        for i, j, x in grid:
+            d[i][j] = d[j][i] = diam_max * x
+        # the old loop less its steps that cannot change an entry: the
+        # matrix stays symmetric, and k = i, k = j or i = j adds a zero or
+        # a positive distance
+        for k in range(n):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if k != i and k != j:
+                        via = d[i][k] + d[k][j]
+                        if via < d[i][j]:
+                            d[i][j] = d[j][i] = via
+        yield FiniteMMSpace(tuple(f"p{i}" for i in range(n)), tuple(map(tuple, d)), weights)
+
+
+def test_sample_space_equals_the_fraction_floyd_warshall():
+    diam_maxes = (F(1), F(7, 3), F(5))
+    for seed in range(1000):
+        for n_max in (1, 3, 6):
+            refs = sample_references(seed, n_max, diam_maxes)
+            for diam_max, ref in zip(diam_maxes, refs):
+                sp = sample_mm_space(seed, n_max=n_max, diam_max=diam_max)
+                assert sp == ref
+                assert all(type(x) is F for row in sp.dist for x in row)
+                assert all(type(w) is F for w in sp.weights)
+
+
 def test_sampled_space_is_its_own_canonical_form(monkeypatch):
     # sampling marks its output canonical without validating it; the same
     # fields built by hand canonicalize to an equal space
@@ -253,6 +291,21 @@ def test_load_space_check_flag(tmp_path):
         pass
     sp = load_space(path, check=False)
     assert sum(sp.weights) == F(5, 4)
+
+
+def test_documents_read_with_one_literal_table_share_each_literal(tmp_path):
+    sp = sample_mm_space(11, n_max=9)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        save_space(path, sp)
+    literals = {}
+    a, b = (load_space(path, literals=literals) for path in paths)
+    assert a == b == sp
+    assert all(x is y for ra, rb in zip(a.dist, b.dist) for x, y in zip(ra, rb))
+    assert all(x is y for x, y in zip(a.weights, b.weights))
+    # each read on its own parses its own Fractions
+    c = load_space(paths[1])
+    assert c == sp and c.dist[0][1] is not a.dist[0][1]
 
 
 def test_loads_document_keeps_decimals_as_strings():
