@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
 
 from .coding import code_excursion, four_point_check
 from .errors import SizeError, ValidationError
@@ -301,6 +300,8 @@ _ABSENT = {"default": argparse.SUPPRESS}
 _ABSENT_INT = {"type": int, **_ABSENT}
 
 # words -> (handler, help, flags), in the order the help lists them
+# (an experiment's handler looks its runner up in this module when called,
+# so a wrapper bound to the runner's name here sees the call)
 _COMMANDS = {
     "validate": (_cmd_validate, "report violations of a space or excursion file", {**_RAW, **_IN}),
     "canonicalize": (_cmd_canonicalize, "canonical form of a space (or normalized excursion)", _IN),
@@ -342,22 +343,22 @@ _COMMANDS = {
         },
     ),
     "experiment theorem-check": (
-        partial(_cmd_experiment, run_theorem_check),
+        lambda args: _cmd_experiment(run_theorem_check, args),
         "gp = glue of gp's witness = half box",
         {**_CSV, "--seed": _ABSENT_INT, "--count": _ABSENT_INT, "--n-max": _ABSENT_INT},
     ),
     "experiment lipschitz": (
-        partial(_cmd_experiment, run_lipschitz_check),
+        lambda args: _cmd_experiment(run_lipschitz_check, args),
         "coded gp <= 2 sup|h - g|",
         {**_CSV, "--seed": _ABSENT_INT, "--count": _ABSENT_INT},
     ),
     "experiment counterexample": (
-        partial(_cmd_experiment, run_counterexample),
+        lambda args: _cmd_experiment(run_counterexample, args),
         "the comb-family table",
         {**_CSV, "--n-list": _ABSENT},
     ),
     "experiment continuity": (
-        partial(_cmd_experiment, run_continuity_check),
+        lambda args: _cmd_experiment(run_continuity_check, args),
         "perturbation envelopes",
         {
             **_CSV,

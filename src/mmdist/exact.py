@@ -126,11 +126,8 @@ def sqrt_if_square(q: Fraction):
     """Exact square root when `q` is the square of a rational, else None."""
     if q < 0:
         return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    lo, hi, d = isqrt_enclosure(q.numerator, q.denominator)
+    return Fraction(lo, d) if lo == hi else None
 
 
 SQRT_SCALE = 10**15  # a square-root enclosure is [r, r + 1] / SQRT_SCALE unless exact

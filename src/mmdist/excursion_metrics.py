@@ -52,7 +52,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exact import isqrt_enclosure, scaled_rows, sqrt_enclosure, sqrt_if_square
+from .exact import isqrt_enclosure, scaled_rows
 from .excursions import Excursion, _on_grid, normalize
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
@@ -467,12 +467,11 @@ def d_gamma_detail(
     h, g = normalize(h), normalize(g)  # the one check of each input
     if h.kind == "pc" and g.kind == "pc":
         ssq = max(directed_gamma_sq(h, g), directed_gamma_sq(g, h))
-        root = sqrt_if_square(ssq)
-        if root is not None:
-            return IntervalResult(root, root, root, True, True)
-        lo, hi = sqrt_enclosure(ssq)
-        # the squared optimum is exact; only the root needs rounding
-        return IntervalResult((lo + hi) / 2, lo, hi, False, True)
+        lo, hi, d = isqrt_enclosure(ssq.numerator, ssq.denominator)
+        lo, hi = Fraction(lo, d), Fraction(hi, d)
+        # the squared optimum is exact; only the root needs rounding, unless
+        # it is a rational square (lo == hi)
+        return IntervalResult((lo + hi) / 2, lo, hi, lo == hi, True)
     lo1, hi1 = _directed_bb(h, g, tol, budget)
     lo2, hi2 = _directed_bb(g, h, tol, budget)
     lo, hi = max(lo1, lo2), max(hi1, hi2)

@@ -43,10 +43,6 @@ class Excursion:
     breakpoint_values: tuple = None  # pc only
     _normalized: bool = field(default=False, init=False, compare=False, repr=False)
 
-    @property
-    def pieces(self) -> int:
-        return len(self.breakpoints) - 1
-
 
 def pl_excursion(breakpoints, values) -> Excursion:
     h = Excursion(

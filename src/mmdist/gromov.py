@@ -107,20 +107,15 @@ class GPResult:
     pairs: tuple
 
 
-def distortion(pairs, a: FiniteMMSpace, b: FiniteMMSpace):
-    """Worst |d_A(x, x') - d_B(y, y')| over pairs of matched pairs."""
-    pairs = tuple(pairs)
-    if not pairs:
-        return Fraction(0)
-    i0, j0 = pairs[0]
-    # zero of the scalar type the matrices carry (Fraction stays Fraction)
-    worst = abs(a.dist[i0][i0] - b.dist[j0][j0])
-    for k, (i, j) in enumerate(pairs):
-        for i2, j2 in pairs[k + 1 :]:
-            diff = abs(a.dist[i][i2] - b.dist[j][j2])
-            if diff > worst:
-                worst = diff
-    return worst
+def distortion(pairs, a: FiniteMMSpace, b: FiniteMMSpace) -> Fraction:
+    """Worst |d_A(x, x') - d_B(y, y')| over pairs of matched pairs, exact.
+
+    Both matrices are scaled once to int rows over one denominator D
+    (floats by their exact binary value), scored by `_int_distortion`, and
+    the worst mismatch comes back as one Fraction over D.
+    """
+    (da, db), D = scaled_rows(a.dist, b.dist)
+    return Fraction(_int_distortion(da, db, tuple(pairs)), D)
 
 
 def correspondence_info(a: FiniteMMSpace, b: FiniteMMSpace, pairs) -> Correspondence:

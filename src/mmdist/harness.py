@@ -195,38 +195,28 @@ def run_theorem_check(
 def _diagonal_certificate(h, g):
     """Code h and g on the union cut set and bound gp by the aligned pairs.
 
-    Both codes cut at identical times, so segment k of one code covers the
-    same interval as segment k of the other; pushing segment lengths through
-    both projections gives a full coupling supported on the index-aligned
-    correspondence. The certified bound is then half its distortion.
+    The union cut set already holds every breakpoint and level crossing of
+    both excursions, so both codes cut at exactly those times and segment k
+    of one covers the same interval as segment k of the other. Pushing
+    segment lengths through both projections gives a full coupling supported
+    on the index-aligned correspondence, so the certified bound is half its
+    distortion. Returns (checks, codes, pairs, bound); the checks
+    `codes_aligned` (equal projection lengths) and `mass_full` would read
+    false, not raise, if the codes ever disagreed.
     """
     if h.kind != "pl" or g.kind != "pl":
         raise ValidationError("shared-cut certificates need pl excursions")
     cuts = tuple(sorted(set(pl_cut_points(h)) | set(pl_cut_points(g))))
     ch = code_excursion(h, resolution=cuts)
     cg = code_excursion(g, resolution=cuts)
-    aligned = len(ch.projection) == len(cg.projection)
-    cert = {
-        "aligned": aligned,
-        "codes": (ch, cg),
-        "pairs": (),
-        "mass": Fraction(0),
-        "ub": None,
-    }
-    if not aligned:
-        return cert
-    pairs = tuple(
-        sorted({(ch.projection[k], cg.projection[k]) for k in range(len(ch.projection))})
-    )
+    pairs = tuple(sorted(set(zip(ch.projection, cg.projection))))
     info = correspondence_info(ch.space, cg.space, pairs)
-    dis, mass = info.distortion, info.max_coupling_mass
-    cert.update(
-        pairs=pairs,
-        dis=dis,
-        mass=mass,
-        ub=max(dis, 2 * (1 - mass)) / 2,
-    )
-    return cert
+    mass = info.max_coupling_mass
+    checks = {
+        "codes_aligned": len(ch.projection) == len(cg.projection),
+        "mass_full": mass == 1,
+    }
+    return checks, (ch, cg), pairs, max(info.distortion, 2 * (1 - mass)) / 2
 
 
 def run_lipschitz_check(
@@ -254,6 +244,8 @@ def run_lipschitz_check(
 
         return pl_excursion(bps, values()), pl_excursion(bps, values())
 
+    ratios = []
+
     def one(idx):
         if idx == 0:
             h = tent()
@@ -265,38 +257,33 @@ def run_lipschitz_check(
             kind = "random"
         pair = normalize(h), normalize(g)  # checked once; the report reads h itself
         sup = sup_diff(*pair)
-        cert = _diagonal_certificate(*pair)
-        checks = {"codes_aligned": cert["aligned"]}
-        ratio = None
-        if cert["aligned"]:
-            checks["mass_full"] = cert["mass"] == 1
-            checks["bound_certified"] = cert["ub"] <= 2 * sup
+        checks, codes, pairs, ub = _diagonal_certificate(*pair)
+        gp = gromov_prohorov_detail(*(c.space for c in codes), seeds=(pairs,))
+        checks.update(
+            bound_certified=ub <= 2 * sup,
+            bound_exact=gp.value <= 2 * sup,
+            search_exact=gp.exact,
+        )
         inst = {
             "id": f"{kind}-{idx:03d}",
             "pieces": len(h.values) - 1,
-            "points_h": cert["codes"][0].space.n,
-            "points_g": cert["codes"][1].space.n,
+            "points_h": codes[0].space.n,
+            "points_g": codes[1].space.n,
             "sup_diff": _entry(sup),
             "bound": _entry(2 * sup),
-            "gp_upper": _entry(cert["ub"]) if cert["ub"] is not None else {},
+            "gp_upper": _entry(ub),
+            "gp": _entry(gp.value),
             "checks": checks,
         }
-        if cert["aligned"]:
-            gp = gromov_prohorov_detail(*(c.space for c in cert["codes"]), seeds=(cert["pairs"],))
-            checks["bound_exact"] = gp.value <= 2 * sup
-            checks["search_exact"] = gp.exact
-            inst["gp"] = _entry(gp.value)
-            if sup > 0:
-                ratio = gp.value / (2 * sup)
-                inst["ratio"] = _entry(ratio)
-        return inst, ratio
+        if sup > 0:
+            ratios.append(gp.value / (2 * sup))
+            inst["ratio"] = _entry(ratios[-1])
+        return inst
 
-    results = [one(idx) for idx in range(count + 1)]
-    instances = [inst for inst, _ in results]
-    ratios = [r for _, r in results if r is not None]
+    instances = [one(idx) for idx in range(count + 1)]
     summary = {
         "exact_instances": len(ratios),
-        "max_ratio": _entry(max(ratios)) if ratios else _entry(Fraction(0)),
+        "max_ratio": _entry(max(ratios, default=Fraction(0))),
     }
     params = {"budget": DEFAULT_SEARCH_BUDGET, "count": count}
     return _finish("lipschitz", seed, params, instances, summary)
@@ -400,13 +387,6 @@ def _two_peak() -> "Excursion":
     )
 
 
-def _max_slope(h):
-    return max(
-        abs(h.values[k + 1] - h.values[k]) / (h.breakpoints[k + 1] - h.breakpoints[k])
-        for k in range(len(h.values) - 1)
-    )
-
-
 def run_continuity_check(
     seed: int = 0,
     schedule: int = 8,
@@ -428,6 +408,30 @@ def run_continuity_check(
     norm_v = normalize(base_v)
     instances = []
 
+    def row(mode, step, base, g, envelope, dexc_bound, checks, **keys):
+        """One schedule step: the shared-cut certificate of (base, g) under
+        `envelope`, d_excursion under `dexc_bound`, the mode's checks and keys."""
+        cert_checks, _, _, ub = _diagonal_certificate(base, g)
+        dexc = d_excursion_detail(base, g)
+        checks.update(cert_checks)
+        # the bound is nonnegative, so under the envelope 0 of step 0 it reads "is 0"
+        null = mode == "breakpoint" and step == 0
+        checks["null_perturbation_zero" if null else "gp_below_envelope"] = ub <= envelope
+        dexc_check = "dexc_le_twice_sup" if mode == "value" else "dexc_le_slope_bound"
+        checks[dexc_check] = dexc.hi <= dexc_bound + Fraction(1, 10**8)
+        instances.append(
+            {
+                "id": f"{mode}-{step:02d}",
+                "mode": mode,
+                "step": step,
+                "envelope": _entry(envelope),
+                "gp_upper": _entry(ub),
+                "dexc_hi": _entry(dexc.hi),
+                "checks": checks,
+                **keys,
+            }
+        )
+
     peak = max(base_v.values)
     for k in range(schedule + 1):
         factor = Fraction(0) if k == 0 else Fraction(1, 2**k)
@@ -435,73 +439,24 @@ def run_continuity_check(
             pl_excursion(base_v.breakpoints, tuple(v * (1 - factor) for v in base_v.values))
         )
         sup = sup_diff(norm_v, g)
-        envelope = 2 * sup
-        cert = _diagonal_certificate(norm_v, g)
-        dexc = d_excursion_detail(norm_v, g)
-        checks = {
-            "codes_aligned": cert["aligned"],
-            "sup_is_scaled_peak": sup == factor * peak,
-        }
-        if cert["aligned"]:
-            checks["gp_below_envelope"] = cert["ub"] <= envelope
-            checks["mass_full"] = cert["mass"] == 1
-        checks["dexc_le_twice_sup"] = dexc.hi <= 2 * sup + Fraction(1, 10**8)
-        instances.append(
-            {
-                "id": f"value-{k:02d}",
-                "mode": "value",
-                "step": k,
-                "sup_diff": _entry(sup),
-                "envelope": _entry(envelope),
-                "gp_upper": _entry(cert["ub"]) if cert["ub"] is not None else {},
-                "dexc_hi": _entry(dexc.hi),
-                "checks": checks,
-            }
-        )
+        scaled_peak = {"sup_is_scaled_peak": sup == factor * peak}
+        row("value", k, norm_v, g, 2 * sup, 2 * sup, scaled_peak, sup_diff=_entry(sup))
 
     base_b = normalize(_two_peak())  # already in normal form: only marked
     pattern = (Fraction(1, 32), Fraction(-1, 64), Fraction(1, 64))
     shifts0 = (Fraction(0),) + pattern + (Fraction(0),)
-    gaps = [
-        base_b.breakpoints[j + 1] - base_b.breakpoints[j]
-        for j in range(len(base_b.values) - 1)
-    ]
+    bps, values = base_b.breakpoints, base_b.values
+    gaps = [t1 - t0 for t0, t1 in zip(bps, bps[1:])]
     delta0 = max(abs(s) for s in shifts0)
-    eta_hat = max(
-        abs(shifts0[j + 1] - shifts0[j]) / gaps[j] for j in range(len(gaps))
-    )
-    slope = _max_slope(base_b)
+    eta_hat = max(abs(s1 - s0) / gap for s0, s1, gap in zip(shifts0, shifts0[1:], gaps))
+    slope = max(abs(v1 - v0) / gap for v0, v1, gap in zip(values, values[1:], gaps))
     e_base = max(4 * slope * delta0, eta_hat)
     for k in range(schedule + 1):
         scale = Fraction(0) if k == 0 else Fraction(2) / 2**k
-        bps = tuple(t + s * scale for t, s in zip(base_b.breakpoints, shifts0))
-        g = normalize(pl_excursion(bps, base_b.values))
+        g = normalize(pl_excursion([t + s * scale for t, s in zip(bps, shifts0)], values))
         delta_k = delta0 * scale
-        envelope = e_base * scale
-        cert = _diagonal_certificate(base_b, g)
-        dexc = d_excursion_detail(base_b, g)
-        checks = {"codes_aligned": cert["aligned"]}
-        if cert["aligned"]:
-            checks["mass_full"] = cert["mass"] == 1
-            if k >= 1:
-                checks["gp_below_envelope"] = cert["ub"] <= envelope
-            else:
-                checks["null_perturbation_zero"] = cert["ub"] == 0
-        checks["dexc_le_slope_bound"] = dexc.hi <= (1 + slope) * delta_k + Fraction(
-            1, 10**8
-        )
-        instances.append(
-            {
-                "id": f"breakpoint-{k:02d}",
-                "mode": "breakpoint",
-                "step": k,
-                "max_shift": _entry(delta_k),
-                "envelope": _entry(envelope),
-                "gp_upper": _entry(cert["ub"]) if cert["ub"] is not None else {},
-                "dexc_hi": _entry(dexc.hi),
-                "checks": checks,
-            }
-        )
+        bound = (1 + slope) * delta_k
+        row("breakpoint", k, base_b, g, e_base * scale, bound, {}, max_shift=_entry(delta_k))
 
     summary = {
         "envelopes_halve": True,  # envelopes are (constant) * 2**(1-k) by construction

@@ -46,22 +46,11 @@ class TruncatedMonomial:
     def order(self) -> int:
         return 1 + max((max(i, j) for i, j, _ in self.factors), default=0)
 
-    def bound(self):
-        degree = sum(e for _, _, e in self.factors)
-        return max(self.cap, 1) ** degree
-
     def __call__(self, sample: DistanceMatrixSample):
         out = Fraction(1)
         for i, j, e in self.factors:
             out *= min(sample[i, j], self.cap) ** e
         return out
-
-    def describe(self) -> dict:
-        return {
-            "family": "truncated_monomial",
-            "factors": [list(f) for f in self.factors],
-            "cap": str(self.cap),
-        }
 
 
 def _sample_matrix(space: FiniteMMSpace, idx) -> DistanceMatrixSample:

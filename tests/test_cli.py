@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mmdist import (
     excursion_to_obj,
     glued_upper_bound,
+    load_excursion,
     load_space,
     mm_space,
     pc_excursion,
@@ -28,7 +29,7 @@ from mmdist import (
     space_to_obj,
     tent,
 )
-from mmdist import spaces
+from mmdist import cli, spaces
 from mmdist.cli import main
 from mmdist.prohorov import CommonSpaceMeasures, prohorov
 from mmdist.spaces import dumps_json
@@ -422,6 +423,25 @@ def test_experiment_passes_and_writes_csv(capsys, tmp_path):
     assert csv_path.read_text().startswith("checks.")
 
 
+@pytest.mark.parametrize(
+    "name, runner, argv",
+    [
+        ("theorem-check", "run_theorem_check", ["--count", "2"]),
+        ("lipschitz", "run_lipschitz_check", ["--count", "2"]),
+        ("counterexample", "run_counterexample", ["--n-list", "2,3"]),
+        ("continuity", "run_continuity_check", ["--schedule", "1"]),
+    ],
+)
+def test_experiments_look_their_runner_up_when_called(capsys, monkeypatch, name, runner, argv):
+    # a wrapper bound to the runner's name in the cli module (as a tracer
+    # binds one) sees the call
+    real = getattr(cli, runner)
+    calls = []
+    monkeypatch.setattr(cli, runner, lambda **kwargs: calls.append(kwargs) or real(**kwargs))
+    code, _, _ = run(capsys, "experiment", name, *argv)
+    assert code == 0 and len(calls) == 1
+
+
 # sha256 of the report bytes; a change to any report byte must fail here and
 # be explained, not only be caught when two reruns of one build disagree.
 # continuity, lipschitz and theorem-check were retaken when the default cell
@@ -618,6 +638,27 @@ def test_malformed_excursion_documents_name_the_json_path(capsys, tmp_path, case
         code, out, err = run(capsys, *map(str, argv))
         assert (code, out) == (1, "")
         assert err.endswith(f": {message}\n") and err.count("\n") == 1
+
+
+def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_path):
+    doc = {"format": "excursion/1", "kind": "pc", "breakpoints": ["0", "1/3", "1"]}
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({**doc, "values": ["1/2", "1/4"]}))
+    assert load_excursion(good) == pc_excursion((0, F(1, 3), 1), (F(1, 2), F(1, 4)))
+    code, out, _ = run(capsys, "validate", "--in", str(good))
+    assert (code, json.loads(out)["valid"]) == (0, True)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "values": ["1/2", "-1/4"]}))
+    code, out, _ = run(capsys, "validate", "--in", str(bad))
+    assert code == 0
+    assert json.loads(out) == {
+        "format": "excursion/1",
+        "valid": False,
+        "violations": ["values must be nonnegative"],
+    }
+    code, out, err = run(capsys, "dist", "excursion", "--a", str(good), "--b", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "mmdist dist excursion: invalid excursion: values must be nonnegative\n"
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,16 @@ def test_sqrt_if_square_detects_squares():
         assert sqrt_if_square(r * r) == r
 
 
+def test_sqrt_if_square_matches_the_separate_roots():
+    # a reduced p/q is a rational square exactly when p and q both are
+    for num in range(60):
+        for den in range(1, 40):
+            q = Fraction(num, den)
+            rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+            square = rn * rn == q.numerator and rd * rd == q.denominator
+            assert sqrt_if_square(q) == (Fraction(rn, rd) if square else None)
+
+
 def test_sqrt_enclosure_brackets_the_root():
     rng = random.Random(11)
     scale = 10**6

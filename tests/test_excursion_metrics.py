@@ -548,6 +548,31 @@ def test_int_square_root_enclosure_matches_the_fraction_one():
         assert (lo == hi) == (sqrt_if_square(F(num, den)) is not None)
 
 
+def test_pc_gamma_reads_its_root_once(monkeypatch):
+    # the exact squared optimum's root is read by one isqrt_enclosure call:
+    # the root itself when it is a rational square, else the enclosure that
+    # sqrt_enclosure gives, with its midpoint as the value
+    reads = []
+    monkeypatch.setattr(
+        excursion_metrics, "isqrt_enclosure", lambda *a: reads.append(a) or isqrt_enclosure(*a)
+    )
+    rng = random.Random(163)
+    pairs = [(comb(n), comb(m)) for n, m in ((2, 3), (6, 8), (3, 3))]
+    pairs += [tuple(random_excursion(rng, kind="pc", max_pieces=4) for _ in "hg") for _ in range(20)]
+    kinds = set()
+    for h, g in pairs:
+        reads.clear()
+        ssq = max(directed_gamma_sq(h, g), directed_gamma_sq(g, h))
+        det = d_gamma_detail(h, g)
+        assert len(reads) == 1
+        root = sqrt_if_square(ssq)
+        lo, hi = (root, root) if root is not None else sqrt_enclosure(ssq)
+        assert (det.value, det.lo, det.hi) == ((lo + hi) / 2, lo, hi)
+        assert (det.exact, det.certified) == (root is not None, True)
+        kinds.add(det.exact)
+    assert kinds == {True, False}
+
+
 def test_int_kernel_leaves_the_exact_pc_route_unchanged():
     rng = random.Random(163)  # the pairs of the branch-and-bound agreement test
     for _ in range(15):

@@ -221,6 +221,49 @@ def test_distortion_and_info():
     assert info.max_coupling_mass == min_cut_mass(a.weights, b.weights, [(0, 0), (1, 1)])
 
 
+def ref_distortion(pairs, a, b):
+    """The double loop `distortion` ran in the matrices' own scalar type
+    before it scored in ints, kept here as its oracle."""
+    pairs = tuple(pairs)
+    if not pairs:
+        return F(0)
+    i0, j0 = pairs[0]
+    worst = abs(a.dist[i0][i0] - b.dist[j0][j0])
+    for k, (i, j) in enumerate(pairs):
+        for i2, j2 in pairs[k + 1 :]:
+            diff = abs(a.dist[i][i2] - b.dist[j][j2])
+            if diff > worst:
+                worst = diff
+    return worst
+
+
+def line_space(rng, n, scalar):
+    """n points on a line at random int positions, or at multiples of 1/8 as
+    floats (dyadic, so the float loop's subtractions are exact)."""
+    pos = [rng.randint(0, 12) for _ in range(n)]
+    if scalar is float:
+        pos = [p / 8 for p in pos]
+    dist = tuple(tuple(abs(p - q) for q in pos) for p in pos)
+    return FiniteMMSpace(tuple(f"p{i}" for i in range(n)), dist, tuple(F(1, n) for _ in range(n)))
+
+
+def test_distortion_equals_the_fraction_loop():
+    rng = random.Random(2207)
+    sampled = [sample_mm_space(rng.randint(0, 10**9), n_max=5) for _ in range(20)]
+    ints = [line_space(rng, rng.randint(1, 5), int) for _ in range(20)]
+    floats = [line_space(rng, rng.randint(1, 5), float) for _ in range(20)]
+    # the old loop rounds a float minus a Fraction to a float, so float
+    # spaces meet int and float spaces only
+    groups = (sampled + ints, ints + floats)
+    for t in range(400):
+        a, b = rng.choice(groups[t % 2]), rng.choice(groups[t % 2])
+        cells = [(i, j) for i in range(a.n) for j in range(b.n)]
+        pairs = rng.sample(cells, rng.randint(0, len(cells)))
+        got = distortion(pairs, a, b)
+        assert type(got) is F
+        assert got == F(ref_distortion(pairs, a, b))
+
+
 def test_out_of_range_cells_are_named():
     a = uniform(2)
     b = uniform(3)

@@ -2,15 +2,20 @@
 
 import csv
 import io
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 from mmdist import (
     ExperimentReport,
+    normalize,
+    pl_cut_points,
+    random_excursion,
     run_continuity_check,
     run_counterexample,
     run_lipschitz_check,
     run_theorem_check,
+    sup_diff,
 )
 from mmdist import excursions, gluing, harness, spaces
 
@@ -187,3 +192,32 @@ def test_save_writes_deterministic_files(tmp_path):
     r.save(out)
     assert out.read_text() == first
     assert out_csv.read_text() == r.to_csv()
+
+
+def test_shared_cut_codes_are_aligned_on_any_pl_pair():
+    # the union cut set holds every breakpoint and level crossing of both
+    # excursions, so neither code adds a cut to it
+    rng = random.Random(5)
+    for _ in range(60):
+        h, g = (normalize(random_excursion(rng, kind="pl", max_pieces=4)) for _ in "hg")
+        cuts = tuple(sorted(set(pl_cut_points(h)) | set(pl_cut_points(g))))
+        assert pl_cut_points(h, cuts) == pl_cut_points(g, cuts) == cuts
+        checks, codes, pairs, ub = harness._diagonal_certificate(h, g)
+        assert checks == {"codes_aligned": True, "mass_full": True}
+        assert len(codes[0].projection) == len(codes[1].projection) == len(cuts) - 1
+        assert pairs == tuple(sorted(set(zip(codes[0].projection, codes[1].projection))))
+        assert ub <= 2 * sup_diff(h, g)
+
+
+def test_continuity_modes_keep_their_own_keys_and_checks():
+    shared_keys = {"id", "mode", "step", "envelope", "gp_upper", "dexc_hi", "checks"}
+    shared_checks = {"codes_aligned", "mass_full"}
+    for inst in run_continuity_check(schedule=2).to_obj()["instances"]:
+        if inst["mode"] == "value":
+            assert set(inst) == shared_keys | {"sup_diff"}
+            own = {"gp_below_envelope", "sup_is_scaled_peak", "dexc_le_twice_sup"}
+        else:
+            assert set(inst) == shared_keys | {"max_shift"}
+            gp = "null_perturbation_zero" if inst["step"] == 0 else "gp_below_envelope"
+            own = {gp, "dexc_le_slope_bound"}
+        assert set(inst["checks"]) == shared_checks | own

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mmdist import (
     CommonSpaceMeasures,
     SizeError,
+    ValidationError,
     prohorov_bruteforce,
     prohorov_condition_holds,
     prohorov_flow,
@@ -160,3 +161,33 @@ def test_bruteforce_cap():
 def test_validate_common_flags_shape_mismatch():
     cm = CommonSpaceMeasures(((F(0),),), (F(1),), (F(1, 2), F(1, 2)))
     assert validate_common(cm) != []
+
+
+UNIT_PAIR = ((F(0), F(1)), (F(1), F(0)))
+HALVES = (F(1, 2), F(1, 2))
+INVALID_COMMON = [
+    (CommonSpaceMeasures(((F(0), F(1)),), (F(1),), (F(1),)), ["dist is not square"]),
+    (CommonSpaceMeasures(UNIT_PAIR, (F(-1, 2), F(3, 2)), HALVES), ["mu has a negative entry"]),
+    (CommonSpaceMeasures(UNIT_PAIR, HALVES, (F(1),)), ["nu length 1 != 2"]),
+    (
+        CommonSpaceMeasures(UNIT_PAIR, (F(-1, 2), F(3, 2)), (F(1),)),
+        ["mu has a negative entry", "nu length 1 != 2"],
+    ),
+]
+
+
+def test_invalid_common_spaces_are_rejected_by_every_route():
+    routes = (
+        prohorov_flow,
+        prohorov_bruteforce,
+        lambda cm: prohorov_condition_holds(cm, F(1, 2)),
+    )
+    for cm, violations in INVALID_COMMON:
+        assert validate_common(cm) == violations
+        for route in routes:
+            try:
+                route(cm)
+                assert False
+            except ValidationError as exc:
+                assert str(exc) == f"invalid common-space input: {violations[0]}"
+                assert exc.violations == violations
