@@ -15,11 +15,17 @@ the certificate is the maximum height variation over a segment, which
 bounds twice the sup-distance between h and its midpoint snap, hence the
 distance to the full tree.
 
-Both kinds read h once on the cut set (`excursions._on_grid`): the cut
-values are h at the cuts, and a segment's height is the value at its
-midpoint, which is the mean of h's limits at the segment's ends (pl) or the
-piece value (pc). Resolution points join the cuts of either kind, each
-checked to lie in [0, 1] in the order given.
+Both kinds are coded in ints. One `scaled_rows` puts h's breakpoints and
+values and the resolution points over one denominator; the cuts, pl level
+crossings included, then go over one multiple of it (`_int_cuts`), and h is
+read once on them (`excursions._on_int_grid`): the cut values are h at the
+cuts, and a segment's height is the value at its midpoint, which is the
+mean of h's limits at the segment's ends (pl, so heights are over twice
+the values' denominator) or the piece value (pc). The running minimum
+across the cuts runs on those ints, and Fractions are built only for the
+coded tree: one per distinct distance, weight, cut and representative.
+Resolution points join the cuts of either kind, each checked to lie in
+[0, 1] in the order given.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
-from .excursions import Excursion, _on_grid, normalize
+from .excursions import Excursion, _on_int_grid, normalize
 from .spaces import FiniteMMSpace, _class_roots, _mark_canonical
 
 
@@ -44,6 +51,42 @@ class CodedTree:
     resolution_bound: object
 
 
+def _int_cuts(h: Excursion, resolution=()):
+    """The cut set of a normalized excursion in ints: (cuts, den, grid, value_den).
+
+    The cuts are ascending ints over den, and grid is h with int fields, its
+    breakpoints over den too and its values over value_den. One
+    `scaled_rows` puts h's breakpoints and values and the resolution points
+    over one denominator, value_den; a pl level crossing
+    b0 + (level - v0)(b1 - b0)/(v1 - v0) is then over value_den (v1 - v0),
+    and den is value_den times the lcm of the crossings' denominators in
+    lowest terms.
+    """
+    points = []
+    for r in resolution:
+        r = parse_scalar(r)
+        if not (0 <= r <= 1):
+            raise ValidationError(f"resolution point {r} outside [0, 1]")
+        points.append(r)
+    ([bps, vals, bvals, points],), den = scaled_rows(
+        [h.breakpoints, h.values, h.breakpoint_values or (), points]
+    )
+    crossings = []
+    if h.kind == "pl":
+        levels = sorted(set(vals))
+        for b0, b1, v0, v1 in zip(bps, bps[1:], vals, vals[1:]):
+            # the levels strictly between v0 and v1
+            lo, hi = bisect_right(levels, min(v0, v1)), bisect_left(levels, max(v0, v1))
+            for level in levels[lo:hi]:
+                num, q = b0 * (v1 - v0) + (level - v0) * (b1 - b0), v1 - v0
+                g = gcd(num, q)
+                crossings.append((num // g, q // g))  # q may be negative; m // q keeps the sign
+    m = lcm(*(q for _, q in crossings))
+    bps = [b * m for b in bps]
+    cuts = set(bps).union(r * m for r in points).union(num * (m // q) for num, q in crossings)
+    return sorted(cuts), den * m, Excursion(h.kind, bps, vals, bvals or None), den
+
+
 def pl_cut_points(h: Excursion, resolution=()) -> tuple:
     """Cut set for coding an excursion: breakpoints, pl level crossings, extras.
 
@@ -51,32 +94,18 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
     of a pl function is attained at a breakpoint, so these are exactly the
     critical levels. Resolution points are checked in the order given.
     """
-    h = normalize(h)
-    bps = h.breakpoints
-    values = h.values
-    cuts = set()
-    if h.kind == "pl":
-        levels = sorted(set(values))
-        for k in range(len(bps) - 1):
-            v0, v1 = values[k], values[k + 1]
-            # the levels strictly between v0 and v1
-            lo, hi = bisect_right(levels, min(v0, v1)), bisect_left(levels, max(v0, v1))
-            for level in levels[lo:hi]:
-                cuts.add(bps[k] + (level - v0) * (bps[k + 1] - bps[k]) / (v1 - v0))
-    for r in resolution:
-        r = parse_scalar(r)
-        if not (0 <= r <= 1):
-            raise ValidationError(f"resolution point {r} outside [0, 1]")
-        cuts.add(r)
-    return tuple(sorted(cuts.union(bps))) if cuts else bps
+    cuts, den, _, _ = _int_cuts(normalize(h), resolution)
+    return tuple(Fraction(c, den) for c in cuts)
 
 
-def _merge_to_space(d, lengths):
+def _merge_to_space(d, den, lengths, length_den):
     """Quotient by d == 0 (leftmost representative), weights summed.
 
-    Marked canonical, as it is by construction when d is d_h on segment
-    midpoints (a pseudometric, in Fractions) and `lengths` partition [0, 1]:
-    the merged matrix is a metric with no zero off the diagonal, and the
+    d is an int matrix over `den` and `lengths` are ints over `length_den`;
+    the space is built with one Fraction per distinct distance and one per
+    weight. Marked canonical, as it is by construction when d is d_h on
+    segment midpoints (a pseudometric) and `lengths` partition [0, 1]: the
+    merged matrix is a metric with no zero off the diagonal, and the
     weights are positive and sum to 1.
     """
     m = len(lengths)
@@ -84,44 +113,49 @@ def _merge_to_space(d, lengths):
     classes = sorted(set(roots))
     index_of = {r: k for k, r in enumerate(classes)}
     projection = tuple(index_of[r] for r in roots)
-    weights = [Fraction(0)] * len(classes)
+    weights = [0] * len(classes)
     for k, length in zip(projection, lengths):
         weights[k] += length
+    kept = [[d[a][b] for b in classes] for a in classes]
+    exact = {v: Fraction(v, den) for row in kept for v in row}
     space = FiniteMMSpace(
         labels=tuple(f"s{r}" for r in classes),
-        dist=tuple(tuple(d[a][b] for b in classes) for a in classes),
-        weights=tuple(weights),
+        dist=tuple(tuple(exact[v] for v in row) for row in kept),
+        weights=tuple(Fraction(w, length_den) for w in weights),
     )
     return _mark_canonical(space), projection
 
 
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
     h = normalize(h)
-    cuts = pl_cut_points(h, resolution)
+    cuts, cut_den, grid, den = _int_cuts(h, resolution)
     # cutvals[j], h at the cut between segments j - 1 and j, is the inf of h
     # across that cut: pl is continuous, and a valid pc breakpoint value is at
     # most both neighbouring pieces
-    cutvals, pieces = _on_grid(h, cuts)
+    cutvals, pieces, scale = _on_int_grid(grid, cuts)
+    den *= scale
     if h.kind == "pc":  # constant on each segment
         heights, bound = [left for left, _ in pieces], Fraction(0)
-    else:
-        heights = [(left + right) / 2 for left, right in pieces]  # at the midpoints
-        bound = max((abs(right - left) for left, right in pieces), default=Fraction(0))
+    else:  # at the midpoints, (left + right) / 2, so over 2 den
+        heights = [left + right for left, right in pieces]
+        bound = Fraction(max(abs(right - left) for left, right in pieces), den)
+        cutvals, den = [2 * v for v in cutvals], 2 * den
     m = len(heights)
-    d = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        run_min = heights[i]
+    d = [[0] * m for _ in range(m)]
+    for i, hi in enumerate(heights):
+        run_min = hi
         for j in range(i + 1, m):
             run_min = min(run_min, cutvals[j])  # cut between segment j-1 and j
-            inf_ij = min(run_min, heights[j])
-            d[i][j] = d[j][i] = heights[i] + heights[j] - 2 * inf_ij
-    lengths = [cuts[k + 1] - cuts[k] for k in range(m)]
-    space, projection = _merge_to_space(d, lengths)
+            hj = heights[j]
+            d[i][j] = d[j][i] = hi + hj - 2 * min(run_min, hj)
+    lengths = [b - a for a, b in zip(cuts, cuts[1:])]
+    space, projection = _merge_to_space(d, den, lengths, cut_den)
+    times = [Fraction(c, cut_den) for c in cuts]
     return CodedTree(
         space=space,
-        segments=tuple((cuts[k], cuts[k + 1]) for k in range(m)),
+        segments=tuple(zip(times, times[1:])),
         projection=projection,
-        representatives=tuple((cuts[k] + cuts[k + 1]) / 2 for k in range(m)),
+        representatives=tuple(Fraction(a + b, 2 * cut_den) for a, b in zip(cuts, cuts[1:])),
         resolution_bound=bound,
     )
 

@@ -3,7 +3,10 @@
 d_lambda(h, g) = inf { eps > 0 : Leb(|h - g| > eps) <= eps } is computed
 exactly: |h - g| is piecewise linear on the union grid, so the level measure
 m(eps) is piecewise affine between the finitely many piece-end values and
-the infimum is the first interval where m(eps) <= eps has a solution.
+the infimum is the first interval where m(eps) <= eps has a solution. Both
+excursions go over one denominator once and are read on the union grid in
+ints (`excursions._on_int_grid`); each interval's m(eps) is two int sums,
+and its root is compared with the next level by cross-multiplying.
 
 d_gamma(h, g) is the Hausdorff distance between epigraphs in the plane. The
 directed sup from an epigraph is attained on its lower boundary (distance to
@@ -28,7 +31,8 @@ breakpoint bottoms. Two regimes:
   enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
   current enclosure when the split budget runs out.
 
-Both regimes work in ints from start to finish. Each directed sup puts
+Both regimes of d_gamma work in ints from start to finish, as d_lambda
+does. Each directed sup puts
 both excursions over one denominator once (`_int_excursions`) and builds
 the target's epigraph features over it (`_int_epi`); a point is an int
 triple (x, y, d), and its squared distances to all features are one int
@@ -36,7 +40,7 @@ vector (`_dist_sq_vector`), computed once when the point is created.
 Square roots come from `math.isqrt` (`isqrt_enclosure`); bounds and heap
 keys are (num, den) pairs compared by cross-multiplication, so the visit
 order and every bound are those of the plain Fraction computation. What
-stays Fraction: only the returned enclosure.
+stays Fraction: only the returned enclosure, and d_lambda's one value.
 
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 """
@@ -53,7 +57,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .exact import isqrt_enclosure, scaled_rows
-from .excursions import Excursion, _on_grid, normalize
+from .excursions import Excursion, _on_int_grid, normalize
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -79,21 +83,36 @@ class IntervalResult:
 
 
 def _abs_diff_pieces(h: Excursion, g: Excursion):
-    """(length, lo, hi) pieces of |h - g|: linear from lo or hi, ends sorted."""
-    cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
-    h_pieces, g_pieces = _on_grid(h, cuts)[1], _on_grid(g, cuts)[1]
-    out = []
+    """Pieces (length, lo, hi) of |h - g| as ints, and their scales (L, T, V).
+
+    Both excursions go over one denominator T (`_int_excursions`) and are
+    read on the union of their breakpoints (`_on_int_grid`), so the cuts
+    are over T and every piece-end value over one V, a multiple of T.
+    |h - g| is linear from lo to hi or from hi to lo on each piece, lo and
+    hi over V; a piece where h - g changes sign, from a to b, splits at its
+    zero, a fraction |a| / (|a| + |b|) of the way. Lengths are over T L, L
+    the lcm of the split pieces' |a| + |b|.
+    """
+    (h, g), den = _int_excursions(h, g)
+    cuts = sorted(set(h.breakpoints).union(g.breakpoints))
+    _, h_pieces, mh = _on_int_grid(h, cuts)
+    _, g_pieces, mg = _on_int_grid(g, cuts)
+    m = lcm(mh, mg)
+    sh, sg = m // mh, m // mg
+    raw = []  # (length over den * split, split, lo, hi)
     for lo_t, hi_t, (h0, h1), (g0, g1) in zip(cuts, cuts[1:], h_pieces, g_pieces):
         ln = hi_t - lo_t
-        a, b = h0 - g0, h1 - g1
+        a, b = h0 * sh - g0 * sg, h1 * sh - g1 * sg
         if (a < 0 < b) or (b < 0 < a):
-            frac = a / (a - b)  # zero crossing
-            out.append((ln * frac, Fraction(0), abs(a)))
-            out.append((ln * (1 - frac), Fraction(0), abs(b)))
+            a, b = abs(a), abs(b)
+            raw.append((ln * a, a + b, 0, a))
+            raw.append((ln * b, a + b, 0, b))
         else:
             a, b = abs(a), abs(b)
-            out.append((ln, min(a, b), max(a, b)))
-    return out
+            raw.append((ln, 1, min(a, b), max(a, b)))
+    big_l = lcm(*(split for _, split, _, _ in raw))
+    pieces = [(ln * (big_l // split), lo, hi) for ln, split, lo, hi in raw]
+    return pieces, big_l, den, den * m
 
 
 def d_lambda(h: Excursion, g: Excursion):
@@ -102,27 +121,40 @@ def d_lambda(h: Excursion, g: Excursion):
     Returned as the infimum of the eligible levels; the strict defining
     condition may fail at the value itself while holding just above it,
     matching the prohorov convention.
+
+    Computed in ints (`_abs_diff_pieces`). Between two neighbouring levels
+    of |h - g|, Leb(|h - g| > eps) = alpha - beta eps; a piece above the
+    interval adds its length to alpha, and a linear piece across it adds
+    length hi / (hi - lo) to alpha and length / (hi - lo) to beta. With
+    lengths over T L, values over V and P the lcm of the pieces' hi - lo,
+    alpha = A / (T L P) and beta = V B / (T L P) for two int sums A and B,
+    so the root eps = alpha / (1 + beta) of Leb = eps is
+    A / (T L P + V B), compared with the next level by cross-multiplying.
+    One Fraction, the value, is built.
     """
-    pieces = _abs_diff_pieces(normalize(h), normalize(g))
-    levels = sorted({Fraction(0)} | {v for _, plo, phi in pieces for v in (plo, phi)})
-    for idx, level in enumerate(levels):
-        nxt = levels[idx + 1] if idx + 1 < len(levels) else None
-        alpha = Fraction(0)
-        beta = Fraction(0)
-        for ln, plo, phi in pieces:
-            if phi <= level:
+    pieces, big_l, t_den, v_den = _abs_diff_pieces(normalize(h), normalize(g))
+    big_p = lcm(*{hi - lo for _, lo, hi in pieces if hi > lo})
+    # per piece: lo, hi, its A term when above the interval, and its A and
+    # B terms when across it
+    terms = []
+    for ln, lo, hi in pieces:
+        step = big_p // (hi - lo) if hi > lo else 0
+        terms.append((lo, hi, ln * big_p, ln * hi * step, ln * step))
+    levels = sorted({0}.union(*((lo, hi) for _, lo, hi in pieces)))
+    base = t_den * big_l * big_p
+    for level, nxt in zip(levels, levels[1:] + [None]):
+        big_a = big_b = 0
+        for lo, hi, above, across, slope in terms:
+            if hi <= level:
                 continue
-            if plo == phi:
-                alpha += ln  # constant value > eps throughout [level, nxt)
-            elif nxt is not None and plo >= nxt:
-                alpha += ln  # piece entirely above the interval
-            else:
-                # linear piece straddles the interval: plo <= level < nxt <= phi
-                alpha += ln * phi / (phi - plo)
-                beta += ln / (phi - plo)
-        root = alpha / (1 + beta)
-        if nxt is None or root < nxt:
-            return max(level, root)
+            if lo == hi or (nxt is not None and lo >= nxt):
+                big_a += above  # the whole piece lies above eps on [level, nxt)
+            else:  # linear piece across the interval: lo <= level < nxt <= hi
+                big_a += across
+                big_b += slope
+        scale = base + v_den * big_b  # root = big_a / scale, levels are over v_den
+        if nxt is None or big_a * v_den < nxt * scale:
+            return Fraction(max(level * scale, big_a * v_den), v_den * scale)
     raise AssertionError("unreachable: the last interval always has a solution")
 
 

@@ -10,15 +10,17 @@ neighbours and the right endpoint to the last piece value.
 inputs through it. It returns a marked input as it is, validates any other
 and marks what it builds (outside equality, hash and repr), never the input.
 
-Every exact read of an excursion goes through one grid reader, `_on_grid`.
-Given ascending cuts with no breakpoint strictly between two neighbours, it
-walks the breakpoints once and returns h at each cut and the one-sided
-limits of h at the ends of each open piece between cuts. On such a piece h
-is constant or linear, so these finitely many values bound it from both
-sides. `infimum` and `dh` are exact because the path infimum over [s, t] is
-the least of them on the grid {s, t} and the breakpoints between.
-`sup_diff` and `d_lambda` read both excursions on the union of their
-breakpoints, and the coding reads h on its cut set.
+Every exact read of an excursion goes through one grid reader,
+`_on_int_grid`. Given ascending cuts with no breakpoint strictly between two
+neighbours, it walks the breakpoints once and returns h at each cut and the
+one-sided limits of h at the ends of each open piece between cuts, all in
+ints. On such a piece h is constant or linear, so these finitely many values
+bound it from both sides. `infimum` and `dh` are exact because the path
+infimum over [s, t] is the least of them on the grid {s, t} and the
+breakpoints between. They and `sup_diff` read through `_on_grid`, which
+scales h and the cuts once and returns Fractions; `d_lambda` reads both
+excursions on the union of their breakpoints, and the coding reads h on its
+cut set, both in ints.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import ValidationError
-from .exact import format_scalar, parse_scalar
+from .exact import format_scalar, parse_scalar, scaled_rows
 from .spaces import JsonFields, dumps_json, load_document
 
 EXCURSION_FORMAT = "excursion/1"
@@ -168,34 +171,54 @@ def normalize(h: Excursion) -> Excursion:
     return out
 
 
-def _on_grid(h: Excursion, cuts):
-    """(points, pieces): h read on ascending cuts in [0, 1], in one walk.
+def _on_int_grid(h: Excursion, cuts):
+    """(points, pieces, m): h read on ascending cuts, in ints and in one walk.
 
-    points[k] is h(cuts[k]), a pc excursion's breakpoint value at its
-    breakpoints; pieces[k] is the pair of one-sided limits of h at the two
-    ends of the open piece (cuts[k], cuts[k + 1]). No breakpoint of h may
-    lie strictly inside such a piece.
+    h carries int fields: its breakpoints over the denominator of the int
+    `cuts`, its values over any denominator V. points[k] is h(cuts[k]), a pc
+    excursion's breakpoint value at its breakpoints; pieces[k] is the pair
+    of one-sided limits of h at the two ends of the open piece (cuts[k],
+    cuts[k + 1]). No breakpoint of h may lie strictly inside such a piece.
+    Both come back over V * m: a pl read strictly between two breakpoints,
+    v0 + (v1 - v0)(t - t0)/(t1 - t0), has a denominator, and m is the lcm
+    of those in lowest terms (1 for pc, and for pl wherever each read is a
+    multiple of 1 / V, as at a level crossing).
     """
     bps, vals = h.breakpoints, h.values
     pl = h.kind == "pl"
     at_bp = vals if pl else h.breakpoint_values
     last = len(bps) - 1
-    points, piece_of = [], []
+    reads, piece_of = [], []
     k = 0
     for t in cuts:
         while k < last and bps[k + 1] <= t:
             k += 1
         if t == bps[k]:
-            points.append(at_bp[k])
+            reads.append((at_bp[k], 1))
         elif pl:
-            t0, t1, v0, v1 = bps[k], bps[k + 1], vals[k], vals[k + 1]
-            points.append(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+            t0, t1, v0 = bps[k], bps[k + 1], vals[k]
+            num, den = v0 * (t1 - t0) + (vals[k + 1] - v0) * (t - t0), t1 - t0
+            g = gcd(num, den)
+            reads.append((num // g, den // g))
         else:
-            points.append(vals[k])
+            reads.append((vals[k], 1))
         piece_of.append(k)
+    m = lcm(*(den for _, den in reads))
+    points = [num * (m // den) for num, den in reads]
     if pl:
-        return points, list(zip(points, points[1:]))
-    return points, [(vals[k], vals[k]) for k in piece_of[:-1]]
+        return points, list(zip(points, points[1:])), m
+    return points, [(vals[k], vals[k]) for k in piece_of[:-1]], m
+
+
+def _on_grid(h: Excursion, cuts):
+    """`_on_int_grid` for an excursion and cuts in [0, 1] as Fractions:
+    (points, pieces) as Fractions, after one scaling of both."""
+    ([bps, vals, bvals, cuts],), den = scaled_rows(
+        [h.breakpoints, h.values, h.breakpoint_values or (), cuts]
+    )
+    points, pieces, m = _on_int_grid(Excursion(h.kind, bps, vals, bvals or None), cuts)
+    den *= m
+    return [Fraction(v, den) for v in points], [(Fraction(a, den), Fraction(b, den)) for a, b in pieces]
 
 
 def evaluate(h: Excursion, t):

@@ -28,7 +28,7 @@ from operator import add
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _int_distortion, _ladder, distortion
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _int_distortion, _ladder
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
 from .spaces import FiniteMMSpace, metric_violations, require_valid
 
@@ -98,12 +98,12 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     for i, j in pairs:
         if not (0 <= i < a.n and 0 <= j < b.n):
             raise ValidationError(f"pair ({i}, {j}) out of range")
-    dis = distortion(pairs, a, b)
-    if dis > 2 * eps:
-        raise ValidationError(
-            f"correspondence distortion {dis} exceeds 2*eps = {2 * eps}"
-        )
     (da, db), D = scaled_rows(a.dist, b.dist)
+    dis = _int_distortion(da, db, pairs)  # over D
+    if dis * eps.denominator > 2 * eps.numerator * D:
+        raise ValidationError(
+            f"correspondence distortion {Fraction(dis, D)} exceeds 2*eps = {2 * eps}"
+        )
     cross, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
     cross = [[Fraction(x, den) for x in row] for row in cross]
     rows = [tuple(a.dist[x]) + tuple(cross[x]) for x in range(a.n)]

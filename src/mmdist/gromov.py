@@ -23,10 +23,16 @@ once, not in every order.
 
 Every box search is one ladder (`box_ladder`; box, gp and
 `optimal_correspondence` run one lam): one sweep, an incumbent per lam, and
-one max-flow per clique whose row and column masses could beat some
-incumbent. A lam freezes at the first clique after which t alone cannot beat
-its incumbent; the sweep ends once all are frozen. Clique order and work
-count do not depend on lam, so each lam gets its own search's result.
+one max-flow per clique whose Hall bound could beat some incumbent. The
+bound (`_HallBound`) caps the mass a subcoupling can put on a clique: each
+row ships at most its weight and at most the weight of the columns it meets
+in the clique, and likewise each column. A clique that fails it cannot
+change any incumbent, so skipping its flow changes no value, witness or
+work count (flows are not charged to the budget); on one pass of the
+excursion-pairs bench's coded trees 546 of 13 549 cliques pass it. A lam
+freezes at the first clique after which t alone cannot beat its incumbent;
+the sweep ends once all are frozen. Clique order and work count do not
+depend on lam, so each lam gets its own search's result.
 
 The ladder starts from one prepared pair (`_Pair`), which the glue of its
 lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
@@ -171,6 +177,48 @@ class _Pair:
         weights, self.W = scaled(A.weights + B.weights)
         self.wa, self.wb = weights[: A.n], weights[A.n :]
         self.diam = max(max(map(max, self.da)), max(map(max, self.db)))
+
+
+class _HallBound:
+    """An upper bound on the mass a subcoupling of the int weights `wa` and
+    `wb` can put on a cell mask (cell i * len(wb) + j).
+
+    Row i ships at most wa[i], and at most the weight of the columns it
+    meets in the mask, so the mass is at most `rows`, the sum over rows of
+    the smaller of the two; likewise `cols` over columns, and the bound is
+    the smaller sum (the deficiency form of Hall's theorem, taken one row or
+    one column at a time). It is never above the smaller of the total row
+    and column weights the mask touches. A row's column weight is read from
+    its slice of the mask, memoized per slice.
+    """
+
+    def __init__(self, wa, wb):
+        self.wa, self.wb, self.n2 = wa, wb, len(wb)
+        self.slices = [(w, i * self.n2) for i, w in enumerate(wa)]
+        self.low = (1 << self.n2) - 1
+        self.col_weight = {0: 0}
+
+    def rows(self, mask):
+        total, low, col_weight = 0, self.low, self.col_weight
+        for w, shift in self.slices:
+            cols = (mask >> shift) & low
+            s = col_weight.get(cols)
+            if s is None:
+                s = col_weight[cols] = sum(self.wb[j] for j in _bits(cols))
+            total += w if w < s else s
+        return total
+
+    def cols(self, mask):
+        wa, wb, n2 = self.wa, self.wb, self.n2
+        row_weight = [0] * n2
+        for c in _bits(mask):
+            i, j = divmod(c, n2)
+            row_weight[j] += wa[i]
+        return sum(map(min, wb, row_weight))
+
+    def exceeds(self, mask, cut):
+        """Whether the bound is above `cut`; the column sum only if need be."""
+        return self.rows(mask) > cut and self.cols(mask) > cut
 
 
 def _int_distortion(da, db, pairs):
@@ -458,13 +506,11 @@ def _ladder(a, b, lams, budget, seeds=()):
 
     try:
         sweep = _CliqueSweep(da, db, cells, budget, (wa, wb))
-        n2 = P.B.n
-        row_masks = [((1 << n2) - 1) << (i * n2) for i in range(P.A.n)]
-        col_masks = [sum(1 << (i * n2 + j) for i in range(P.A.n)) for j in range(n2)]
+        hall = _HallBound(wa, wb)
         for t, mask in sweep.cliques(frozen):
-            row_mass = sum(w for w, rm in zip(wa, row_masks) if mask & rm)
-            col_mass = sum(w for w, cm in zip(wb, col_masks) if mask & cm)
-            if min(row_mass, col_mass) > min(m_cut):
+            # a clique whose mass m is at most min(m_cut) beats no incumbent,
+            # and its Hall bound caps m: flow it only when the bound passes
+            if hall.exceeds(mask, min(m_cut)):
                 consider(sweep.pairs(mask), t)
         live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:
@@ -496,7 +542,7 @@ def gromov_prohorov_detail(
     budget: int = DEFAULT_SEARCH_BUDGET,
     seeds=(),
 ) -> GPResult:
-    box = box_ladder(a, b, (Fraction(1, 2),), budget, seeds)[0]
+    box = box_lambda_detail(a, b, Fraction(1, 2), budget, seeds)
     return GPResult(box.value / 2, box.value, box.exact, box.pairs)
 
 

@@ -26,7 +26,7 @@ from mmdist import (
     zero_excursion,
 )
 
-from excursion_refs import ref_cuts, ref_evaluate
+from excursion_refs import ref_cuts, ref_evaluate, ref_piece_limits
 
 F = Fraction
 
@@ -189,3 +189,57 @@ def test_cut_points_match_the_level_scan_reference():
         extras = rng.randint(1, 5) if k % 2 else 0
         resolution = tuple(F(rng.randint(0, 24), 24) for _ in range(extras))
         assert pl_cut_points(h, resolution) == ref_cuts(normalize(h), resolution)
+
+
+def ref_code_excursion(h, resolution=()):
+    """`code_excursion` as a Fraction loop, read through the reference
+    readers: (space, segments, projection, representatives, bound)."""
+    h = normalize(h)
+    cuts = ref_cuts(h, resolution)
+    cutvals = [ref_evaluate(h, t) for t in cuts]
+    pieces = [ref_piece_limits(h, a, b) for a, b in zip(cuts, cuts[1:])]
+    if h.kind == "pc":
+        heights, bound = [left for left, _ in pieces], F(0)
+    else:
+        heights = [(left + right) / 2 for left, right in pieces]
+        bound = max(abs(right - left) for left, right in pieces)
+    m = len(heights)
+    d = [[F(0)] * m for _ in range(m)]
+    for i in range(m):
+        run_min = heights[i]
+        for j in range(i + 1, m):
+            run_min = min(run_min, cutvals[j])
+            d[i][j] = d[j][i] = heights[i] + heights[j] - 2 * min(run_min, heights[j])
+    # merge the points at distance 0, each into its leftmost one
+    roots = list(range(m))
+    for j in range(m):
+        roots[j] = next(i for i in range(j + 1) if d[i][j] == 0)
+    classes = sorted(set(roots))
+    projection = tuple(classes.index(r) for r in roots)
+    weights = [F(0)] * len(classes)
+    for k, (lo, hi) in zip(projection, zip(cuts, cuts[1:])):
+        weights[k] += hi - lo
+    space = FiniteMMSpace(
+        tuple(f"s{r}" for r in classes),
+        tuple(tuple(d[a][b] for b in classes) for a in classes),
+        tuple(weights),
+    )
+    segments = tuple(zip(cuts, cuts[1:]))
+    return space, segments, projection, tuple((lo + hi) / 2 for lo, hi in segments), bound
+
+
+def test_coding_equals_the_fraction_loop():
+    # time grids of 7, 12 and 30 against resolution points over 24 put
+    # resolution points strictly inside pl pieces, where h reads off-grid
+    rng = random.Random(617)
+    for k in range(240):
+        kind = "pl" if k % 3 else "pc"
+        h = random_excursion(
+            rng, kind, max_pieces=rng.randint(1, 9), time_den=rng.choice((7, 12, 30)), value_den=rng.choice((4, 7))
+        )
+        extras = rng.randint(1, 5) if k % 2 else 0
+        resolution = tuple(F(rng.randint(0, 24), 24) for _ in range(extras))
+        coded = code_excursion(h, resolution)
+        got = (coded.space, coded.segments, coded.projection, coded.representatives, coded.resolution_bound)
+        assert got == ref_code_excursion(h, resolution)
+        assert all(type(x) is F for row in coded.space.dist for x in (*row, *coded.space.weights))

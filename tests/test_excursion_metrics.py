@@ -29,7 +29,7 @@ from mmdist.exact import isqrt_enclosure, sqrt_enclosure
 from mmdist.excursion_metrics import DEFAULT_GAMMA_TOL, _directed_bb
 from mmdist.excursions import dh, evaluate, infimum, normalize
 
-from excursion_refs import ref_evaluate
+from excursion_refs import ref_d_lambda, ref_evaluate, ref_piece_limits
 
 F = Fraction
 
@@ -121,6 +121,33 @@ def test_lambda_zero_iff_equal_almost_everywhere():
     bumped = pl_excursion((0, F(1, 4), F(1, 2), 1), (0, F(1, 2), 1, 0))
     assert d_lambda(tent(), bumped) == 0
     assert d_lambda(tent(), scaled_tent(F(1, 2))) > 0
+
+
+def test_lambda_equals_the_fraction_reference():
+    # time grids of 7, 12 and 30 put one side's breakpoints strictly inside
+    # the other's pl pieces, where it reads off-grid
+    rng = random.Random(163)
+    pairs = []
+    for kinds in (("pl", "pl"), ("pc", "pc"), ("pl", "pc"), ("pc", "pl")):
+        for _ in range(40):
+            h, g = (
+                random_excursion(rng, kind, max_pieces=rng.randint(1, 7), time_den=rng.choice((7, 12, 30)))
+                for kind in kinds
+            )
+            pairs.append((h, g))
+    pairs += [(h, h) for h, _ in pairs[::10]]
+    bumped = pl_excursion((0, F(1, 4), F(1, 2), 1), (0, F(1, 2), 1, 0))  # tent, one more breakpoint
+    one_piece = [zero_excursion("pl"), zero_excursion("pc"), step_one()]
+    pairs += [(tent(), bumped), (comb(3), step_one())] + [(h, g) for h in one_piece for g in one_piece]
+    pairs += [(h, tent()) for h in one_piece] + [(comb(2), h) for h in one_piece]
+    crossings = 0
+    for h, g in pairs:
+        assert d_lambda(h, g) == ref_d_lambda(h, g)
+        cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
+        for lo, hi in zip(cuts, cuts[1:]):
+            (h0, h1), (g0, g1) = ref_piece_limits(h, lo, hi), ref_piece_limits(g, lo, hi)
+            crossings += (h0 - g0) * (h1 - g1) < 0
+    assert crossings >= 60  # pieces where h - g changes sign
 
 
 def test_gamma_pc_pinned_values():

@@ -241,3 +241,25 @@ def test_glue_search_equals_gp_and_half_box(a, b):
     assert max(info.distortion, 2 * (1 - info.max_coupling_mass)) <= 2 * p
     with pytest.raises(ValidationError):
         glued_upper_bound(a, b, search_budget=1)
+
+
+def test_over_distortion_is_named_by_its_exact_value():
+    # the check runs on the int rows of both matrices, and the message names
+    # the distortion as `distortion` returns it, floats by their exact value
+    rng = random.Random(109)
+    floats = FiniteMMSpace(("x", "y", "z"), ((0.0, 0.1, 0.3), (0.1, 0.0, 0.25), (0.3, 0.25, 0.0)), (0.5, 0.25, 0.25))
+    cases = [sampled_pair(rng) for _ in range(20)]
+    cases += [(floats, canonicalize(sample_mm_space(5, n_max=3))), (floats, floats)]
+    for a, b in cases:
+        pairs = tuple((i, j) for i in range(a.n) for j in range(b.n) if (i + j) % 2 == 0)
+        dis = distortion(pairs, a, b)
+        assert build_glued_space(a, b, pairs, dis / 2).eps == dis / 2
+        if dis == 0:
+            continue
+        for eps in (dis / 2 - F(1, 10**6), float(dis) / 2 * 0.999):
+            if F(eps) < 0:
+                continue
+            with pytest.raises(ValidationError) as info:
+                build_glued_space(a, b, pairs, eps)
+            want = F(eps)
+            assert str(info.value) == f"correspondence distortion {dis} exceeds 2*eps = {2 * want}"

@@ -28,6 +28,8 @@ from mmdist import (
     sample_mm_space,
 )
 from mmdist import gromov
+from mmdist.flow import max_subcoupling
+from mmdist.harness import LAMBDA_LADDER
 
 F = Fraction
 
@@ -716,3 +718,67 @@ def test_ladder_values_are_their_witnesses_scored_in_fractions():
                 inexact += not box.exact
     # the past-budget fallback scores its candidates too
     assert inexact >= 100
+
+
+# ---------------------------------------------------------------------------
+# the Hall bound: no flow for a clique that cannot beat an incumbent
+
+
+def touched_weight(weights, pairs, side):
+    return sum(weights[k] for k in {cell[side] for cell in pairs})
+
+
+def test_hall_bound_sits_between_the_flow_and_the_touched_weights():
+    rng = random.Random(431)
+    tighter = 0
+    for _ in range(400):
+        n1, n2 = rng.randint(1, 5), rng.randint(1, 5)
+        wa = [rng.randint(0, 6) for _ in range(n1)]
+        wb = [rng.randint(0, 6) for _ in range(n2)]
+        mask = rng.getrandbits(n1 * n2) & rng.getrandbits(n1 * n2)  # sparse cell sets
+        pairs = [divmod(c, n2) for c in gromov._bits(mask)]
+        hall = gromov._HallBound(wa, wb)
+        bound = min(hall.rows(mask), hall.cols(mask))
+        touched = min(touched_weight(wa, pairs, 0), touched_weight(wb, pairs, 1))
+        assert max_subcoupling(wa, wb, pairs)[0] <= bound <= touched
+        assert [hall.exceeds(mask, cut) for cut in (bound - 1, bound)] == [True, False]
+        tighter += bound < touched
+    # the bound often beats the touched weights the old prefilter compared
+    assert tighter >= 60
+
+
+def ladder_runs(a, b, lams, units):
+    """`gromov._ladder` with its Hall bound and with every clique flowed:
+    per run the BoxResults, the budget units left and the flows made."""
+    runs = []
+    for exceeds in (gromov._HallBound.exceeds, lambda hall, mask, cut: True):
+        flows = []
+        real = gromov.max_subcoupling
+        with mock.patch.object(gromov._HallBound, "exceeds", exceeds), mock.patch.object(
+            gromov, "max_subcoupling", lambda *x: flows.append(x) or real(*x)
+        ):
+            budget = gromov._Budget(units)
+            boxes = gromov._ladder(a, b, lams, budget)[0]
+            gp = gromov_prohorov_detail(a, b, units)
+        runs.append((boxes, gp, budget.left, len(flows)))
+    return runs
+
+
+def test_hall_bound_changes_no_result_and_no_work_count():
+    rng = random.Random(433)
+    pairs = ladder_pairs()[::3]
+    pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(4)]
+    skipped = 0
+    for a, b in pairs:
+        cells = canonicalize(a).n * canonicalize(b).n
+        # a budget that buckets the cell pairs and then cuts the sweep
+        for units in (cells * (cells - 1) // 2 + 5, gromov.DEFAULT_SEARCH_BUDGET):
+            for lams in (LAMBDA_LADDER, (F(1, 2),)):
+                (boxes, gp, left, flows), (ref_boxes, ref_gp, ref_left, ref_flows) = ladder_runs(
+                    a, b, lams, units
+                )
+                # value, exactness, witness and the units spent
+                assert (boxes, gp, left) == (ref_boxes, ref_gp, ref_left)
+                assert flows <= ref_flows
+                skipped += ref_flows - flows
+    assert skipped >= 100
