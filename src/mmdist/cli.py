@@ -84,9 +84,11 @@ def _nonnegative_arg(value, flag):
 
 
 def _pairs_arg(text):
+    # ValueError: malformed JSON, or an int past the digit limit;
+    # RecursionError: nesting past the parser's recursion limit
     try:
         pairs = json.loads(text)
-    except ValueError:  # malformed JSON, or an int past the digit limit
+    except (ValueError, RecursionError):
         pairs = None
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in pairs

@@ -15,17 +15,17 @@ the certificate is the maximum height variation over a segment, which
 bounds twice the sup-distance between h and its midpoint snap, hence the
 distance to the full tree.
 
-Both kinds are coded in ints. One `scaled_rows` puts h's breakpoints and
-values and the resolution points over one denominator; the cuts, pl level
-crossings included, then go over one multiple of it (`_int_cuts`), and h is
-read once on them (`excursions._on_int_grid`): the cut values are h at the
-cuts, and a segment's height is the value at its midpoint, which is the
-mean of h's limits at the segment's ends (pl, so heights are over twice
-the values' denominator) or the piece value (pc). The running minimum
-across the cuts runs on those ints, and Fractions are built only for the
-coded tree: one per distinct distance, weight, cut and representative.
-Resolution points join the cuts of either kind, each checked to lie in
-[0, 1] in the order given.
+Both kinds are coded in ints, through `excursions`' int form: one
+`_int_excursions` puts h and the resolution points over one denominator;
+the cuts, pl level crossings included, then go over one multiple of it
+(`_int_cuts`), and h is read once on them (`_on_int_grid`): the cut values
+are h at the cuts, and a segment's height is the value at its midpoint,
+which is the mean of h's limits at the segment's ends (pl, so heights are
+over twice the values' denominator) or the piece value (pc). The running
+minimum across the cuts runs on those ints, and Fractions are built only
+for the coded tree: one per distinct distance, weight, cut and
+representative. Resolution points join the cuts of either kind, each
+checked to lie in [0, 1] in the order given.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import gcd, lcm
 
 from .errors import ValidationError
 from .exact import parse_scalar, scaled_rows
-from .excursions import Excursion, _on_int_grid, normalize
+from .excursions import Excursion, _int_excursions, _on_int_grid, normalize
 from .spaces import FiniteMMSpace, _class_roots, _mark_canonical
 
 
@@ -55,9 +55,9 @@ def _int_cuts(h: Excursion, resolution=()):
     """The cut set of a normalized excursion in ints: (cuts, den, grid, value_den).
 
     The cuts are ascending ints over den, and grid is h with int fields, its
-    breakpoints over den too and its values over value_den. One
-    `scaled_rows` puts h's breakpoints and values and the resolution points
-    over one denominator, value_den; a pl level crossing
+    breakpoints over den too and its values over value_den.
+    `_int_excursions` puts h and the resolution points over one
+    denominator, value_den; a pl level crossing
     b0 + (level - v0)(b1 - b0)/(v1 - v0) is then over value_den (v1 - v0),
     and den is value_den times the lcm of the crossings' denominators in
     lowest terms.
@@ -68,9 +68,8 @@ def _int_cuts(h: Excursion, resolution=()):
         if not (0 <= r <= 1):
             raise ValidationError(f"resolution point {r} outside [0, 1]")
         points.append(r)
-    ([bps, vals, bvals, points],), den = scaled_rows(
-        [h.breakpoints, h.values, h.breakpoint_values or (), points]
-    )
+    (h,), points, den = _int_excursions(h, extra=points)
+    bps, vals = h.breakpoints, h.values
     crossings = []
     if h.kind == "pl":
         levels = sorted(set(vals))
@@ -84,7 +83,7 @@ def _int_cuts(h: Excursion, resolution=()):
     m = lcm(*(q for _, q in crossings))
     bps = [b * m for b in bps]
     cuts = set(bps).union(r * m for r in points).union(num * (m // q) for num, q in crossings)
-    return sorted(cuts), den * m, Excursion(h.kind, bps, vals, bvals or None), den
+    return sorted(cuts), den * m, Excursion(h.kind, bps, vals, h.breakpoint_values), den
 
 
 def pl_cut_points(h: Excursion, resolution=()) -> tuple:

@@ -3,10 +3,10 @@
 d_lambda(h, g) = inf { eps > 0 : Leb(|h - g| > eps) <= eps } is computed
 exactly: |h - g| is piecewise linear on the union grid, so the level measure
 m(eps) is piecewise affine between the finitely many piece-end values and
-the infimum is the first interval where m(eps) <= eps has a solution. Both
-excursions go over one denominator once and are read on the union grid in
-ints (`excursions._on_int_grid`); each interval's m(eps) is two int sums,
-and its root is compared with the next level by cross-multiplying.
+the infimum is the first interval where m(eps) <= eps has a solution.
+h - g is read once on the union grid in ints (`excursions._int_diff`), each
+interval's m(eps) is two int sums, and the first interval with a solution
+is found by the scan the Prohorov metric uses (`prohorov._scan_infimum`).
 
 d_gamma(h, g) is the Hausdorff distance between epigraphs in the plane. The
 directed sup from an epigraph is attained on its lower boundary (distance to
@@ -32,9 +32,9 @@ breakpoint bottoms. Two regimes:
   current enclosure when the split budget runs out.
 
 Both regimes of d_gamma work in ints from start to finish, as d_lambda
-does. Each directed sup puts
-both excursions over one denominator once (`_int_excursions`) and builds
-the target's epigraph features over it (`_int_epi`); a point is an int
+does. Each directed sup puts both excursions over one denominator once
+(`excursions._int_excursions`) and builds the target's epigraph features
+over it (`_int_epi`); a point is an int
 triple (x, y, d), and its squared distances to all features are one int
 vector (`_dist_sq_vector`), computed once when the point is created.
 Square roots come from `math.isqrt` (`isqrt_enclosure`); bounds and heap
@@ -56,8 +56,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exact import isqrt_enclosure, scaled_rows
-from .excursions import Excursion, _on_int_grid, normalize
+from .exact import isqrt_enclosure
+from .excursions import Excursion, _int_diff, _int_excursions, normalize
+from .prohorov import _scan_infimum
 
 DEFAULT_GAMMA_TOL = Fraction(1, 10**9)
 DEFAULT_GAMMA_BUDGET = 6000
@@ -85,34 +86,26 @@ class IntervalResult:
 def _abs_diff_pieces(h: Excursion, g: Excursion):
     """Pieces (length, lo, hi) of |h - g| as ints, and their scales (L, T, V).
 
-    Both excursions go over one denominator T (`_int_excursions`) and are
-    read on the union of their breakpoints (`_on_int_grid`), so the cuts
-    are over T and every piece-end value over one V, a multiple of T.
-    |h - g| is linear from lo to hi or from hi to lo on each piece, lo and
-    hi over V; a piece where h - g changes sign, from a to b, splits at its
-    zero, a fraction |a| / (|a| + |b|) of the way. Lengths are over T L, L
-    the lcm of the split pieces' |a| + |b|.
+    h - g is read once on the union of the breakpoints (`_int_diff`): the
+    cuts are over T and every piece-end value over one V. |h - g| is linear
+    from lo to hi or from hi to lo on each piece, lo and hi over V; a piece
+    where h - g changes sign, from a to b, splits at its zero, a fraction
+    |a| / (|a| + |b|) of the way. Lengths are over T L, L the lcm of the
+    split pieces' |a| + |b|.
     """
-    (h, g), den = _int_excursions(h, g)
-    cuts = sorted(set(h.breakpoints).union(g.breakpoints))
-    _, h_pieces, mh = _on_int_grid(h, cuts)
-    _, g_pieces, mg = _on_int_grid(g, cuts)
-    m = lcm(mh, mg)
-    sh, sg = m // mh, m // mg
-    raw = []  # (length over den * split, split, lo, hi)
-    for lo_t, hi_t, (h0, h1), (g0, g1) in zip(cuts, cuts[1:], h_pieces, g_pieces):
+    cuts, _, diffs, t_den, v_den = _int_diff(h, g)
+    raw = []  # (length over t_den * split, split, lo, hi)
+    for lo_t, hi_t, (a, b) in zip(cuts, cuts[1:], diffs):
         ln = hi_t - lo_t
-        a, b = h0 * sh - g0 * sg, h1 * sh - g1 * sg
-        if (a < 0 < b) or (b < 0 < a):
-            a, b = abs(a), abs(b)
-            raw.append((ln * a, a + b, 0, a))
-            raw.append((ln * b, a + b, 0, b))
+        crosses = a * b < 0  # h - g changes sign inside the piece
+        a, b = abs(a), abs(b)
+        if crosses:
+            raw += [(ln * a, a + b, 0, a), (ln * b, a + b, 0, b)]
         else:
-            a, b = abs(a), abs(b)
             raw.append((ln, 1, min(a, b), max(a, b)))
     big_l = lcm(*(split for _, split, _, _ in raw))
     pieces = [(ln * (big_l // split), lo, hi) for ln, split, lo, hi in raw]
-    return pieces, big_l, den, den * m
+    return pieces, big_l, t_den, v_den
 
 
 def d_lambda(h: Excursion, g: Excursion):
@@ -129,8 +122,8 @@ def d_lambda(h: Excursion, g: Excursion):
     lengths over T L, values over V and P the lcm of the pieces' hi - lo,
     alpha = A / (T L P) and beta = V B / (T L P) for two int sums A and B,
     so the root eps = alpha / (1 + beta) of Leb = eps is
-    A / (T L P + V B), compared with the next level by cross-multiplying.
-    One Fraction, the value, is built.
+    A / (T L P + V B). Prohorov's scan (`prohorov._scan_infimum`) compares
+    the levels and roots by cross-multiplying and builds one Fraction.
     """
     pieces, big_l, t_den, v_den = _abs_diff_pieces(normalize(h), normalize(g))
     big_p = lcm(*{hi - lo for _, lo, hi in pieces if hi > lo})
@@ -142,7 +135,9 @@ def d_lambda(h: Excursion, g: Excursion):
         terms.append((lo, hi, ln * big_p, ln * hi * step, ln * step))
     levels = sorted({0}.union(*((lo, hi) for _, lo, hi in pieces)))
     base = t_den * big_l * big_p
-    for level, nxt in zip(levels, levels[1:] + [None]):
+
+    def t_of_piece(j):  # (A, T L P + V B) on [levels[j], levels[j + 1])
+        level, nxt = levels[j], levels[j + 1] if j + 1 < len(levels) else None
         big_a = big_b = 0
         for lo, hi, above, across, slope in terms:
             if hi <= level:
@@ -152,10 +147,9 @@ def d_lambda(h: Excursion, g: Excursion):
             else:  # linear piece across the interval: lo <= level < nxt <= hi
                 big_a += across
                 big_b += slope
-        scale = base + v_den * big_b  # root = big_a / scale, levels are over v_den
-        if nxt is None or big_a * v_den < nxt * scale:
-            return Fraction(max(level * scale, big_a * v_den), v_den * scale)
-    raise AssertionError("unreachable: the last interval always has a solution")
+        return big_a, base + v_den * big_b
+
+    return _scan_infimum(levels, t_of_piece, v_den)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +182,6 @@ def _epi_features(h: Excursion):
     for x, y1, y2 in _pc_walls(h):
         feats.append(((x, y1), (x, y2)))
     return feats
-
-
-def _int_excursions(*hs):
-    """The excursions with int fields over one common denominator: (hs, den)."""
-    rows, den = scaled_rows(*[(h.breakpoints, h.values, h.breakpoint_values or ()) for h in hs])
-    return [Excursion(h.kind, b, v, bv or None) for h, (b, v, bv) in zip(hs, rows)], den
 
 
 class _Epi(NamedTuple):
@@ -341,7 +329,7 @@ def directed_gamma_sq(src: Excursion, tgt: Excursion):
     src, tgt = normalize(src), normalize(tgt)
     if src.kind != "pc" or tgt.kind != "pc":
         raise ValidationError("exact directed sup needs both excursions pc")
-    (s, t), den = _int_excursions(src, tgt)
+    (s, t), _, den = _int_excursions(src, tgt)
     epi = _int_epi(t, den)
     best = (0, 1)
     for x, y in zip(s.breakpoints, s.breakpoint_values):
@@ -424,7 +412,7 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
     every target feature as ints over l2 * big_v (`_dist_sq_vector`),
     shared by its enclosure and the bounds of both segments it ends.
     """
-    (s, t), den = _int_excursions(src, tgt)
+    (s, t), _, den = _int_excursions(src, tgt)
     epi = _int_epi(t, den)
     big_v = epi.big_v
     tn, td = Fraction(tol).as_integer_ratio()

@@ -10,17 +10,16 @@ neighbours and the right endpoint to the last piece value.
 inputs through it. It returns a marked input as it is, validates any other
 and marks what it builds (outside equality, hash and repr), never the input.
 
-Every exact read of an excursion goes through one grid reader,
-`_on_int_grid`. Given ascending cuts with no breakpoint strictly between two
-neighbours, it walks the breakpoints once and returns h at each cut and the
-one-sided limits of h at the ends of each open piece between cuts, all in
-ints. On such a piece h is constant or linear, so these finitely many values
+Every exact read of an excursion goes through its int form, kept here
+alone: `_int_excursions` puts excursions, and any extra times, over one
+denominator, and `_on_int_grid` walks h's breakpoints once along ascending
+int cuts with no breakpoint strictly between two neighbours. It returns h
+at each cut and the one-sided limits of h at the ends of each open piece
+between cuts; on such a piece h is constant or linear, so these values
 bound it from both sides. `infimum` and `dh` are exact because the path
 infimum over [s, t] is the least of them on the grid {s, t} and the
-breakpoints between. They and `sup_diff` read through `_on_grid`, which
-scales h and the cuts once and returns Fractions; `d_lambda` reads both
-excursions on the union of their breakpoints, and the coding reads h on its
-cut set, both in ints.
+breakpoints between. `_int_diff` reads h - g on the union grid, for
+`sup_diff` and `d_lambda`. Fractions are built only for returned values.
 """
 
 from __future__ import annotations
@@ -171,6 +170,15 @@ def normalize(h: Excursion) -> Excursion:
     return out
 
 
+def _int_excursions(*hs, extra=()):
+    """The excursions with int fields, and the times `extra` as ints, all
+    over one common denominator: (hs, extra, den)."""
+    (*rows, (extra,)), den = scaled_rows(
+        *[(h.breakpoints, h.values, h.breakpoint_values or ()) for h in hs], [extra]
+    )
+    return [Excursion(h.kind, b, v, bv or None) for h, (b, v, bv) in zip(hs, rows)], extra, den
+
+
 def _on_int_grid(h: Excursion, cuts):
     """(points, pieces, m): h read on ascending cuts, in ints and in one walk.
 
@@ -210,22 +218,28 @@ def _on_int_grid(h: Excursion, cuts):
     return points, [(vals[k], vals[k]) for k in piece_of[:-1]], m
 
 
-def _on_grid(h: Excursion, cuts):
-    """`_on_int_grid` for an excursion and cuts in [0, 1] as Fractions:
-    (points, pieces) as Fractions, after one scaling of both."""
-    ([bps, vals, bvals, cuts],), den = scaled_rows(
-        [h.breakpoints, h.values, h.breakpoint_values or (), cuts]
-    )
-    points, pieces, m = _on_int_grid(Excursion(h.kind, bps, vals, bvals or None), cuts)
-    den *= m
-    return [Fraction(v, den) for v in points], [(Fraction(a, den), Fraction(b, den)) for a, b in pieces]
+def _int_diff(h: Excursion, g: Excursion):
+    """h - g read on the union of their breakpoints as `_on_int_grid` reads
+    h, in ints: (cuts, points, pieces, T, V), the cuts over T, a common
+    denominator of h and g, and the reads over V, a multiple of T."""
+    (h, g), _, den = _int_excursions(h, g)
+    cuts = sorted(set(h.breakpoints).union(g.breakpoints))
+    h_points, h_pieces, mh = _on_int_grid(h, cuts)
+    g_points, g_pieces, mg = _on_int_grid(g, cuts)
+    m = lcm(mh, mg)
+    sh, sg = m // mh, m // mg
+    points = [a * sh - b * sg for a, b in zip(h_points, g_points)]
+    pieces = [(a * sh - c * sg, b * sh - d * sg) for (a, b), (c, d) in zip(h_pieces, g_pieces)]
+    return cuts, points, pieces, den, den * m
 
 
 def evaluate(h: Excursion, t):
     t = parse_scalar(t)
     if not (0 <= t <= 1):
         raise ValidationError(f"t = {t} outside [0, 1]")
-    return _on_grid(normalize(h), (t,))[0][0]
+    (h,), cuts, den = _int_excursions(normalize(h), extra=(t,))
+    (point,), _, m = _on_int_grid(h, cuts)
+    return Fraction(point, den * m)
 
 
 def infimum(h: Excursion, s, t):
@@ -237,9 +251,10 @@ def infimum(h: Excursion, s, t):
         s, t = t, s
     if not (0 <= s and t <= 1):
         raise ValidationError("interval must sit inside [0, 1]")
+    (h,), (s, t), den = _int_excursions(h, extra=(s, t))
     grid = sorted({s, t}.union(b for b in h.breakpoints if s < b < t))
-    points, pieces = _on_grid(h, grid)
-    return min(chain(points, *pieces))
+    points, pieces, m = _on_int_grid(h, grid)
+    return Fraction(min(chain(points, *pieces)), den * m)
 
 
 def dh(h: Excursion, s, t):
@@ -250,15 +265,10 @@ def dh(h: Excursion, s, t):
 
 def sup_diff(h: Excursion, g: Excursion):
     """True sup of |h - g| over [0, 1] (not just the essential sup)."""
-    # on each open piece of the union grid both functions are linear, so the
-    # difference is extremal at the grid points or at the piece-end limits
-    h, g = normalize(h), normalize(g)
-    cuts = sorted(set(h.breakpoints) | set(g.breakpoints))
-    h_points, h_pieces = _on_grid(h, cuts)
-    g_points, g_pieces = _on_grid(g, cuts)
-    return max(
-        abs(a - b) for a, b in zip(chain(h_points, *h_pieces), chain(g_points, *g_pieces))
-    )
+    # on each open piece of the union grid h - g is linear, so |h - g| is
+    # extremal at the grid points or at the piece-end limits
+    _, points, pieces, _, den = _int_diff(normalize(h), normalize(g))
+    return Fraction(max(map(abs, chain(points, *pieces))), den)
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,9 @@ class _CliqueSweep:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
+            touched = sum(1 << c for c, f in enumerate(fresh) if f)  # cells with a bucket-t edge
             for mask in _max_cliques(everything, nbr, self.budget, self.twins):
-                if first or any(fresh[c] & mask for c in _bits(mask)):
+                if first or any(fresh[c] & mask for c in _bits(mask & touched)):
                     if stop(t):
                         return
                     yield t, mask

@@ -306,9 +306,8 @@ def run_counterexample(n_list=(2, 3, 4, 6, 8)) -> ExperimentReport:
     table = {}
     for pos, n in enumerate(ns):
         for m in ns[pos:]:
-            gam = d_gamma_detail(combs[n], combs[m])
-            lam = d_lambda(combs[n], combs[m])
-            exc = gam.value + lam
+            result = d_excursion_detail(combs[n], combs[m])
+            gam, lam, exc = result.gamma, result.lam, result.value
             gp = gromov_prohorov_detail(stars[n], stars[m])
             table[(n, m)] = (exc, gp.value)
             checks = {"gamma_exact": gam.exact, "gp_exact": gp.exact}

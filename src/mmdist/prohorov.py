@@ -107,20 +107,23 @@ def _require_valid(cm: CommonSpaceMeasures):
     return scaled_dist
 
 
-def _scan_infimum(boundaries, t_of_piece, D, W):
+def _scan_infimum(boundaries, t_of_piece, D):
     """Exact infimum of an up-set of feasible eps described piecewise.
 
-    `boundaries` are ascending values u / D, the first one 0. Piece j is the
-    interval (u_j / D, u_{j+1} / D] (the last piece is unbounded); eps in
-    piece j is feasible iff eps >= t_of_piece(j) / W. Feasibility is
-    monotone, so the first piece with a solution decides. Pieces are asked
-    for in ascending order, once each, which `_flow_scan`'s incremental flow
-    relies on. Comparisons are cross-multiplied; the Fraction is built only
-    for the value returned.
+    `boundaries` are ascending values u / D, the first one 0. Piece j runs
+    from u_j / D to u_{j+1} / D (the last piece is unbounded); eps in it is
+    feasible iff eps >= t / W for (t, W) = t_of_piece(j), each piece with
+    its own W > 0. Feasibility is monotone, so the first piece with a
+    solution decides. Prohorov's pieces are (u_j, u_{j+1}], `d_lambda`'s
+    [u_j, u_{j+1}); the infimum is the same either way, since if t / W is
+    a closing end, the next piece is feasible from its start. Pieces are
+    asked for in ascending order, once each, which `_flow_scan`'s
+    incremental flow relies on. Comparisons are cross-multiplied; only
+    the value returned is built as a Fraction.
     """
     K = len(boundaries)
     for j, u in enumerate(boundaries):
-        t = t_of_piece(j)
+        t, W = t_of_piece(j)
         if t * D <= u * W:
             return Fraction(u, D)
         if j + 1 == K or t * D <= boundaries[j + 1] * W:
@@ -150,9 +153,9 @@ def _flow_scan(rows, D, mu, nu, W):
     def t_of_piece(j):
         for i, k in buckets.get(boundaries[j], ()):
             transport.allow(i, k)
-        return W - transport.augment()
+        return W - transport.augment(), W
 
-    return _scan_infimum(boundaries, t_of_piece, D, W)
+    return _scan_infimum(boundaries, t_of_piece, D)
 
 
 def _prohorov_block(dist, mu, nu):
@@ -179,9 +182,9 @@ def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
         boundaries = sorted(set(dist_to_a))  # always starts at 0 (members)
 
         def t_of_piece(j):
-            return mu_a - sum(v for v, da in zip(nu, dist_to_a) if da <= boundaries[j])
+            return mu_a - sum(v for v, da in zip(nu, dist_to_a) if da <= boundaries[j]), W
 
-        worst = max(worst, _scan_infimum(boundaries, t_of_piece, D, W))
+        worst = max(worst, _scan_infimum(boundaries, t_of_piece, D))
     return worst
 
 

@@ -392,13 +392,17 @@ def loads_document(text: str):
 
 
 def load_document(path):
-    """The JSON document in the file at `path`; text that is not UTF-8 is invalid."""
+    """The JSON document in the file at `path`; text that is not UTF-8, or
+    nested past the parser's recursion limit, is invalid."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             text = f.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"not UTF-8 text ({exc.reason}): {path}") from None
-    return loads_document(text)
+    try:
+        return loads_document(text)
+    except RecursionError:  # json recurses once per nested array or object
+        raise ValidationError(f"JSON nested too deeply: {path}") from None
 
 
 def load_space(path, check: bool = True, literals=None) -> FiniteMMSpace:

@@ -1,7 +1,7 @@
 """Independent readers of an excursion, kept as test oracles.
 
 These are the bisecting point reader and the midpoint piece reader that the
-package used before its one grid walk (`excursions._on_grid`), the cut set
+package used before its one grid walk (`excursions._on_int_grid`), the cut set
 that compared every pl piece with every level before the cuts bisected into
 the sorted levels, and the Fraction level scan `d_lambda` ran before it
 went over ints. Tests compare the package's readers against them, so they

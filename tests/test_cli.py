@@ -569,6 +569,8 @@ GOOD_DOC = {
 }
 # one digit past the interpreter's limit on int strings (4300 by default)
 HUGE_INT = "1" * 5001
+# nested past the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000
 MALFORMED_DOCS = {
     "letter": ({"dist": [["0", "x"], ["1", "0"]]}, 'dist[0][1]: invalid literal "x"'),
     "zero denominator": ({"dist": [["0", "1"], ["1/0", "0"]]}, 'dist[1][0]: invalid literal "1/0"'),
@@ -666,6 +668,7 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
     [
         (["glue", "--pairs", "[[0]]", "--eps", "1"], "--pairs: expected"),
         (["glue", "--pairs", f"[[0, {HUGE_INT}]]", "--eps", "1"], "--pairs: expected"),
+        (["glue", "--pairs", DEEP_JSON, "--eps", "1"], "--pairs: expected"),
         (["glue", "--pairs", "[[0, 0]]", "--eps", "1e5000"], '--eps: invalid literal "1e5000"'),
         (["experiment", "counterexample", "--n-list", "2,x"], "--n-list: expected"),
         (
@@ -688,6 +691,7 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
     ids=[
         "glue-pairs",
         "glue-pairs-huge-int",
+        "glue-pairs-deep",
         "glue-eps-huge-exponent",
         "n-list",
         "n-list-one-count",
@@ -869,6 +873,9 @@ def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
             "experiment counterexample --n-list 2,3 --csv {dir}",
             "experiment counterexample: is a directory: {dir}",
         ),
+        ("validate --in {deep}", "validate: JSON nested too deeply: {deep}"),
+        ("dist prohorov --a {space} --b {deep}", "dist prohorov: JSON nested too deeply: {deep}"),
+        ("dist excursion --a {deep} --b {tent}", "dist excursion: JSON nested too deeply: {deep}"),
     ],
     ids=[
         "validate-dir",
@@ -881,6 +888,9 @@ def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
         "out-missing-dir",
         "out-dir",
         "csv-dir",
+        "validate-deep",
+        "prohorov-deep",
+        "excursion-deep",
     ],
 )
 def test_file_errors_exit_one_naming_the_path(capsys, tmp_path, argv, message):
@@ -889,8 +899,11 @@ def test_file_errors_exit_one_naming_the_path(capsys, tmp_path, argv, message):
         "space": sample_file(capsys, tmp_path),
         "bad": tmp_path / "bad.json",
         "tent": tmp_path / "tent.json",
+        "deep": tmp_path / "deep.json",
     }
     paths["bad"].write_bytes(b"\xff\xfe{")
+    # written as raw text: json.dumps of such a value would itself recurse
+    paths["deep"].write_text(DEEP_JSON, encoding="utf-8")
     save_excursion(paths["tent"], tent())
     code, out, err = run(capsys, *argv.format(**paths).split())
     assert (code, out) == (1, "")

@@ -280,11 +280,12 @@ def test_invalid_excursions_raise_the_same_text_from_every_entry():
 
 def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkeypatch):
     validated, scaled = [], []
-    check, scale = excursions.validate_excursion, excursion_metrics._int_excursions
+    check, scale = excursions.validate_excursion, excursions._int_excursions
     monkeypatch.setattr(excursions, "validate_excursion", lambda h: validated.append(h) or check(h))
-    monkeypatch.setattr(
-        excursion_metrics, "_int_excursions", lambda *hs: scaled.append(hs) or scale(*hs)
-    )
+    for module in (excursions, excursion_metrics):  # the one scaling, wherever it is called
+        monkeypatch.setattr(
+            module, "_int_excursions", lambda *hs, **kw: scaled.append(hs) or scale(*hs, **kw)
+        )
     rng = random.Random(197)
     pairs = [(tent(), scaled_tent(F(9, 10))), (comb(6), comb(8)), (step_one(), tent())]
     for _ in range(4):
@@ -296,6 +297,10 @@ def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkey
         scaled.clear()
         d_gamma_detail(h, g)
         assert len(scaled) == 2  # one scaling per directed sup
+        for f in (sup_diff, d_lambda):
+            scaled.clear()
+            f(h, g)
+            assert len(scaled) == 1, f.__name__  # the pair is scaled once
         n = normalize(h)
         validated.clear()
         code_excursion(n)

@@ -25,7 +25,7 @@ from mmdist import (
     zero_excursion,
 )
 from mmdist import excursions
-from mmdist.excursions import _on_grid
+from mmdist.excursions import _int_excursions, _on_int_grid
 
 from excursion_refs import ref_evaluate, ref_piece_limits
 
@@ -250,9 +250,14 @@ def test_grid_reader_matches_the_reference_readers():
             sorted(picks | set(bps)),
         ]
         for grid in grids:
-            points, pieces = _on_grid(h, grid)
+            (h_int,), cuts, den = _int_excursions(h, extra=grid)
+            points, pieces, m = _on_int_grid(h_int, cuts)
+            den *= m
+            points = [F(v, den) for v in points]
             assert points == [ref_evaluate(h, t) for t in grid]
-            assert pieces == [ref_piece_limits(h, a, b) for a, b in zip(grid, grid[1:])]
+            assert [(F(a, den), F(b, den)) for a, b in pieces] == [
+                ref_piece_limits(h, a, b) for a, b in zip(grid, grid[1:])
+            ]
             assert [evaluate(h, t) for t in grid] == points
 
 
