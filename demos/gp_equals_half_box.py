@@ -4,11 +4,11 @@ from fractions import Fraction
 
 from mmdist import (
     box_lambda,
+    box_lambda_detail,
     glued_upper_bound,
     gromov_prohorov,
     gromov_prohorov_detail,
     mm_space,
-    optimal_correspondence,
     sample_mm_space,
 )
 
@@ -26,8 +26,7 @@ def main():
     print("  gp:      ", gromov_prohorov(point, pair))
     print("  box_1/2: ", box_lambda(point, pair, F(1, 2)))
     print("  box_1:   ", box_lambda(point, pair, F(1)))
-    corr = optimal_correspondence(point, pair, F(1, 2))
-    print("  optimal correspondence:", corr)
+    print("  optimal correspondence:", box_lambda_detail(point, pair, F(1, 2)).pairs)
 
     for seed in (5, 21, 77):
         a = sample_mm_space(2 * seed, n_max=3)

@@ -61,7 +61,6 @@ from .gromov import (
     distortion,
     gromov_prohorov,
     gromov_prohorov_detail,
-    optimal_correspondence,
 )
 from .harness import (
     ExperimentReport,

@@ -7,8 +7,10 @@ the constructor defaults each interior breakpoint to the minimum of its
 neighbours and the right endpoint to the last piece value.
 
 `normalize` is the one check of an excursion; every routine reads its
-inputs through it. It returns a marked input as it is, validates any other
-and marks what it builds (outside equality, hash and repr), never the input.
+inputs through it. It returns a marked input as it is and validates any
+other. It marks (outside equality, hash and repr) and returns an input that
+is already normal and holds its fields in tuples, and otherwise marks what
+it builds.
 
 Every exact read of an excursion goes through its int form, kept here
 alone: `_int_excursions` puts excursions, and any extra times, over one
@@ -138,33 +140,28 @@ def normalize(h: Excursion) -> Excursion:
     if h._normalized:
         return h
     require_valid_excursion(h)
-    bps = h.breakpoints
-    if h.kind == "pl":
-        keep = [0]
-        for k in range(1, len(bps) - 1):
-            left = (h.values[k] - h.values[k - 1]) * (bps[k + 1] - bps[k])
-            right = (h.values[k + 1] - h.values[k]) * (bps[k] - bps[k - 1])
+    bps, vals, bvals = h.breakpoints, h.values, h.breakpoint_values
+    keep = [0]
+    for k in range(1, len(bps) - 1):
+        if h.kind == "pl":
+            left = (vals[k] - vals[k - 1]) * (bps[k + 1] - bps[k])
+            right = (vals[k + 1] - vals[k]) * (bps[k] - bps[k - 1])
             if left != right:
                 keep.append(k)
-        keep.append(len(bps) - 1)
-        out = Excursion(
-            "pl",
-            tuple(bps[k] for k in keep),
-            tuple(h.values[k] for k in keep),
-        )
+        elif not vals[k - 1] == vals[k] == bvals[k]:
+            keep.append(k)
+    keep.append(len(bps) - 1)
+    if len(keep) == len(bps) and all(type(f) is tuple for f in (bps, vals, bvals or ())):
+        out = h  # already normal, and its fields cannot change
+    elif h.kind == "pl":
+        out = Excursion("pl", tuple(bps[k] for k in keep), tuple(vals[k] for k in keep))
     else:
-        keep = [0]
-        for k in range(1, len(bps) - 1):
-            if not h.values[k - 1] == h.values[k] == h.breakpoint_values[k]:
-                keep.append(k)
-        keep.append(len(bps) - 1)
         # a merged run of pieces shares one value; keep[i] indexes its first piece
-        piece_values = [h.values[a] for a in keep[:-1]]
         out = Excursion(
             "pc",
             tuple(bps[k] for k in keep),
-            tuple(piece_values),
-            tuple(h.breakpoint_values[k] for k in keep),
+            tuple(vals[k] for k in keep[:-1]),
+            tuple(bvals[k] for k in keep),
         )
     object.__setattr__(out, "_normalized", True)  # frozen: set past __init__
     return out
@@ -233,10 +230,25 @@ def _int_diff(h: Excursion, g: Excursion):
     return cuts, points, pieces, den, den * m
 
 
-def evaluate(h: Excursion, t):
+def _unit_time(t):
     t = parse_scalar(t)
     if not (0 <= t <= 1):
         raise ValidationError(f"t = {t} outside [0, 1]")
+    return t
+
+
+def _read_between(h: Excursion, s, t):
+    """(h(s), h(t), inf of h over [s, t], den) for a normalized h and times
+    s <= t, the three over den, read in one walk of {s, t} and the
+    breakpoints between."""
+    (h,), (s, t), den = _int_excursions(h, extra=(s, t))
+    grid = sorted({s, t}.union(b for b in h.breakpoints if s < b < t))
+    points, pieces, m = _on_int_grid(h, grid)
+    return points[0], points[-1], min(chain(points, *pieces)), den * m
+
+
+def evaluate(h: Excursion, t):
+    t = _unit_time(t)
     (h,), cuts, den = _int_excursions(normalize(h), extra=(t,))
     (point,), _, m = _on_int_grid(h, cuts)
     return Fraction(point, den * m)
@@ -245,22 +257,19 @@ def evaluate(h: Excursion, t):
 def infimum(h: Excursion, s, t):
     """Exact inf of h over the closed interval between s and t."""
     h = normalize(h)
-    s = parse_scalar(s)
-    t = parse_scalar(t)
-    if s > t:
-        s, t = t, s
+    s, t = sorted((parse_scalar(s), parse_scalar(t)))
     if not (0 <= s and t <= 1):
         raise ValidationError("interval must sit inside [0, 1]")
-    (h,), (s, t), den = _int_excursions(h, extra=(s, t))
-    grid = sorted({s, t}.union(b for b in h.breakpoints if s < b < t))
-    points, pieces, m = _on_int_grid(h, grid)
-    return Fraction(min(chain(points, *pieces)), den * m)
+    _, _, low, den = _read_between(h, s, t)
+    return Fraction(low, den)
 
 
 def dh(h: Excursion, s, t):
     """Tree distance induced by h: h(s) + h(t) - 2 * inf over [s, t]."""
     h = normalize(h)
-    return evaluate(h, s) + evaluate(h, t) - 2 * infimum(h, s, t)
+    s, t = _unit_time(s), _unit_time(t)
+    at_s, at_t, low, den = _read_between(h, min(s, t), max(s, t))
+    return Fraction(at_s + at_t - 2 * low, den)
 
 
 def sup_diff(h: Excursion, g: Excursion):

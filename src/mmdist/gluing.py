@@ -144,7 +144,7 @@ def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
 def _glued_ladder(a, b, lams, budget):
     """`gromov.box_ladder(a, b, lams, budget)` and the GlueSearchResult of its
     lam = 1/2 witness K, glued at eps = dis(K) / 2; `lams` must hold 1/2."""
-    boxes, P, _ = _ladder(a, b, lams, _Budget(budget))
+    boxes, P = _ladder(a, b, lams, _Budget(budget))
     half = next(box for box in boxes if box.lam == Fraction(1, 2))
     # an exact search's witness is nonempty (a single cell of positive mass
     # beats the empty correspondence), but past the budget no candidate may

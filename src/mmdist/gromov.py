@@ -21,15 +21,15 @@ swaps (two points with equal weights and equal distances to every other
 point are interchangeable), so a star's interchangeable leaves are matched
 once, not in every order.
 
-Every box search is one ladder (`box_ladder`; box, gp and
-`optimal_correspondence` run one lam): one sweep, an incumbent per lam, and
-one max-flow per clique whose Hall bound could beat some incumbent. The
-bound (`_HallBound`) caps the mass a subcoupling can put on a clique: each
-row ships at most its weight and at most the weight of the columns it meets
-in the clique, and likewise each column. A clique that fails it cannot
-change any incumbent, so skipping its flow changes no value, witness or
-work count (flows are not charged to the budget); on one pass of the
-excursion-pairs bench's coded trees 546 of 13 549 cliques pass it. A lam
+Every box search is one ladder (`box_ladder`; box and gp run one lam): one
+sweep, an incumbent per lam, and one max-flow per clique whose Hall bound
+could beat some incumbent; an exact result's witness is an optimal
+correspondence. The bound (`_HallBound`) caps the mass a subcoupling can put
+on a clique: each row ships at most its weight and at most the weight of the
+columns it meets in the clique, and likewise each column. A clique that
+fails it cannot change any incumbent, so skipping its flow changes no value,
+witness or work count (flows are not charged to the budget); on one pass of
+the excursion-pairs bench's coded trees 546 of 13 549 cliques pass it. A lam
 freezes at the first clique after which t alone cannot beat its incumbent;
 the sweep ends once all are frozen. Clique order and work count do not
 depend on lam, so each lam gets its own search's result.
@@ -299,14 +299,6 @@ class _CliqueSweep:
             nbr[c] |= f
         return fresh
 
-    def neighbor_masks(self, limit):
-        """Neighbour masks of the graph whose edges mismatch by at most `limit`."""
-        nbr = [0] * len(self.cells)
-        for t in self.thresholds:
-            if t <= limit:
-                self._grow(nbr, t)
-        return nbr
-
     def cliques(self, stop):
         """Yield (t, mask) for each maximal clique new at threshold t, in
         ascending t and, within t, in Bron-Kerbosch order; its distortion is
@@ -326,14 +318,13 @@ class _CliqueSweep:
         was yielded there.
         """
         nbr = [0] * len(self.cells)
-        everything = (1 << len(nbr)) - 1
         first = True
         for t in self.thresholds:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
             touched = sum(1 << c for c, f in enumerate(fresh) if f)  # cells with a bucket-t edge
-            for mask in _max_cliques(everything, nbr, self.budget, self.twins):
+            for mask in _max_cliques(nbr, self.budget, self.twins):
                 if first or any(fresh[c] & mask for c in _bits(mask & touched)):
                     if stop(t):
                         return
@@ -341,23 +332,20 @@ class _CliqueSweep:
             first = False
 
 
-def _max_cliques(candidates, nbr, budget, twins=None):
-    """Yield the maximal cliques, as bitmasks, of the sub-graph of `nbr`
-    induced by the `candidates` mask as Bron-Kerbosch (with pivoting) finds
-    them, so a caller that has what it needs stops the search.
+def _max_cliques(nbr, budget, twins):
+    """Yield the maximal cliques, as bitmasks, of the graph `nbr` as
+    Bron-Kerbosch (with pivoting) finds them, so its caller may stop early.
+    Each node spends one unit of `budget`, which raises SizeError once spent.
 
-    Each node spends one unit of `budget`, which raises SizeError once it
-    is spent; a search its caller stops early spends no more.
-
-    `twins` (from `_CliqueSweep`, only with every cell a candidate) prunes
-    by symmetry. At a node with entry masks R and P, branch vertex v is
-    skipped, though still moved from P to X, when an earlier branch vertex u
-    of the node maps to v under a twin swap g that fixes R and P. g maps
-    every maximal clique K with R + v <= K <= R + P onto g(K), which holds
-    u, lies between R and R + P, and so comes out of an earlier branch of
-    the node; g(K) has the same threshold newness, distortion and mass as
-    K, so a caller scanning for a strict improvement skips K anyway. A
-    pruned g(K) has in turn an earlier image, down to one that comes out.
+    `twins` (from `_CliqueSweep`, or None) prunes by symmetry. At a node
+    with entry masks R and P, branch vertex v is skipped, though still moved
+    from P to X, when an earlier branch vertex u of the node maps to v under
+    a twin swap g that fixes R and P. g maps every maximal clique K with R +
+    v <= K <= R + P onto g(K), which holds u, lies between R and R + P, and
+    so comes out of an earlier branch of the node; g(K) has the same
+    threshold newness, distortion and mass as K, so a caller scanning for a
+    strict improvement skips K anyway. A pruned g(K) has in turn an earlier
+    image, down to one that comes out.
     """
 
     def bk(r, p, x):
@@ -387,7 +375,7 @@ def _max_cliques(candidates, nbr, budget, twins=None):
             p &= ~vbit
             x |= vbit
 
-    yield from bk(0, candidates, 0)
+    yield from bk(0, (1 << len(nbr)) - 1, 0)
 
 
 def _northwest_support(mu, nu):
@@ -412,13 +400,15 @@ def _northwest_support(mu, nu):
     return tuple(cells)
 
 
-def _heuristic_candidates(da, db, wa, wb, cells, diffs):
-    """Deterministic candidate correspondences, each with its distortion,
-    for the upper bound past the budget; distances, weights, distortions and
-    the sorted mismatch sample `diffs` are ints over common denominators."""
+def _heuristic_candidates(da, db, wa, wb, cells, diffs, diam):
+    """Deterministic candidates, each with its distortion, for the upper
+    bound past the budget; distances, weights, distortions and the sorted
+    mismatch sample `diffs` are ints over common denominators. No threshold
+    reaches `diam`, which accepts the full grid the ladder scored first."""
     nw = _northwest_support(wa, wb)
     yield nw, _int_distortion(da, db, nw)
-    picks = sorted(set(diffs[max(0, len(diffs) * k // 12 - 1)] for k in range(1, 13)))
+    picks = {diffs[max(0, len(diffs) * k // 12 - 1)] for k in range(1, 13)}
+    picks = sorted(t for t in picks if t < diam)
     order = sorted(range(len(cells)), key=lambda c: (-min(wa[cells[c][0]], wb[cells[c][1]]), c))
     for threshold in picks:
         chosen, worst = [], 0
@@ -458,7 +448,7 @@ def box_lambda_detail(
 
 
 def _ladder(a, b, lams, budget, seeds=()):
-    """The BoxResults, the prepared pair and its sweep (None past `budget`)."""
+    """The BoxResults and the prepared pair."""
     lams = [parse_scalar(lam) for lam in lams]
     if any(lam <= 0 for lam in lams):
         raise ValidationError("lambda must be positive")
@@ -515,7 +505,7 @@ def _ladder(a, b, lams, budget, seeds=()):
                 consider(sweep.pairs(mask), t)
         live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:
-        sweep, nc = None, len(cells)
+        nc = len(cells)
         # every stride-th cell pair u <= v (row u starts at u * nc - u * (u - 1)
         # / 2) bounds the mismatches taken; below 200 cells the stride is 1
         stride = max(1, nc * nc // 20000)
@@ -526,11 +516,11 @@ def _ladder(a, b, lams, budget, seeds=()):
                 for v in range(u + (u * (u - 1) // 2 - u * nc) % stride, nc, stride)
             }
         )
-        for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled):
+        for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled, P.diam):
             consider(cand, t)
     exact = [k not in live for k in range(len(lams))]
     values = [Fraction(num, den) for num, den in best]
-    return tuple(map(BoxResult, values, lams, exact, best_pairs)), P, sweep
+    return tuple(map(BoxResult, values, lams, exact, best_pairs)), P
 
 
 def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):
@@ -551,74 +541,3 @@ def gromov_prohorov(a: FiniteMMSpace, b: FiniteMMSpace):
     """Gromov-Prohorov distance: half the lam = 1/2 box value."""
     return gromov_prohorov_detail(a, b).value
 
-
-def optimal_correspondence(
-    a: FiniteMMSpace,
-    b: FiniteMMSpace,
-    lam,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-):
-    """Lexicographically smallest optimal correspondence (row-major cell order).
-
-    Tie-break contract: among all K achieving box_lambda, return the one
-    whose sorted cell-index sequence is lexicographically smallest, shorter
-    prefixes winning. Built greedily; each extension is validated by a
-    clique-feasibility check, so the result is exact. The box search and
-    every feasibility check spend from one `budget`; past it this raises
-    SizeError.
-    """
-    undefined = f"optimal correspondence undefined past a budget of {budget} work units"
-    work = _Budget(budget)
-    (detail,), P, sweep = _ladder(a, b, (lam,), work)
-    if not detail.exact:
-        raise SizeError(undefined)
-    v = detail.value
-    m_req = P.W * (1 - detail.lam * v)  # in units of 1 / W, like the flow masses
-    if m_req <= 0:
-        return ()
-    cells = P.cells
-    nc = len(cells)
-    nbr = sweep.neighbor_masks(math.floor(v * P.D))
-
-    mass_cache = {}
-
-    def mass_of(idx_tuple):
-        key = frozenset(idx_tuple)
-        if key not in mass_cache:
-            mass_cache[key] = max_subcoupling(P.wa, P.wb, [cells[c] for c in key])[0]
-        return mass_cache[key]
-
-    def feasible(prefix, prefix_mask, last):
-        if mass_of(prefix) >= m_req:
-            return True
-        allowed = 0
-        for c in range(last + 1, nc):
-            if nbr[c] & prefix_mask == prefix_mask:
-                allowed |= 1 << c
-        if not allowed:
-            return False
-        for mask in _max_cliques(allowed, nbr, work):
-            ext = prefix + tuple(_bits(mask))
-            if mass_of(ext) >= m_req:
-                return True
-        return False
-
-    chosen = ()
-    chosen_mask = 0
-    start = 0
-    while not (chosen and mass_of(chosen) >= m_req):
-        for c in range(start, nc):
-            if nbr[c] & chosen_mask != chosen_mask:
-                continue
-            try:
-                ok = feasible(chosen + (c,), chosen_mask | 1 << c, c)
-            except SizeError:
-                raise SizeError(undefined) from None  # the checks ran out
-            if ok:
-                chosen = chosen + (c,)
-                chosen_mask |= 1 << c
-                start = c + 1
-                break
-        else:
-            raise AssertionError("optimum certifies a feasible correspondence exists")
-    return tuple(cells[c] for c in chosen)

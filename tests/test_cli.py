@@ -618,6 +618,14 @@ MALFORMED_EXCURSIONS = {
     "letter": ({"values": ["0", "x", "0"]}, 'values[1]: invalid literal "x"'),
     "zero denominator": ({"values": ["0", "1/0", "0"]}, 'values[1]: invalid literal "1/0"'),
     "string for breakpoints": ({"breakpoints": "oops"}, 'breakpoints: expected a list, got "oops"'),
+    "one breakpoint": (
+        {"breakpoints": ["0"], "values": ["0"]},
+        "need at least breakpoints 0 and 1",
+    ),
+    "pc starting above zero": (
+        {"kind": "pc", "values": ["1", "1"], "breakpoint_values": ["1", "1", "1"]},
+        "h(0) must be 0",
+    ),
 }
 
 
@@ -921,16 +929,32 @@ def test_file_errors_exit_one_naming_the_path(capsys, tmp_path, argv, message):
             "(two measures on one space)",
         ),
         ("glue --a {a} --b {a} --eps 1", "glue: --pairs and --eps must be given together"),
+        ("dist gp --a {list} --b {list}", "dist gp: space document must be a JSON object"),
+        (
+            "dist excursion --a {list} --b {list}",
+            "dist excursion: excursion document must be a JSON object",
+        ),
+        ("code-excursion --in {list}", "code-excursion: excursion document must be a JSON object"),
     ],
-    ids=["validate-format", "canonicalize-format", "prohorov-two-spaces", "glue-eps-alone"],
+    ids=[
+        "validate-format",
+        "canonicalize-format",
+        "prohorov-two-spaces",
+        "glue-eps-alone",
+        "gp-list",
+        "excursion-list",
+        "code-excursion-list",
+    ],
 )
 def test_handler_errors_name_their_command_once(capsys, tmp_path, argv, message):
     paths = {
         "a": sample_file(capsys, tmp_path, seed="3", name="a.json"),
         "b": sample_file(capsys, tmp_path, seed="17", name="b.json"),
         "doc": tmp_path / "doc.json",
+        "list": tmp_path / "list.json",
     }
     paths["doc"].write_text('{"format": "x"}', encoding="utf-8")
+    paths["list"].write_text("[]", encoding="utf-8")
     code, out, err = run(capsys, *argv.format(**paths).split())
     assert (code, out, err) == (1, "", f"mmdist {message}\n")
 

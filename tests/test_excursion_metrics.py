@@ -279,9 +279,11 @@ def test_invalid_excursions_raise_the_same_text_from_every_entry():
 
 
 def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkeypatch):
-    validated, scaled = [], []
+    validated, scaled, walked = [], [], []
     check, scale = excursions.validate_excursion, excursions._int_excursions
+    walk = excursions._on_int_grid
     monkeypatch.setattr(excursions, "validate_excursion", lambda h: validated.append(h) or check(h))
+    monkeypatch.setattr(excursions, "_on_int_grid", lambda *x: walked.append(x) or walk(*x))
     for module in (excursions, excursion_metrics):  # the one scaling, wherever it is called
         monkeypatch.setattr(
             module, "_int_excursions", lambda *hs, **kw: scaled.append(hs) or scale(*hs, **kw)
@@ -301,6 +303,10 @@ def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkey
             scaled.clear()
             f(h, g)
             assert len(scaled) == 1, f.__name__  # the pair is scaled once
+        scaled.clear()
+        walked.clear()
+        dh(h, F(1, 3), F(3, 4))
+        assert (len(scaled), len(walked)) == (1, 1)  # one scaling and one walk of h
         n = normalize(h)
         validated.clear()
         code_excursion(n)

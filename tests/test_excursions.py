@@ -172,10 +172,13 @@ def test_normalize_returns_its_own_output_as_it_is(monkeypatch):
     real = excursions.validate_excursion
     monkeypatch.setattr(excursions, "validate_excursion", lambda h: validated.append(h) or real(h))
     rng = random.Random(31)
+    rebuilt = 0
     for h in [tent(), comb(3), step_one()] + [random_excursion(rng) for _ in range(30)]:
         validated.clear()
         n = normalize(h)
-        assert n is not h and validated == [h]
+        # an input already normal comes back as itself, any other rebuilt
+        assert (n is h) == (n == h) and validated == [h]
+        rebuilt += n is not h
         assert normalize(n) is n and normalize(normalize(n)) is n and validated == [h]
         # the mark is no part of the data: equality, hashing, repr and the
         # document are those of the same fields built by hand
@@ -183,8 +186,9 @@ def test_normalize_returns_its_own_output_as_it_is(monkeypatch):
         assert plain == n and hash(plain) == hash(n) and repr(plain) == repr(n)
         assert excursion_to_obj(plain) == excursion_to_obj(n)
         validated.clear()
-        assert normalize(plain) is not plain and normalize(plain) == n and len(validated) == 2
-    # the caller's object is never marked, even one with list fields
+        assert normalize(plain) is plain and normalize(plain) is plain and validated == [n]
+    assert 0 < rebuilt < 33
+    # an input with list fields is never marked
     listed, want = Excursion("pl", [0, F(1, 2), 1], [0, 1, 0]), tent()
     validated.clear()
     assert normalize(listed) == normalize(listed) == want and validated == [listed, listed]
@@ -220,6 +224,24 @@ def test_dh_is_a_pseudometric_on_times():
         assert dh(h, s, t) == dh(h, t, s)
         assert dh(h, s, t) >= abs(evaluate(h, s) - evaluate(h, t))
         assert dh(h, s, u) <= dh(h, s, t) + dh(h, t, u)
+
+
+def test_dh_matches_grid_scan_and_checks_s_first():
+    # the same 1/240 scan as the infimum test, on both orders of s and t
+    rng = random.Random(37)
+    for _ in range(60):
+        h = random_excursion(rng)
+        s, t = F(rng.randint(0, 48), 48), F(rng.randint(0, 48), 48)
+        grid = [q for q in (F(k, 240) for k in range(241)) if min(s, t) <= q <= max(s, t)]
+        low = min(ref_evaluate(h, q) for q in [s, t] + grid)
+        assert dh(h, s, t) == ref_evaluate(h, s) + ref_evaluate(h, t) - 2 * low
+    # s is read and checked before t is parsed
+    for s, t, text in ((2, F(1, 2), "t = 2"), (F(1, 2), -1, "t = -1"), (F(3, 2), "x", "t = 3/2")):
+        try:
+            dh(tent(), s, t)
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == f"{text} outside [0, 1]"
 
 
 def test_sup_diff_matches_limit_oracle():

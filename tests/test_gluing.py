@@ -11,6 +11,7 @@ from mmdist import (
     FiniteMMSpace,
     ValidationError,
     box_lambda,
+    box_lambda_detail,
     build_glued_space,
     canonicalize,
     check_triangle,
@@ -21,7 +22,6 @@ from mmdist import (
     gromov_prohorov,
     gromov_prohorov_detail,
     mm_space,
-    optimal_correspondence,
     prohorov_flow,
     prohorov_of_glue,
     sample_mm_space,
@@ -35,8 +35,15 @@ def sampled_pair(rng, n_max=3):
     return a, b
 
 
+def optimal_pairs(a, b):
+    """An optimal lam = 1/2 correspondence: the exact search's witness."""
+    box = box_lambda_detail(a, b, F(1, 2))
+    assert box.exact
+    return box.pairs
+
+
 def glue_at_half_distortion(rng, a, b):
-    pairs = optimal_correspondence(a, b, F(1, 2))
+    pairs = optimal_pairs(a, b)
     eps = distortion(pairs, a, b) / 2 + F(rng.randint(0, 3), 8)
     return build_glued_space(a, b, pairs, eps)
 
@@ -69,7 +76,7 @@ def test_cross_distances_follow_the_formula():
     rng = random.Random(103)
     for _ in range(20):
         a, b = sampled_pair(rng)
-        pairs = optimal_correspondence(a, b, F(1, 2))
+        pairs = optimal_pairs(a, b)
         eps = distortion(pairs, a, b) / 2 + F(1, 8)
         g = build_glued_space(a, b, pairs, eps)
         for x in range(a.n):
@@ -82,7 +89,7 @@ def test_cross_distances_follow_the_formula():
 def test_build_rejects_bad_input():
     rng = random.Random(107)
     a, b = sampled_pair(rng)
-    pairs = optimal_correspondence(a, b, F(1, 2))
+    pairs = optimal_pairs(a, b)
     dis = distortion(pairs, a, b)
     if dis > 0:
         try:

@@ -1,5 +1,6 @@
 """Box metric and Gromov-Prohorov distance against a subset-enumeration oracle."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from mmdist import (
     FiniteMMSpace,
-    SizeError,
     ValidationError,
     box_ladder,
     box_lambda,
@@ -22,7 +22,6 @@ from mmdist import (
     glued_upper_bound,
     gromov_prohorov,
     gromov_prohorov_detail,
-    optimal_correspondence,
     pl_excursion,
     run_counterexample,
     sample_mm_space,
@@ -192,24 +191,19 @@ def test_split_point_invariance():
         assert gromov_prohorov(split, a) == 0
 
 
-def test_optimal_correspondence_achieves_and_is_lex_min():
+def test_exact_witness_achieves_the_oracle_value():
     rng = random.Random(131)
     for t in range(25):
         a = sample_mm_space(rng.randint(0, 10**9), n_max=3)
         b = sample_mm_space(rng.randint(0, 10**9), n_max=3)
         lam = LAMBDAS[t % 4]
-        val, achievers = oracle_box(a, b, lam)
-        pairs = optimal_correspondence(a, b, lam)
-        assert tuple(sorted(pairs)) == min(tuple(sorted(K)) for K in achievers)
+        val, _ = oracle_box(a, b, lam)
+        box = box_lambda_detail(a, b, lam)
+        assert box.exact
         ca = canonicalize(a)
         cb = canonicalize(b)
-        info = correspondence_info(ca, cb, pairs)
+        info = correspondence_info(ca, cb, box.pairs)
         assert max(info.distortion, (1 - info.max_coupling_mass) / lam) == val
-
-
-def test_optimal_correspondence_hand_cases():
-    assert optimal_correspondence(point(), skewed_pair(), F(1, 2)) == ((0, 0),)
-    assert optimal_correspondence(uniform(2), uniform(3), F(1)) == ((0, 0), (1, 1))
 
 
 def test_distortion_and_info():
@@ -294,11 +288,6 @@ def test_caps_raise_or_degrade_honestly():
     a = uniform(5)
     b = uniform(5)
     # 25 cells make 300 cell pairs, more than a budget of 299 can bucket
-    try:
-        optimal_correspondence(a, b, F(1), budget=299)
-        assert False
-    except SizeError:
-        pass
     rough = box_lambda_detail(a, b, F(1), budget=299)
     sharp = box_lambda_detail(a, b, F(1))
     assert sharp.exact
@@ -322,23 +311,6 @@ def test_sweep_threshold_is_each_new_cliques_distortion():
             assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
             yielded += 1
         assert yielded >= 1
-
-
-def test_optimal_correspondence_passes_its_budget_on(monkeypatch):
-    budgets = []
-    real = gromov._max_cliques
-
-    def recording(candidates, nbr, budget, *rest):
-        budgets.append(budget)
-        return real(candidates, nbr, budget, *rest)
-
-    monkeypatch.setattr(gromov, "_max_cliques", recording)
-    pairs = optimal_correspondence(uniform(2), uniform(3), F(1), budget=12345)
-    assert pairs == ((0, 0), (1, 1))
-    # the sweep inside the box search and the feasibility checks both ran,
-    # all spending from one count
-    assert len(budgets) > 1 and all(b is budgets[0] for b in budgets)
-    assert budgets[0].units == 12345
 
 
 # ---------------------------------------------------------------------------
@@ -549,41 +521,40 @@ def test_budget_past_or_during_the_sweep_leaves_a_scored_upper_bound(monkeypatch
         info = correspondence_info(A, B, gp.pairs)
         assert not gp.exact and gp.value >= exact.value
         assert max(info.distortion, 2 * (1 - info.max_coupling_mass)) == gp.box_value
-    # the box search alone spends `total`, leaving the feasibility checks
-    # nothing
-    try:
-        optimal_correspondence(a, b, F(1, 2), budget=total)
-        assert False
-    except SizeError:
-        pass
-    assert optimal_correspondence(a, b, F(1, 2), budget=total + cell_pairs + 10**4)
 
 
-def test_optimal_correspondence_charges_the_cell_pairs_once():
-    # the box search spends 501 units (300 cell pairs, 201 nodes) and the
-    # feasibility checks reuse its sweep for 89 more; a second sweep over
-    # the same cells would charge the 300 cell pairs again
-    a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
-    wide = optimal_correspondence(a, b, F(1, 2), budget=10**9)
-    assert optimal_correspondence(a, b, F(1, 2), budget=590) == wide
-    try:
-        optimal_correspondence(a, b, F(1, 2), budget=589)
-        assert False
-    except SizeError:
-        pass
+def test_fallback_never_scores_the_full_grid_again(monkeypatch):
+    # a greedy threshold at the larger diameter accepts every cell, and the
+    # ladder has scored the full grid before its search
+    candidates = []
+    real = gromov._heuristic_candidates
+
+    def recording(*args):
+        for cand, t in real(*args):
+            candidates.append(cand)
+            yield cand, t
+
+    monkeypatch.setattr(gromov, "_heuristic_candidates", recording)
+    star = tree_star(12)
+    box = box_lambda_detail(star, star, F(1, 2), budget=0)
+    assert (box.value, box.exact) == (0, False)
+    assert candidates and all(len(cand) < 12 * 12 for cand in candidates)
 
 
-def test_optimal_correspondence_names_a_spent_budget_one_way():
-    # below 501 units the box search runs out, from 501 to 589 the
-    # feasibility checks do; both must read the same
-    a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
-    for budget in (299, 300, 499, 500, 501, 502, 520, 555, 588, 589):
-        try:
-            optimal_correspondence(a, b, F(1, 2), budget=budget)
-            assert False
-        except SizeError as exc:
-            assert str(exc) == f"optimal correspondence undefined past a budget of {budget} work units"
-    assert optimal_correspondence(a, b, F(1, 2), budget=590)
+def test_fallback_skip_changes_no_result():
+    real = gromov._heuristic_candidates
+
+    def unskipped(*args):  # no threshold reaches an infinite diameter
+        return real(*args[:-1], math.inf)
+
+    inexact = 0
+    for a, b in ladder_pairs()[:20]:  # the seeded sampled pairs
+        for budget in (0, 3, 20, 100):
+            boxes = box_ladder(a, b, LAMBDAS, budget)
+            with mock.patch.object(gromov, "_heuristic_candidates", unskipped):
+                assert boxes == box_ladder(a, b, LAMBDAS, budget)
+            inexact += sum(not box.exact for box in boxes)
+    assert inexact >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from mmdist import (
     SizeError,
     ValidationError,
     box_lambda,
+    box_lambda_detail,
     box_of_parametrizations,
     canonicalize,
     complete_subcoupling,
     coupling_to_parametrizations,
     max_subcoupling,
-    optimal_correspondence,
     parametrizations_to_cells,
     sample_mm_space,
     validate_parametrization,
@@ -104,7 +104,9 @@ def test_box_of_parametrizations_reproduces_box_at_an_optimal_coupling():
         a = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=3))
         b = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=3))
         lam = LAMBDAS[t % 4]
-        pairs = optimal_correspondence(a, b, lam)
+        box = box_lambda_detail(a, b, lam)
+        assert box.exact
+        pairs = box.pairs
         _, cells = max_subcoupling(a.weights, b.weights, pairs)
         coupling = complete_subcoupling(cells, a.weights, b.weights)
         p1, p2 = coupling_to_parametrizations(coupling, a, b)
