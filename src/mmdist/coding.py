@@ -116,7 +116,7 @@ def _merge_to_space(d, den, lengths, length_den):
     for k, length in zip(projection, lengths):
         weights[k] += length
     kept = [[d[a][b] for b in classes] for a in classes]
-    exact = {v: Fraction(v, den) for row in kept for v in row}
+    exact = {v: Fraction(v, den) for v in {v for row in kept for v in row}}
     space = FiniteMMSpace(
         labels=tuple(f"s{r}" for r in classes),
         dist=tuple(tuple(exact[v] for v in row) for row in kept),

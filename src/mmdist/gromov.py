@@ -26,13 +26,23 @@ sweep, an incumbent per lam, and one max-flow per clique whose Hall bound
 could beat some incumbent; an exact result's witness is an optimal
 correspondence. The bound (`_HallBound`) caps the mass a subcoupling can put
 on a clique: each row ships at most its weight and at most the weight of the
-columns it meets in the clique, and likewise each column. A clique that
-fails it cannot change any incumbent, so skipping its flow changes no value,
-witness or work count (flows are not charged to the budget); on one pass of
-the excursion-pairs bench's coded trees 546 of 13 549 cliques pass it. A lam
-freezes at the first clique after which t alone cannot beat its incumbent;
-the sweep ends once all are frozen. Clique order and work count do not
-depend on lam, so each lam gets its own search's result.
+columns it meets in the clique, and likewise each column. A clique whose
+bound is at most the live cut, min(m_cut) over the unfrozen lams, cannot
+change any incumbent, so its flow is skipped. The rows half of the bound
+also prunes the search itself (bounded clique search, Carraghan & Pardalos
+1990, Östergård 2001): it only grows with the mask, so a Bron-Kerbosch node
+whose R | P is at most the cut roots only such cliques, and its subtree is
+cut. Wherever the unpruned search is exact the pruned one is too, with the
+same value and witness, and it never spends more units, so past the budget
+it ends at an incumbent at least as good. On one pass of the
+excursion-pairs bench's coded trees the sweep lists 3 121 cliques (13 549
+unpruned) and flows 546 of them, on 35 563 units (59 091). A lam freezes at
+the first clique after which t alone cannot beat its incumbent; the sweep
+ends once all are frozen. The clique order does not depend on lam, and the
+ladder prunes only what no live lam can use, so it spends at least the
+units of each lam's own search: a lam it freezes within the budget gets its
+own search's result, one it does not an upper bound no lower than its own
+search's.
 
 The ladder starts from one prepared pair (`_Pair`), which the glue of its
 lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
@@ -44,16 +54,17 @@ by cross-multiplying. Each lam's value becomes a Fraction once, when the
 ladder returns.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
-per cell pair the sweep buckets and one per Bron-Kerbosch node, never wall
-time, so results reproduce on any host. Past it the search returns the best
-correspondence found so far or by a deterministic heuristic, a certified
-upper bound marked exact=False. At DEFAULT_SEARCH_BUDGET every bench
-workload, an 8-point star with distinct leaf lengths against its reverse
-and about fifty seeded L1 lattice pairs of 9 and 10 points came back exact,
-each within 0.6 s on a 2-core host; symmetric instances, whose twin-pruned
-sweeps visit a few dozen nodes, reach identical 18-point stars and coded
-comb(17) vs comb(19) (over 320 cells). Spending all of it took 1-2 s for
-the 9- to 11-point stars with distinct leaf lengths.
+per cell pair the sweep buckets and one per Bron-Kerbosch node, pruned or
+not, never wall time, so results reproduce on any host. Past it the search
+returns the best correspondence found so far or by a deterministic
+heuristic, a certified upper bound marked exact=False. At
+DEFAULT_SEARCH_BUDGET every bench workload, a 9-point star with distinct
+leaf lengths against its reverse and 49 of fifty seeded L1 lattice pairs
+of 9 and 10 points came back exact, each within 0.3 s on a 2-core host;
+symmetric instances, whose twin-pruned sweeps visit a few dozen nodes,
+reach identical 18-point stars and coded comb(17) vs comb(19) (over 320
+cells). Spending all of it took 0.2-0.5 s for the 10- to 12-point stars
+with distinct leaf lengths and 12- to 16-point lattice pairs.
 """
 
 from __future__ import annotations
@@ -67,9 +78,13 @@ from .exact import parse_scalar, scaled, scaled_rows
 from .flow import max_subcoupling
 from .spaces import FiniteMMSpace, canonicalize
 
-# The smallest round budget at which every bench workload's search (at most
-# 4 153 units), the 8-point star above (17 034) and each of about fifty
-# seeded 9- and 10-point lattice pairs tried (up to 59 889) is exact.
+# The smallest round budget at which, before node pruning, every bench
+# workload's search, the 8-point star above and each of about fifty seeded
+# 9- and 10-point lattice pairs tried was exact. With pruning a bench search
+# spends at most 2 025 units, the 8-point star 9 002 and the 9-point star
+# 42 748; the lattice pairs `grid_space(random.Random(s), 9 + s % 2)` of
+# tests/test_gromov.py for s < 50 spend up to 24 412 units, but for s = 47,
+# which spends 64 174.
 DEFAULT_SEARCH_BUDGET = 60_000
 
 
@@ -240,11 +255,15 @@ class _CliqueSweep:
     of every threshold's graph that keeps every clique's distortion and
     mass, so `_max_cliques` may skip a branch that such a swap maps onto an
     earlier branch of the same node.
+
+    `prune`, a test on cell masks that holds for a mask only if no clique
+    within it can change its caller's result, turns on pruning by mass: see
+    `_max_cliques`.
     """
 
-    def __init__(self, da, db, cells, budget, weights=None):
+    def __init__(self, da, db, cells, budget, weights=None, prune=None):
         budget.spend(len(cells) * (len(cells) - 1) // 2)
-        self.budget = budget
+        self.budget, self.prune = budget, prune
         self.da, self.db = da, db
         self.cells = cells
         self.buckets = {}
@@ -306,9 +325,11 @@ class _CliqueSweep:
 
         Lazy: each clique is yielded as the search finds it, and the sweep
         ends as soon as `stop(t)` holds, checked before threshold t is
-        searched and before each yield. Callers pass a test against an
-        incumbent that only improves, so it stays true once true, and the
-        sweep ends at the first clique that settles the incumbent.
+        searched, before each yield and at each pruned node, where the
+        cliques of its subtree would have come. Callers pass a test against
+        an incumbent that only improves, so it stays true once true, and the
+        sweep ends no later than at the first clique that settles the
+        incumbent.
 
         New at t: a maximal clique is yielded at t iff it holds an edge of
         bucket t (every clique is new at the first threshold, 0). Such a
@@ -324,18 +345,31 @@ class _CliqueSweep:
                 return
             fresh = self._grow(nbr, t)
             touched = sum(1 << c for c, f in enumerate(fresh) if f)  # cells with a bucket-t edge
-            for mask in _max_cliques(nbr, self.budget, self.twins):
-                if first or any(fresh[c] & mask for c in _bits(mask & touched)):
+            for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
+                if mask is None:  # a pruned subtree, checked where its cliques would be
+                    if stop(t):
+                        return
+                elif first or any(fresh[c] & mask for c in _bits(mask & touched)):
                     if stop(t):
                         return
                     yield t, mask
             first = False
 
 
-def _max_cliques(nbr, budget, twins):
+def _max_cliques(nbr, budget, twins, prune):
     """Yield the maximal cliques, as bitmasks, of the graph `nbr` as
     Bron-Kerbosch (with pivoting) finds them, so its caller may stop early.
     Each node spends one unit of `budget`, which raises SizeError once spent.
+
+    `prune` (from `_CliqueSweep`, or None) cuts by mass. A node with entry
+    masks R and P, P not empty, whose R | P it holds is cut after its unit
+    is spent, and yields None in place of its subtree's cliques. `_ladder`
+    passes "the Hall rows bound of the mask is at most the live cut
+    min(m_cut)": the bound only grows with the mask, so every clique below
+    the node has mass at most the cut and can change no incumbent, and as
+    m_cut only grows the cut stays valid. The surviving nodes come in the
+    unpruned order with the same R, P and X, so a pruned search visits a
+    subsequence of the unpruned one's nodes.
 
     `twins` (from `_CliqueSweep`, or None) prunes by symmetry. At a node
     with entry masks R and P, branch vertex v is skipped, though still moved
@@ -345,13 +379,18 @@ def _max_cliques(nbr, budget, twins):
     so comes out of an earlier branch of the node; g(K) has the same
     threshold newness, distortion and mass as K, so a caller scanning for a
     strict improvement skips K anyway. A pruned g(K) has in turn an earlier
-    image, down to one that comes out.
+    image, down to one that comes out or lies in a subtree cut by mass; that
+    image has K's mass, at most the cut, so K cannot change an incumbent.
     """
 
     def bk(r, p, x):
         budget.spend(1)
-        if p == 0 and x == 0:
-            yield r
+        if p == 0:
+            if x == 0:
+                yield r
+            return
+        if prune is not None and prune(r | p):
+            yield None
             return
         px = p | x
         pivot, best = -1, -1
@@ -414,8 +453,14 @@ def _heuristic_candidates(da, db, wa, wb, cells, diffs, diam):
         chosen, worst = [], 0
         for c in order:
             i, j = cells[c]
-            gap = max((abs(da[i][i2] - db[j][j2]) for i2, j2 in chosen), default=0)
-            if gap <= threshold:
+            ra, rb, gap = da[i], db[j], 0
+            for i2, j2 in chosen:
+                g = abs(ra[i2] - rb[j2])
+                if g > threshold:  # the first mismatch past it rejects the cell
+                    break
+                if g > gap:
+                    gap = g
+            else:
                 chosen.append((i, j))
                 worst = max(worst, gap)
         yield tuple(sorted(chosen)), worst
@@ -428,10 +473,10 @@ def box_ladder(a: FiniteMMSpace, b: FiniteMMSpace, lams, budget=DEFAULT_SEARCH_B
     invariant, and merging zero-distance points never changes it); witness
     indices refer to the canonical forms. `seeds` are caller-supplied
     correspondences used as starting upper bounds. One search serves every
-    lam, and each lam gets the result of its own: once the search has spent
-    `budget` work units (see `_Budget`), each lam not yet frozen gets the
-    best correspondence found so far or by a deterministic heuristic, a
-    certified upper bound with exact=False.
+    lam: once it has spent `budget` work units (see `_Budget`), each lam not
+    yet frozen gets the best correspondence found so far or by a
+    deterministic heuristic, a certified upper bound with exact=False. A lam
+    frozen within the budget gets the result of its own search.
     """
     return _ladder(a, b, lams, _Budget(budget), seeds)[0]
 
@@ -496,11 +541,15 @@ def _ladder(a, b, lams, budget, seeds=()):
         consider(pairs, _int_distortion(da, db, pairs))
 
     try:
-        sweep = _CliqueSweep(da, db, cells, budget, (wa, wb))
         hall = _HallBound(wa, wb)
+        # a clique whose mass m is at most min(m_cut) beats no incumbent, and
+        # the Hall bound caps m; inside the search only its rows half, which
+        # is cheap and only grows with the mask, cuts a node's R | P
+        sweep = _CliqueSweep(
+            da, db, cells, budget, (wa, wb), lambda mask: hall.rows(mask) <= min(m_cut)
+        )
         for t, mask in sweep.cliques(frozen):
-            # a clique whose mass m is at most min(m_cut) beats no incumbent,
-            # and its Hall bound caps m: flow it only when the bound passes
+            # the full bound, against the cut as frozen(t) has just left it
             if hall.exceeds(mask, min(m_cut)):
                 consider(sweep.pairs(mask), t)
         live.clear()  # the sweep ran out of thresholds: every lam is exact

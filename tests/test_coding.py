@@ -25,6 +25,7 @@ from mmdist import (
     validate,
     zero_excursion,
 )
+from mmdist import coding
 
 from excursion_refs import ref_cuts, ref_evaluate, ref_piece_limits
 
@@ -118,6 +119,20 @@ def test_redundant_breakpoints_leave_the_tree_unchanged():
             vals[: k + 1] + [ref_evaluate(h, mid)] + vals[k + 1 :],
         )
         assert are_isomorphic(code_excursion(refined).space, code_excursion(h).space)
+
+
+def test_merge_makes_one_fraction_per_distinct_distance(monkeypatch):
+    made = []
+    monkeypatch.setattr(coding, "Fraction", lambda *x: made.append(x) or Fraction(*x))
+    # four segments over 4, the last two at distance 0: three points whose
+    # nine distances take the three values 0, 2/4 and 3/4
+    d = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 0], [3, 3, 0, 0]]
+    space, projection = coding._merge_to_space(d, 4, [1, 1, 1, 1], 4)
+    half, three = F(1, 2), F(3, 4)
+    assert projection == (0, 1, 2, 2)
+    assert space.dist == ((0, half, three), (half, 0, three), (three, three, 0))
+    assert space.weights == (F(1, 4), F(1, 4), F(1, 2))
+    assert len(made) == 3 + 3  # one per distinct distance and one per weight
 
 
 def test_resolution_refinement_tightens_the_bound():

@@ -495,6 +495,12 @@ def test_default_cap_frontier_is_exact_to_64_cells():
     wide = gromov_prohorov_detail(a, b, budget=10**9)
     assert canonicalize(a).n * canonicalize(b).n == 81
     assert (gp.value, gp.exact) == (wide.value, True)
+    # so is a 9-point star with distinct leaf lengths against its reverse,
+    # whose value a search with a budget of 10**9 confirms
+    lengths = [1 + F(k, 16) for k in range(8)]
+    a, b = star_of(lengths, range(1, 10)), star_of(lengths[::-1], range(1, 10))
+    gp = gromov_prohorov_detail(a, b)
+    assert (gp.value, gp.exact) == (F(1, 5), True)
 
 
 def test_budget_past_or_during_the_sweep_leaves_a_scored_upper_bound(monkeypatch):
@@ -539,6 +545,36 @@ def test_fallback_never_scores_the_full_grid_again(monkeypatch):
     box = box_lambda_detail(star, star, F(1, 2), budget=0)
     assert (box.value, box.exact) == (0, False)
     assert candidates and all(len(cand) < 12 * 12 for cand in candidates)
+
+
+def full_scan_candidates(da, db, wa, wb, cells, diffs, diam):
+    """`gromov._heuristic_candidates` with each greedy comparing a cell with
+    every chosen one, the reference for its early rejection."""
+    nw = gromov._northwest_support(wa, wb)
+    yield nw, gromov._int_distortion(da, db, nw)
+    picks = {diffs[max(0, len(diffs) * k // 12 - 1)] for k in range(1, 13)}
+    order = sorted(range(len(cells)), key=lambda c: (-min(wa[cells[c][0]], wb[cells[c][1]]), c))
+    for threshold in sorted(t for t in picks if t < diam):
+        chosen, worst = [], 0
+        for c in order:
+            i, j = cells[c]
+            gap = max((abs(da[i][i2] - db[j][j2]) for i2, j2 in chosen), default=0)
+            if gap <= threshold:
+                chosen.append((i, j))
+                worst = max(worst, gap)
+        yield tuple(sorted(chosen)), worst
+
+
+def test_fallback_greedy_matches_the_full_scan():
+    rng = random.Random(439)
+    pairs = ladder_pairs()[:20] + [(grid_space(rng, 7), grid_space(rng, 8)) for _ in range(4)]
+    for a, b in pairs:
+        P = gromov._Pair(a, b)
+        diffs = sorted(
+            {abs(P.da[i][i2] - P.db[j][j2]) for i, j in P.cells for i2, j2 in P.cells}
+        )
+        args = (P.da, P.db, P.wa, P.wb, P.cells, diffs, P.diam)
+        assert list(gromov._heuristic_candidates(*args)) == list(full_scan_candidates(*args))
 
 
 def test_fallback_skip_changes_no_result():
@@ -589,6 +625,25 @@ def test_ladder_equals_separate_calls_at_every_budget():
             mixed += len({box.exact for box in ladder}) == 2
     # some ladders freeze a lam before the cut and run out on another
     assert mixed >= 5
+
+
+def test_a_lambda_the_ladder_freezes_gets_its_own_search_result():
+    # the ladder prunes only what no live lam can use, so it spends at least
+    # the units of each lam's own search, which may be exact where the
+    # ladder's result for that lam is not
+    inexact = 0
+    for a, b in ladder_pairs():
+        cells = canonicalize(a).n * canonicalize(b).n
+        for extra in (20, 50, 100):
+            budget = cells * (cells - 1) // 2 + extra
+            for box, lam in zip(box_ladder(a, b, LAMBDAS, budget), LAMBDAS):
+                own = box_lambda_detail(a, b, lam, budget)
+                if box.exact:
+                    assert box == own
+                else:
+                    assert box.value >= own.value
+                    inexact += 1
+    assert inexact >= 40
 
 
 def test_ladder_flows_only_what_some_one_lambda_search_flows(monkeypatch):
@@ -719,15 +774,17 @@ def test_hall_bound_sits_between_the_flow_and_the_touched_weights():
 
 
 def ladder_runs(a, b, lams, units):
-    """`gromov._ladder` with its Hall bound and with every clique flowed:
-    per run the BoxResults, the budget units left and the flows made."""
+    """`gromov._ladder` with its Hall bound and with a bound that never cuts
+    (no node pruned, every clique flowed): per run the BoxResults, the gp
+    result, the budget units left and the flows made."""
     runs = []
-    for exceeds in (gromov._HallBound.exceeds, lambda hall, mask, cut: True):
+    never = lambda hall, mask: math.inf
+    for rows, cols in ((gromov._HallBound.rows, gromov._HallBound.cols), (never, never)):
         flows = []
         real = gromov.max_subcoupling
-        with mock.patch.object(gromov._HallBound, "exceeds", exceeds), mock.patch.object(
-            gromov, "max_subcoupling", lambda *x: flows.append(x) or real(*x)
-        ):
+        with mock.patch.object(gromov._HallBound, "rows", rows), mock.patch.object(
+            gromov._HallBound, "cols", cols
+        ), mock.patch.object(gromov, "max_subcoupling", lambda *x: flows.append(x) or real(*x)):
             budget = gromov._Budget(units)
             boxes = gromov._ladder(a, b, lams, budget)[0]
             gp = gromov_prohorov_detail(a, b, units)
@@ -735,11 +792,15 @@ def ladder_runs(a, b, lams, units):
     return runs
 
 
-def test_hall_bound_changes_no_result_and_no_work_count():
+def test_hall_pruning_keeps_exact_results_and_spends_no_more_units():
     rng = random.Random(433)
     pairs = ladder_pairs()[::3]
     pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(4)]
-    skipped = 0
+    # a gp search that settles at a clique the pruned sweep never lists: unless
+    # it checks its stop test at the pruned node, it spends 274 units, not 249,
+    # where the unpruned sweep spends 272
+    pairs.append((sample_mm_space(948526166, n_max=5), sample_mm_space(147023327, n_max=5)))
+    pruned = inexact = skipped = 0
     for a, b in pairs:
         cells = canonicalize(a).n * canonicalize(b).n
         # a budget that buckets the cell pairs and then cuts the sweep
@@ -748,8 +809,17 @@ def test_hall_bound_changes_no_result_and_no_work_count():
                 (boxes, gp, left, flows), (ref_boxes, ref_gp, ref_left, ref_flows) = ladder_runs(
                     a, b, lams, units
                 )
-                # value, exactness, witness and the units spent
-                assert (boxes, gp, left) == (ref_boxes, ref_gp, ref_left)
-                assert flows <= ref_flows
-                skipped += ref_flows - flows
-    assert skipped >= 100
+                assert left >= ref_left
+                pruned += left > ref_left
+                for box, ref in zip(boxes + (gp,), ref_boxes + (ref_gp,)):
+                    if ref.exact:  # value, exactness and witness
+                        assert box == ref
+                    else:
+                        assert box.value <= ref.value
+                        inexact += 1
+                if all(ref.exact for ref in ref_boxes):
+                    assert flows <= ref_flows
+                    skipped += ref_flows - flows
+    # some runs prune a node, many reference runs spend their budget, and
+    # the bound skips flows
+    assert pruned >= 10 and inexact >= 50 and skipped >= 100
