@@ -4,8 +4,9 @@ Results go to stdout (or --out) as canonical JSON. Commands that compute
 one value take --raw (print just the value) and, except validate, --float
 (IEEE doubles instead of exact rationals); a command rejects every flag its
 handler does not read. Each command is declared once, in the `_COMMANDS`
-table: its words, handler, help and flags. Human notes and timing go to
-stderr so stdout stays machine-readable.
+table: its words, handler, help and flags; its parser is built on first
+use and kept for the process. Human notes and timing go to stderr so stdout
+stays machine-readable.
 Exit codes: 0 success, 1 domain error (invalid input, search budget), 2 usage
 error, 3 experiment report with failing checks.
 """
@@ -13,13 +14,15 @@ error, 3 experiment report with failing checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 
 from .coding import code_excursion, four_point_check
 from .errors import SizeError, ValidationError
-from .exact import decimal_str, format_scalar, parse_scalar
+from .exact import decimal_str, format_scalar, parse_scalar, scaled
 from .excursion_metrics import (
     DEFAULT_GAMMA_BUDGET,
     DEFAULT_GAMMA_TOL,
@@ -42,7 +45,7 @@ from .harness import (
     run_lipschitz_check,
     run_theorem_check,
 )
-from .prohorov import _prohorov_block
+from .prohorov import _flow_scan
 from .spaces import (
     MMSPACE_FORMAT,
     canonicalize,
@@ -54,7 +57,6 @@ from .spaces import (
     space_from_obj,
     space_to_obj,
     validate,
-    weight_violations,
 )
 
 ROUNDING_NOTE = "round-half-even-12"
@@ -149,19 +151,23 @@ def _cmd_dist_prohorov(args):
     # one literal table for both files: a literal written in both parses to
     # one Fraction, so comparing the matrices mostly compares identities
     literals = {}
-    a = load_space(args.a, literals=literals)
+    a = load_space(args.a, check=False, literals=literals)
+    # --a's matrix and weights as ints, scaled once for its check and the scan
+    rows, D, mu, W = require_valid(a)
     b = load_space(args.b, check=False, literals=literals)
     shared = a.labels == b.labels and a.dist == b.dist
     # b on a's valid matrix needs only its weights checked; any other b gets
     # the full check, so an invalid --b reports before the mismatch
-    if not shared or len(b.weights) != a.n or weight_violations(b.weights):
+    nu, V = scaled(b.weights) if shared and len(b.weights) == a.n else (None, 0)
+    if nu is None or min(nu) < 0 or sum(nu) != V:
         require_valid(b)
     if not shared:
         raise ValidationError(
             "--a and --b must carry the same labels and distance matrix "
             "(two measures on one space)"
         )
-    value = _prohorov_block(a.dist, a.weights, b.weights)
+    L = math.lcm(W, V)
+    value = _flow_scan(rows, D, [x * (L // W) for x in mu], [x * (L // V) for x in nu], L)
     payload = _value_payload(value, args.float)
     return payload, format_scalar(value), 0
 
@@ -400,16 +406,26 @@ def _tree() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(words):
+    """The parser of the command `words`, or of the whole tree for None.
+
+    Built once per process: parsing reads a parser and never changes it, so
+    repeated in-process calls share it.
+    """
+    if words is None:
+        return _tree()
+    return _leaf(argparse.ArgumentParser(prog=f"mmdist {words}"), words)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # leading words that name a command build its parser alone; -h, a missing
-    # or an unknown command build the whole tree for its usage texts
+    # leading words that name a command use its parser alone; -h, a missing
+    # or an unknown command use the whole tree for its usage texts
     words = next((w for w in _COMMANDS if argv[: w.count(" ") + 1] == w.split()), None)
+    parser = _parser(words)
     if words:
-        parser = _leaf(argparse.ArgumentParser(prog=f"mmdist {words}"), words)
         argv = argv[words.count(" ") + 1 :]
-    else:
-        parser = _tree()
     try:
         # a flag the command does not read is reported with its own usage
         args, unread = parser.parse_known_args(argv)

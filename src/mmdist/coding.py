@@ -26,6 +26,13 @@ minimum across the cuts runs on those ints, and Fractions are built only
 for the coded tree: one per distinct distance, weight, cut and
 representative. Resolution points join the cuts of either kind, each
 checked to lie in [0, 1] in the order given.
+
+The distances over m segments form a dense m x m matrix, so coding
+refuses, with SizeError, a cut set of more than MAX_CODING_SEGMENTS
+segments, counted before h is read on the cuts. The cut count grows with
+pieces times crossed levels: a pl excursion of 250 pieces at levels k/50
+has about 4 300 segments and codes in seconds and half a gigabyte, one of
+1 000 pieces about 17 000 and would need several gigabytes.
 """
 
 from __future__ import annotations
@@ -36,10 +43,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import ValidationError
+from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled_rows
 from .excursions import Excursion, _int_excursions, _on_int_grid, normalize
 from .spaces import FiniteMMSpace, _class_roots, _mark_canonical
+
+MAX_CODING_SEGMENTS = 5000
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,10 @@ def _merge_to_space(d, den, lengths, length_den):
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
     h = normalize(h)
     cuts, cut_den, grid, den = _int_cuts(h, resolution)
+    if len(cuts) - 1 > MAX_CODING_SEGMENTS:
+        raise SizeError(
+            f"{len(cuts) - 1} segments exceeds the coding cap {MAX_CODING_SEGMENTS}"
+        )
     # cutvals[j], h at the cut between segments j - 1 and j, is the inf of h
     # across that cut: pl is continuous, and a valid pc breakpoint value is at
     # most both neighbouring pieces

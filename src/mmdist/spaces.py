@@ -13,7 +13,21 @@ exactly in `canonicalize`, which every distance routine calls first.
 a marked space as it is; any other space, even an equal one, is validated.
 Validation has no tolerance: `metric_violations`, the one metric-axiom
 check, tests a matrix as ints over its common denominator (floats at their
-exact binary values); messages quote the entries as given.
+exact binary values); messages quote the entries as given. `require_valid`
+hands back the int form its checks read, the matrix over one denominator
+and the weights over another, so a caller that goes on to compute with
+ints does not scale the space again.
+
+The triangle test is packed (a SIMD-within-a-register test, Lamport 1975,
+"Multiple byte processing with full-word instructions"). Each row of a
+nonnegative int matrix with largest entry M becomes one Python int of n
+fields of w = bit_length(2M) + 1 bits, so the guard bit of a field,
+G = 2^(w-1), exceeds 2M. For rows i and k, with c = m[i][k], every field
+of G - m[i][j] + m[k][j] + c lies in [G - M, G + 2M], inside (0, 2G): no
+field borrows from or carries into its neighbour, so one big-int add and
+one mask test all j at once, exactly, and the guard bit of field j is set
+iff m[i][j] <= m[i][k] + m[k][j]. So n^3 interpreted comparisons become
+n^2 big-int operations.
 """
 
 from __future__ import annotations
@@ -22,10 +36,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
 
 from .errors import ValidationError
-from .exact import format_scalar, parse_scalar, scaled_rows
+from .exact import format_scalar, parse_scalar, scaled, scaled_rows
 
 MMSPACE_FORMAT = "mmspace/1"
 
@@ -148,14 +161,36 @@ def _row_violations(m) -> list:
 
 
 def _is_metric(m) -> bool:
-    """Whether int rows `m` are a pseudometric; the triangle test per rows i,
-    k is max_j (m[i][j] - m[k][j]) <= m[i][k]."""
-    return not m or (
-        not any(row[i] for i, row in enumerate(m))
-        and min(map(min, m)) >= 0
-        and list(map(list, zip(*m))) == m
-        and all(max(map(sub, di, dk)) <= dik for di in m for dk, dik in zip(m, di))
-    )
+    """Whether int rows `m` are a pseudometric.
+
+    Zero diagonal, nonnegative and symmetric entries, then the packed
+    triangle test of the module docstring: with each row packed into one
+    int of w = bit_length(2 max) + 1 bit fields, rows i and k pass iff
+    every guard bit G of (G - row i) + row k + m[i][k] per field is set.
+    Each field stays inside (0, 2G), so none borrows or carries and the
+    test is exact.
+    """
+    if not m:
+        return True
+    if any(row[i] for i, row in enumerate(m)) or min(map(min, m)) < 0:
+        return False
+    if list(map(list, zip(*m))) != m:
+        return False
+    w = (2 * max(map(max, m))).bit_length() + 1
+    ones = ((1 << (w * len(m))) - 1) // ((1 << w) - 1)  # a 1 in every field
+    guards = ones << (w - 1)
+    packed = []
+    for row in m:
+        p = 0
+        for x in reversed(row):
+            p = (p << w) | x
+        packed.append(p)
+    for row, p in zip(m, packed):
+        q = guards - p
+        for c, pk in zip(row, packed):
+            if (q + pk + c * ones) & guards != guards:
+                return False
+    return True
 
 
 _SPACE_MESSAGES = {
@@ -166,22 +201,10 @@ _SPACE_MESSAGES = {
 }
 
 
-def weight_violations(weights) -> list:
-    """Violations of a probability vector: each negative weight, then a sum
-    other than 1."""
-    violations = [f"weight {i} is negative: {w}" for i, w in enumerate(weights) if w < 0]
-    total = sum(map(parse_scalar, weights))
-    if total != 1:
-        violations.append(f"weights sum to {total}, expected 1")
-    return violations
-
-
-def validate(space: FiniteMMSpace) -> list:
-    """Return a list of human-readable violations, empty when valid.
-
-    Dimension mismatches are reported (not raised) and suppress the checks
-    that would index out of range. Every check is exact, with no tolerance.
-    """
+def _checked(space: FiniteMMSpace):
+    """(violations, ints): `validate`'s list, and the int form its checks
+    read, (rows, D, weights, W) with the matrix over D and the weights over
+    W; ints is None when the dimensions do not match."""
     violations = []
     n = len(space.labels)
     if len(space.weights) != n:
@@ -193,25 +216,48 @@ def validate(space: FiniteMMSpace) -> list:
     bad_rows = [i for i, row in enumerate(space.dist) if len(row) != n]
     for i in bad_rows:
         violations.append(f"dist row {i} has {len(space.dist[i])} entries, expected {n}")
-    if len(space.dist) != n or bad_rows or len(space.weights) != n:
-        return violations
+    if violations:
+        return violations, None
 
-    violations += weight_violations(space.weights)
+    weights, W = scaled(space.weights)
+    violations += [
+        f"weight {i} is negative: {w}"
+        for i, (w, x) in enumerate(zip(space.weights, weights))
+        if x < 0
+    ]
+    if sum(weights) != W:
+        violations.append(f"weights sum to {Fraction(sum(weights), W)}, expected 1")
+    (rows,), D = scaled_rows(space.dist)
     d = space.dist
     violations += [
         _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=d[i][j])
-        for kind, i, j, k in metric_violations(d)
+        for kind, i, j, k in _row_violations(rows)
     ]
-    return violations
+    return violations, (rows, D, weights, W)
 
 
-def require_valid(space: FiniteMMSpace) -> None:
-    violations = validate(space)
+def validate(space: FiniteMMSpace) -> list:
+    """Return a list of human-readable violations, empty when valid.
+
+    Dimension mismatches are reported (not raised) and suppress the checks
+    that would index out of range. Then each negative weight and a weight
+    sum other than 1, then the metric axioms (`metric_violations`). Every
+    check is exact, with no tolerance.
+    """
+    return _checked(space)[0]
+
+
+def require_valid(space: FiniteMMSpace):
+    """Raise ValidationError on the first violation of `validate`; return
+    the int form the checks read, (rows, D, weights, W): the matrix as int
+    rows over D and the weights as ints over W."""
+    violations, ints = _checked(space)
     if violations:
         raise ValidationError(
             f"invalid space: {violations[0]} ({len(violations)} violation(s))",
             violations,
         )
+    return ints
 
 
 def is_canonical(space: FiniteMMSpace) -> bool:

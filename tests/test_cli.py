@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import takewhile
@@ -31,6 +32,7 @@ from mmdist import (
 )
 from mmdist import cli, spaces
 from mmdist.cli import main
+from mmdist.coding import MAX_CODING_SEGMENTS
 from mmdist.prohorov import CommonSpaceMeasures, prohorov
 from mmdist.spaces import dumps_json
 
@@ -120,6 +122,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_a_command_builds_only_its_own_parser(capsys, tmp_path, monkeypatch):
     path = str(sample_file(capsys, tmp_path))
+    cli._parser.cache_clear()  # parsers are built once per process
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -132,6 +135,38 @@ def test_a_command_builds_only_its_own_parser(capsys, tmp_path, monkeypatch):
     assert (code, out) == (0, "0\n")
     assert built == ["mmdist dist prohorov"]
     assert run(capsys, "dist", "-h")[0] == 0  # group help still comes from the whole tree
+
+
+def test_a_parser_is_built_once_and_each_parse_stands_alone(capsys, tmp_path, monkeypatch):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(PATH3))
+    b.write_text(json.dumps({**PATH3, "weights": ["1/4", "1/4", "1/2"]}))
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ("dist", "prohorov", "--a", str(a), "--b", str(b))
+    for _ in range(2):
+        code, out, _ = run(capsys, *argv, "--float")
+        assert (code, json.loads(out)) == (0, {"value": 0.25, "rounding": "ieee-754-double"})
+        # no --float: the flag of the call before does not carry over
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)["value"]) == (0, "1/4")
+        code, out, err = run(capsys, *argv[:4])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: mmdist dist prohorov ")
+        assert err.endswith("error: the following arguments are required: --b\n")
+        assert run(capsys, *argv, "--raw")[:2] == (0, "1/4\n")
+        code, out, err = run(capsys, "sample", "--seed", "1", "--n-max", "x")
+        assert (code, out) == (2, "") and err.startswith("usage: mmdist sample ")
+        assert run(capsys, "sample", "--seed", "1", "--raw")[0] == 2
+        assert run(capsys, "sample", "--seed", "1")[0] == 0
+    assert built == ["mmdist dist prohorov", "mmdist sample"]
 
 
 def test_canonicalize_round_trips_through_the_cli(capsys, tmp_path):
@@ -237,8 +272,8 @@ def test_dist_prohorov_checks_the_metric_once(capsys, tmp_path, monkeypatch):
         )
     code, out, _ = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
     assert (code, out) == (0, "1/4\n")
-    # --a is checked and --b compared with it; one scaling is left for the scan
-    assert len(checks) == 1 and len(scalings) <= 2
+    # --a is checked and --b compared with it; the scan reads --a's scaling
+    assert len(checks) == 1 and len(scalings) == 1
 
 
 @pytest.mark.parametrize("half", ["2/4", "0.5", "5e-1"])
@@ -340,6 +375,27 @@ def test_code_excursion_output_reloads_as_a_space(capsys, tmp_path):
     assert "projection" in obj and "resolution_bound" in obj
     space = load_space(out_path)
     assert space.n >= 2
+
+
+def test_code_excursion_past_the_segment_cap_exits_one(capsys, tmp_path):
+    # 1 000 pieces at levels k/50 cut into about 17 000 segments
+    rng = random.Random(1000)
+    values = ["0"] + [f"{rng.randint(1, 50)}/50" for _ in range(999)] + ["0"]
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "excursion/1",
+                "kind": "pl",
+                "breakpoints": [f"{k}/1000" for k in range(1001)],
+                "values": values,
+            }
+        )
+    )
+    code, out, err = run(capsys, "code-excursion", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("mmdist code-excursion: ") and err.count("\n") == 1
+    assert err.endswith(f" segments exceeds the coding cap {MAX_CODING_SEGMENTS}\n")
 
 
 def test_glue_search_and_explicit_glue(capsys, tmp_path):

@@ -4,8 +4,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from mmdist import (
     FiniteMMSpace,
+    SizeError,
     TruncatedMonomial,
     ValidationError,
     are_isomorphic,
@@ -258,3 +261,32 @@ def test_coding_equals_the_fraction_loop():
         got = (coded.space, coded.segments, coded.projection, coded.representatives, coded.resolution_bound)
         assert got == ref_code_excursion(h, resolution)
         assert all(type(x) is F for row in coded.space.dist for x in (*row, *coded.space.weights))
+
+
+def many_piece_excursion(pieces, seed=1000):
+    """A pl excursion of `pieces` pieces at random levels k/50: its cut set
+    grows with pieces times crossed levels."""
+    rng = random.Random(seed)
+    bps = [F(k, pieces) for k in range(pieces + 1)]
+    values = [F(0)] + [F(rng.randint(1, 50), 50) for _ in range(pieces - 1)] + [F(0)]
+    return pl_excursion(bps, values)
+
+
+def test_coding_refuses_a_cut_set_past_the_cap_before_reading_it(monkeypatch):
+    read = []
+    real = coding._on_int_grid
+    monkeypatch.setattr(coding, "_on_int_grid", lambda *args: read.append(args) or real(*args))
+    h = many_piece_excursion(1000)
+    segments = len(pl_cut_points(h)) - 1
+    assert segments > coding.MAX_CODING_SEGMENTS
+    with pytest.raises(SizeError) as info:
+        code_excursion(h)
+    assert str(info.value) == f"{segments} segments exceeds the coding cap {coding.MAX_CODING_SEGMENTS}"
+    assert read == []  # refused before h is read on the cuts or the matrix allocated
+    # the cap counts segments: a tent with two resolution points has four
+    cuts = (F(1, 4), F(3, 4))
+    monkeypatch.setattr(coding, "MAX_CODING_SEGMENTS", 3)
+    with pytest.raises(SizeError, match="^4 segments exceeds the coding cap 3$"):
+        code_excursion(tent(), resolution=cuts)
+    monkeypatch.setattr(coding, "MAX_CODING_SEGMENTS", 4)
+    assert len(code_excursion(tent(), resolution=cuts).segments) == 4

@@ -2,7 +2,8 @@
 
 The reference loops below are the plain Fraction enumerations the int layer
 replaced; every list they return must come back entry for entry, message for
-message, from `validate`, `validate_common` and `check_triangle`.
+message, from `validate`, `validate_common` and `check_triangle`. The packed
+triangle kernel `spaces._is_metric` is held to a plain triple loop over ints.
 """
 
 import random
@@ -21,7 +22,7 @@ from mmdist import (
     validate_common,
 )
 from mmdist.gluing import GluedSpace
-from mmdist.spaces import FiniteMMSpace
+from mmdist.spaces import FiniteMMSpace, _is_metric, metric_violations
 
 F = Fraction
 
@@ -86,6 +87,91 @@ def ref_triangles(d):
         for k in range(n)
         if d[i][j] > d[i][k] + d[k][j]
     ]
+
+
+def ref_int_violations(m):
+    """`metric_violations` of int rows by the plain loops: diagonal, then
+    negative and asymmetric per pair j > i, then every failing triangle."""
+    n = len(m)
+    out = []
+    for i in range(n):
+        if m[i][i] != 0:
+            out.append(("diagonal", i, i, None))
+        for j in range(i + 1, n):
+            if m[i][j] < 0:
+                out.append(("negative", i, j, None))
+            if m[i][j] != m[j][i]:
+                out.append(("asymmetric", i, j, None))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if m[i][j] > m[i][k] + m[k][j]:
+                    out.append(("triangle", i, j, k))
+    return out
+
+
+def l1_ints(rng, n, bound):
+    """L1 distances of n random points of [0, bound]^2, as int rows."""
+    pts = [(rng.randint(0, bound), rng.randint(0, bound)) for _ in range(n)]
+    return [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+
+
+def tight_triangle(rng, m, slack):
+    """`m` with one pair (i, j) set to min over k of m[i][k] + m[k][j], plus
+    `slack`: 0 keeps a metric with a tight triangle, 1 fails one by a unit."""
+    i, j = rng.sample(range(len(m)), 2)
+    m[i][j] = m[j][i] = min(m[i][k] + m[k][j] for k in range(len(m)) if k not in (i, j)) + slack
+    return m
+
+
+def broken_ints(rng, m, kind):
+    """`m` with one axiom broken: by a nonzero diagonal, a negative entry, an
+    asymmetric pair or a triangle that fails by exactly one unit."""
+    n = len(m)
+    i, j = rng.sample(range(n), 2)
+    if kind == "diagonal":
+        m[i][i] = rng.randint(1, 10**30)
+    elif kind == "negative":
+        m[i][j] = m[j][i] = -rng.randint(1, 10**30)
+    elif kind == "asymmetric":
+        m[i][j] += rng.choice((-1, 1)) if m[i][j] else 1
+    else:
+        tight_triangle(rng, m, 1)
+    return m
+
+
+def test_packed_triangle_kernel_equals_the_triple_loop():
+    rng = random.Random(2710)
+    kinds = ("diagonal", "negative", "asymmetric", "triangle")
+    seen = {"metric": 0, "tight": 0, "random": 0, **dict.fromkeys(kinds, 0)}
+    for idx in range(1200):
+        n = idx % 13
+        bound = rng.choice((0, 1, 4, 10**3, 5 * 10**29))  # entries up to 10^30
+        m = l1_ints(rng, n, bound)
+        case = "metric"
+        if n >= 3 and idx % 3 == 1:
+            case = rng.choice(kinds + ("tight",))
+            m = tight_triangle(rng, m, 0) if case == "tight" else broken_ints(rng, m, case)
+        elif n >= 1 and idx % 3 == 2:
+            case = "random"  # symmetric, zero diagonal, often not metric
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = rng.randint(0, max(bound, 1))
+        want = ref_int_violations(m)
+        assert _is_metric(m) == (not want)
+        assert metric_violations(m) == want
+        seen[case] += 1
+        if case in kinds:
+            assert any(kind == case for kind, *_ in want)
+        elif case == "tight":
+            assert want == []
+    assert min(seen.values()) >= 40
+    for n in (60, 120):
+        m = l1_ints(rng, n, 10**30 // 2)
+        assert _is_metric(m) and ref_int_violations(m) == []
+        m = tight_triangle(rng, m, 1)
+        want = ref_int_violations(m)
+        assert not _is_metric(m) and want and metric_violations(m) == want
 
 
 def grid_metric(rng, n):
