@@ -106,10 +106,11 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
     return tuple(Fraction(c, den) for c in cuts)
 
 
-def _merge_to_space(d, den, lengths, length_den):
+def _merge_to_space(d, den, lengths, length_den, zeros):
     """Quotient by d == 0 (leftmost representative), weights summed.
 
-    d is an int matrix over `den` and `lengths` are ints over `length_den`;
+    d is an int matrix over `den`, `zeros` its pairs (i, j), i < j, at
+    distance 0, and `lengths` are ints over `length_den`;
     the space is built with one Fraction per distinct distance and one per
     weight. Marked canonical, as it is by construction when d is d_h on
     segment midpoints (a pseudometric) and `lengths` partition [0, 1]: the
@@ -117,7 +118,7 @@ def _merge_to_space(d, den, lengths, length_den):
     weights are positive and sum to 1.
     """
     m = len(lengths)
-    roots = _class_roots(m, ((i, j) for i in range(m) for j in range(i + 1, m) if d[i][j] == 0))
+    roots = _class_roots(m, zeros)
     classes = sorted(set(roots))
     index_of = {r: k for k, r in enumerate(classes)}
     projection = tuple(index_of[r] for r in roots)
@@ -154,14 +155,18 @@ def code_excursion(h: Excursion, resolution=()) -> CodedTree:
         cutvals, den = [2 * v for v in cutvals], 2 * den
     m = len(heights)
     d = [[0] * m for _ in range(m)]
+    zeros = []  # the pairs at distance 0, found as d is filled
     for i, hi in enumerate(heights):
         run_min = hi
         for j in range(i + 1, m):
             run_min = min(run_min, cutvals[j])  # cut between segment j-1 and j
             hj = heights[j]
-            d[i][j] = d[j][i] = hi + hj - 2 * min(run_min, hj)
+            v = hi + hj - 2 * min(run_min, hj)
+            d[i][j] = d[j][i] = v
+            if not v:
+                zeros.append((i, j))
     lengths = [b - a for a, b in zip(cuts, cuts[1:])]
-    space, projection = _merge_to_space(d, den, lengths, cut_den)
+    space, projection = _merge_to_space(d, den, lengths, cut_den, zeros)
     times = [Fraction(c, cut_den) for c in cuts]
     return CodedTree(
         space=space,

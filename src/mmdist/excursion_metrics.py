@@ -29,18 +29,27 @@ breakpoint bottoms. Two regimes:
   segment is convex, hence maximal at an endpoint); segments that lie
   inside the target epigraph are discarded exactly beforehand. Returns an
   enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
-  current enclosure when the split budget runs out.
+  current enclosure when the split budget runs out. Both directed searches
+  are set up first; the one whose starting lo is larger runs to its end,
+  (lo1, hi1), and the other runs with the floor lo1: it also stops at the
+  first bound it pops that is <= lo1. Bounds only shrink down the heap, so
+  every segment it leaves is <= lo1 <= hi1, and max(lo1, lo2),
+  max(hi1, hi2), exactness and certification are those of two full runs,
+  at any tol and budget. Only one search takes a floor: were each to stop
+  at the other's lo, hi could change where the two sups tie. This is the
+  incumbent cut of branch and bound (Lawler & Wood 1966).
 
 Both regimes of d_gamma work in ints from start to finish, as d_lambda
-does. Each directed sup puts both excursions over one denominator once
-(`excursions._int_excursions`) and builds the target's epigraph features
-over it (`_int_epi`); a point is an int
+does. d_gamma puts both excursions over one denominator once
+(`excursions._int_excursions`), for both directed sups, and builds each
+target's epigraph features over it (`_int_epi`); a point is an int
 triple (x, y, d), and its squared distances to all features are one int
 vector (`_dist_sq_vector`), computed once when the point is created.
 Square roots come from `math.isqrt` (`isqrt_enclosure`); bounds and heap
-keys are (num, den) pairs compared by cross-multiplication, so the visit
-order and every bound are those of the plain Fraction computation. What
-stays Fraction: only the returned enclosure, and d_lambda's one value.
+keys are (num, den) pairs compared by cross-multiplication, so every bound
+and the visit order are those of the plain Fraction computation: all of it
+for the search that runs to its end, a prefix of it for the floored one.
+What stays Fraction: only the returned enclosure, and d_lambda's one value.
 
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
 """
@@ -324,12 +333,8 @@ def _horizontal_max_sq(x1, x2, c, tgt: Excursion, walls, incumbent):
     return best
 
 
-def directed_gamma_sq(src: Excursion, tgt: Excursion):
-    """Exact squared one-sided epigraph sup, pc source and pc target only."""
-    src, tgt = normalize(src), normalize(tgt)
-    if src.kind != "pc" or tgt.kind != "pc":
-        raise ValidationError("exact directed sup needs both excursions pc")
-    (s, t), _, den = _int_excursions(src, tgt)
+def _exact_sup_sq(s: Excursion, t: Excursion, den: int):
+    """The squared directed sup from pc s to pc t, both int over den: (num, den)."""
     epi = _int_epi(t, den)
     best = (0, 1)
     for x, y in zip(s.breakpoints, s.breakpoint_values):
@@ -339,7 +344,16 @@ def directed_gamma_sq(src: Excursion, tgt: Excursion):
     walls = _pc_walls(t)
     for x1, x2, c in zip(s.breakpoints, s.breakpoints[1:], s.values):
         best = _qmax(best, _horizontal_max_sq(x1, x2, c, t, walls, best))
-    return Fraction(*best)
+    return best
+
+
+def directed_gamma_sq(src: Excursion, tgt: Excursion):
+    """Exact squared one-sided epigraph sup, pc source and pc target only."""
+    src, tgt = normalize(src), normalize(tgt)
+    if src.kind != "pc" or tgt.kind != "pc":
+        raise ValidationError("exact directed sup needs both excursions pc")
+    (s, t), _, den = _int_excursions(src, tgt)
+    return Fraction(*_exact_sup_sq(s, t, den))
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +417,31 @@ class _Seg:
         return a > b or (a == b and self.count < other.count)
 
 
-def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
-    """Certified enclosure (lo, hi) of the one-sided epigraph sup.
+def _directed_bb(s: Excursion, t: Excursion, den: int):
+    """The branch and bound for one directed sup, set up: (lo, run).
 
-    src and tgt are normalized. Each point of the search is
-    (x, y, d, lo, hi, vec, l2): its coordinates over d, the (num, den)
-    enclosure of its distance to epi(tgt), and its squared distances to
-    every target feature as ints over l2 * big_v (`_dist_sq_vector`),
-    shared by its enclosure and the bounds of both segments it ends.
+    s and t carry int fields over den. Setting up builds epi(t), cuts the
+    source into the segments that avoid it and heaps them under their
+    bounds; lo is the starting lower bound, (num, den), read at the segment
+    ends and, for a pc source, at its breakpoint bottoms. `run(tol, budget,
+    floor)` then pops the segment of largest bound and splits it at its
+    midpoint, until the bound popped is at most lo + tol, or at most
+    `floor`, or `budget` splits are spent; that bound caps every segment
+    left, as bounds only shrink down the heap. It returns the enclosure
+    (lo, hi) of the directed sup as (num, den) pairs, and runs once. A floor
+    of 0 stops nothing that lo + tol would not; a higher one lets a search
+    stop once it cannot beat another's lo (see `d_gamma_detail`). The visit
+    order is that of the plain Fraction search, of which a floored run
+    visits a prefix.
+
+    Each point of the search is (x, y, d, lo, hi, vec, l2): its coordinates
+    over d, the (num, den) enclosure of its distance to epi(t), and its
+    squared distances to every target feature as ints over l2 * big_v
+    (`_dist_sq_vector`), shared by its enclosure and the bounds of both
+    segments it ends.
     """
-    (s, t), _, den = _int_excursions(src, tgt)
     epi = _int_epi(t, den)
     big_v = epi.big_v
-    tn, td = Fraction(tol).as_integer_ratio()
 
     def node(x, y, d):
         vec, l2 = _dist_sq_vector(x, y, d, epi)
@@ -436,42 +462,44 @@ def _directed_bb(src: Excursion, tgt: Excursion, tol, budget):
         return _qmin((cap, ce), lip)
 
     bps, vals = s.breakpoints, s.values
-    lo = hi_points = (0, 1)
-    if src.kind == "pc":
+    start = hi_points = (0, 1)
+    if s.kind == "pc":
         segments = [((x1, v, den), (x2, v, den)) for x1, x2, v in zip(bps, bps[1:], vals)]
         for x, y in zip(bps, s.breakpoint_values):
             _, _, _, plo, phi, _, _ = node(x, y, den)
-            lo, hi_points = _qmax(lo, plo), _qmax(hi_points, phi)
+            start, hi_points = _qmax(start, plo), _qmax(hi_points, phi)
     else:
         ends = [(x, v, den) for x, v in zip(bps, vals)]
         segments = list(zip(ends, ends[1:]))
 
     heap = []
-    counter = 0
     for p, q in segments:
         for a, b in _outside_subsegments(p, q, epi):
             na, nb = node(*a), node(*b)
-            lo = _qmax(_qmax(lo, na[3]), nb[3])
-            heapq.heappush(heap, _Seg(seg_ub(na, nb), counter, na, nb))
-            counter += 1
+            start = _qmax(_qmax(start, na[3]), nb[3])
+            heapq.heappush(heap, _Seg(seg_ub(na, nb), len(heap), na, nb))
 
-    spent = 0
-    final_hi = hi_points
-    while heap:
-        top = heapq.heappop(heap)
-        ub = top.n, top.d
-        if _qle(ub, (lo[0] * td + tn * lo[1], lo[1] * td)) or spent >= budget:  # ub <= lo + tol
-            final_hi = _qmax(final_hi, ub)
-            break
-        spent += 1
-        (ax, ay, ad, *_), (bx, by, bd, *_) = top.s, top.t
-        m = lcm(ad, bd)
-        nm = node(ax * (m // ad) + bx * (m // bd), ay * (m // ad) + by * (m // bd), 2 * m)
-        lo = _qmax(lo, nm[3])
-        for s, t in ((top.s, nm), (nm, top.t)):
-            heapq.heappush(heap, _Seg(_qmin(ub, seg_ub(s, t)), counter, s, t))
-            counter += 1
-    return Fraction(*lo), Fraction(*_qmax(_qmax(final_hi, lo), hi_points))
+    def run(tol, budget, floor=(0, 1)):
+        lo, counter, spent, final_hi = start, len(heap), 0, hi_points
+        tn, td = Fraction(tol).as_integer_ratio()
+        while heap:
+            top = heapq.heappop(heap)
+            ub = top.n, top.d
+            # ub <= lo + tol, or ub <= floor
+            if _qle(ub, (lo[0] * td + tn * lo[1], lo[1] * td)) or _qle(ub, floor) or spent >= budget:
+                final_hi = _qmax(final_hi, ub)
+                break
+            spent += 1
+            (ax, ay, ad, *_), (bx, by, bd, *_) = top.s, top.t
+            m = lcm(ad, bd)
+            nm = node(ax * (m // ad) + bx * (m // bd), ay * (m // ad) + by * (m // bd), 2 * m)
+            lo = _qmax(lo, nm[3])
+            for s, t in ((top.s, nm), (nm, top.t)):
+                heapq.heappush(heap, _Seg(_qmin(ub, seg_ub(s, t)), counter, s, t))
+                counter += 1
+        return lo, _qmax(_qmax(final_hi, lo), hi_points)
+
+    return start, run
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +513,22 @@ def d_gamma_detail(
     budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> IntervalResult:
     h, g = normalize(h), normalize(g)  # the one check of each input
-    if h.kind == "pc" and g.kind == "pc":
-        ssq = max(directed_gamma_sq(h, g), directed_gamma_sq(g, h))
+    (s, t), _, den = _int_excursions(h, g)  # the one scaling, for both directed sups
+    if s.kind == "pc" and t.kind == "pc":
+        ssq = Fraction(*_qmax(_exact_sup_sq(s, t, den), _exact_sup_sq(t, s, den)))
         lo, hi, d = isqrt_enclosure(ssq.numerator, ssq.denominator)
         lo, hi = Fraction(lo, d), Fraction(hi, d)
         # the squared optimum is exact; only the root needs rounding, unless
         # it is a rational square (lo == hi)
         return IntervalResult((lo + hi) / 2, lo, hi, lo == hi, True)
-    lo1, hi1 = _directed_bb(h, g, tol, budget)
-    lo2, hi2 = _directed_bb(g, h, tol, budget)
-    lo, hi = max(lo1, lo2), max(hi1, hi2)
+    # the search that starts higher runs to its end; the other need only show
+    # that it cannot beat that lo, so it stops at a bound <= lo1
+    (start1, first), (start2, second) = _directed_bb(s, t, den), _directed_bb(t, s, den)
+    if not _qle(start2, start1):
+        first, second = second, first
+    lo1, hi1 = first(tol, budget)
+    lo2, hi2 = second(tol, budget, floor=lo1)
+    lo, hi = Fraction(*_qmax(lo1, lo2)), Fraction(*_qmax(hi1, hi2))
     return IntervalResult((lo + hi) / 2, lo, hi, lo == hi, hi - lo <= tol)
 
 

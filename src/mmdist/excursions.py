@@ -230,10 +230,11 @@ def _int_diff(h: Excursion, g: Excursion):
     return cuts, points, pieces, den, den * m
 
 
-def _unit_time(t):
+def _unit_time(t, name="t"):
+    """t parsed and checked to lie in [0, 1]; the message names it `name`."""
     t = parse_scalar(t)
     if not (0 <= t <= 1):
-        raise ValidationError(f"t = {t} outside [0, 1]")
+        raise ValidationError(f"{name} = {t} outside [0, 1]")
     return t
 
 
@@ -267,7 +268,7 @@ def infimum(h: Excursion, s, t):
 def dh(h: Excursion, s, t):
     """Tree distance induced by h: h(s) + h(t) - 2 * inf over [s, t]."""
     h = normalize(h)
-    s, t = _unit_time(s), _unit_time(t)
+    s, t = _unit_time(s, "s"), _unit_time(t)
     at_s, at_t, low, den = _read_between(h, min(s, t), max(s, t))
     return Fraction(at_s + at_t - 2 * low, den)
 

@@ -336,6 +336,14 @@ def test_dist_dh_on_an_excursion_file(capsys, tmp_path):
     assert F(json.loads(out)["value"]) == F(1, 4)
 
 
+def test_dist_dh_names_the_time_outside_the_unit_interval(capsys, tmp_path):
+    path = tmp_path / "tent.json"
+    save_excursion(path, tent())
+    for s, t, message in (("2", "0", "s = 2"), ("0", "7/4", "t = 7/4"), ("3/2", "5", "s = 3/2")):
+        code, out, err = run(capsys, "dist", "dh", "--in", str(path), "--s", s, "--t", t)
+        assert (code, out, err) == (1, "", f"mmdist dist dh: {message} outside [0, 1]\n")
+
+
 def test_dist_excursion_reports_certified_interval(capsys, tmp_path):
     path = tmp_path / "tent.json"
     save_excursion(path, tent())

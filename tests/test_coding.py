@@ -130,7 +130,7 @@ def test_merge_makes_one_fraction_per_distinct_distance(monkeypatch):
     # four segments over 4, the last two at distance 0: three points whose
     # nine distances take the three values 0, 2/4 and 3/4
     d = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 0], [3, 3, 0, 0]]
-    space, projection = coding._merge_to_space(d, 4, [1, 1, 1, 1], 4)
+    space, projection = coding._merge_to_space(d, 4, [1, 1, 1, 1], 4, [(2, 3)])
     half, three = F(1, 2), F(3, 4)
     assert projection == (0, 1, 2, 2)
     assert space.dist == ((0, half, three), (half, 0, three), (three, three, 0))

@@ -27,13 +27,21 @@ from mmdist import (
 from mmdist import excursion_metrics, excursions
 from mmdist.exact import isqrt_enclosure, sqrt_enclosure
 from mmdist.excursion_metrics import DEFAULT_GAMMA_TOL, _directed_bb
-from mmdist.excursions import dh, evaluate, infimum, normalize
+from mmdist.excursions import _int_excursions, dh, evaluate, infimum, normalize
 
 from excursion_refs import ref_d_lambda, ref_evaluate, ref_piece_limits
 
 F = Fraction
 
 TOL = F(1, 10**9)
+
+
+def directed_bb(src, tgt, tol, budget):
+    """One directed branch and bound, run alone to its end: (lo, hi)."""
+    (s, t), _, den = _int_excursions(src, tgt)
+    _, run = _directed_bb(s, t, den)
+    lo, hi = run(tol, budget)
+    return F(*lo), F(*hi)
 
 
 def measure_above(h, g, eps):
@@ -186,7 +194,7 @@ def test_gamma_branch_and_bound_agrees_with_the_exact_route():
         assert det.hi - det.lo <= 2 * TOL
         assert det.lo * det.lo <= exact_sq <= det.hi * det.hi
         for src, tgt in ((h, g), (g, h)):
-            lo, hi = _directed_bb(src, tgt, TOL, 6000)
+            lo, hi = directed_bb(src, tgt, TOL, 6000)
             assert lo * lo <= directed_gamma_sq(src, tgt) <= hi * hi
             assert hi - lo <= 2 * TOL
 
@@ -298,7 +306,7 @@ def test_each_excursion_is_checked_once_and_each_directed_sup_scales_once(monkey
         assert validated == [h, g]  # d_gamma and d_lambda share one check of each side
         scaled.clear()
         d_gamma_detail(h, g)
-        assert len(scaled) == 2  # one scaling per directed sup
+        assert len(scaled) == 1  # one scaling for both directed sups
         for f in (sup_diff, d_lambda):
             scaled.clear()
             f(h, g)
@@ -514,7 +522,7 @@ def oracle_pool():
     pool = [tent(), comb(3), step_one(), zero_excursion("pl"), zero_excursion("pc")]
     for kind in ("pl", "pc") * 4:
         pool.append(random_excursion(rng, kind=kind, max_pieces=5))
-    return [normalize(h) for h in pool]  # `_directed_bb` takes normalized forms
+    return [normalize(h) for h in pool]  # `directed_bb` takes normalized forms
 
 
 # (budget, tol) settings dealt round-robin over the ordered pairs; tol 0 with
@@ -535,16 +543,16 @@ def test_int_kernel_matches_the_fraction_branch_and_bound():
     assert kinds == {("pl", "pl"), ("pl", "pc"), ("pc", "pl"), ("pc", "pc")}
     for idx, (h, g) in enumerate(pairs):
         budget, tol = ORACLE_SETTINGS[idx % len(ORACLE_SETTINGS)]
-        assert _directed_bb(h, g, tol, budget) == ref_directed_bb(h, g, tol, budget)
+        assert directed_bb(h, g, tol, budget) == ref_directed_bb(h, g, tol, budget)
     # pool pairs of each kind combination whose directed sup is rational
     for i, j in ((0, 9), (11, 9), (0, 1), (1, 9), (1, 6), (6, 10)):
         h, g = pool[i], pool[j]
-        lo_hi = _directed_bb(h, g, 0, 6000)
+        lo_hi = directed_bb(h, g, 0, 6000)
         assert lo_hi == ref_directed_bb(h, g, 0, 6000)
         assert lo_hi[0] == lo_hi[1] > 0
     # equal bounds pop in push order; here the reverse order ends lower, 89478485/2^29
     h, g = pool[6], pool[1]
-    assert _directed_bb(h, g, TOL, 6000) == ref_directed_bb(h, g, TOL, 6000) == (F(1, 6), F(1, 6))
+    assert directed_bb(h, g, TOL, 6000) == ref_directed_bb(h, g, TOL, 6000) == (F(1, 6), F(1, 6))
 
 
 def positive_pl(rng):
@@ -575,7 +583,51 @@ def test_int_kernel_matches_on_the_benchmarked_shapes():
     for h, g in pairs:  # at the default tolerance and budget, as benchmarked
         for src, tgt in ((h, g), (g, h)):
             src, tgt = normalize(src), normalize(tgt)
-            assert _directed_bb(src, tgt, TOL, 6000) == ref_directed_bb(src, tgt, TOL, 6000)
+            assert directed_bb(src, tgt, TOL, 6000) == ref_directed_bb(src, tgt, TOL, 6000)
+
+
+def ref_gamma(h, g, tol, budget):
+    """(lo, hi, exact, certified) of d_gamma from two directed Fraction searches,
+    each run to its own end."""
+    (lo1, hi1), (lo2, hi2) = (ref_directed_bb(a, b, tol, budget) for a, b in ((h, g), (g, h)))
+    lo, hi = max(lo1, lo2), max(hi1, hi2)
+    return lo, hi, lo == hi, hi - lo <= tol
+
+
+def test_a_floored_second_search_leaves_the_enclosure_unchanged():
+    # the second search stops at the first one's lo; every bound it leaves
+    # is <= that lo, so the max-combined enclosure is the one of two full runs
+    pool = oracle_pool()
+    pairs = [(h, g) for h, g in combinations(pool, 2) if "pl" in (h.kind, g.kind)]
+    for idx, (h, g) in enumerate(pairs):
+        budget, tol = ORACLE_SETTINGS[idx % len(ORACLE_SETTINGS)]
+        want = ref_gamma(h, g, tol, budget)
+        for a, b in ((h, g), (g, h)):
+            det = d_gamma_detail(a, b, tol, budget)
+            assert (det.lo, det.hi, det.exact, det.certified) == want
+    rng = random.Random(191)  # the benchmarked shapes of the int kernel test
+    pairs = [(positive_pl(rng), positive_pl(rng)) for _ in range(4)]
+    pairs += [(sawtooth(rng), sawtooth(rng)) for _ in range(2)]
+    for h, g in pairs:
+        det = d_gamma_detail(h, g)
+        assert (det.lo, det.hi, det.exact, det.certified) == ref_gamma(h, g, TOL, 6000)
+
+
+def test_the_second_directed_search_pops_at_most_to_the_first_ones_lo(monkeypatch):
+    pops = []
+    pop = heapq.heappop
+    monkeypatch.setattr(excursion_metrics.heapq, "heappop", lambda heap: pops.append(1) or pop(heap))
+    pairs = [
+        # run alone, the two directed searches pop 24 segments between them
+        (tent(), pl_excursion([0, F(1, 3), F(2, 3), 1], [0, F(3, 4), F(1, 2), 0]), 4),
+        # and here 52
+        (pl_excursion([0, F(1, 3), 1], [0, F(1, 2), 0]), pl_excursion([0, F(2, 3), 1], [0, F(3, 4), 0]), 30),
+    ]
+    for h, g, most in pairs:
+        pops.clear()
+        det = d_gamma_detail(h, g)
+        assert len(pops) <= most
+        assert (det.lo, det.hi) == ref_gamma(normalize(h), normalize(g), TOL, 6000)[:2]
 
 
 def test_int_square_root_enclosure_matches_the_fraction_one():

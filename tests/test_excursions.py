@@ -236,7 +236,7 @@ def test_dh_matches_grid_scan_and_checks_s_first():
         low = min(ref_evaluate(h, q) for q in [s, t] + grid)
         assert dh(h, s, t) == ref_evaluate(h, s) + ref_evaluate(h, t) - 2 * low
     # s is read and checked before t is parsed
-    for s, t, text in ((2, F(1, 2), "t = 2"), (F(1, 2), -1, "t = -1"), (F(3, 2), "x", "t = 3/2")):
+    for s, t, text in ((2, F(1, 2), "s = 2"), (F(1, 2), -1, "t = -1"), (F(3, 2), "x", "s = 3/2")):
         try:
             dh(tent(), s, t)
             assert False
