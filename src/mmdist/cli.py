@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -383,6 +384,9 @@ _GROUPS = {"dist": ("distance", "distances"), "experiment": ("name", "seeded exp
 def _leaf(parser, words):
     """`parser` as the command `words`, with that command's flags."""
     parser.set_defaults(words=words, usage_of=parser)
+    # argparse reads -1 and -.5 as values but -1/2 and -2,3 as options; no
+    # flag here looks like a number, so any token that does is a value
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("--out", help="write the JSON payload here instead of stdout")
     for flag, kwargs in _COMMANDS[words][2].items():
         parser.add_argument(flag, **kwargs)

@@ -22,36 +22,37 @@ point are interchangeable), so a star's interchangeable leaves are matched
 once, not in every order.
 
 Every box search is one ladder (`box_ladder`; box and gp run one lam): one
-sweep, an incumbent per lam, and one max-flow per clique whose Hall bound
-could beat some incumbent; an exact result's witness is an optimal
-correspondence. The bound (`_HallBound`) caps the mass a subcoupling can put
-on a clique: each row ships at most its weight and at most the weight of the
-columns it meets in the clique, and likewise each column. A clique whose
-bound is at most the live cut, min(m_cut) over the unfrozen lams, cannot
-change any incumbent, so its flow is skipped. The rows half of the bound
-also prunes the search itself (bounded clique search, Carraghan & Pardalos
-1990, Östergård 2001): it only grows with the mask, so a Bron-Kerbosch node
-whose R | P is at most the cut roots only such cliques, and its subtree is
-cut. Wherever the unpruned search is exact the pruned one is too, with the
-same value and witness, and it never spends more units, so past the budget
-it ends at an incumbent at least as good. On one pass of the
-excursion-pairs bench's coded trees the sweep lists 3 121 cliques (13 549
-unpruned) and flows 546 of them, on 35 563 units (59 091). A lam freezes at
-the first clique after which t alone cannot beat its incumbent; the sweep
-ends once all are frozen. The clique order does not depend on lam, and the
-ladder prunes only what no live lam can use, so it spends at least the
-units of each lam's own search: a lam it freezes within the budget gets its
-own search's result, one it does not an upper bound no lower than its own
-search's.
+sweep, an incumbent per lam (`_Incumbents`, which parametrize's sweep
+drives too), and one max-flow per clique whose Hall bound could beat some
+incumbent; an exact result's witness is an optimal correspondence. The
+bound (`_HallBound`) caps the mass a subcoupling can put on a clique: each
+row ships at most its weight and at most the weight of the columns it meets
+in the clique, and likewise each column. A clique whose bound is at most
+the live cut, min(m_cut) over the unfrozen lams, cannot change any
+incumbent, so its flow is skipped. The rows half of the bound also prunes
+the search itself (bounded clique search, Carraghan & Pardalos 1990,
+Östergård 2001): it only grows with the mask, so a Bron-Kerbosch node whose
+R | P is at most the cut roots only such cliques, and its subtree is cut. A
+lam freezes at the first clique after which t alone cannot beat its
+incumbent, and the sweep ends once all are frozen: it polls its stop test
+before each threshold and right after each clique it hands over, the only
+two events that can freeze a lam (t rises, or an incumbent improves).
+Wherever the unpruned search is exact the pruned one is too, with the same
+value and witness, and it never spends more units, so past the budget it
+ends at an incumbent at least as good. On one pass of the excursion-pairs
+bench's coded trees the sweep lists 3 121 cliques (13 549 unpruned) and
+flows 546 of them, on 35 381 units (58 814). The clique order does not
+depend on lam, and the ladder prunes only what no live lam can use, so it
+spends at least the units of each lam's own search: a lam it freezes within
+the budget gets its own search's result, one it does not an upper bound no
+lower than its own search's.
 
 The ladder starts from one prepared pair (`_Pair`), which the glue of its
 lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
 canonicalized, distances over one common denominator D and weights over
-another, W. The search runs in ints: each incumbent is a pair (num, den),
-each candidate passes one int test per incumbent, and a new incumbent's
-value, the larger of t / D and (W - m) q / (W p) for lam = p / q, is picked
-by cross-multiplying. Each lam's value becomes a Fraction once, when the
-ladder returns.
+another, W. The search runs in ints (see `_Incumbents`): each candidate
+passes one int test per incumbent, and each lam's value becomes a Fraction
+once, when the ladder returns.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per cell pair the sweep buckets and one per Bron-Kerbosch node, pruned or
@@ -323,13 +324,11 @@ class _CliqueSweep:
         ascending t and, within t, in Bron-Kerbosch order; its distortion is
         t / D.
 
-        Lazy: each clique is yielded as the search finds it, and the sweep
-        ends as soon as `stop(t)` holds, checked before threshold t is
-        searched, before each yield and at each pruned node, where the
-        cliques of its subtree would have come. Callers pass a test against
-        an incumbent that only improves, so it stays true once true, and the
-        sweep ends no later than at the first clique that settles the
-        incumbent.
+        Lazy: each clique is yielded as the search finds it. The sweep ends
+        as soon as `stop(t)` holds, polled before threshold t is searched
+        and right after the caller has handled each clique: callers pass a
+        test against incumbents that only improve, and only a rise of t or
+        a handled clique can make it hold.
 
         New at t: a maximal clique is yielded at t iff it holds an edge of
         bucket t (every clique is new at the first threshold, 0). Such a
@@ -339,21 +338,16 @@ class _CliqueSweep:
         was yielded there.
         """
         nbr = [0] * len(self.cells)
-        first = True
         for t in self.thresholds:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
             touched = sum(1 << c for c, f in enumerate(fresh) if f)  # cells with a bucket-t edge
             for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
-                if mask is None:  # a pruned subtree, checked where its cliques would be
-                    if stop(t):
-                        return
-                elif first or any(fresh[c] & mask for c in _bits(mask & touched)):
-                    if stop(t):
-                        return
+                if t == self.thresholds[0] or any(fresh[c] & mask for c in _bits(mask & touched)):
                     yield t, mask
-            first = False
+                    if stop(t):
+                        return
 
 
 def _max_cliques(nbr, budget, twins, prune):
@@ -361,15 +355,12 @@ def _max_cliques(nbr, budget, twins, prune):
     Bron-Kerbosch (with pivoting) finds them, so its caller may stop early.
     Each node spends one unit of `budget`, which raises SizeError once spent.
 
-    `prune` (from `_CliqueSweep`, or None) cuts by mass. A node with entry
-    masks R and P, P not empty, whose R | P it holds is cut after its unit
-    is spent, and yields None in place of its subtree's cliques. `_ladder`
-    passes "the Hall rows bound of the mask is at most the live cut
-    min(m_cut)": the bound only grows with the mask, so every clique below
-    the node has mass at most the cut and can change no incumbent, and as
-    m_cut only grows the cut stays valid. The surviving nodes come in the
-    unpruned order with the same R, P and X, so a pruned search visits a
-    subsequence of the unpruned one's nodes.
+    `prune` (from `_CliqueSweep`, or None) cuts by mass: a node with entry
+    masks R and P, P not empty, whose R | P it holds spends its unit and
+    yields nothing. `_ladder` passes "the Hall rows bound of the mask is at
+    most the live cut min(m_cut)"; the bound only grows with the mask and
+    m_cut only grows, so no clique below the node can change an incumbent.
+    The surviving nodes come in the unpruned order with the same R, P and X.
 
     `twins` (from `_CliqueSweep`, or None) prunes by symmetry. At a node
     with entry masks R and P, branch vertex v is skipped, though still moved
@@ -390,7 +381,6 @@ def _max_cliques(nbr, budget, twins, prune):
                 yield r
             return
         if prune is not None and prune(r | p):
-            yield None
             return
         px = p | x
         pivot, best = -1, -1
@@ -492,67 +482,78 @@ def box_lambda_detail(
     return box_ladder(a, b, (lam,), budget, seeds)[0]
 
 
+class _Incumbents:
+    """The best cell set found so far for each lam of a search that scores
+    a set of distortion t / D and mass m / W by max(t / D, (1 - m / W) / lam),
+    D and W int denominators. `mass(pairs)` gives m; it is asked only when
+    t could beat a live incumbent.
+
+    Each incumbent is an int pair (num, den) in `best`, its value num / den,
+    at first the empty set's 1 / lam = q / p for lam = p / q, with its cells
+    in `pairs`. A candidate beats it iff t < t_lim = ceil(num D / den) and
+    m > m_cut = floor(W (1 - lam num / den)). A lam freezes the first time
+    t >= its t_lim; `live` holds the rest, and a frozen lam's t_lim and
+    m_cut become inf and W, so that min(t_lim) and min(m_cut) skip it.
+    """
+
+    def __init__(self, lams, D, W, mass):
+        self.ratios = [lam.as_integer_ratio() for lam in lams]
+        self.D, self.W, self.mass = D, W, mass
+        self.best, self.pairs = [(q, p) for p, q in self.ratios], [()] * len(lams)
+        self.t_lim, self.m_cut = [-(-q * D // p) for p, q in self.ratios], [0] * len(lams)
+        self.live = list(range(len(lams)))
+
+    def consider(self, pairs, t, m=None):
+        D, W, t_lim, m_cut = self.D, self.W, self.t_lim, self.m_cut
+        for k in self.live:
+            if t < t_lim[k]:
+                if m is None:
+                    m = self.mass(pairs)
+                if m > m_cut[k]:
+                    p, q = self.ratios[k]
+                    # the larger of t / D and (1 - m / W) / lam = (W - m) q / (W p)
+                    num, den = (t, D) if t * W * p >= (W - m) * q * D else ((W - m) * q, W * p)
+                    self.best[k], self.pairs[k] = (num, den), pairs
+                    t_lim[k] = -(-num * D // den)
+                    m_cut[k] = W * (den * q - p * num) // (den * q)
+
+    def frozen(self, t):
+        """Freeze the lams that t alone cannot beat; whether all are frozen."""
+        if self.live and t >= min(self.t_lim):
+            for k in [j for j in self.live if t >= self.t_lim[j]]:
+                self.live.remove(k)
+                self.t_lim[k], self.m_cut[k] = math.inf, self.W
+        return not self.live
+
+
 def _ladder(a, b, lams, budget, seeds=()):
     """The BoxResults and the prepared pair."""
     lams = [parse_scalar(lam) for lam in lams]
     if any(lam <= 0 for lam in lams):
         raise ValidationError("lambda must be positive")
     P = _Pair(a, b)
-    cells, da, db, D, wa, wb, W = P.cells, P.da, P.db, P.D, P.wa, P.wb, P.W
-
-    ratios = [lam.as_integer_ratio() for lam in lams]  # lam = p / q
-    # best[k] = (num, den) is the incumbent num / den, at first the empty
-    # correspondence's 1 / lam = q / p
-    best, best_pairs = [(q, p) for p, q in ratios], [()] * len(lams)
-    # a candidate of distortion t / D and mass m / W beats best[k] iff
-    # t < t_lim[k] = ceil(num D / den) and m > m_cut[k] = floor(W (1 - lam num / den))
-    t_lim, m_cut = [-(-q * D // p) for p, q in ratios], [0] * len(lams)
-    live = list(range(len(lams)))  # the lams not yet frozen
-
-    def consider(pairs, t, m=None):
-        for k in live:
-            if t < t_lim[k]:
-                if m is None:
-                    m = max_subcoupling(wa, wb, pairs)[0]
-                if m > m_cut[k]:
-                    p, q = ratios[k]
-                    # the larger of t / D and (1 - m / W) / lam = (W - m) q / (W p)
-                    if t * W * p >= (W - m) * q * D:
-                        num, den = t, D
-                    else:
-                        num, den = (W - m) * q, W * p
-                    best[k], best_pairs[k] = (num, den), pairs
-                    t_lim[k] = -(-num * D // den)
-                    m_cut[k] = W * (den * q - p * num) // (den * q)
-
-    def frozen(t):
-        if live and t >= min(t_lim):  # a lam freezes the first time t >= its t_lim
-            for k in [j for j in live if t >= t_lim[j]]:
-                live.remove(k)
-                t_lim[k], m_cut[k] = math.inf, W  # so that min(t_lim) and min(m_cut) skip k
-        return not live
-
-    consider(tuple(cells), P.diam, W)  # the full grid carries mass 1
+    cells, da, db, wa, wb = P.cells, P.da, P.db, P.wa, P.wb
+    inc = _Incumbents(lams, P.D, P.W, lambda pairs: max_subcoupling(wa, wb, pairs)[0])
+    inc.consider(tuple(cells), P.diam, P.W)  # the full grid carries mass 1
     for seed in seeds:
         pairs = tuple(sorted(set(map(tuple, seed))))
         for i, j in pairs:
             if not (0 <= i < P.A.n and 0 <= j < P.B.n):
                 raise ValidationError(f"seed cell ({i}, {j}) out of range")
-        consider(pairs, _int_distortion(da, db, pairs))
+        inc.consider(pairs, _int_distortion(da, db, pairs))
 
     try:
-        hall = _HallBound(wa, wb)
+        hall, m_cut = _HallBound(wa, wb), inc.m_cut
         # a clique whose mass m is at most min(m_cut) beats no incumbent, and
         # the Hall bound caps m; inside the search only its rows half, which
         # is cheap and only grows with the mask, cuts a node's R | P
         sweep = _CliqueSweep(
             da, db, cells, budget, (wa, wb), lambda mask: hall.rows(mask) <= min(m_cut)
         )
-        for t, mask in sweep.cliques(frozen):
-            # the full bound, against the cut as frozen(t) has just left it
+        for t, mask in sweep.cliques(inc.frozen):
             if hall.exceeds(mask, min(m_cut)):
-                consider(sweep.pairs(mask), t)
-        live.clear()  # the sweep ran out of thresholds: every lam is exact
+                inc.consider(sweep.pairs(mask), t)
+        inc.live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:
         nc = len(cells)
         # every stride-th cell pair u <= v (row u starts at u * nc - u * (u - 1)
@@ -566,10 +567,10 @@ def _ladder(a, b, lams, budget, seeds=()):
             }
         )
         for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled, P.diam):
-            consider(cand, t)
-    exact = [k not in live for k in range(len(lams))]
-    values = [Fraction(num, den) for num, den in best]
-    return tuple(map(BoxResult, values, lams, exact, best_pairs)), P
+            inc.consider(cand, t)
+    exact = [k not in inc.live for k in range(len(lams))]
+    values = [Fraction(num, den) for num, den in inc.best]
+    return tuple(map(BoxResult, values, lams, exact, inc.pairs)), P
 
 
 def box_lambda(a: FiniteMMSpace, b: FiniteMMSpace, lam):

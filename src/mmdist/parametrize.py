@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Incumbents
 from .spaces import FiniteMMSpace
 
 
@@ -107,8 +107,11 @@ def box_of_parametrizations(
     Minimizes max(distortion(K), (1 - mass(K)) / lam) over subsets K of the
     occupied cells, mass(K) being the summed cell masses (no re-optimization
     of the coupling). Since the mass term is additive, only maximal cliques
-    per distortion threshold matter; the sweep is exact and raises SizeError
-    once it spends more than `budget` work units (see `gromov._Budget`).
+    per distortion threshold matter. The box search's sweep lists them and
+    its incumbent (`gromov._Incumbents`) scores them in ints, with the cell
+    masses over one denominator, and stops the sweep once no clique can
+    beat it. The result is exact; the search raises SizeError once it spends
+    more than `budget` work units (see `gromov._Budget`).
     """
     lam = parse_scalar(lam)
     if lam <= 0:
@@ -123,10 +126,8 @@ def box_of_parametrizations(
     sweep = _CliqueSweep(da, db, cells, _Budget(budget))
     int_masses, M = scaled(masses[c] for c in cells)
     int_mass = dict(zip(cells, int_masses))
-    # the empty subset, and the full set, which carries mass 1
-    best = min((1 - 0) / lam, Fraction(sweep.thresholds[-1], D))
-
-    for t, mask in sweep.cliques(lambda t: t >= D * best):
-        mass = sum(int_mass[c] for c in sweep.pairs(mask))
-        best = min(best, max(Fraction(t, D), (1 - Fraction(mass, M)) / lam))
-    return best
+    inc = _Incumbents((lam,), D, M, lambda pairs: sum(int_mass[c] for c in pairs))
+    inc.consider(tuple(cells), sweep.thresholds[-1], M)  # the full set carries mass 1
+    for t, mask in sweep.cliques(inc.frozen):
+        inc.consider(sweep.pairs(mask), t)
+    return Fraction(*inc.best[0])

@@ -792,6 +792,38 @@ def test_bad_argv_values_exit_one_with_one_line(capsys, tmp_path, argv, message)
     assert message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("dist dh --in {h} --s -1/2 --t 0", "dist dh: s = -1/2 outside [0, 1]"),
+        ("dist dh --in {h} --s 0 --t -1/2", "dist dh: t = -1/2 outside [0, 1]"),
+        ("dist box --a {a} --b {a} --lambda -1/2", "dist box: lambda must be positive"),
+        ("glue --a {a} --b {a} --pairs [[0,0]] --eps -1/2", "glue: eps must be nonnegative"),
+        (
+            "dist excursion --a {h} --b {h} --gamma-tol -1/2",
+            "dist excursion: --gamma-tol: expected a nonnegative number, got '-1/2'",
+        ),
+        (
+            "code-excursion --in {h} --resolution -1/2",
+            "code-excursion: resolution point -1/2 outside [0, 1]",
+        ),
+        (
+            "experiment counterexample --n-list -2,3",
+            "experiment counterexample: tooth counts must be positive integers",
+        ),
+    ],
+    ids=["s", "t", "lambda", "eps", "gamma-tol", "resolution", "n-list"],
+)
+def test_a_negative_rational_after_a_value_flag_is_its_value(capsys, tmp_path, argv, message):
+    # argparse reads -1 as a value by itself, but -1/2 and -2,3 as options
+    h = tmp_path / "tent.json"
+    save_excursion(h, tent())
+    a = sample_file(capsys, tmp_path)
+    code, out, err = run(capsys, *argv.format(h=h, a=a).split())
+    assert (code, out) == (1, "")
+    assert err.startswith(f"mmdist {message}") and err.count("\n") == 1
+
+
 def test_threads_env_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("MMSPACE_THREADS", "abc")
     code, out, _ = run(capsys, "experiment", "theorem-check", "--count", "2")

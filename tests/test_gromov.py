@@ -796,9 +796,10 @@ def test_hall_pruning_keeps_exact_results_and_spends_no_more_units():
     rng = random.Random(433)
     pairs = ladder_pairs()[::3]
     pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(4)]
-    # a gp search that settles at a clique the pruned sweep never lists: unless
-    # it checks its stop test at the pruned node, it spends 274 units, not 249,
-    # where the unpruned sweep spends 272
+    # a gp search that settles at a clique after which the pruned sweep lists
+    # no other: were its stop test polled only before each yield, it would
+    # spend 274 units, more than the unpruned sweep's 272; polled right after
+    # each clique, the two spend 248 and 270
     pairs.append((sample_mm_space(948526166, n_max=5), sample_mm_space(147023327, n_max=5)))
     pruned = inexact = skipped = 0
     for a, b in pairs:
@@ -823,3 +824,79 @@ def test_hall_pruning_keeps_exact_results_and_spends_no_more_units():
     # some runs prune a node, many reference runs spend their budget, and
     # the bound skips flows
     assert pruned >= 10 and inexact >= 50 and skipped >= 100
+
+
+# ---------------------------------------------------------------------------
+# the stop rule: polled before each threshold and after each handled clique
+
+
+def polling_max_cliques(nbr, budget, twins, prune):
+    """`gromov._max_cliques` as it was when a node cut by mass yielded None in
+    place of its subtree's cliques, so that its caller could poll there."""
+
+    def bk(r, p, x):
+        budget.spend(1)
+        if p == 0:
+            if x == 0:
+                yield r
+            return
+        if prune is not None and prune(r | p):
+            yield None
+            return
+        pivot = max(gromov._bits(p | x), key=lambda u: ((p & nbr[u]).bit_count(), -u))
+        branch, p0 = p & ~nbr[pivot], p
+        for v in gromov._bits(branch):
+            if twins is None or not any(
+                branch & ubit and gromov._fixes(g, r) and gromov._fixes(g, p0)
+                for ubit, g in twins[v]
+            ):
+                yield from bk(r | 1 << v, p & nbr[v], x & nbr[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    yield from bk(0, (1 << len(nbr)) - 1, 0)
+
+
+def polling_cliques(sweep, stop):
+    """The reference sweep: `stop` polled before each threshold, before each
+    yield and at each node cut by mass."""
+    nbr = [0] * len(sweep.cells)
+    for t in sweep.thresholds:
+        if stop(t):
+            return
+        fresh = sweep._grow(nbr, t)
+        for mask in polling_max_cliques(nbr, sweep.budget, sweep.twins, sweep.prune):
+            if mask is None:  # a cut subtree, polled where its cliques would be
+                if stop(t):
+                    return
+            elif t == sweep.thresholds[0] or any(fresh[c] & mask for c in gromov._bits(mask)):
+                if stop(t):
+                    return
+                yield t, mask
+
+
+def test_the_stop_rule_spends_no_more_units_than_polling_at_every_node():
+    rng = random.Random(433)
+    pairs = ladder_pairs()
+    pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(4)]
+    pairs.append((sample_mm_space(948526166, n_max=5), sample_mm_space(147023327, n_max=5)))
+    fewer = inexact = 0
+    for a, b in pairs:
+        cells = canonicalize(a).n * canonicalize(b).n
+        base = cells * (cells - 1) // 2
+        for units in (base + 5, base + 50, gromov.DEFAULT_SEARCH_BUDGET):
+            for lams in (LAMBDA_LADDER, (F(1, 2),)):
+                budget, ref_budget = gromov._Budget(units), gromov._Budget(units)
+                boxes = gromov._ladder(a, b, lams, budget)[0]
+                with mock.patch.object(gromov._CliqueSweep, "cliques", polling_cliques):
+                    refs = gromov._ladder(a, b, lams, ref_budget)[0]
+                assert budget.left >= ref_budget.left
+                fewer += budget.left > ref_budget.left
+                for box, ref in zip(boxes, refs):
+                    if ref.exact:  # value, exactness and witness
+                        assert box == ref
+                    else:
+                        assert box.value <= ref.value
+                        inexact += 1
+    # many searches stop sooner, and many reference runs spend their budget
+    assert fewer >= 30 and inexact >= 50

@@ -20,6 +20,8 @@ from mmdist import (
     sample_mm_space,
     validate_parametrization,
 )
+from mmdist import gromov
+from mmdist.exact import scaled_rows
 
 F = Fraction
 
@@ -135,6 +137,35 @@ def test_box_of_parametrizations_is_refinement_invariant():
         r2 = refine(p2, rng.randrange(p2.pieces))
         assert box_of_parametrizations(r1, p2, a, b, lam) == before
         assert box_of_parametrizations(r1, r2, a, b, lam) == before
+
+
+def fraction_box_of_parametrizations(p1, p2, a, b, lam):
+    """The induced box value scored in Fractions, clique by clique of the
+    same sweep: the reference for the int incumbents."""
+    masses = parametrizations_to_cells(p1, p2)
+    cells = sorted(masses)
+    (da, db), D = scaled_rows(a.dist, b.dist)
+    sweep = gromov._CliqueSweep(da, db, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET))
+    # the empty subset, and the full set, which carries mass 1
+    best = min(1 / lam, Fraction(sweep.thresholds[-1], D))
+    for t, mask in sweep.cliques(lambda t: t >= D * best):
+        mass = sum(masses[c] for c in sweep.pairs(mask))
+        best = min(best, max(Fraction(t, D), (1 - mass) / lam))
+    return best
+
+
+def test_box_of_parametrizations_equals_the_fraction_scan():
+    rng = random.Random(97)
+    for _ in range(40):
+        a = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=4))
+        b = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=4))
+        for lam in LAMBDAS + (F(3, 7),):
+            _, cells = max_subcoupling(a.weights, b.weights, box_lambda_detail(a, b, lam).pairs)
+            optimal = complete_subcoupling(cells, a.weights, b.weights)
+            for coupling in (product_coupling(a, b), optimal):
+                p1, p2 = coupling_to_parametrizations(coupling, a, b)
+                want = fraction_box_of_parametrizations(p1, p2, a, b, lam)
+                assert box_of_parametrizations(p1, p2, a, b, lam) == want
 
 
 def test_box_of_parametrizations_raises_above_cell_cap():
