@@ -23,7 +23,7 @@ import time
 
 from .coding import code_excursion, four_point_check
 from .errors import SizeError, ValidationError
-from .exact import decimal_str, format_scalar, parse_scalar, scaled
+from .exact import decimal_str, format_scalar, parse_scalar
 from .excursion_metrics import (
     DEFAULT_GAMMA_BUDGET,
     DEFAULT_GAMMA_TOL,
@@ -51,13 +51,15 @@ from .spaces import (
     MMSPACE_FORMAT,
     canonicalize,
     dumps_json,
-    load_space,
+    ints_from_obj,
     load_document,
-    require_valid,
+    load_ints,
+    load_space,
+    require_valid_ints,
     sample_mm_space,
     space_from_obj,
     space_to_obj,
-    validate,
+    validate_ints,
 )
 
 ROUNDING_NOTE = "round-half-even-12"
@@ -118,7 +120,7 @@ def _cmd_validate(args):
         raise ValidationError(f"unsupported document format {fmt!r}")
     try:
         if fmt == MMSPACE_FORMAT:
-            violations = validate(space_from_obj(obj, check=False))
+            violations = validate_ints(ints_from_obj(obj, check=False))
         else:
             violations = validate_excursion(excursion_from_obj(obj, check=False))
     except ValidationError as exc:  # a document that does not parse: list why
@@ -149,19 +151,18 @@ def _cmd_sample(args):
 
 
 def _cmd_dist_prohorov(args):
-    # one literal table for both files: a literal written in both parses to
-    # one Fraction, so comparing the matrices mostly compares identities
+    # both files straight to ints, with one literal table for the command:
+    # --a is checked (one metric-axiom test) and feeds the scan as read
     literals = {}
-    a = load_space(args.a, check=False, literals=literals)
-    # --a's matrix and weights as ints, scaled once for its check and the scan
-    rows, D, mu, W = require_valid(a)
-    b = load_space(args.b, check=False, literals=literals)
-    shared = a.labels == b.labels and a.dist == b.dist
+    labels, rows, D, mu, W = load_ints(args.a, literals=literals)
+    b = load_ints(args.b, check=False, literals=literals)
+    _, rows_b, D_b, nu, V = b
+    # one matrix over its reduced common denominator: equal values, equal ints
+    shared = b[0] == labels and D_b == D and rows_b == rows
     # b on a's valid matrix needs only its weights checked; any other b gets
     # the full check, so an invalid --b reports before the mismatch
-    nu, V = scaled(b.weights) if shared and len(b.weights) == a.n else (None, 0)
-    if nu is None or min(nu) < 0 or sum(nu) != V:
-        require_valid(b)
+    if not (shared and len(nu) == len(mu) and min(nu) >= 0 and sum(nu) == V):
+        require_valid_ints(b)
     if not shared:
         raise ValidationError(
             "--a and --b must carry the same labels and distance matrix "

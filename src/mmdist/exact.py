@@ -1,15 +1,19 @@
 """Exact rational scalars: parsing, formatting, int scaling, square roots.
 
-Every scalar enters through `parse_scalar` and is a `fractions.Fraction`
-from then on; a float converts to its exact binary value, so nothing here
-ever rounds. The literals documents are made of, ASCII ints and "p/q"
-strings, become Fractions of two ints without `Fraction`'s string regex;
-every other string goes to `Fraction(str)`, whose grammar and errors are
-the interpreter's own. Hot loops put a batch of values over one common
-denominator (`scaled`, `scaled_rows`) and compare, add and flow plain ints,
-which is exact because the scale is positive. `decimal_str` rounds in
-ints too, from one `divmod` of the scaled numerator. Floats come out only
-where the CLI's `--float` flag asks for them.
+Every scalar enters through `parse_ratio`, which reads it as a reduced int
+pair (num, den); `parse_scalar` is the Fraction of that pair, so the
+grammar is written once. A float converts to its exact binary value, so
+nothing here ever rounds. The literals documents are made of, ASCII ints
+and "p/q" strings, become pairs with `int` and one `gcd`, without
+`Fraction`'s string regex; every other string goes to `Fraction(str)`,
+whose grammar and errors are the interpreter's own. A document reader that
+parses each distinct literal once to a pair can put a whole matrix over one
+denominator without building a Fraction per entry (`spaces.read_ints`).
+Hot loops put a batch of values over one common denominator (`scaled`,
+`scaled_rows`) and compare, add and flow plain ints, which is exact because
+the scale is positive. `decimal_str` rounds in ints too, from one `divmod`
+of the scaled numerator. Floats come out only where the CLI's `--float`
+flag asks for them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 
 __all__ = [
     "parse_scalar",
+    "parse_ratio",
     "format_scalar",
     "scaled",
     "scaled_rows",
@@ -31,7 +36,19 @@ __all__ = [
 
 
 def parse_scalar(value) -> Fraction:
-    """Convert a scalar to Fraction, exactly.
+    """Convert a scalar to Fraction, exactly: `Fraction` of `parse_ratio`.
+
+    Accepts ints, "p/q" strings, decimal strings, floats and Fractions (a
+    Fraction comes back as it is), with `parse_ratio`'s grammar and
+    exceptions.
+    """
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(*parse_ratio(value))
+
+
+def parse_ratio(value):
+    """A scalar as its reduced ratio (num, den), den > 0, exactly.
 
     Accepts ints, "p/q" strings, decimal strings, floats and Fractions.
     An ASCII int string ("-12", "007") or a "p/q" of two ("-3/4") is read
@@ -40,38 +57,39 @@ def parse_scalar(value) -> Fraction:
     `Fraction(value.strip())`, and the two give the same value or raise the
     same exception type. Decimal strings convert exactly ("0.1" -> 1/10, not
     the binary float); a float converts to its exact binary value (0.1 ->
-    3602879701896397 / 2**55). Anything else, including NaN and the
+    3602879701896397 / 2**55). Anything else, including bools, NaN and the
     infinities, raises ValueError; "1/0" raises ZeroDivisionError. A decimal
     string raises ValueError too when its exponent is larger in magnitude
     than the interpreter's limit on int string digits
     (`sys.get_int_max_str_digits()`): "1e400000000" is 12 characters, but
     its power of ten would take hours to build.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         num, slash, den = value.partition("/")
-        if _is_ascii_int(num) and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            if not slash:
+                return int(num), 1
+            p, q = int(num), int(den)
+            if not q:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
+            g = math.gcd(p, q)
+            return p // g, q // g
         _, e, exponent = value.upper().partition("E")
         # 0 means no limit, as on interpreters older than 3.10.7 (no such call)
         limit = getattr(sys, "get_int_max_str_digits", int)()
         if e and limit and abs(int(exponent)) > limit:
             raise ValueError(f"exponent beyond {limit} digits: {value!r}")
-        return Fraction(value.strip())
+        return Fraction(value.strip()).as_integer_ratio()
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise ValueError(f"not a scalar: {value!r}")
+    if isinstance(value, int):
+        return int(value), 1
     if isinstance(value, float) and math.isfinite(value):
-        return Fraction(value)
+        return value.as_integer_ratio()
     raise ValueError(f"cannot parse scalar: {value!r}")
-
-
-def _is_ascii_int(text: str) -> bool:
-    """Whether `text` is ASCII digits with at most a leading "-"."""
-    digits = text[1:] if text[:1] == "-" else text
-    return digits.isascii() and digits.isdigit()
 
 
 def scaled(values):

@@ -5,18 +5,22 @@ Zero off-diagonal distances and zero weights are valid input; `canonicalize`
 removes both, which is the representative form every distance routine works
 on (distances here are invariants of the measure-preserving-isometry class).
 
-Every entry of a space is exact. `mm_space`, the mmspace/1 parse layer,
-converts each one with `exact.parse_scalar` and names each malformed input
-by its JSON path. A space built by hand with int or float entries converts
-exactly in `canonicalize`, which every distance routine calls first.
-`canonicalize` marks its output (outside equality, hash and repr) and returns
-a marked space as it is; any other space, even an equal one, is validated.
-Validation has no tolerance: `metric_violations`, the one metric-axiom
-check, tests a matrix as ints over its common denominator (floats at their
-exact binary values); messages quote the entries as given. `require_valid`
-hands back the int form its checks read, the matrix over one denominator
-and the weights over another, so a caller that goes on to compute with
-ints does not scale the space again.
+Every entry of a space is exact. `read_ints` is the one mmspace/1 reader:
+it reads a document's fields straight to their int form, (labels, rows, D,
+weights, W) with the matrix over one denominator and the weights over
+another, parsing each distinct literal once to a reduced int pair
+(`exact.parse_ratio`) and naming each malformed input by its JSON path. A
+label is a string or a number. `mm_space` and `space_from_obj` build a
+FiniteMMSpace from that form, one Fraction per distinct value;
+`validate_ints` checks the form itself, so `dist prohorov` reads, checks
+and scans its files without a Fraction per entry. A space built by hand with
+int or float entries converts exactly in `canonicalize`, which every
+distance routine calls first. `canonicalize` marks its output (outside
+equality, hash and repr) and returns a marked space as it is; any other
+space, even an equal one, is validated. Validation has no tolerance:
+`metric_violations`, the one metric-axiom check, tests a matrix as ints over
+its common denominator (floats at their exact binary values); messages quote
+a space's entries as given, and the int form's by their exact values.
 
 The triangle test is packed (a SIMD-within-a-register test, Lamport 1975,
 "Multiple byte processing with full-word instructions"). Each row of a
@@ -33,14 +37,16 @@ n^2 big-int operations.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exact import format_scalar, parse_scalar, scaled, scaled_rows
+from .exact import format_scalar, parse_ratio, parse_scalar, scaled, scaled_rows
 
 MMSPACE_FORMAT = "mmspace/1"
+_LISTS = (list, tuple)  # a JSON array loads as a list; the Python API also takes tuples
 
 
 @dataclass(frozen=True)
@@ -61,21 +67,19 @@ class JsonFields:
     `items` and `scalars` record an error such as `dist[0][1]: invalid
     literal "x"` and return nothing for it; `check` then raises every
     recorded error as one ValidationError. A path is built only for a field
-    that fails. Each distinct string literal is parsed once per document: a
-    valid n-point matrix is symmetric with a zero diagonal, so at most
-    n(n-1)/2 + 1 of its n^2 literals differ. The memo is keyed on str alone,
-    because `True == 1` and a bool must still fail. It lives as long as this
-    object, unless the caller passes its own dict as `literals` to share it
-    between documents read together: their equal literals then parse to one
-    Fraction object, and comparing them stops at identity.
+    that fails. Each distinct string literal is parsed once per object, to
+    a Fraction; the memo is keyed on str alone, because `True == 1` and a
+    bool must still fail. Excursion documents are read with it; a space
+    document is read to ints by `read_ints`, which walks it with this class
+    only to name what failed.
     """
 
-    def __init__(self, literals=None):
+    def __init__(self):
         self.errors = []
-        self._parsed = {} if literals is None else literals
+        self._parsed = {}
 
     def items(self, value, path):
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, _LISTS):
             return enumerate(value)
         self.errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
         return ()
@@ -109,21 +113,102 @@ def _scalar_or_none(value):
         return None
 
 
-def mm_space(labels, dist, weights, literals=None) -> FiniteMMSpace:
+def _label(value):
+    """A label as str, or None when it is not one: a string or a number
+    (an int or a float, never a bool)."""
+    if isinstance(value, str) or isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    return None
+
+
+def read_ints(labels, dist, weights, literals=None):
+    """A space's fields in int form: (labels, rows, D, weights, W).
+
+    Labels become a tuple of str; the matrix becomes int rows over D and
+    the weights ints over W, each the least common denominator of its own
+    entries in lowest terms. Each distinct literal is parsed once, to a
+    reduced (num, den) pair (`exact.parse_ratio`), and each entry is then
+    one dict lookup: no Fraction is built. `literals` is that literal ->
+    pair table, for a caller that reads several documents in one command
+    and parses a literal they share once. Shapes are not checked here
+    (`validate_ints` reports them). A field that is not a list, a label
+    that is not a string or a number, and a literal that does not parse
+    raise one ValidationError naming each by its JSON path, in document
+    order.
+    """
+    names = tuple(map(_label, labels)) if isinstance(labels, _LISTS) else None
+    scales = None
+    if (
+        names is not None
+        and None not in names
+        and isinstance(dist, _LISTS)
+        and all(isinstance(field, _LISTS) for field in (*dist, weights))
+    ):
+        scales = _scales(dist, weights, {} if literals is None else literals)
+    if scales is None:
+        fields = JsonFields()
+        for i, label in fields.items(labels, "labels"):
+            if _label(label) is None:
+                fields.errors.append(
+                    f"labels[{i}]: expected a string or a number, "
+                    f"got {json.dumps(label, default=str)}"
+                )
+        for i, row in fields.items(dist, "dist"):
+            fields.scalars(row, f"dist[{i}]")
+        fields.scalars(weights, "weights")
+        fields.check()
+        raise AssertionError("unreachable: a field that fails is named")
+    (dist_ints, D), (weight_ints, W) = scales
+    rows = [list(map(dist_ints.__getitem__, row)) for row in dist]
+    return names, rows, D, list(map(weight_ints.__getitem__, weights)), W
+
+
+def _scales(dist, weights, ratios):
+    """((ints, D), (ints, W)): for the matrix, D is the lcm of its entries'
+    reduced denominators and `ints` maps each distinct entry to its int
+    over D; the same for the weights. None when an entry does not parse.
+    `ratios`, the literal -> (num, den) table, gains each literal it lacks."""
+    try:
+        dist_keys, weight_keys = set().union(*dist), set(weights)
+        keys = dist_keys | weight_keys
+        for x in keys.difference(ratios):
+            ratios[x] = parse_ratio(x)
+        if not all(type(x) is str for x in keys):
+            # a set keeps one of equal keys (True == 1 == 1.0), so each
+            # entry that is not a str is parsed where it stands: a bool fails
+            for field in (*dist, weights):
+                for x in field:
+                    if type(x) is not str:
+                        parse_ratio(x)
+    except (TypeError, ValueError, ZeroDivisionError):  # TypeError: a list or an object
+        return None
+    out = []
+    for field_keys in (dist_keys, weight_keys):
+        den = math.lcm(*(ratios[x][1] for x in field_keys))
+        out.append(({x: num * (den // d) for x in field_keys for num, d in (ratios[x],)}, den))
+    return out
+
+
+def _fractions(rows, den):
+    """Int rows over `den` as tuples of Fractions, one Fraction per value."""
+    values = {x: Fraction(x, den) for x in set().union(*rows)}
+    return [tuple(map(values.__getitem__, row)) for row in rows]
+
+
+def _space_of(ints) -> FiniteMMSpace:
+    labels, rows, D, weights, W = ints
+    return FiniteMMSpace(labels, tuple(_fractions(rows, D)), _fractions([weights], W)[0])
+
+
+def mm_space(labels, dist, weights) -> FiniteMMSpace:
     """Build a FiniteMMSpace from lists or tuples, parsing every scalar exactly.
 
-    A field that is not a list, or a scalar that does not parse, raises
-    ValidationError naming each one by its JSON path. `literals` is the
-    literal memo of `JsonFields`, for a caller that shares it.
+    Read through `read_ints`: a field that is not a list, a label that is
+    not a string or a number, or a scalar that does not parse raises
+    ValidationError naming each one by its JSON path. Equal entries share
+    one Fraction.
     """
-    fields = JsonFields(literals)
-    space = FiniteMMSpace(
-        labels=tuple(str(l) for _, l in fields.items(labels, "labels")),
-        dist=tuple(fields.scalars(row, f"dist[{i}]") for i, row in fields.items(dist, "dist")),
-        weights=fields.scalars(weights, "weights"),
-    )
-    fields.check()
-    return space
+    return _space_of(read_ints(labels, dist, weights))
 
 
 def metric_violations(dist) -> list:
@@ -201,39 +286,38 @@ _SPACE_MESSAGES = {
 }
 
 
-def _checked(space: FiniteMMSpace):
-    """(violations, ints): `validate`'s list, and the int form its checks
-    read, (rows, D, weights, W) with the matrix over D and the weights over
-    W; ints is None when the dimensions do not match."""
+def _shape_violations(n, dist, weights) -> list:
+    """Dimension mismatches of a matrix and a weight vector against n labels."""
     violations = []
-    n = len(space.labels)
-    if len(space.weights) != n:
-        violations.append(
-            f"weights length {len(space.weights)} != number of labels {n}"
-        )
-    if len(space.dist) != n:
-        violations.append(f"dist has {len(space.dist)} rows, expected {n}")
-    bad_rows = [i for i, row in enumerate(space.dist) if len(row) != n]
-    for i in bad_rows:
-        violations.append(f"dist row {i} has {len(space.dist[i])} entries, expected {n}")
-    if violations:
-        return violations, None
+    if len(weights) != n:
+        violations.append(f"weights length {len(weights)} != number of labels {n}")
+    if len(dist) != n:
+        violations.append(f"dist has {len(dist)} rows, expected {n}")
+    violations += [
+        f"dist row {i} has {len(row)} entries, expected {n}"
+        for i, row in enumerate(dist)
+        if len(row) != n
+    ]
+    return violations
 
-    weights, W = scaled(space.weights)
+
+def _value_violations(rows, D, weights, W, given=None) -> list:
+    """Weight and metric-axiom violations of a square matrix as int rows over
+    D and weights as ints over W. Messages quote the entries in `given`, a
+    space's own (dist, weights), or else their exact values."""
+    negative = [i for i, x in enumerate(weights) if x < 0]
+    total = sum(weights)
+    metric = _row_violations(rows)
+    if not (negative or total != W or metric):
+        return []
+    dist, quoted = given or (_fractions(rows, D), _fractions([weights], W)[0])
+    violations = [f"weight {i} is negative: {quoted[i]}" for i in negative]
+    if total != W:
+        violations.append(f"weights sum to {Fraction(total, W)}, expected 1")
     violations += [
-        f"weight {i} is negative: {w}"
-        for i, (w, x) in enumerate(zip(space.weights, weights))
-        if x < 0
+        _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=dist[i][j]) for kind, i, j, k in metric
     ]
-    if sum(weights) != W:
-        violations.append(f"weights sum to {Fraction(sum(weights), W)}, expected 1")
-    (rows,), D = scaled_rows(space.dist)
-    d = space.dist
-    violations += [
-        _SPACE_MESSAGES[kind].format(i=i, j=j, k=k, v=d[i][j])
-        for kind, i, j, k in _row_violations(rows)
-    ]
-    return violations, (rows, D, weights, W)
+    return violations
 
 
 def validate(space: FiniteMMSpace) -> list:
@@ -244,20 +328,39 @@ def validate(space: FiniteMMSpace) -> list:
     sum other than 1, then the metric axioms (`metric_violations`). Every
     check is exact, with no tolerance.
     """
-    return _checked(space)[0]
+    violations = _shape_violations(space.n, space.dist, space.weights)
+    if violations:
+        return violations
+    weights, W = scaled(space.weights)
+    (rows,), D = scaled_rows(space.dist)
+    return _value_violations(rows, D, weights, W, (space.dist, space.weights))
 
 
-def require_valid(space: FiniteMMSpace):
-    """Raise ValidationError on the first violation of `validate`; return
-    the int form the checks read, (rows, D, weights, W): the matrix as int
-    rows over D and the weights as ints over W."""
-    violations, ints = _checked(space)
+def validate_ints(ints) -> list:
+    """`validate` of a space in the int form of `read_ints`, with the same
+    messages, each entry quoted by its exact value."""
+    labels, rows, D, weights, W = ints
+    return _shape_violations(len(labels), rows, weights) or _value_violations(
+        rows, D, weights, W
+    )
+
+
+def _raise_invalid(violations) -> None:
     if violations:
         raise ValidationError(
             f"invalid space: {violations[0]} ({len(violations)} violation(s))",
             violations,
         )
-    return ints
+
+
+def require_valid(space: FiniteMMSpace) -> None:
+    """Raise ValidationError on the first violation of `validate`."""
+    _raise_invalid(validate(space))
+
+
+def require_valid_ints(ints) -> None:
+    """Raise ValidationError on the first violation of `validate_ints`."""
+    _raise_invalid(validate_ints(ints))
 
 
 def is_canonical(space: FiniteMMSpace) -> bool:
@@ -406,7 +509,9 @@ def space_to_obj(space: FiniteMMSpace) -> dict:
     }
 
 
-def space_from_obj(obj, check: bool = True, literals=None) -> FiniteMMSpace:
+def ints_from_obj(obj, check: bool = True, literals=None):
+    """An mmspace/1 document in the int form of `read_ints` (which see for
+    `literals`), checked with `require_valid_ints` unless `check` is false."""
     if not isinstance(obj, dict):
         raise ValidationError("space document must be a JSON object")
     if obj.get("format") != MMSPACE_FORMAT:
@@ -414,10 +519,14 @@ def space_from_obj(obj, check: bool = True, literals=None) -> FiniteMMSpace:
     missing = [f"missing field: {key}" for key in ("labels", "dist", "weights") if key not in obj]
     if missing:
         raise ValidationError(missing[0], missing)
-    space = mm_space(obj["labels"], obj["dist"], obj["weights"], literals)
+    ints = read_ints(obj["labels"], obj["dist"], obj["weights"], literals)
     if check:
-        require_valid(space)
-    return space
+        require_valid_ints(ints)
+    return ints
+
+
+def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
+    return _space_of(ints_from_obj(obj, check))
 
 
 def dumps_json(obj) -> str:
@@ -451,8 +560,14 @@ def load_document(path):
         raise ValidationError(f"JSON nested too deeply: {path}") from None
 
 
-def load_space(path, check: bool = True, literals=None) -> FiniteMMSpace:
-    return space_from_obj(load_document(path), check, literals)
+def load_space(path, check: bool = True) -> FiniteMMSpace:
+    return space_from_obj(load_document(path), check)
+
+
+def load_ints(path, check: bool = True, literals=None):
+    """The space document in the file at `path` in the int form of
+    `read_ints`, checked unless `check` is false."""
+    return ints_from_obj(load_document(path), check, literals)
 
 
 def save_space(path, space: FiniteMMSpace) -> None:

@@ -272,11 +272,12 @@ def test_dist_prohorov_checks_the_metric_once(capsys, tmp_path, monkeypatch):
         )
     code, out, _ = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
     assert (code, out) == (0, "1/4\n")
-    # --a is checked and --b compared with it; the scan reads --a's scaling
-    assert len(checks) == 1 and len(scalings) == 1
+    # both files are read straight to ints, so nothing is scaled again; --a
+    # is checked and --b compared with it
+    assert len(checks) == 1 and len(scalings) == 0
 
 
-@pytest.mark.parametrize("half", ["2/4", "0.5", "5e-1"])
+@pytest.mark.parametrize("half", ["2/4", "0.5", "5e-1", " 1/2 "])
 def test_dist_prohorov_compares_values_not_literals(capsys, tmp_path, half):
     # the files share one literal table, yet a value written another way
     # in --b is still the same matrix
@@ -288,13 +289,16 @@ def test_dist_prohorov_compares_values_not_literals(capsys, tmp_path, half):
     code, out, _ = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
     assert (code, out) == (0, "1/4\n")
     other[0][2] = other[2][0] = "3/4"
-    b.write_text(json.dumps({**PATH3, "dist": other}))
-    code, out, err = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
-    assert (code, out) == (1, "")
-    assert err == (
-        "mmdist dist prohorov: --a and --b must carry the same labels and distance matrix "
-        "(two measures on one space)\n"
-    )
+    # a's matrix times 2/3 has the same int rows over another denominator
+    scaled = [["0", "1/3", "2/3"], ["1/3", "0", "1/3"], ["2/3", "1/3", "0"]]
+    for dist_b in (other, scaled):
+        b.write_text(json.dumps({**PATH3, "dist": dist_b}))
+        code, out, err = run(capsys, "dist", "prohorov", "--a", str(a), "--b", str(b), "--raw")
+        assert (code, out) == (1, "")
+        assert err == (
+            "mmdist dist prohorov: --a and --b must carry the same labels and distance matrix "
+            "(two measures on one space)\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -648,6 +652,14 @@ MALFORMED_DOCS = {
     "huge exponent": ({"weights": ["1e5000", "1/2"]}, 'weights[0]: invalid literal "1e5000"'),
     # literals are parsed once per document, keyed on str: true is never "1"
     "true beside one": ({"weights": ["1", True]}, "weights[1]: invalid literal true"),
+    "true beside int one": ({"weights": [1, True]}, "weights[1]: invalid literal true"),
+    # a label is a string or a number, never written back as a Python repr
+    "null label": ({"labels": [None, "b"]}, "labels[0]: expected a string or a number, got null"),
+    "object label": (
+        {"labels": ["a", {"x": 1}]},
+        'labels[1]: expected a string or a number, got {"x": 1}',
+    ),
+    "true label": ({"labels": [True, "b"]}, "labels[0]: expected a string or a number, got true"),
 }
 
 
@@ -665,6 +677,7 @@ def test_malformed_space_documents_name_the_json_path(capsys, tmp_path, case):
         ["canonicalize", "--in", bad],
         ["dist", "gp", "--a", bad, "--b", good],
         ["dist", "prohorov", "--a", good, "--b", bad],
+        ["dist", "prohorov", "--a", bad, "--b", good],
         ["glue", "--a", bad, "--b", good],
     ):
         code, out, err = run(capsys, *map(str, argv))
@@ -899,7 +912,13 @@ SEED_DOCUMENTS = {
 }
 # each command reads the mutated document as FILE; OTHER is a valid space
 FUZZED_COMMANDS = {
-    "mmspace": ("validate --in FILE", "canonicalize --in FILE", "dist gp --a FILE --b OTHER"),
+    "mmspace": (
+        "validate --in FILE",
+        "canonicalize --in FILE",
+        "dist gp --a FILE --b OTHER",
+        "dist prohorov --a FILE --b OTHER",
+        "dist prohorov --a OTHER --b FILE",
+    ),
     "excursion": (
         "validate --in FILE",
         "canonicalize --in FILE",
@@ -956,6 +975,8 @@ def test_mutated_documents_exit_zero_or_one(fuzz_dir, kind_doc, data):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv.split())
     assert code in (0, 1), (argv, doc, err.getvalue())
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, (argv, doc, err.getvalue())
 
 
 @pytest.mark.parametrize(

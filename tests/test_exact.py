@@ -22,7 +22,9 @@ from mmdist import (
     sqrt_if_square,
     tent,
 )
-from mmdist.exact import sqrt_enclosure
+from mmdist.exact import parse_ratio, sqrt_enclosure
+
+F = Fraction
 
 
 def test_parse_exact_forms():
@@ -106,6 +108,28 @@ def test_parse_string_matches_fraction_of_the_stripped_string():
         except (ValueError, ZeroDivisionError) as exc:
             got = type(exc)
         assert got == expected and type(got) is type(expected), s[:40]
+        # the ratio is the reduced pair of the same value, with den > 0
+        try:
+            ratio = parse_ratio(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            ratio = type(exc)
+        want = expected if isinstance(expected, type) else expected.as_integer_ratio()
+        assert ratio == want, s[:40]
+
+
+def test_parse_ratio_is_the_reduced_pair_of_parse_scalar():
+    values = (3, -7, 0, True, None, [1], 0.1, -2.5, math.nan, math.inf, F(6, -4), "6/-4", "-0/5")
+    for x in values:
+        try:
+            want = parse_scalar(x).as_integer_ratio()
+        except (ValueError, ZeroDivisionError) as exc:
+            want = type(exc)
+        try:
+            got = parse_ratio(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            got = type(exc)
+        assert got == want and (isinstance(got, type) or math.gcd(*got) == 1), x
+    assert parse_ratio("-12/18") == (-2, 3) and parse_ratio("-0/5") == (0, 1)
 
 
 def test_format_round_trips_through_parse():

@@ -1,5 +1,6 @@
 """Finite metric measure spaces: validation, canonical form, isomorphism, IO."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,8 @@ from mmdist import (
     canonicalize,
     is_canonical,
     load_space,
+    mm_space,
+    parse_scalar,
     sample_mm_space,
     save_space,
     space_from_obj,
@@ -18,7 +21,8 @@ from mmdist import (
     validate,
 )
 from mmdist import spaces
-from mmdist.spaces import dumps_json, loads_document
+from mmdist.exact import scaled, scaled_rows
+from mmdist.spaces import dumps_json, load_ints, loads_document, read_ints, validate_ints
 
 F = Fraction
 
@@ -224,8 +228,8 @@ def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
     literals = {x for row in obj["dist"] for x in row} | set(obj["weights"])
     for _ in range(2):  # the memo lives with one document, not across them
         parsed = []
-        real = spaces.parse_scalar
-        monkeypatch.setattr(spaces, "parse_scalar", lambda x: parsed.append(x) or real(x))
+        real = spaces.parse_ratio
+        monkeypatch.setattr(spaces, "parse_ratio", lambda x: parsed.append(x) or real(x))
         assert space_from_obj(obj, check=False) == sp
         assert sorted(parsed) == sorted(literals)
         monkeypatch.undo()
@@ -233,9 +237,9 @@ def test_each_distinct_literal_is_parsed_once_per_document(monkeypatch):
 
 def test_bad_literals_are_named_by_path_in_order():
     base = {"format": "mmspace/1", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
-    # the memo holds str literals only: 1 and "1" parse, true never does
-    # (`MALFORMED_DOCS` in test_cli.py has "1" before true)
-    for weights, k in (([1, True], 1), ([True, "1"], 0)):
+    # 1 and "1" parse, true never does, though a set of literals keeps one
+    # of 1 and true (`MALFORMED_DOCS` in test_cli.py has "1" before true)
+    for weights, k in (([1, True], 1), ([True, "1"], 0), ([True, 1], 0), ([1.0, True], 1)):
         try:
             space_from_obj({**base, "weights": weights})
             assert False, weights
@@ -253,6 +257,140 @@ def test_bad_literals_are_named_by_path_in_order():
             'dist[1][1]: invalid literal "1/0"',
             'weights[0]: invalid literal "y"',
         ]
+
+
+def test_a_label_is_a_string_or_a_number():
+    dist, weights = [["0", "1"], ["1", "0"]], ["1/2", "1/2"]
+    sp = mm_space(["a", 7], dist, weights)
+    assert sp.labels == ("a", "7") and mm_space([0.5, "b"], dist, weights).labels == ("0.5", "b")
+    for bad, shown in ((None, "null"), (True, "true"), ([1], "[1]"), ({"x": 1}, '{"x": 1}')):
+        try:
+            mm_space(["a", bad], dist, weights)
+            assert False, bad
+        except ValidationError as exc:
+            assert exc.violations == [f"labels[1]: expected a string or a number, got {shown}"]
+    # labels are named first, then the other fields in document order
+    try:
+        mm_space([None, "b"], [["0", "x"], 5], weights)
+        assert False
+    except ValidationError as exc:
+        assert exc.violations == [
+            "labels[0]: expected a string or a number, got null",
+            'dist[0][1]: invalid literal "x"',
+            "dist[1]: expected a list, got 5",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# differential: the int reader against a Fraction-per-entry reference
+
+HUGE_INT = "1" * 5001  # one digit past the interpreter's limit on int strings
+
+
+def decimal_digits(q):
+    """(m, k) with |q| = m / 10**k when q has a finite decimal form, else None."""
+    d, k = q.denominator, 0
+    while d % 10 == 0 or d % 2 == 0 or d % 5 == 0:
+        d //= 10 if d % 10 == 0 else 2 if d % 2 == 0 else 5
+        k += 1
+    if d != 1:
+        return None
+    return abs(q.numerator) * 10**k // q.denominator, k
+
+
+def spellings(q):
+    """JSON tokens for the value q: quoted ASCII ints, unreduced and signed
+    p/q, decimals, exponents and padded strings, bare JSON ints and floats."""
+    p, d = q.numerator, q.denominator
+    out = [json.dumps(f"{3 * p}/{3 * d}"), json.dumps(f"  {q}\t"), json.dumps(str(q))]
+    if d == 1:
+        out += [json.dumps(str(p)), str(p), json.dumps(f"{p}e0")]
+    digits = decimal_digits(q)
+    if digits:
+        m, k = digits
+        text = str(m).rjust(k + 1, "0")
+        text = f"{'-' if p < 0 else ''}{text[:-k]}.{text[-k:]}" if k else f"{text}.0"
+        exponent = f"{'-' if p < 0 else ''}{m}e-{k}"
+        out += [json.dumps(text), text, json.dumps(exponent), exponent.replace("e", "E")]
+    return out
+
+
+BAD_TOKENS = (json.dumps("1/0"), json.dumps("1e5000"), HUGE_INT, "true")
+
+
+def seeded_document(rng):
+    """JSON text of a 1- to 5-point mmspace/1 document: lattice distances,
+    sometimes negated or kicked, over a denominator with and without a
+    decimal form; weights that sum to 1 or not; one bad token in some."""
+    n = rng.randint(1, 5)
+    den = rng.choice((1, 2, 4, 5, 8, 10, 3, 6))
+    pts = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+    d = [[F(abs(a - c) + abs(b - e), den) for c, e in pts] for a, b in pts]
+    if n > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(n), 2)
+        d[i][j] = rng.choice((-d[i][j] - 1, d[i][j] + F(1, 3), d[i][j] * 5))
+    raw = [rng.randint(1, 5) for _ in range(n)]
+    weights = [F(r, sum(raw)) for r in raw]
+    if rng.random() < 0.2:
+        weights[0] -= rng.choice((F(1), F(1, 10)))
+    tokens = [[rng.choice(spellings(x)) for x in row] for row in d]
+    wtokens = [rng.choice(spellings(w)) for w in weights]
+    if rng.random() < 0.25:
+        bad = rng.choice(BAD_TOKENS)
+        if rng.random() < 0.5:
+            tokens[rng.randrange(n)][rng.randrange(n)] = bad
+        else:
+            wtokens[rng.randrange(n)] = bad
+    return (
+        '{"format": "mmspace/1", '
+        f'"labels": {json.dumps([f"x{i}" for i in range(n)])}, '
+        f'"dist": [{", ".join("[" + ", ".join(row) + "]" for row in tokens)}], '
+        f'"weights": [{", ".join(wtokens)}]}}'
+    )
+
+
+def reference_read(obj):
+    """(errors, space): every entry parsed on its own to a Fraction."""
+    errors = []
+
+    def scalar(x, path):
+        try:
+            return parse_scalar(x)
+        except (ValueError, ZeroDivisionError):
+            errors.append(f"{path}: invalid literal {json.dumps(x)}")
+
+    dist = tuple(
+        tuple(scalar(x, f"dist[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(obj["dist"])
+    )
+    weights = tuple(scalar(w, f"weights[{k}]") for k, w in enumerate(obj["weights"]))
+    return errors, FiniteMMSpace(tuple(obj["labels"]), dist, weights)
+
+
+def test_the_int_reader_equals_a_fraction_per_entry_reference():
+    rng = random.Random(30)
+    seen = {"bad literal": 0, "invalid": 0, "valid": 0}
+    forms = set()
+    for _ in range(600):
+        obj = loads_document(seeded_document(rng))
+        forms |= {type(x) for row in obj["dist"] for x in row} | {type(w) for w in obj["weights"]}
+        errors, ref = reference_read(obj)
+        try:
+            ints = read_ints(obj["labels"], obj["dist"], obj["weights"])
+        except ValidationError as exc:
+            assert errors and exc.violations == errors
+            seen["bad literal"] += 1
+            continue
+        assert not errors
+        labels, rows, D, weights, W = ints
+        assert labels == ref.labels
+        assert ([rows], D) == scaled_rows(ref.dist) and (weights, W) == scaled(ref.weights)
+        violations = validate(ref)
+        assert validate_ints(ints) == violations
+        assert space_from_obj(obj, check=False) == ref
+        seen["invalid" if violations else "valid"] += 1
+    assert forms == {str, int, bool}
+    assert min(seen.values()) >= 60, seen
 
 
 def test_obj_rejects_unknown_format():
@@ -293,19 +431,33 @@ def test_load_space_check_flag(tmp_path):
     assert sum(sp.weights) == F(5, 4)
 
 
-def test_documents_read_with_one_literal_table_share_each_literal(tmp_path):
+def test_equal_values_read_to_equal_ints(tmp_path):
+    # `dist prohorov` compares two documents' int forms: the same values
+    # written with other literals read to the same labels, rows and
+    # denominator, whether or not the reads share one literal table
     sp = sample_mm_space(11, n_max=9)
+    obj = space_to_obj(sp)
+    rng = random.Random(23)
+
+    def respelled(q):
+        return rng.choice((str(q), f"{2 * q.numerator}/{2 * q.denominator}", f" {q} "))
+
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
-        save_space(path, sp)
+    paths[0].write_text(json.dumps(obj))
+    other = {**obj, "dist": [[respelled(x) for x in row] for row in sp.dist]}
+    paths[1].write_text(json.dumps(other))
     literals = {}
-    a, b = (load_space(path, literals=literals) for path in paths)
-    assert a == b == sp
-    assert all(x is y for ra, rb in zip(a.dist, b.dist) for x, y in zip(ra, rb))
-    assert all(x is y for x, y in zip(a.weights, b.weights))
-    # each read on its own parses its own Fractions
-    c = load_space(paths[1])
-    assert c == sp and c.dist[0][1] is not a.dist[0][1]
+    shared = [load_ints(path, literals=literals) for path in paths]
+    alone = [load_ints(path) for path in paths]
+    for labels, rows, D, weights, W in (*shared, *alone):
+        assert (labels, rows, D, weights, W) == shared[0]
+    assert space_from_obj(other) == sp
+    # one value moved is another matrix (the space has 8 points)
+    moved = [row[:] for row in other["dist"]]
+    moved[0][1] = moved[1][0] = str(sp.dist[0][1] + F(1, 7))
+    paths[1].write_text(json.dumps({**obj, "dist": moved}))
+    _, rows, D, _, _ = load_ints(paths[1], check=False, literals=literals)
+    assert (rows, D) != shared[0][1:3]
 
 
 def test_loads_document_keeps_decimals_as_strings():
