@@ -55,17 +55,18 @@ passes one int test per incumbent, and each lam's value becomes a Fraction
 once, when the ladder returns.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
-per cell pair the sweep buckets and one per Bron-Kerbosch node, pruned or
-not, never wall time, so results reproduce on any host. Past it the search
-returns the best correspondence found so far or by a deterministic
-heuristic, a certified upper bound marked exact=False. At
+per pair of cells the sweep is set up over and one per Bron-Kerbosch node,
+pruned or not, never wall time, so results reproduce on any host. Past it
+the search returns the best correspondence found so far or by a
+deterministic heuristic, a certified upper bound marked exact=False. At
 DEFAULT_SEARCH_BUDGET every bench workload, a 9-point star with distinct
 leaf lengths against its reverse and 49 of fifty seeded L1 lattice pairs
 of 9 and 10 points came back exact, each within 0.3 s on a 2-core host;
 symmetric instances, whose twin-pruned sweeps visit a few dozen nodes,
 reach identical 18-point stars and coded comb(17) vs comb(19) (over 320
-cells). Spending all of it took 0.2-0.5 s for the 10- to 12-point stars
-with distinct leaf lengths and 12- to 16-point lattice pairs.
+cells, about 5 ms each, since the sweep is set up from distance values).
+Spending all of it took 0.2-0.5 s for the 10- to 12-point stars with
+distinct leaf lengths and 12- to 16-point lattice pairs.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ DEFAULT_SEARCH_BUDGET = 60_000
 
 class _Budget:
     """The work one public search may do, counted without a clock so that
-    results and report bytes never depend on the host: one unit per cell
-    pair a `_CliqueSweep` buckets, charged before the buckets are built, and
+    results and report bytes never depend on the host: one unit per pair of
+    cells a `_CliqueSweep` is set up over, charged before its set-up, and
     one per Bron-Kerbosch node. Spending past it raises SizeError."""
 
     def __init__(self, units):
@@ -242,20 +243,147 @@ def _int_distortion(da, db, pairs):
     return max((abs(da[i][i2] - db[j][j2]) for i, j in pairs for i2, j2 in pairs), default=0)
 
 
+class _TwinOrbits:
+    """The twin swaps of a full row-major grid of n1 x n2 cells, as masks.
+
+    Twin points (see `_twins`) form classes. The cells of the rows in row
+    i's class (i's own included) and those of the columns in column j's
+    class meet in cell v = (i, j)'s orbit under one A-row and/or one
+    B-column twin swap, `orbits[v]`. The swap of each twin pair is kept
+    once, as `_fixes` reads it, in `row_swap` and `col_swap` (the empty
+    swap for a row or column with itself).
+    """
+
+    def __init__(self, twins_a, twins_b, n1, n2):
+        row_low, col_low = (1 << n2) - 1, sum(1 << (i * n2) for i in range(n1))
+        self.n2 = n2
+        row_cls = [row_low << (i * n2) for i in range(n1)]
+        col_cls = [col_low << j for j in range(n2)]
+        self.row_swap = {(i, i): () for i in range(n1)}
+        self.col_swap = {(j, j): () for j in range(n2)}
+        for i, i2 in twins_a:
+            row_cls[i] |= row_low << (i2 * n2)
+            row_cls[i2] |= row_low << (i * n2)
+            self.row_swap[i, i2] = self.row_swap[i2, i] = ((row_low << (i * n2), (i2 - i) * n2),)
+        for j, j2 in twins_b:
+            col_cls[j] |= col_low << j2
+            col_cls[j2] |= col_low << j
+            self.col_swap[j, j2] = self.col_swap[j2, j] = ((col_low << j, j2 - j),)
+        self.orbits = [rows & cols for rows in row_cls for cols in col_cls]
+
+    def maps_onto(self, v, cells, r, p):
+        """Whether, for some cell u of `cells` (a part of v's orbit), the
+        swap that maps u onto v fixes the masks `r` and `p`."""
+        i, j = divmod(v, self.n2)
+        for u in _bits(cells):
+            i2, j2 = divmod(u, self.n2)
+            g = self.row_swap[i, i2] + self.col_swap[j, j2]
+            if _fixes(g, r) and _fixes(g, p):
+                return True
+        return False
+
+
+def _value_masks(d, lines):
+    """value x -> [(line k's cells, the cells on the lines k2 with
+    d[k][k2] == x)] for each line k; `lines[k]` is line k's cell mask."""
+    out = {}
+    for row, line in zip(d, lines):
+        masks = {}
+        for x, line2 in zip(row, lines):
+            masks[x] = masks.get(x, 0) | line2
+        for x, mask in masks.items():
+            out.setdefault(x, []).append((line, mask))
+    return out
+
+
+class _GridEdges:
+    """The compatibility graph's edges on the full row-major grid of cells,
+    by mismatch, from distance values.
+
+    Two cells (i, j) and (i2, j2) mismatch by |a - b|, a = da[i][i2] and
+    b = db[j][j2], and on the full grid every value a of A meets every
+    value b of B in some two cells, so the thresholds are the |a - b|.
+    Per value and row (column), `rows` (`cols`) hold the cells on the rows
+    (columns) at that distance. The set-up takes a step per entry of da
+    and db and one per value pair, none per cell pair.
+    """
+
+    def __init__(self, da, db):
+        n1, n2 = len(da), len(db)
+        row_low, col_low = (1 << n2) - 1, sum(1 << (i * n2) for i in range(n1))
+        self.n = n1 * n2
+        self.rows = _value_masks(da, [row_low << (i * n2) for i in range(n1)])
+        self.cols = _value_masks(db, [col_low << j for j in range(n2)])
+        self.value_pairs = {}  # mismatch t -> the value pairs (a, b) at t
+        for a in self.rows:
+            for b in self.cols:
+                self.value_pairs.setdefault(abs(a - b), []).append((a, b))
+        self.thresholds = sorted(self.value_pairs)
+
+    def fresh(self, t):
+        """Per cell, its neighbours at mismatch exactly t. Cell (i, j)'s are,
+        for each value a of row i, those in the rows i2 with da[i][i2] == a
+        and the columns j2 with db[j][j2] == a - t or a + t; at t = 0 that
+        includes the cell itself, whose bit is cleared."""
+        fresh = [0] * self.n
+        rows, cols = self.rows, self.cols
+        for a, b in self.value_pairs.get(t, ()):
+            col_masks = cols[b]
+            for row, row_mask in rows[a]:
+                for col, col_mask in col_masks:
+                    fresh[(row & col).bit_length() - 1] |= row_mask & col_mask
+        if t == 0:
+            fresh = [f & ~(1 << c) for c, f in enumerate(fresh)]
+        return fresh
+
+
+class _CellPairEdges:
+    """The compatibility graph's edges on a part of the grid, by mismatch:
+    each cell pair is put in a bucket keyed by its mismatch, one step per
+    unit of the set-up's charge. Rows that hold different columns share no
+    cell pair, so distance values spare no work here: on parametrize's
+    staircases of 40 to 160 cells a value set-up took 3 to 6 times as long
+    as this build on a 2-core host.
+    """
+
+    def __init__(self, da, db, cells):
+        self.n = len(cells)
+        self.buckets = {}
+        for c1, (i, j) in enumerate(cells):
+            for c2 in range(c1 + 1, len(cells)):
+                i2, j2 = cells[c2]
+                self.buckets.setdefault(abs(da[i][i2] - db[j][j2]), []).append((c1, c2))
+        diagonal = {abs(da[i][i] - db[j][j]) for i, j in cells}
+        self.thresholds = sorted(diagonal.union(self.buckets))
+
+    def fresh(self, t):
+        """Per cell, its neighbours at mismatch exactly t."""
+        fresh = [0] * self.n
+        for c1, c2 in self.buckets.get(t, ()):
+            fresh[c1] |= 1 << c2
+            fresh[c2] |= 1 << c1
+        return fresh
+
+
 class _CliqueSweep:
     """Maximal cliques of the cell compatibility graph, threshold by threshold.
 
     `da` and `db` are the two spaces' distances as int rows over one common
-    denominator D. Cell pairs are bucketed once by their int mismatch, so
-    each threshold's masks grow from the last ones. Building the buckets and
-    every clique search spend from `budget`.
+    denominator D; `cells` is a sorted list of (row, column) cells, the
+    full row-major grid (the ladder's) or a part of it (parametrize's).
+    The edges come by mismatch from `_GridEdges` on the full grid, where
+    distance values spare the set-up any step per cell pair, and from
+    `_CellPairEdges` on a part, whose cell pairs are few. Each threshold
+    adds its fresh edges (`_grow`), so the masks grow from the last ones.
+    Set-up spends len(cells) * (len(cells) - 1) / 2 units of `budget`
+    first, and each clique search node one more.
 
     `weights`, given as the two spaces' weight vectors and only together
     with the full row-major grid of cells, turns on twin pruning: a swap of
     two twin points of A and/or of B permutes the cells by an automorphism
     of every threshold's graph that keeps every clique's distortion and
     mass, so `_max_cliques` may skip a branch that such a swap maps onto an
-    earlier branch of the same node.
+    earlier branch of the same node (see `_TwinOrbits`).
 
     `prune`, a test on cell masks that holds for a mask only if no clique
     within it can change its caller's result, turns on pruning by mass: see
@@ -265,56 +393,26 @@ class _CliqueSweep:
     def __init__(self, da, db, cells, budget, weights=None, prune=None):
         budget.spend(len(cells) * (len(cells) - 1) // 2)
         self.budget, self.prune = budget, prune
-        self.da, self.db = da, db
         self.cells = cells
-        self.buckets = {}
-        for c1, (i, j) in enumerate(cells):
-            for c2 in range(c1 + 1, len(cells)):
-                i2, j2 = cells[c2]
-                self.buckets.setdefault(abs(da[i][i2] - db[j][j2]), []).append((c1, c2))
-        diagonal = {abs(da[i][i] - db[j][j]) for i, j in cells}
-        self.thresholds = sorted(diagonal.union(self.buckets))
-        self.twins = None if weights is None else self._twin_swaps(*weights)
-
-    def _twin_swaps(self, wa, wb):
-        """Per cell v, the (bit of u, swap) pairs for each cell u < v that one
-        A-row twin swap and/or one B-column twin swap maps to v, the swap
-        given as `_fixes` reads it."""
-        twins_a, twins_b = _twins(self.da, wa), _twins(self.db, wb)
-        if not (twins_a or twins_b):
-            return None
-        n1, n2 = len(self.da), len(self.db)
-        row_low = (1 << n2) - 1
-        col_low = sum(1 << (i * n2) for i in range(n1))
-        rows = [[(i, ())] for i in range(n1)]
-        for i, i2 in twins_a:
-            swap = ((row_low << (i * n2), (i2 - i) * n2),)
-            rows[i].append((i2, swap))
-            rows[i2].append((i, swap))
-        cols = [[(j, ())] for j in range(n2)]
-        for j, j2 in twins_b:
-            swap = ((col_low << j, j2 - j),)
-            cols[j].append((j2, swap))
-            cols[j2].append((j, swap))
-        return [
-            [
-                (1 << (i * n2 + j), rs + cs)
-                for i, rs in rows[v // n2]
-                for j, cs in cols[v % n2]
-                if i * n2 + j < v
-            ]
-            for v in range(n1 * n2)
-        ]
+        n1, n2 = len(da), len(db)
+        if len(cells) == n1 * n2:
+            self.edges = _GridEdges(da, db)
+        else:
+            self.edges = _CellPairEdges(da, db, cells)
+        self.thresholds = self.edges.thresholds
+        self.twins = None
+        if weights is not None:
+            twins_a, twins_b = _twins(da, weights[0]), _twins(db, weights[1])
+            if twins_a or twins_b:
+                self.twins = _TwinOrbits(twins_a, twins_b, n1, n2)
 
     def pairs(self, mask):
         return tuple(self.cells[c] for c in _bits(mask))
 
     def _grow(self, nbr, t):
-        """Add bucket t's edges to `nbr`; return them alone as neighbour masks."""
-        fresh = [0] * len(nbr)
-        for c1, c2 in self.buckets.get(t, ()):
-            fresh[c1] |= 1 << c2
-            fresh[c2] |= 1 << c1
+        """Add the edges of mismatch exactly t to `nbr`; return them alone as
+        neighbour masks."""
+        fresh = self.edges.fresh(t)
         for c, f in enumerate(fresh):
             nbr[c] |= f
         return fresh
@@ -331,18 +429,19 @@ class _CliqueSweep:
         a handled clique can make it hold.
 
         New at t: a maximal clique is yielded at t iff it holds an edge of
-        bucket t (every clique is new at the first threshold, 0). Such a
-        clique has distortion exactly t and was no clique before t. One
-        without such an edge has distortion t' < t, is maximal at t' too
-        (every outside cell conflicts with it by more than t > t'), and
-        was yielded there.
+        mismatch exactly t (every clique is new at the first threshold, 0).
+        Such a clique has distortion exactly t and was no clique before t.
+        One without such an edge has distortion t' < t, is maximal at t' too
+        (every outside cell conflicts with it by more than t > t'), and was
+        yielded there.
         """
         nbr = [0] * len(self.cells)
         for t in self.thresholds:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
-            touched = sum(1 << c for c, f in enumerate(fresh) if f)  # cells with a bucket-t edge
+            # the cells with an edge of mismatch exactly t
+            touched = sum(1 << c for c, f in enumerate(fresh) if f)
             for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
                 if t == self.thresholds[0] or any(fresh[c] & mask for c in _bits(mask & touched)):
                     yield t, mask
@@ -362,16 +461,18 @@ def _max_cliques(nbr, budget, twins, prune):
     m_cut only grows, so no clique below the node can change an incumbent.
     The surviving nodes come in the unpruned order with the same R, P and X.
 
-    `twins` (from `_CliqueSweep`, or None) prunes by symmetry. At a node
-    with entry masks R and P, branch vertex v is skipped, though still moved
-    from P to X, when an earlier branch vertex u of the node maps to v under
-    a twin swap g that fixes R and P. g maps every maximal clique K with R +
-    v <= K <= R + P onto g(K), which holds u, lies between R and R + P, and
-    so comes out of an earlier branch of the node; g(K) has the same
-    threshold newness, distortion and mass as K, so a caller scanning for a
-    strict improvement skips K anyway. A pruned g(K) has in turn an earlier
-    image, down to one that comes out or lies in a subtree cut by mass; that
-    image has K's mass, at most the cut, so K cannot change an incumbent.
+    `twins` (a `_TwinOrbits` from `_CliqueSweep`, or None) prunes by
+    symmetry. At a node with entry masks R and P, branch vertex v is
+    skipped, though still moved from P to X, when an earlier branch vertex u
+    of the node maps to v under a twin swap g that fixes R and P; only the
+    earlier branch vertices in v's orbit are tried. g maps every maximal
+    clique K with R + v <= K <= R + P onto g(K), which holds u, lies between
+    R and R + P, and so comes out of an earlier branch of the node; g(K) has
+    the same threshold newness, distortion and mass as K, so a caller
+    scanning for a strict improvement skips K anyway. A pruned g(K) has in
+    turn an earlier image, down to one that comes out or lies in a subtree
+    cut by mass; that image has K's mass, at most the cut, so K cannot
+    change an incumbent.
     """
 
     def bk(r, p, x):
@@ -397,13 +498,13 @@ def _max_cliques(nbr, budget, twins, prune):
             vbit = m & -m
             v = vbit.bit_length() - 1
             m &= m - 1
-            if twins is None or not any(
-                branch & ubit and _fixes(g, r) and _fixes(g, p0) for ubit, g in twins[v]
-            ):
+            earlier = branch & (vbit - 1) & orbits[v]
+            if not earlier or not twins.maps_onto(v, earlier, r, p0):
                 yield from bk(r | vbit, p & nbr[v], x & nbr[v])
             p &= ~vbit
             x |= vbit
 
+    orbits = [0] * len(nbr) if twins is None else twins.orbits
     yield from bk(0, (1 << len(nbr)) - 1, 0)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -27,7 +28,9 @@ from mmdist import (
     sample_mm_space,
 )
 from mmdist import gromov
+from mmdist.exact import scaled_rows
 from mmdist.flow import max_subcoupling
+from mmdist.parametrize import IntervalParametrization, parametrizations_to_cells
 from mmdist.harness import LAMBDA_LADDER
 
 F = Fraction
@@ -314,6 +317,278 @@ def test_sweep_threshold_is_each_new_cliques_distortion():
 
 
 # ---------------------------------------------------------------------------
+# the sweep's set-up against the bucket build it replaced
+
+
+def listed_twins(da, db, wa, wb):
+    """The twin check's per-cell lists: per cell v, the (bit of u, swap)
+    pairs for each cell u < v that one A-row twin swap and/or one B-column
+    twin swap maps to v, the swap given as `gromov._fixes` reads it; None
+    without twins."""
+    twins_a, twins_b = gromov._twins(da, wa), gromov._twins(db, wb)
+    if not (twins_a or twins_b):
+        return None
+    n1, n2 = len(da), len(db)
+    row_low = (1 << n2) - 1
+    col_low = sum(1 << (i * n2) for i in range(n1))
+    rows = [[(i, ())] for i in range(n1)]
+    for i, i2 in twins_a:
+        swap = ((row_low << (i * n2), (i2 - i) * n2),)
+        rows[i].append((i2, swap))
+        rows[i2].append((i, swap))
+    cols = [[(j, ())] for j in range(n2)]
+    for j, j2 in twins_b:
+        swap = ((col_low << j, j2 - j),)
+        cols[j].append((j2, swap))
+        cols[j2].append((j, swap))
+    return [
+        [
+            (1 << (i * n2 + j), rs + cs)
+            for i, rs in rows[v // n2]
+            for j, cs in cols[v % n2]
+            if i * n2 + j < v
+        ]
+        for v in range(n1 * n2)
+    ]
+
+
+class ListedTwins:
+    """`gromov._TwinOrbits` read off the per-cell lists."""
+
+    def __init__(self, lists):
+        self.lists = lists
+        # v's orbit as the lists have it: the cells below v that map onto v
+        self.orbits = [sum(ubit for ubit, _ in listed) for listed in lists]
+
+    def maps_onto(self, v, cells, r, p):
+        return any(
+            cells & ubit and gromov._fixes(g, r) and gromov._fixes(g, p)
+            for ubit, g in self.lists[v]
+        )
+
+
+def bucket_init(sweep, da, db, cells, budget, weights=None, prune=None):
+    """`gromov._CliqueSweep.__init__` built from every cell pair: each pair
+    put in a bucket keyed by its mismatch, and per cell a list of its twin
+    images."""
+    budget.spend(len(cells) * (len(cells) - 1) // 2)
+    sweep.budget, sweep.prune, sweep.cells = budget, prune, cells
+    sweep.buckets = {}
+    for c1, (i, j) in enumerate(cells):
+        for c2 in range(c1 + 1, len(cells)):
+            i2, j2 = cells[c2]
+            sweep.buckets.setdefault(abs(da[i][i2] - db[j][j2]), []).append((c1, c2))
+    diagonal = {abs(da[i][i] - db[j][j]) for i, j in cells}
+    sweep.thresholds = sorted(diagonal.union(sweep.buckets))
+    lists = None if weights is None else listed_twins(da, db, *weights)
+    sweep.twins = None if lists is None else ListedTwins(lists)
+
+
+def bucket_grow(sweep, nbr, t):
+    """`gromov._CliqueSweep._grow` read off bucket t."""
+    fresh = [0] * len(nbr)
+    for c1, c2 in sweep.buckets.get(t, ()):
+        fresh[c1] |= 1 << c2
+        fresh[c2] |= 1 << c1
+    for c, f in enumerate(fresh):
+        nbr[c] |= f
+    return fresh
+
+
+def bucket_reference():
+    """A context in which every `_CliqueSweep` is set up by the bucket build."""
+    return mock.patch.multiple(gromov._CliqueSweep, __init__=bucket_init, _grow=bucket_grow)
+
+
+def random_rows(rng, n, values):
+    """A symmetric int matrix with a zero diagonal and entries drawn from
+    `values`; with 0 among them it is a pseudometric's or no metric's."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.choice(values)
+    return d
+
+
+def set_up_cases():
+    """(da, db, cells): seeded sampled, twin-rich and coded star pairs on
+    the full grid and on sorted parts of it, as parametrize passes, and
+    random int matrices (zero off the diagonal too) on both."""
+    rng = random.Random(983)
+    stars = [code_excursion(comb(n)).space for n in (1, 2, 3, 5)]
+    pairs = ladder_pairs() + [(s, t) for k, s in enumerate(stars) for t in stars[k:]]
+    grids = []
+    for a, b in pairs:
+        P = gromov._Pair(a, b)
+        grids.append((P.da, P.db))
+        # parametrize scales the spaces it is given, canonical or not
+        (da, db), _ = scaled_rows(a.dist, b.dist)
+        grids.append((da, db))
+    for _ in range(30):
+        values = rng.choice(((0, 1, 2), (1, 2), tuple(range(7))))
+        grids.append(tuple(random_rows(rng, rng.randint(1, 5), values) for _ in range(2)))
+    for da, db in grids:
+        cells = [(i, j) for i in range(len(da)) for j in range(len(db))]
+        yield da, db, cells
+        for k in (0, 1, 2, len(cells) // 3, len(cells) - 1):
+            yield da, db, sorted(rng.sample(cells, min(k, len(cells))))
+
+
+def test_set_up_from_values_matches_the_bucket_build():
+    sparse = 0
+    for da, db, cells in set_up_cases():
+        sweep = gromov._CliqueSweep(da, db, cells, gromov._Budget(10**9))
+        ref = gromov._CliqueSweep.__new__(gromov._CliqueSweep)
+        bucket_init(ref, da, db, cells, gromov._Budget(10**9))
+        assert sweep.thresholds == ref.thresholds
+        nbr, ref_nbr = [0] * len(cells), [0] * len(cells)
+        for t in sweep.thresholds:
+            assert sweep._grow(nbr, t) == bucket_grow(ref, ref_nbr, t)
+            assert nbr == ref_nbr
+        sparse += len(cells) < len(da) * len(db)
+    assert sparse >= 300
+
+
+
+def traced_lines(f):
+    """The Python lines f() runs: a work count that no host or clock moves."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        f()
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_sweep_work_is_within_the_bucket_builds():
+    # parametrize's cells for uniform parametrizations of 30 and 31 points
+    # form a staircase of 60 cells, whose rows hold different columns: there
+    # the set-up and the edges of every threshold cost the bucket build's
+    # steps. On the full grid the set-up takes fewer steps than the bucket
+    # build.
+    rng = random.Random(1009)
+    uniform = lambda n: IntervalParametrization(
+        tuple(F(k, n) for k in range(n + 1)), tuple(range(n))
+    )
+    staircase = sorted(parametrizations_to_cells(uniform(30), uniform(31)))
+    assert len(staircase) == 60
+    full = [(i, j) for i in range(12) for j in range(13)]
+
+    def work(init, grow, da, db, cells, every):
+        def run():
+            sweep = gromov._CliqueSweep.__new__(gromov._CliqueSweep)
+            init(sweep, da, db, cells, gromov._Budget(10**6))
+            nbr = [0] * len(cells)
+            for t in sweep.thresholds if every else ():
+                grow(sweep, nbr, t)
+
+        return traced_lines(run)
+
+    production = (gromov._CliqueSweep.__init__, gromov._CliqueSweep._grow)
+    for values in (range(1000, 2001), (1, 2)):
+        for (n1, n2), cells, every, factor in (
+            ((30, 31), staircase, True, 1.25),
+            ((12, 13), full, False, 1),
+        ):
+            da, db = random_rows(rng, n1, values), random_rows(rng, n2, values)
+            bucket = work(bucket_init, bucket_grow, da, db, cells, every)
+            assert work(*production, da, db, cells, every) < factor * bucket
+
+
+def orbit_closed(rng, lists, n):
+    """A random union of twin orbits: a mask every listed swap maps onto
+    itself."""
+    mask = 0
+    for v in range(n):
+        if rng.random() < 0.4:
+            mask |= 1 << v
+            for ubit, _ in lists[v]:
+                mask |= ubit
+    for v in range(n):  # close under the swaps from later cells
+        if mask >> v & 1:
+            continue
+        if any(mask & ubit for ubit, _ in lists[v]):
+            mask |= 1 << v
+    return mask
+
+
+def test_twin_orbits_agree_with_the_per_cell_lists():
+    rng = random.Random(991)
+    stars = [code_excursion(comb(n)).space for n in (2, 3, 4)]
+    pairs = ladder_pairs()[20:] + [(s, t) for s in stars for t in stars]
+    pairs.append((tree_star(4), tree_star(3)))
+    answers = {True: 0, False: 0}
+    for a, b in pairs:
+        P = gromov._Pair(a, b)
+        sweep = gromov._CliqueSweep(P.da, P.db, P.cells, gromov._Budget(10**9), (P.wa, P.wb))
+        lists = listed_twins(P.da, P.db, P.wa, P.wb)
+        if lists is None:
+            assert sweep.twins is None
+            continue
+        listed, n = ListedTwins(lists), len(P.cells)
+        masks = lambda: rng.choice(
+            (0, (1 << n) - 1, rng.getrandbits(n), orbit_closed(rng, lists, n))
+        )
+        for _ in range(200):
+            branch = rng.getrandbits(n) | orbit_closed(rng, lists, n)
+            if not branch:
+                continue
+            v = rng.choice(list(gromov._bits(branch)))
+            r, p = masks(), masks()
+            below = branch & ((1 << v) - 1)
+            earlier = below & sweep.twins.orbits[v]
+            assert earlier == below & listed.orbits[v]
+            answer = bool(earlier) and sweep.twins.maps_onto(v, earlier, r, p)
+            assert answer == listed.maps_onto(v, below, r, p)
+            answers[answer] += 1
+    assert min(answers.values()) >= 500
+
+
+def test_ladders_equal_the_bucket_reference_at_every_budget():
+    rng = random.Random(997)
+    stars = [code_excursion(comb(n)).space for n in (2, 3, 4, 6)]
+    pairs = ladder_pairs() + [(s, t) for k, s in enumerate(stars) for t in stars[k:]]
+    pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(2)]
+    inexact = 0
+    for a, b in pairs:
+        cells = canonicalize(a).n * canonicalize(b).n
+        base = cells * (cells - 1) // 2
+        for units in (0, base + 5, base + 50, gromov.DEFAULT_SEARCH_BUDGET):
+            for lams in (LAMBDA_LADDER, (F(1, 2),)):
+                budget, ref_budget = gromov._Budget(units), gromov._Budget(units)
+                boxes = gromov._ladder(a, b, lams, budget)[0]
+                with bucket_reference():
+                    refs = gromov._ladder(a, b, lams, ref_budget)[0]
+                assert (boxes, budget.left) == (refs, ref_budget.left)
+                inexact += sum(not box.exact for box in boxes)
+    # runs past the budget are compared too
+    assert inexact >= 100
+
+
+def test_symmetric_frontier_of_the_readme_is_exact():
+    # identical 18-point stars (324 cells) and coded comb(17) vs comb(19)
+    # (323 cells), each spending as many units as the bucket reference
+    coded = {n: code_excursion(comb(n)).space for n in (17, 19)}
+    for a, b, value in ((tree_star(18), tree_star(18), 0), (coded[17], coded[19], F(2, 19))):
+        budget, ref_budget = (gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET) for _ in range(2))
+        box = gromov._ladder(a, b, (F(1, 2),), budget)[0][0]
+        with bucket_reference():
+            ref = gromov._ladder(a, b, (F(1, 2),), ref_budget)[0][0]
+        assert (box.value / 2, box.exact) == (value, True)
+        assert (box, budget.left) == (ref, ref_budget.left)
+        gp = gromov_prohorov_detail(a, b)
+        assert (gp.value, gp.exact) == (value, True)
+
+
+# ---------------------------------------------------------------------------
 # the lazy, twin-pruned sweep against the eager, unpruned one it replaced
 
 
@@ -386,7 +661,7 @@ def twin_rich_spaces(draw):
 def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
     box = box_lambda_detail(a, b, lam)
     glue = glued_upper_bound(a, b)
-    with mock.patch.object(gromov._CliqueSweep, "cliques", eager_cliques):
+    with mock.patch.object(gromov._CliqueSweep, "cliques", eager_cliques), bucket_reference():
         ref_box = box_lambda_detail(a, b, lam)
         ref_glue = glued_upper_bound(a, b)
     assert (box.value, box.exact, box.pairs) == (ref_box.value, ref_box.exact, ref_box.pairs)
@@ -397,14 +672,16 @@ def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
         ref_glue.source,
     )
     P = gromov._Pair(a, b)
-    budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
-    sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget, (P.wa, P.wb))
+    units = gromov.DEFAULT_SEARCH_BUDGET
+    sweep = gromov._CliqueSweep(P.da, P.db, P.cells, gromov._Budget(units), (P.wa, P.wb))
     never = lambda t: False
     pruned = list(sweep.cliques(never))
     for t, mask in pruned:
         assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
     # pruning only drops cliques: the rest come in the reference's order
-    reference = iter(eager_cliques(sweep, never))
+    with bucket_reference():
+        ref = gromov._CliqueSweep(P.da, P.db, P.cells, gromov._Budget(units))
+        reference = iter(list(eager_cliques(ref, never)))
     assert all(clique in reference for clique in pruned)
 
 
@@ -846,10 +1123,8 @@ def polling_max_cliques(nbr, budget, twins, prune):
         pivot = max(gromov._bits(p | x), key=lambda u: ((p & nbr[u]).bit_count(), -u))
         branch, p0 = p & ~nbr[pivot], p
         for v in gromov._bits(branch):
-            if twins is None or not any(
-                branch & ubit and gromov._fixes(g, r) and gromov._fixes(g, p0)
-                for ubit, g in twins[v]
-            ):
+            earlier = 0 if twins is None else branch & ((1 << v) - 1) & twins.orbits[v]
+            if not earlier or not twins.maps_onto(v, earlier, r, p0):
                 yield from bk(r | 1 << v, p & nbr[v], x & nbr[v])
             p &= ~(1 << v)
             x |= 1 << v
@@ -888,7 +1163,9 @@ def test_the_stop_rule_spends_no_more_units_than_polling_at_every_node():
             for lams in (LAMBDA_LADDER, (F(1, 2),)):
                 budget, ref_budget = gromov._Budget(units), gromov._Budget(units)
                 boxes = gromov._ladder(a, b, lams, budget)[0]
-                with mock.patch.object(gromov._CliqueSweep, "cliques", polling_cliques):
+                with mock.patch.object(
+                    gromov._CliqueSweep, "cliques", polling_cliques
+                ), bucket_reference():
                     refs = gromov._ladder(a, b, lams, ref_budget)[0]
                 assert budget.left >= ref_budget.left
                 fewer += budget.left > ref_budget.left
