@@ -27,28 +27,41 @@ breakpoint bottoms. Two regimes:
   segments. Upper bounds combine the 1-Lipschitz property of the distance
   field with per-feature convexity (distance to one feature restricted to a
   segment is convex, hence maximal at an endpoint); segments that lie
-  inside the target epigraph are discarded exactly beforehand. Returns an
-  enclosure [lo, hi], certified when hi - lo <= tol, and degrades to the
-  current enclosure when the split budget runs out. Both directed searches
-  are set up first; the one whose starting lo is larger runs to its end,
-  (lo1, hi1), and the other runs with the floor lo1: it also stops at the
-  first bound it pops that is <= lo1. Bounds only shrink down the heap, so
-  every segment it leaves is <= lo1 <= hi1, and max(lo1, lo2),
-  max(hi1, hi2), exactness and certification are those of two full runs,
-  at any tol and budget. Only one search takes a floor: were each to stop
-  at the other's lo, hi could change where the two sups tie. This is the
-  incumbent cut of branch and bound (Lawler & Wood 1966).
+  inside the target epigraph are discarded exactly beforehand. A popped
+  segment splits where the features nearest its two ends, k and l, tie:
+  along a line f_k^2 and f_l^2 are quadratics (within one projection
+  regime each), so the root of the quadratic through f_k^2 - f_l^2 at the
+  segment's start, midpoint and end puts one split on an interior maximum,
+  which sits where the nearest feature changes (`_tie_split`; placing the
+  split by the function, not at the midpoint, is the classical remedy in
+  Lipschitz optimisation, Shubert 1972; the three-sample root is Muller's
+  1956). Where k = l, or no root lies strictly inside, the split is the
+  midpoint. Any split point keeps the children covering their parent, so
+  the bounds, tol and the budget mean what they would with midpoint
+  splits; only the visit order differs. Returns an enclosure [lo, hi],
+  certified when hi - lo <= tol, and degrades to the current enclosure
+  when the split budget runs out. Both directed searches are set up
+  first; the one whose starting lo is larger runs to its end, (lo1, hi1),
+  and the other runs with the floor lo1: it also stops at the first bound
+  it pops that is <= lo1. Bounds only shrink down the heap, so every
+  segment it leaves is <= lo1 <= hi1, and max(lo1, lo2), max(hi1, hi2),
+  exactness and certification are those of two full runs, at any tol and
+  budget. Only one search takes a floor: were each to stop at the other's
+  lo, hi could change where the two sups tie. This is the incumbent cut
+  of branch and bound (Lawler & Wood 1966).
 
 Both regimes of d_gamma work in ints from start to finish, as d_lambda
 does. d_gamma puts both excursions over one denominator once
 (`excursions._int_excursions`), for both directed sups, and builds each
 target's epigraph features over it (`_int_epi`); a point is an int
 triple (x, y, d), and its squared distances to all features are one int
-vector (`_dist_sq_vector`), computed once when the point is created.
-Square roots come from `math.isqrt` (`isqrt_enclosure`); bounds and heap
-keys are (num, den) pairs compared by cross-multiplication, so every bound
-and the visit order are those of the plain Fraction computation: all of it
-for the search that runs to its end, a prefix of it for the floored one.
+vector (`_dist_sq_vector`), computed once when the point is created; a
+split also reads one at the segment's midpoint, without building a node.
+Square roots come from `math.isqrt` (`isqrt_enclosure`, and the split's root);
+bounds and heap keys are (num, den) pairs compared by cross-multiplication,
+so every bound, split point and the visit order are those of the plain
+Fraction computation: all of it for the search that runs to its end, a
+prefix of it for the floored one.
 What stays Fraction: only the returned enclosure, and d_lambda's one value.
 
 d_excursion = d_gamma + d_lambda, with interval bookkeeping carried along.
@@ -61,7 +74,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -403,6 +416,35 @@ def _outside_subsegments(p, q, epi: _Epi):
     return out
 
 
+SPLIT_BITS = 48  # a segment splits at a tie no finer than 2^-48 of its length
+
+
+def _tie_split(g0, gm, g1):
+    """Where a segment splits, as p / 2^SPLIT_BITS of its length, or None.
+
+    g0, gm and g1 are f_k^2 - f_l^2 at the segment's start, midpoint and
+    end, ints on one scale, for k the feature nearest the start and l the
+    one nearest the end. When g0 < 0 < g1 the quadratic through the three
+    samples, A t^2 + B t + C, has one root r in (0, 1), where f_k and f_l
+    tie; p is floor(2^SPLIT_BITS r), exact for any common scale of the
+    samples, and None unless 0 < p < 2^SPLIT_BITS.
+    """
+    if not g0 < 0 < g1:
+        return None
+    a, b = 2 * (g0 + g1) - 4 * gm, 4 * gm - 3 * g0 - g1
+    if a == 0:  # linear: b = g1 - g0 > 0
+        p = (-g0 << SPLIT_BITS) // b
+    else:  # r = (-B + sqrt(B^2 - 4 A C)) / 2A; floor of (n +- root) / m
+        disc = (b * b - 4 * a * g0) << 2 * SPLIT_BITS
+        root = isqrt(disc)
+        if a > 0:
+            p = ((-b << SPLIT_BITS) + root) // (2 * a)
+        else:
+            root += root * root != disc  # the ceiling, as the root is subtracted
+            p = ((b << SPLIT_BITS) - root) // (-2 * a)
+    return p if 0 < p < 1 << SPLIT_BITS else None
+
+
 class _Seg:
     """A heap entry: segment (s, t) under the bound n / d. It pops first for
     a larger bound, then for an earlier push, as Fraction keys would."""
@@ -422,12 +464,16 @@ def _directed_bb(s: Excursion, t: Excursion, den: int):
 
     s and t carry int fields over den. Setting up builds epi(t), cuts the
     source into the segments that avoid it and heaps them under their
-    bounds; lo is the starting lower bound, (num, den), read at the segment
-    ends and, for a pc source, at its breakpoint bottoms. `run(tol, budget,
-    floor)` then pops the segment of largest bound and splits it at its
-    midpoint, until the bound popped is at most lo + tol, or at most
-    `floor`, or `budget` splits are spent; that bound caps every segment
-    left, as bounds only shrink down the heap. It returns the enclosure
+    bounds, one node per distinct segment end; lo is the starting lower
+    bound, (num, den), read at the segment ends and, for a pc source, at
+    its breakpoint bottoms. `run(tol, budget, floor)` then pops the segment
+    of largest bound and splits it, until the bound popped is at most
+    lo + tol, or at most `floor`, or `budget` splits are spent; that bound
+    caps every segment left, as bounds only shrink down the heap, and each
+    child's bound is at most its parent's. The split point is where the
+    features k and l nearest the two ends tie (`_tie_split` on
+    f_k^2 - f_l^2 at the ends and the midpoint, k and l the first argmin
+    of each end's vector), else the midpoint. It returns the enclosure
     (lo, hi) of the directed sup as (num, den) pairs, and runs once. A floor
     of 0 stops nothing that lo + tol would not; a higher one lets a search
     stop once it cannot beat another's lo (see `d_gamma_detail`). The visit
@@ -472,12 +518,32 @@ def _directed_bb(s: Excursion, t: Excursion, den: int):
         ends = [(x, v, den) for x, v in zip(bps, vals)]
         segments = list(zip(ends, ends[1:]))
 
-    heap = []
+    heap, nodes = [], {}  # consecutive subsegments share their end node
     for p, q in segments:
         for a, b in _outside_subsegments(p, q, epi):
-            na, nb = node(*a), node(*b)
+            for end in (a, b):
+                if end not in nodes:
+                    nodes[end] = node(*end)
+            na, nb = nodes[a], nodes[b]
             start = _qmax(_qmax(start, na[3]), nb[3])
             heapq.heappush(heap, _Seg(seg_ub(na, nb), len(heap), na, nb))
+
+    def split(s, t):
+        # the node where the features nearest the two ends tie, else the midpoint
+        ax, ay, ad, _, _, va, la = s
+        bx, by, bd, _, _, vb, lb = t
+        m = lcm(ad, bd)
+        ax, ay, bx, by = ax * (m // ad), ay * (m // ad), bx * (m // bd), by * (m // bd)
+        k, l = va.index(min(va)), vb.index(min(vb))
+        if k != l:
+            # the midpoint's l2 is a multiple of both ends', as its d is of theirs
+            vm, lm = _dist_sq_vector(ax + bx, ay + by, 2 * m, epi)
+            g0, g1 = (va[k] - va[l]) * (lm // la), (vb[k] - vb[l]) * (lm // lb)
+            p = _tie_split(g0, vm[k] - vm[l], g1)
+            if p is not None:
+                q = (1 << SPLIT_BITS) - p
+                return node(ax * q + bx * p, ay * q + by * p, m << SPLIT_BITS)
+        return node(ax + bx, ay + by, 2 * m)
 
     def run(tol, budget, floor=(0, 1)):
         lo, counter, spent, final_hi = start, len(heap), 0, hi_points
@@ -490,9 +556,7 @@ def _directed_bb(s: Excursion, t: Excursion, den: int):
                 final_hi = _qmax(final_hi, ub)
                 break
             spent += 1
-            (ax, ay, ad, *_), (bx, by, bd, *_) = top.s, top.t
-            m = lcm(ad, bd)
-            nm = node(ax * (m // ad) + bx * (m // bd), ay * (m // ad) + by * (m // bd), 2 * m)
+            nm = split(top.s, top.t)
             lo = _qmax(lo, nm[3])
             for s, t in ((top.s, nm), (nm, top.t)):
                 heapq.heappush(heap, _Seg(_qmin(ub, seg_ub(s, t)), counter, s, t))

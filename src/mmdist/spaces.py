@@ -17,7 +17,9 @@ and scans its files without a Fraction per entry. A space built by hand with
 int or float entries converts exactly in `canonicalize`, which every
 distance routine calls first. `canonicalize` marks its output (outside
 equality, hash and repr) and returns a marked space as it is; any other
-space, even an equal one, is validated. Validation has no tolerance:
+space, even an equal one, is validated, unless it was read from a document
+by `space_from_obj` (or `load_space`) with its check: that space is marked
+valid, so each file is checked once. Validation has no tolerance:
 `metric_violations`, the one metric-axiom check, tests a matrix as ints over
 its common denominator (floats at their exact binary values); messages quote
 a space's entries as given, and the int form's by their exact values.
@@ -55,6 +57,7 @@ class FiniteMMSpace:
     dist: tuple
     weights: tuple
     _canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    _valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -354,8 +357,10 @@ def _raise_invalid(violations) -> None:
 
 
 def require_valid(space: FiniteMMSpace) -> None:
-    """Raise ValidationError on the first violation of `validate`."""
-    _raise_invalid(validate(space))
+    """Raise ValidationError on the first violation of `validate`; a space
+    marked valid by its maker (`_mark_valid`) is not checked again."""
+    if not space._valid:
+        _raise_invalid(validate(space))
 
 
 def require_valid_ints(ints) -> None:
@@ -419,6 +424,12 @@ def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
 def _mark_canonical(space: FiniteMMSpace) -> FiniteMMSpace:
     """Mark a space its maker knows is its own valid canonical form."""
     object.__setattr__(space, "_canonical", True)  # frozen: set past __init__
+    return _mark_valid(space)
+
+
+def _mark_valid(space: FiniteMMSpace) -> FiniteMMSpace:
+    """Mark a space its maker has checked: `require_valid` passes it as it is."""
+    object.__setattr__(space, "_valid", True)
     return space
 
 
@@ -526,7 +537,11 @@ def ints_from_obj(obj, check: bool = True, literals=None):
 
 
 def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
-    return _space_of(ints_from_obj(obj, check))
+    """An mmspace/1 document as a FiniteMMSpace; checked once, in int form,
+    unless `check` is false, and then marked valid, so `canonicalize` and
+    the glue do not check it again."""
+    space = _space_of(ints_from_obj(obj, check))
+    return _mark_valid(space) if check else space
 
 
 def dumps_json(obj) -> str:

@@ -429,6 +429,12 @@ def test_load_space_check_flag(tmp_path):
         pass
     sp = load_space(path, check=False)
     assert sum(sp.weights) == F(5, 4)
+    # an unchecked read is not marked valid, so canonicalize still checks it
+    try:
+        canonicalize(sp)
+        assert False
+    except ValidationError as exc:
+        assert "weights sum to 5/4" in str(exc)
 
 
 def test_equal_values_read_to_equal_ints(tmp_path):
