@@ -51,15 +51,15 @@ from .spaces import (
     MMSPACE_FORMAT,
     canonicalize,
     dumps_json,
+    int_violations,
     ints_from_obj,
     load_document,
     load_ints,
     load_space,
-    require_valid_ints,
+    raise_invalid,
     sample_mm_space,
     space_from_obj,
     space_to_obj,
-    validate_ints,
 )
 
 ROUNDING_NOTE = "round-half-even-12"
@@ -120,7 +120,7 @@ def _cmd_validate(args):
         raise ValidationError(f"unsupported document format {fmt!r}")
     try:
         if fmt == MMSPACE_FORMAT:
-            violations = validate_ints(ints_from_obj(obj, check=False))
+            violations = int_violations(ints_from_obj(obj, check=False))
         else:
             violations = validate_excursion(excursion_from_obj(obj, check=False))
     except ValidationError as exc:  # a document that does not parse: list why
@@ -162,7 +162,7 @@ def _cmd_dist_prohorov(args):
     # b on a's valid matrix needs only its weights checked; any other b gets
     # the full check, so an invalid --b reports before the mismatch
     if not (shared and len(nu) == len(mu) and min(nu) >= 0 and sum(nu) == V):
-        require_valid_ints(b)
+        raise_invalid(int_violations(b))
     if not shared:
         raise ValidationError(
             "--a and --b must carry the same labels and distance matrix "

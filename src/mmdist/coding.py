@@ -24,8 +24,10 @@ which is the mean of h's limits at the segment's ends (pl, so heights are
 over twice the values' denominator) or the piece value (pc). The running
 minimum across the cuts runs on those ints, and Fractions are built only
 for the coded tree: one per distinct distance, weight, cut and
-representative. Resolution points join the cuts of either kind, each
-checked to lie in [0, 1] in the order given.
+representative. The coded space carries its int matrix and weights as its
+int form (`spaces._made`), so the box search reads them as they are.
+Resolution points join the cuts of either kind, each checked to lie in
+[0, 1] in the order given.
 
 The distances over m segments form a dense m x m matrix, so coding
 refuses, with SizeError, a cut set of more than MAX_CODING_SEGMENTS
@@ -44,9 +46,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .errors import SizeError, ValidationError
-from .exact import parse_scalar, scaled_rows
+from .exact import parse_scalar
 from .excursions import Excursion, _int_excursions, _on_int_grid, normalize
-from .spaces import FiniteMMSpace, _class_roots, _mark_canonical
+from .spaces import FiniteMMSpace, _class_roots, _made, int_form
 
 MAX_CODING_SEGMENTS = 5000
 
@@ -110,12 +112,11 @@ def _merge_to_space(d, den, lengths, length_den, zeros):
     """Quotient by d == 0 (leftmost representative), weights summed.
 
     d is an int matrix over `den`, `zeros` its pairs (i, j), i < j, at
-    distance 0, and `lengths` are ints over `length_den`;
-    the space is built with one Fraction per distinct distance and one per
-    weight. Marked canonical, as it is by construction when d is d_h on
-    segment midpoints (a pseudometric) and `lengths` partition [0, 1]: the
-    merged matrix is a metric with no zero off the diagonal, and the
-    weights are positive and sum to 1.
+    distance 0, and `lengths` are ints over `length_den`; the space is
+    built from those ints (`spaces._made`) and marked canonical, as it is by
+    construction when d is d_h on segment midpoints (a pseudometric) and
+    `lengths` partition [0, 1]: the merged matrix is a metric with no zero
+    off the diagonal, and the weights are positive and sum to 1.
     """
     m = len(lengths)
     roots = _class_roots(m, zeros)
@@ -126,13 +127,8 @@ def _merge_to_space(d, den, lengths, length_den, zeros):
     for k, length in zip(projection, lengths):
         weights[k] += length
     kept = [[d[a][b] for b in classes] for a in classes]
-    exact = {v: Fraction(v, den) for v in {v for row in kept for v in row}}
-    space = FiniteMMSpace(
-        labels=tuple(f"s{r}" for r in classes),
-        dist=tuple(tuple(exact[v] for v in row) for row in kept),
-        weights=tuple(Fraction(w, length_den) for w in weights),
-    )
-    return _mark_canonical(space), projection
+    labels = [f"s{r}" for r in classes]
+    return _made(labels, kept, den, weights, length_den, canonical=True), projection
 
 
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
@@ -186,7 +182,7 @@ def four_point_check(space: FiniteMMSpace) -> list:
     quadruples are scanned; spaces with fewer than 4 points return [].
     """
     n = space.n
-    (d,), _ = scaled_rows(space.dist)
+    d = int_form(space)[0]
     violations = []
     for i, j, k, l in combinations(range(n), 4):
         s1 = d[i][j] + d[k][l]

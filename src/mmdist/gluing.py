@@ -16,8 +16,10 @@ search: the glue of gp's own witness, the lam = 1/2 correspondence
 search budget it is a glue of the ladder's incumbent, or of the full grid
 when no candidate beat the empty correspondence: a certified upper bound on
 gp, but no longer equal to it. The glue reuses the ladder's prepared pair
-(`gromov._Pair`, int distances over D and weights over W) and is valued by
-the int scan `prohorov._flow_scan`.
+(`gromov._Pair`: the carried int forms, distances over D and weights over
+W) and is valued by the int scan `prohorov._flow_scan`. `build_glued_space`
+reads the int forms that `spaces.require_valid` returns and puts them over
+one D with `spaces.paired_forms`, so no space is scaled from Fractions.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ValidationError
-from .exact import parse_scalar, scaled_rows
+from .exact import parse_scalar
 from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _int_distortion, _ladder
 from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
-from .spaces import FiniteMMSpace, metric_violations, require_valid
+from .spaces import FiniteMMSpace, metric_violations, paired_forms, require_valid
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ def _shifted(base, D, eps):
 
 def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSpace:
     """Glue along `pairs` at width `eps`; requires distortion(pairs) <= 2*eps."""
-    require_valid(a)
-    require_valid(b)
+    forms = require_valid(a), require_valid(b)
     eps = parse_scalar(eps)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
@@ -98,7 +99,7 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     for i, j in pairs:
         if not (0 <= i < a.n and 0 <= j < b.n):
             raise ValidationError(f"pair ({i}, {j}) out of range")
-    (da, db), D = scaled_rows(a.dist, b.dist)
+    (da, db), D, _, _ = paired_forms(*forms)
     dis = _int_distortion(da, db, pairs)  # over D
     if dis * eps.denominator > 2 * eps.numerator * D:
         raise ValidationError(

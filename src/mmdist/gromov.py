@@ -49,10 +49,12 @@ lower than its own search's.
 
 The ladder starts from one prepared pair (`_Pair`), which the glue of its
 lam = 1/2 witness reuses (`gluing.glued_upper_bound`): both spaces
-canonicalized, distances over one common denominator D and weights over
-another, W. The search runs in ints (see `_Incumbents`): each candidate
-passes one int test per incumbent, and each lam's value becomes a Fraction
-once, when the ladder returns.
+canonicalized, and their int forms, which every canonical space carries,
+put over one distance denominator D and one weight denominator W
+(`spaces.paired_forms`), so nothing is scaled from Fractions. The search
+runs in ints (see `_Incumbents`): each candidate passes one int test per
+incumbent, and each lam's value becomes a Fraction once, when the ladder
+returns.
 
 Exactness is bounded by one deterministic work count, `budget`: one unit
 per pair of cells the sweep is set up over and one per Bron-Kerbosch node,
@@ -76,9 +78,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError, ValidationError
-from .exact import parse_scalar, scaled, scaled_rows
+from .exact import parse_scalar
 from .flow import max_subcoupling
-from .spaces import FiniteMMSpace, canonicalize
+from .spaces import FiniteMMSpace, canonicalize, int_form, paired_forms
 
 # The smallest round budget at which, before node pruning, every bench
 # workload's search, the 8-point star above and each of about fifty seeded
@@ -133,11 +135,12 @@ class GPResult:
 def distortion(pairs, a: FiniteMMSpace, b: FiniteMMSpace) -> Fraction:
     """Worst |d_A(x, x') - d_B(y, y')| over pairs of matched pairs, exact.
 
-    Both matrices are scaled once to int rows over one denominator D
-    (floats by their exact binary value), scored by `_int_distortion`, and
-    the worst mismatch comes back as one Fraction over D.
+    Both matrices, in their int forms (`spaces.int_form`, which scales a
+    space that carries none, floats by their exact binary value), go over
+    one denominator D, are scored by `_int_distortion`, and the worst
+    mismatch comes back as one Fraction over D.
     """
-    (da, db), D = scaled_rows(a.dist, b.dist)
+    (da, db), D, _, _ = paired_forms(int_form(a), int_form(b))
     return Fraction(_int_distortion(da, db, tuple(pairs)), D)
 
 
@@ -182,17 +185,18 @@ def _fixes(swaps, mask):
 
 class _Pair:
     """Two spaces prepared once for a clique search: their canonical forms
-    A and B, the row-major cell grid, distances as int rows over one common
-    denominator D, weights as ints over another, W, and the full grid's
-    distortion over D, the larger diameter (it matches every pair of rows
-    against every pair of columns, and both diagonals are zero)."""
+    A and B, the row-major cell grid, their carried int forms over one
+    distance denominator D and one weight denominator W (`paired_forms`),
+    and the full grid's distortion over D, the larger diameter (it matches
+    every pair of rows against every pair of columns, and both diagonals
+    are zero)."""
 
     def __init__(self, a: FiniteMMSpace, b: FiniteMMSpace):
         self.A, self.B = A, B = canonicalize(a), canonicalize(b)
         self.cells = [(i, j) for i in range(A.n) for j in range(B.n)]
-        (self.da, self.db), self.D = scaled_rows(A.dist, B.dist)
-        weights, self.W = scaled(A.weights + B.weights)
-        self.wa, self.wb = weights[: A.n], weights[A.n :]
+        (self.da, self.db), self.D, (self.wa, self.wb), self.W = paired_forms(
+            int_form(A), int_form(B)
+        )
         self.diam = max(max(map(max, self.da)), max(map(max, self.db)))
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exact import parse_scalar, scaled, scaled_rows
+from .exact import parse_scalar, scaled
 from .flow import Coupling, validate_coupling
 from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Incumbents
-from .spaces import FiniteMMSpace
+from .spaces import FiniteMMSpace, int_form, paired_forms
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def box_of_parametrizations(
             raise ValidationError(f"bad parametrization: {problems[0]}", problems)
     masses = parametrizations_to_cells(p1, p2)
     cells = sorted(masses)
-    (da, db), D = scaled_rows(a.dist, b.dist)
+    (da, db), D, _, _ = paired_forms(int_form(a), int_form(b))
     sweep = _CliqueSweep(da, db, cells, _Budget(budget))
     int_masses, M = scaled(masses[c] for c in cells)
     int_mass = dict(zip(cells, int_masses))

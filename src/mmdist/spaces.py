@@ -5,24 +5,31 @@ Zero off-diagonal distances and zero weights are valid input; `canonicalize`
 removes both, which is the representative form every distance routine works
 on (distances here are invariants of the measure-preserving-isometry class).
 
-Every entry of a space is exact. `read_ints` is the one mmspace/1 reader:
-it reads a document's fields straight to their int form, (labels, rows, D,
-weights, W) with the matrix over one denominator and the weights over
-another, parsing each distinct literal once to a reduced int pair
-(`exact.parse_ratio`) and naming each malformed input by its JSON path. A
-label is a string or a number. `mm_space` and `space_from_obj` build a
-FiniteMMSpace from that form, one Fraction per distinct value;
-`validate_ints` checks the form itself, so `dist prohorov` reads, checks
-and scans its files without a Fraction per entry. A space built by hand with
-int or float entries converts exactly in `canonicalize`, which every
-distance routine calls first. `canonicalize` marks its output (outside
-equality, hash and repr) and returns a marked space as it is; any other
-space, even an equal one, is validated, unless it was read from a document
-by `space_from_obj` (or `load_space`) with its check: that space is marked
-valid, so each file is checked once. Validation has no tolerance:
-`metric_violations`, the one metric-axiom check, tests a matrix as ints over
-its common denominator (floats at their exact binary values); messages quote
-a space's entries as given, and the int form's by their exact values.
+Every entry of a space is exact, and every routine on the hot path works on
+a space's int form, (rows, D, weights, W): the matrix as int rows over D and
+the weights as ints over W, each the least common denominator of its
+entries. This module alone decides that form. `read_ints` is the one
+mmspace/1 reader: it reads a document's fields straight to it, parsing each
+distinct literal once to a reduced int pair (`exact.parse_ratio`) and naming
+each malformed input by its JSON path. A label is a string or a number.
+
+One maker, `_made`, builds a FiniteMMSpace from an int form: it reduces the
+form by one gcd, builds one Fraction per distinct value and, for a space
+its caller has checked, attaches the form (outside equality, hash and repr).
+The reader (`mm_space`, `space_from_obj`), `sample_mm_space`,
+`canonicalize` and the excursion coder all build through it, so a space
+that carries its form is a checked one. `int_form` reads the carried form,
+or scales a hand-built space's entries (int and float entries convert
+exactly) when it carries none; `require_valid` returns the form, checking
+the space first when it carries none; `paired_forms` puts two forms over
+one denominator each, which is what the box search and the glue read.
+`canonicalize` merges and sums in ints and marks its output canonical; a
+marked space comes back as it is. `int_violations` is the one check of an
+int form, so `dist prohorov` reads, checks and scans its files without a
+Fraction per entry. Validation has no tolerance: `metric_violations`, the
+one metric-axiom check, tests a matrix as ints over its common denominator;
+messages quote a space's entries as given, and an int form's by their exact
+values.
 
 The triangle test is packed (a SIMD-within-a-register test, Lamport 1975,
 "Multiple byte processing with full-word instructions"). Each row of a
@@ -44,11 +51,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import SizeError, ValidationError
 from .exact import format_scalar, parse_ratio, parse_scalar, scaled, scaled_rows
 
 MMSPACE_FORMAT = "mmspace/1"
 _LISTS = (list, tuple)  # a JSON array loads as a list; the Python API also takes tuples
+# sample_mm_space fills an n x n matrix and closes it in n^3 steps: n = 200
+# takes 0.55 s on a 2-core host (n = 100, 0.06 s; n = 300, 1.9 s), ten times
+# the largest n_max the tests, demos and the exact frontier use (20)
+MAX_SAMPLE_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,8 @@ class FiniteMMSpace:
     dist: tuple
     weights: tuple
     _canonical: bool = field(default=False, init=False, compare=False, repr=False)
-    _valid: bool = field(default=False, init=False, compare=False, repr=False)
+    # the int form (rows, D, weights, W) of a checked space, else None
+    _form: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -70,16 +82,13 @@ class JsonFields:
     `items` and `scalars` record an error such as `dist[0][1]: invalid
     literal "x"` and return nothing for it; `check` then raises every
     recorded error as one ValidationError. A path is built only for a field
-    that fails. Each distinct string literal is parsed once per object, to
-    a Fraction; the memo is keyed on str alone, because `True == 1` and a
-    bool must still fail. Excursion documents are read with it; a space
-    document is read to ints by `read_ints`, which walks it with this class
-    only to name what failed.
+    that fails. Excursion documents are read with it, each scalar to a
+    Fraction; a space document is read to ints by `read_ints`, which walks
+    it with this class only to name what failed.
     """
 
     def __init__(self):
         self.errors = []
-        self._parsed = {}
 
     def items(self, value, path):
         if isinstance(value, _LISTS):
@@ -87,33 +96,19 @@ class JsonFields:
         self.errors.append(f"{path}: expected a list, got {json.dumps(value, default=str)}")
         return ()
 
-    def _parse(self, value):
-        """`parse_scalar(value)`, or None where it fails; a str is parsed once."""
-        if not isinstance(value, str):
-            return _scalar_or_none(value)
-        if value not in self._parsed:
-            self._parsed[value] = _scalar_or_none(value)
-        return self._parsed[value]
-
     def scalars(self, value, path):
         out = []
         for i, x in self.items(value, path):
-            q = self._parse(x)
-            if q is None:
+            try:
+                out.append(parse_scalar(x))
+            except (ValueError, ZeroDivisionError):
                 self.errors.append(f"{path}[{i}]: invalid literal {json.dumps(x, default=str)}")
-            out.append(q)
+                out.append(None)
         return tuple(out)
 
     def check(self) -> None:
         if self.errors:
             raise ValidationError(self.errors[0], self.errors)
-
-
-def _scalar_or_none(value):
-    try:
-        return parse_scalar(value)
-    except (ValueError, ZeroDivisionError):
-        return None
 
 
 def _label(value):
@@ -134,7 +129,7 @@ def read_ints(labels, dist, weights, literals=None):
     one dict lookup: no Fraction is built. `literals` is that literal ->
     pair table, for a caller that reads several documents in one command
     and parses a literal they share once. Shapes are not checked here
-    (`validate_ints` reports them). A field that is not a list, a label
+    (`int_violations` reports them). A field that is not a list, a label
     that is not a string or a number, and a literal that does not parse
     raise one ValidationError naming each by its JSON path, in document
     order.
@@ -192,26 +187,46 @@ def _scales(dist, weights, ratios):
     return out
 
 
-def _fractions(rows, den):
-    """Int rows over `den` as tuples of Fractions, one Fraction per value."""
-    values = {x: Fraction(x, den) for x in set().union(*rows)}
-    return [tuple(map(values.__getitem__, row)) for row in rows]
+def _least(rows, den):
+    """(int rows, den, Fraction rows) of int rows over `den`, reduced by one
+    gcd to their least common denominator; one Fraction per distinct value."""
+    values = set().union(*rows)
+    g = math.gcd(den, *values)
+    if g > 1:
+        rows, den = [[x // g for x in row] for row in rows], den // g
+        values = {x // g for x in values}
+    exact = {x: Fraction(x, den) for x in values}
+    return rows, den, tuple(tuple(map(exact.__getitem__, row)) for row in rows)
 
 
-def _space_of(ints) -> FiniteMMSpace:
-    labels, rows, D, weights, W = ints
-    return FiniteMMSpace(labels, tuple(_fractions(rows, D)), _fractions([weights], W)[0])
+def _made(labels, rows, D, weights, W, checked=True, canonical=False) -> FiniteMMSpace:
+    """The one maker: the space of int `rows` over D and int `weights` over W.
+
+    The form is reduced to its least denominators, so it equals
+    `scaled_rows`/`scaled` of the space's own entries, and is attached when
+    the caller has `checked` it; a `canonical` space is marked so too.
+    """
+    rows, D, dist = _least(rows, D)
+    (weights,), W, (exact,) = _least([weights], W)
+    space = FiniteMMSpace(tuple(labels), dist, exact)
+    if checked:  # frozen: set past __init__
+        object.__setattr__(space, "_form", (rows, D, weights, W))
+        object.__setattr__(space, "_canonical", canonical)
+    return space
 
 
 def mm_space(labels, dist, weights) -> FiniteMMSpace:
-    """Build a FiniteMMSpace from lists or tuples, parsing every scalar exactly.
+    """Build a checked FiniteMMSpace from lists or tuples, parsing every
+    scalar exactly.
 
     Read through `read_ints`: a field that is not a list, a label that is
     not a string or a number, or a scalar that does not parse raises
-    ValidationError naming each one by its JSON path. Equal entries share
-    one Fraction.
+    ValidationError naming each one by its JSON path, and so does a space
+    that is not valid (`int_violations`). Equal entries share one Fraction.
     """
-    return _space_of(read_ints(labels, dist, weights))
+    ints = read_ints(labels, dist, weights)
+    raise_invalid(int_violations(ints))
+    return _made(*ints)
 
 
 def metric_violations(dist) -> list:
@@ -313,7 +328,7 @@ def _value_violations(rows, D, weights, W, given=None) -> list:
     metric = _row_violations(rows)
     if not (negative or total != W or metric):
         return []
-    dist, quoted = given or (_fractions(rows, D), _fractions([weights], W)[0])
+    dist, quoted = given or (_least(rows, D)[2], _least([weights], W)[2][0])
     violations = [f"weight {i} is negative: {quoted[i]}" for i in negative]
     if total != W:
         violations.append(f"weights sum to {Fraction(total, W)}, expected 1")
@@ -328,27 +343,26 @@ def validate(space: FiniteMMSpace) -> list:
 
     Dimension mismatches are reported (not raised) and suppress the checks
     that would index out of range. Then each negative weight and a weight
-    sum other than 1, then the metric axioms (`metric_violations`). Every
-    check is exact, with no tolerance.
+    sum other than 1, then the metric axioms (`metric_violations`), all on
+    the space's int form (`int_form`), with its entries quoted as given.
+    Every check is exact, with no tolerance.
     """
-    violations = _shape_violations(space.n, space.dist, space.weights)
-    if violations:
-        return violations
-    weights, W = scaled(space.weights)
-    (rows,), D = scaled_rows(space.dist)
-    return _value_violations(rows, D, weights, W, (space.dist, space.weights))
+    return int_violations((space.labels, *int_form(space)), (space.dist, space.weights))
 
 
-def validate_ints(ints) -> list:
-    """`validate` of a space in the int form of `read_ints`, with the same
-    messages, each entry quoted by its exact value."""
+def int_violations(ints, given=None) -> list:
+    """The one check of a space's int form, (labels, rows, D, weights, W) as
+    `read_ints` gives it: `validate`'s messages, in its order, quoting the
+    entries in `given`, a space's own (dist, weights), or else their exact
+    values."""
     labels, rows, D, weights, W = ints
     return _shape_violations(len(labels), rows, weights) or _value_violations(
-        rows, D, weights, W
+        rows, D, weights, W, given
     )
 
 
-def _raise_invalid(violations) -> None:
+def raise_invalid(violations) -> None:
+    """Raise ValidationError on the first of `violations`, if any."""
     if violations:
         raise ValidationError(
             f"invalid space: {violations[0]} ({len(violations)} violation(s))",
@@ -356,16 +370,40 @@ def _raise_invalid(violations) -> None:
         )
 
 
-def require_valid(space: FiniteMMSpace) -> None:
-    """Raise ValidationError on the first violation of `validate`; a space
-    marked valid by its maker (`_mark_valid`) is not checked again."""
-    if not space._valid:
-        _raise_invalid(validate(space))
+def int_form(space: FiniteMMSpace):
+    """A space's int form, (rows, D, weights, W), each over its least common
+    denominator: the form the space carries, or else its entries scaled
+    exactly (`scaled_rows`, `scaled`; a float at its binary value), which
+    checks nothing."""
+    if space._form is not None:
+        return space._form
+    (rows,), D = scaled_rows(space.dist)
+    return (rows, D, *scaled(space.weights))
 
 
-def require_valid_ints(ints) -> None:
-    """Raise ValidationError on the first violation of `validate_ints`."""
-    _raise_invalid(validate_ints(ints))
+def require_valid(space: FiniteMMSpace):
+    """A valid space's int form (`int_form`). A space that carries none has
+    not been checked: ValidationError on the first violation of `validate`."""
+    form = space._form
+    if form is None:
+        form = int_form(space)
+        raise_invalid(int_violations((space.labels, *form), (space.dist, space.weights)))
+    return form
+
+
+def paired_forms(form_a, form_b):
+    """Two int forms over one distance denominator, D = lcm(D_a, D_b), and
+    one weight denominator, W = lcm(W_a, W_b): ((da, db), D, (wa, wb), W).
+    On forms at their least denominators this is `scaled_rows(A.dist,
+    B.dist)` and `scaled(A.weights + B.weights)` split at A's points."""
+    (ra, Da, wa, Wa), (rb, Db, wb, Wb) = form_a, form_b
+    D, W = math.lcm(Da, Db), math.lcm(Wa, Wb)
+    (wa,), (wb,) = _times([wa], W // Wa), _times([wb], W // Wb)
+    return (_times(ra, D // Da), _times(rb, D // Db)), D, (wa, wb), W
+
+
+def _times(rows, k):
+    return rows if k == 1 else [[x * k for x in row] for row in rows]
 
 
 def is_canonical(space: FiniteMMSpace) -> bool:
@@ -401,36 +439,29 @@ def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
     """Merge distance-0 pairs (summing weights) and drop weight-0 points.
 
     Representatives keep the smallest original index and its label; order is
-    by representative index. Every entry of the result is a Fraction: int
-    and float entries of a hand-built space convert exactly here.
+    by representative index. The classes are merged and their weights
+    summed on the int form (`require_valid`), and the result is built from
+    ints (`_made`), so every entry is a Fraction: int and float entries of
+    a hand-built space convert exactly. A space marked canonical comes back
+    as it is.
     """
     if space._canonical:
         return space
-    require_valid(space)
-    d, n = space.dist, space.n
-    close = ((i, j) for i in range(n) for j in range(i + 1, n) if d[i][j] == 0)
+    rows, D, weights, W = require_valid(space)
+    n = space.n
+    close = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == 0)
     class_weight = {}
-    for r, w in zip(_class_roots(n, close), map(parse_scalar, space.weights)):
+    for r, w in zip(_class_roots(n, close), weights):
         class_weight[r] = class_weight.get(r, 0) + w
     reps = sorted(r for r, w in class_weight.items() if w > 0)
-    out = FiniteMMSpace(
-        labels=tuple(space.labels[r] for r in reps),
-        dist=tuple(tuple(parse_scalar(d[a][b]) for b in reps) for a in reps),
-        weights=tuple(class_weight[r] for r in reps),
+    return _made(
+        [space.labels[r] for r in reps],
+        [[rows[a][b] for b in reps] for a in reps],
+        D,
+        [class_weight[r] for r in reps],
+        W,
+        canonical=True,
     )
-    return _mark_canonical(out)
-
-
-def _mark_canonical(space: FiniteMMSpace) -> FiniteMMSpace:
-    """Mark a space its maker knows is its own valid canonical form."""
-    object.__setattr__(space, "_canonical", True)  # frozen: set past __init__
-    return _mark_valid(space)
-
-
-def _mark_valid(space: FiniteMMSpace) -> FiniteMMSpace:
-    """Mark a space its maker has checked: `require_valid` passes it as it is."""
-    object.__setattr__(space, "_valid", True)
-    return space
 
 
 def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:
@@ -470,13 +501,16 @@ def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMM
     Distances start on a coarse grid diam_max * k/den with int k >= 1 and
     are closed under min-plus (Floyd-Warshall): positive off the diagonal,
     symmetric and metric exactly. The closure runs on the ints k, which is
-    exact because scaling by diam_max / den > 0 commutes with min-plus; each
-    distinct k is scaled to a Fraction once. Weights are positive and sum to
-    1 and every entry is a Fraction, so the space is marked canonical. Same
-    seed, same space.
+    exact because scaling by diam_max / den > 0 commutes with min-plus, and
+    the ints are the space's int form, over diam_max's denominator times
+    den (`_made`). Weights are positive and sum to 1, so the space is
+    marked canonical. Same seed, same space. An n_max above
+    MAX_SAMPLE_POINTS raises SizeError before anything is drawn.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
+    if n_max > MAX_SAMPLE_POINTS:
+        raise SizeError(f"n_max {n_max} exceeds the sampling cap {MAX_SAMPLE_POINTS}")
     diam_max = parse_scalar(diam_max)
     if diam_max <= 0:
         raise ValidationError("diam_max must be positive")
@@ -494,17 +528,10 @@ def sample_mm_space(seed: int, n_max: int = 5, diam_max=Fraction(1)) -> FiniteMM
             for j in range(n):
                 if to_k + dk[j] < row[j]:
                     row[j] = to_k + dk[j]
-    unit_num, unit_den = diam_max.numerator, diam_max.denominator * den  # diam_max / den
-    scale = {k: Fraction(unit_num * k, unit_den) for k in {k for row in d for k in row}}
+    p, q = diam_max.as_integer_ratio()  # k on the grid is k p / (q den)
+    rows = d if p == 1 else [[p * k for k in row] for row in d]
     raw = [rng.randint(1, 8) for _ in range(n)]
-    total = sum(raw)
-    weights = tuple(Fraction(r, total) for r in raw)
-    space = FiniteMMSpace(
-        labels=tuple(f"p{i}" for i in range(n)),
-        dist=tuple(tuple(scale[k] for k in row) for row in d),
-        weights=weights,
-    )
-    return _mark_canonical(space)
+    return _made([f"p{i}" for i in range(n)], rows, q * den, raw, sum(raw), canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +549,7 @@ def space_to_obj(space: FiniteMMSpace) -> dict:
 
 def ints_from_obj(obj, check: bool = True, literals=None):
     """An mmspace/1 document in the int form of `read_ints` (which see for
-    `literals`), checked with `require_valid_ints` unless `check` is false."""
+    `literals`), checked with `int_violations` unless `check` is false."""
     if not isinstance(obj, dict):
         raise ValidationError("space document must be a JSON object")
     if obj.get("format") != MMSPACE_FORMAT:
@@ -532,16 +559,15 @@ def ints_from_obj(obj, check: bool = True, literals=None):
         raise ValidationError(missing[0], missing)
     ints = read_ints(obj["labels"], obj["dist"], obj["weights"], literals)
     if check:
-        require_valid_ints(ints)
+        raise_invalid(int_violations(ints))
     return ints
 
 
 def space_from_obj(obj, check: bool = True) -> FiniteMMSpace:
     """An mmspace/1 document as a FiniteMMSpace; checked once, in int form,
-    unless `check` is false, and then marked valid, so `canonicalize` and
-    the glue do not check it again."""
-    space = _space_of(ints_from_obj(obj, check))
-    return _mark_valid(space) if check else space
+    unless `check` is false, and then carrying that form, so `canonicalize`
+    and the glue neither check nor scale it again."""
+    return _made(*ints_from_obj(obj, check), checked=check)
 
 
 def dumps_json(obj) -> str:

@@ -30,7 +30,7 @@ from mmdist import (
     space_to_obj,
     tent,
 )
-from mmdist import cli, spaces
+from mmdist import cli, coding, exact, gluing, gromov, spaces
 from mmdist.cli import main
 from mmdist.coding import MAX_CODING_SEGMENTS
 from mmdist.prohorov import CommonSpaceMeasures, prohorov
@@ -285,6 +285,8 @@ def test_dist_prohorov_checks_the_metric_once(capsys, tmp_path, monkeypatch):
         ["dist", "box", "--a", "A", "--b", "A", "--lambda", "1/2"],
         ["glue", "--a", "A", "--b", "A"],
         ["glue", "--a", "A", "--b", "A", "--pairs", "[[0, 0]]", "--eps", "1"],
+        ["experiment", "theorem-check", "--count", "20", "--n-max", "4"],
+        ["experiment", "counterexample", "--n-list", "2,3,4"],
     ],
 )
 def test_each_space_file_is_checked_once(capsys, tmp_path, monkeypatch, argv):
@@ -293,15 +295,25 @@ def test_each_space_file_is_checked_once(capsys, tmp_path, monkeypatch, argv):
     checks, scalings = [], []
     real_check = spaces._is_metric
     monkeypatch.setattr(spaces, "_is_metric", lambda m: checks.append(m) or real_check(m))
-    for name in ("scaled_rows", "scaled"):  # the Fraction matrix and weights
-        real = getattr(spaces, name)
-        monkeypatch.setattr(spaces, name, lambda *a, real=real: scalings.append(a) or real(*a))
+    # every module that turned a space's Fraction matrix or weights back into
+    # ints; a module that no longer imports a helper gets it set, unused
+    for module in (spaces, gromov, gluing, coding):
+        for name in ("scaled_rows", "scaled"):
+            real = getattr(exact, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real: scalings.append(a) or real(*a), raising=False
+            )
+    # a file is checked once, as it is read; theorem-check reads its pinned
+    # pair from fields (`mm_space`) and samples the rest, and the
+    # counterexample codes its spaces
+    checked = {"theorem-check": 2, "counterexample": 0}.get(argv[1], argv.count("A"))
     argv = [str(path) if x == "A" else x for x in argv]
     code, _, _ = run(capsys, *argv)
-    # each file read is checked once, in int form, and canonicalize and the
-    # glue take the loaded space as checked: no Fraction matrix is scaled
+    # each space is checked once, in int form, by its maker, and carries that
+    # form: canonicalize, the box search and the glue read it, so no space's
+    # Fraction matrix or weights are scaled
     assert code == 0
-    assert (len(checks), len(scalings)) == (argv.count(str(path)), 0)
+    assert (len(checks), len(scalings)) == (checked, 0)
 
 
 @pytest.mark.parametrize("half", ["2/4", "0.5", "5e-1", " 1/2 "])
@@ -798,6 +810,12 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
             ["experiment", "theorem-check", "--n-max", "-3"],
             "mmdist experiment theorem-check: n_max must be at least 1",
         ),
+        # refused before an n x n matrix is allocated or an n^3 closure run
+        (["sample", "--n-max", "100000"], "mmdist sample: n_max 100000 exceeds the sampling cap"),
+        (
+            ["experiment", "theorem-check", "--count", "1", "--n-max", "100000"],
+            "mmdist experiment theorem-check: n_max 100000 exceeds the sampling cap",
+        ),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
         (["dist", "excursion", "--gamma-tol", ""], '--gamma-tol: invalid literal ""'),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
@@ -815,6 +833,8 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
         "lipschitz-count",
         "sample-n-max",
         "theorem-check-n-max",
+        "sample-n-max-cap",
+        "theorem-check-n-max-cap",
         "gamma-tol",
         "gamma-tol-empty",
         "gamma-budget",

@@ -28,7 +28,7 @@ from mmdist import (
     validate,
     zero_excursion,
 )
-from mmdist import coding
+from mmdist import coding, spaces
 
 from excursion_refs import ref_cuts, ref_evaluate, ref_piece_limits
 
@@ -126,7 +126,8 @@ def test_redundant_breakpoints_leave_the_tree_unchanged():
 
 def test_merge_makes_one_fraction_per_distinct_distance(monkeypatch):
     made = []
-    monkeypatch.setattr(coding, "Fraction", lambda *x: made.append(x) or Fraction(*x))
+    # the coded tree is built by the one maker of spaces from its int form
+    monkeypatch.setattr(spaces, "Fraction", lambda *x: made.append(x) or Fraction(*x))
     # four segments over 4, the last two at distance 0: three points whose
     # nine distances take the three values 0, 2/4 and 3/4
     d = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 0], [3, 3, 0, 0]]
@@ -135,7 +136,7 @@ def test_merge_makes_one_fraction_per_distinct_distance(monkeypatch):
     assert projection == (0, 1, 2, 2)
     assert space.dist == ((0, half, three), (half, 0, three), (three, three, 0))
     assert space.weights == (F(1, 4), F(1, 4), F(1, 2))
-    assert len(made) == 3 + 3  # one per distinct distance and one per weight
+    assert len(made) == 3 + 2  # one per distinct distance and one per distinct weight
 
 
 def test_resolution_refinement_tightens_the_bound():

@@ -5,15 +5,21 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from mmdist import (
     FiniteMMSpace,
+    SizeError,
     ValidationError,
     are_isomorphic,
     canonicalize,
+    code_excursion,
     is_canonical,
     load_space,
     mm_space,
     parse_scalar,
+    pc_excursion,
+    pl_excursion,
     sample_mm_space,
     save_space,
     space_from_obj,
@@ -22,7 +28,15 @@ from mmdist import (
 )
 from mmdist import spaces
 from mmdist.exact import scaled, scaled_rows
-from mmdist.spaces import dumps_json, load_ints, loads_document, read_ints, validate_ints
+from mmdist.spaces import (
+    dumps_json,
+    int_form,
+    int_violations,
+    load_ints,
+    loads_document,
+    paired_forms,
+    read_ints,
+)
 
 F = Fraction
 
@@ -116,6 +130,83 @@ def test_canonicalize_returns_its_own_output_as_it_is(monkeypatch):
             assert False
         except ValidationError:
             pass
+
+
+def scaled_form(sp):
+    """A space's int form as its own entries scale: (rows, D, weights, W)."""
+    (rows,), D = scaled_rows(sp.dist)
+    return (rows, D, *scaled(sp.weights))
+
+
+def made_spaces():
+    """A space from every maker, each carrying its form."""
+    rng = random.Random(33)
+    out = []
+    fields = (
+        ("a", "b", "c"),
+        [["0", "0.5", "1"], ["2/4", "0", "1/2"], [1, "0.5", "0"]],
+        ["0.25", "1/4", "2/4"],
+    )
+    # read with its check, from documents and from fields
+    doc = dict(zip(("labels", "dist", "weights"), fields), format="mmspace/1")
+    out.append(space_from_obj(doc))
+    out.append(mm_space(*fields))
+    for _ in range(6):
+        out.append(space_from_obj(space_to_obj(sample_mm_space(rng.randint(0, 10**6), n_max=6))))
+    # sampled
+    for diam_max in (1, "3/2", 0.5):
+        for _ in range(4):
+            out.append(sample_mm_space(rng.randint(0, 10**6), n_max=6, diam_max=diam_max))
+    # coded: a pl plateau and equal pc pieces, whose segments merge at d = 0
+    plateau = pl_excursion((0, "1/4", "3/4", 1), (0, 1, 1, 0))
+    steps = pc_excursion((0, "1/3", "2/3", 1), ("1/2", "1/2", 1), (0, "1/2", "1/2", 1))
+    for h, resolution in ((plateau, ("1/3", "1/2", "2/3")), (steps, ("1/6", "1/2"))):
+        coded = code_excursion(h, resolution=resolution)
+        assert len(coded.projection) > coded.space.n  # some segments merged
+        out.append(coded.space)
+    # canonicalized: hand-built int, float and Fraction spaces with zero
+    # distances and zero weights
+    d = ((0, 0, 2, 4), (0, 0, 2, 4), (2, 2, 0, 2), (4, 4, 2, 0))
+    labels = ("a", "b", "c", "d")
+    hand = [
+        FiniteMMSpace(labels, d, (1, 0, 0, 0)),
+        FiniteMMSpace(labels, tuple(tuple(x / 4 for x in row) for row in d), (0.25, 0.25, 0.5, 0)),
+        FiniteMMSpace(
+            labels, tuple(tuple(F(x, 3) for x in row) for row in d), (F(1, 6), F(1, 3), F(1, 2), 0)
+        ),
+    ]
+    for sp in hand:
+        assert sp._form is None and int_form(sp) == scaled_form(sp)
+        c = canonicalize(sp)
+        assert c.n < sp.n
+        out.append(c)
+    return out
+
+
+def test_each_maker_carries_the_form_its_entries_scale_to():
+    for sp in made_spaces():
+        assert sp._form is not None and int_form(sp) is sp._form
+        assert sp._form == scaled_form(sp)
+        assert validate(sp) == []
+        assert all(type(x) is F for row in sp.dist for x in row)
+        assert all(type(w) is F for w in sp.weights)
+
+
+def test_paired_forms_are_one_scaling_of_both_spaces():
+    spaces_ = made_spaces()
+    for a, b in [*zip(spaces_, spaces_[1:]), *zip(spaces_, spaces_[::-1]), (spaces_[0],) * 2]:
+        (da, db), D, (wa, wb), W = paired_forms(int_form(a), int_form(b))
+        assert ([da, db], D) == scaled_rows(a.dist, b.dist)
+        assert (wa + wb, W) == scaled(a.weights + b.weights)
+
+
+def test_sampling_refuses_an_n_max_past_its_cap_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(spaces.random, "Random", lambda *seed: drawn.append(seed))
+    for n_max in (spaces.MAX_SAMPLE_POINTS + 1, 100_000):
+        with pytest.raises(SizeError, match=f"n_max {n_max} exceeds the sampling cap"):
+            sample_mm_space(0, n_max=n_max)
+    assert drawn == []
 
 
 def test_are_isomorphic_under_permutation():
@@ -386,7 +477,7 @@ def test_the_int_reader_equals_a_fraction_per_entry_reference():
         assert labels == ref.labels
         assert ([rows], D) == scaled_rows(ref.dist) and (weights, W) == scaled(ref.weights)
         violations = validate(ref)
-        assert validate_ints(ints) == violations
+        assert int_violations(ints) == violations
         assert space_from_obj(obj, check=False) == ref
         seen["invalid" if violations else "valid"] += 1
     assert forms == {str, int, bool}
