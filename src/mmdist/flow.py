@@ -3,14 +3,18 @@
 `Transport` holds one bipartite flow from row supplies mu to column demands
 nu over the cells opened so far: residual supplies and demands as lists,
 each row's allowed columns as a list, each column's positive cell flows as a
-dict from row to flow. `augment` runs multi-source BFS augmenting paths
-(row -> allowed column -> back along a positive flow to its row) until none
-is left. Opening a cell keeps the current flow feasible, so a caller whose
-cells only grow augments from the flow it has: the Prohorov scan
-(`prohorov._flow_scan`) keeps one `Transport` for all its distance
-thresholds, the monotone case of parametric max-flow (Gallo, Grigoriadis &
-Tarjan 1989). `max_subcoupling` is the one-shot form. Every mass is exact
-in the weights' own type, int or Fraction.
+dict from row to flow. `allow` opens a cell and at once pushes
+min(residual supply, residual demand) onto it, a one-cell augmenting path,
+so the flow stays feasible and most of the mass never needs a search.
+`augment` then runs multi-source BFS augmenting paths (row -> allowed
+column -> back along a positive flow to its row) for the longer paths
+until none is left; its last BFS proves that. Residuals only fall, so a
+cell that was filled, or found its row or column spent, never carries a
+one-cell path later. A caller whose cells only grow augments from the flow
+it has: the Prohorov scan (`prohorov._flow_scan`) keeps one `Transport`
+for all its distance thresholds, the monotone case of parametric max-flow
+(Gallo, Grigoriadis & Tarjan 1989). `max_subcoupling` is the one-shot form.
+Every mass is exact in the weights' own type, int or Fraction.
 
 The clique sweeps and the Prohorov scan (glues included) pass int-scaled
 weights (over a common denominator W) and rebuild the Fraction mass m / W
@@ -92,11 +96,21 @@ class Transport:
         self.mass = 0
 
     def allow(self, i, j):
-        """Open cell (i, j); the flow so far stays feasible."""
+        """Open cell (i, j) and fill it directly: push min(supply[i],
+        demand[j]) onto it when both are positive. That is a one-cell
+        augmenting path, so the flow stays feasible."""
         self.cols[i].append(j)
+        s, d = self.supply[i], self.demand[j]
+        if s > 0 and d > 0:
+            f = min(s, d)
+            self.supply[i], self.demand[j] = s - f, d - f
+            col = self.flow[j]
+            col[i] = col.get(i, 0) + f
+            self.mass += f
 
     def augment(self):
-        """Augment until no path is left; the total mass of the flow."""
+        """Augment along longer paths (`allow` took every one-cell path) until
+        a BFS finds none; the total mass of the flow."""
         supply, demand, cols, flow = self.supply, self.demand, self.cols, self.flow
         while True:
             # multi-source BFS: rows with supply -> allowed column -> back

@@ -19,12 +19,14 @@ gp, but no longer equal to it. The glue reuses the ladder's prepared pair
 (`gromov._Pair`: the carried int forms, distances over D and weights over
 W) and is valued by the int scan `prohorov._flow_scan`. `build_glued_space`
 reads the int forms that `spaces.require_valid` returns and puts them over
-one D with `spaces.paired_forms`, so no space is scaled from Fractions.
+one D with `spaces.paired_forms`, so no space is scaled from Fractions;
+the GluedSpace it returns carries its int cross block and both spaces' int
+weights, which `prohorov_of_glue` scans as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -51,6 +53,9 @@ class GluedSpace:
     nu_ext: tuple
     eps: object = None
     pairs: tuple = None
+    # the cross block's `prohorov._flow_scan` arguments (rows, D, mu, nu, W)
+    # of a glue `build_glued_space` made, else None
+    _block: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def cross(self):
         return tuple(row[self.n1 :] for row in self.dist[: self.n1])
@@ -99,18 +104,18 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     for i, j in pairs:
         if not (0 <= i < a.n and 0 <= j < b.n):
             raise ValidationError(f"pair ({i}, {j}) out of range")
-    (da, db), D, _, _ = paired_forms(*forms)
+    (da, db), D, (wa, wb), W = paired_forms(*forms)
     dis = _int_distortion(da, db, pairs)  # over D
     if dis * eps.denominator > 2 * eps.numerator * D:
         raise ValidationError(
             f"correspondence distortion {Fraction(dis, D)} exceeds 2*eps = {2 * eps}"
         )
-    cross, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
-    cross = [[Fraction(x, den) for x in row] for row in cross]
+    block, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
+    cross = [[Fraction(x, den) for x in row] for row in block]
     rows = [tuple(a.dist[x]) + tuple(cross[x]) for x in range(a.n)]
     rows += [tuple(row[y] for row in cross) + tuple(b.dist[y]) for y in range(b.n)]
     zero = Fraction(0)
-    return GluedSpace(
+    glued = GluedSpace(
         n1=a.n,
         n2=b.n,
         dist=tuple(rows),
@@ -119,6 +124,8 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
         eps=eps,
         pairs=pairs,
     )
+    object.__setattr__(glued, "_block", (block, den, wa, wb, W))  # frozen
+    return glued
 
 
 def check_triangle(glued: GluedSpace) -> list:
@@ -132,8 +139,11 @@ def prohorov_of_glue(glued: GluedSpace):
     Computed on the cross block alone: a coupling of the two block-supported
     measures is supported on cross cells, so only cross distances decide
     feasibility at each threshold (tested against the generic flow route on
-    the full glued matrix).
+    the full glued matrix). A glue `build_glued_space` made is scanned from
+    the int block it carries; a hand-built one has its entries scaled.
     """
+    if glued._block is not None:
+        return _flow_scan(*glued._block)
     return _prohorov_block(glued.cross(), glued.mu_ext[: glued.n1], glued.nu_ext[glued.n1 :])
 
 

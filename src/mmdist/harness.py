@@ -37,6 +37,9 @@ from .spaces import canonicalize, dumps_json, mm_space, sample_mm_space
 import random
 
 LAMBDA_LADDER = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+# each lam's report key, and v / u for each adjacent (u, v) of the ladder
+_LADDER_KEYS = tuple(map(format_scalar, LAMBDA_LADDER))
+_LADDER_RATIOS = tuple(v / u for u, v in zip(LAMBDA_LADDER, LAMBDA_LADDER[1:]))
 
 
 def _entry(q):
@@ -146,21 +149,21 @@ def run_theorem_check(
             b = sample_mm_space(seed * 2_000_003 + 2 * idx + 1, n_max=n_max)
             kind = "random"
         ladder_boxes, glue = _glued_ladder(a, b, LAMBDA_LADDER, DEFAULT_SEARCH_BUDGET)
-        boxes = {box.lam: box.value for box in ladder_boxes}
-        exact, gp_value = glue.exact, boxes[Fraction(1, 2)] / 2
-        ladder = list(zip(LAMBDA_LADDER, LAMBDA_LADDER[1:]))
+        # the box values in LAMBDA_LADDER order, as `_glued_ladder` returns them
+        values = [box.value for box in ladder_boxes]
+        _, half, box1, _ = values  # lam = 1/4, 1/2, 1, 2
+        exact, gp_value = glue.exact, half / 2
+        ladder = list(zip(values, values[1:]))
         checks = {
-            "box1_le_twice_gp": boxes[Fraction(1)] <= 2 * gp_value,
-            "box_nonincreasing_in_lambda": all(
-                boxes[u] >= boxes[v] for u, v in ladder
-            ),
+            "box1_le_twice_gp": box1 <= 2 * gp_value,
+            "box_nonincreasing_in_lambda": all(u >= v for u, v in ladder),
             "box_ratio_bound": all(
-                boxes[u] <= (v / u) * boxes[v] for u, v in ladder
+                u <= ratio * v for (u, v), ratio in zip(ladder, _LADDER_RATIOS)
             ),
             "exact_search": exact,
             # past gp's budget there is no exact gp to compare the glue with
             "glue_equals_gp": exact and glue.value == gp_value,
-            "gp_le_box1": gp_value <= boxes[Fraction(1)],
+            "gp_le_box1": gp_value <= box1,
         }
         if idx == 0:
             checks["pinned_quarter"] = gp_value == Fraction(1, 4)
@@ -169,7 +172,7 @@ def run_theorem_check(
             "n_a": a.n,
             "n_b": b.n,
             "gp": _entry(gp_value),
-            "box": {format_scalar(lam): _entry(v) for lam, v in boxes.items()},
+            "box": dict(zip(_LADDER_KEYS, map(_entry, values))),
             "checks": checks,
         }
         if not exact:

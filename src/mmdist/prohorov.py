@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar, scaled, scaled_rows
@@ -138,21 +139,28 @@ def _flow_scan(rows, D, mu, nu, W):
     Each distance threshold u allows the cells at distance <= u; the eps of
     its piece must cover the mass W - maxflow that no coupling puts there.
     The allowed cells only grow with u, so one `Transport` serves the whole
-    scan: each threshold opens its own bucket of cells and augments from the
-    previous threshold's flow (`_scan_infimum` asks for pieces in ascending
-    order, once each).
+    scan. The block's cells are ordered once, by a stable sort on distance
+    (row-major within a value), and each threshold the scan visits opens its
+    own run of them and augments from the previous threshold's flow
+    (`_scan_infimum` asks for pieces in ascending order, once each); a scan
+    that stops early never opens the cells past its last threshold.
     """
-    buckets = {}
-    for i, row in enumerate(rows):
-        for k, x in enumerate(row):
-            buckets.setdefault(x, []).append((i, k))
-    values = sorted(buckets)
+    flat = list(chain.from_iterable(rows))
+    values = sorted(set(flat))
+    order = sorted(range(len(flat)), key=flat.__getitem__)
     boundaries = values if values[0] == 0 else [0] + values
+    m = len(rows[0])
     transport = Transport(mu, nu)
+    opened = 0
 
     def t_of_piece(j):
-        for i, k in buckets.get(boundaries[j], ()):
-            transport.allow(i, k)
+        nonlocal opened
+        u, end = boundaries[j], opened
+        while end < len(order) and flat[order[end]] == u:
+            end += 1
+        for p in order[opened:end]:
+            transport.allow(*divmod(p, m))
+        opened = end
         return W - transport.augment(), W
 
     return _scan_infimum(boundaries, t_of_piece, D)

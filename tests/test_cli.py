@@ -609,6 +609,45 @@ def test_glue_output_bytes_are_pinned(capsys, tmp_path, pair):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GLUES[pair]
 
 
+# sha256 of `mmdist glue --pairs P --eps E --check` stdout on the sampled
+# pairs of PINNED_GLUES, glued along gp's witness at its own eps and at that eps + 1/5;
+# taken when the glue was still valued by scaling its Fraction cross block
+PINNED_EXPLICIT_GLUES = {
+    "3 17 --n-max 5": (
+        "6a35c8a809d0a8e408b6154dd95a5660c3abed1c0abff3b42bb7ed5d736e5dff",
+        "7d0740332c716c21ca2ac3d4409a5fa48780c10fef10a3e173172b9ad1689cf4",
+    ),
+    "5 11 --n-max 4": (
+        "fe2aad6c3ad1df890701e8214776af13376567078da6cafff6fc64bcba515ecd",
+        "664c7f22183cc72b6e988eae93ad84bbbbe7310561ac93168317394ee0051ba2",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_EXPLICIT_GLUES))
+def test_an_explicit_glue_is_scanned_from_its_int_block(capsys, tmp_path, monkeypatch, pair):
+    seed_a, seed_b, *n_max = pair.split()
+    paths = []
+    for seed in (seed_a, seed_b):
+        paths.append(str(tmp_path / f"{seed}.json"))
+        assert main(["sample", "--seed", seed, *n_max, "--out", paths[-1]]) == 0
+    witness = json.loads(run(capsys, "glue", "--a", paths[0], "--b", paths[1])[1])
+    # the glue carries its int cross block and weights, so nothing is scaled
+    # back from Fractions to value it
+    scalings = []
+    module = importlib.import_module("mmdist.prohorov")
+    for name in ("scaled_rows", "scaled"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *x, real=real: scalings.append(x) or real(*x))
+    digests, pairs = [], json.dumps(witness["pairs"])
+    for eps in (F(witness["eps"]), F(witness["eps"]) + F(1, 5)):
+        argv = ["glue", "--a", paths[0], "--b", paths[1], "--pairs", pairs, "--eps", str(eps)]
+        code, out, _ = run(capsys, *argv, "--check")
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert (tuple(digests), scalings) == (PINNED_EXPLICIT_GLUES[pair], [])
+
+
 # sha256 of exit code, stdout and stderr for usage texts: bare and `-h`
 # calls, unknown names, each command with no flags (where it has required
 # ones) and each command with a flag it does not read, at an 80-column

@@ -65,6 +65,23 @@ def test_max_subcoupling_hand_cases():
     assert cells == {}
 
 
+def test_direct_fill_is_rerouted_to_a_maximum_flow():
+    # opening (0, 0) fills it with 1/2 and spends row 0 and column 0, so
+    # (1, 0) and (0, 1) open empty: the fill alone carries 1/2, and augment
+    # reroutes r1 -> c0 -> r0 -> c1 to carry 1
+    half = F(1, 2)
+    transport = Transport((half, half), (half, half))
+    for i, j in ((0, 0), (1, 0), (0, 1)):
+        transport.allow(i, j)
+    assert transport.mass == half and transport.cells() == {(0, 0): half}
+    assert transport.augment() == 1
+    assert transport.cells() == {(1, 0): half, (0, 1): half}
+    assert max_subcoupling((half, half), (half, half), [(0, 0), (1, 0), (0, 1)]) == (
+        1,
+        {(1, 0): half, (0, 1): half},
+    )
+
+
 def test_max_subcoupling_matches_min_cut_oracle():
     rng = random.Random(17)
     for _ in range(150):

@@ -16,6 +16,7 @@ from mmdist import (
     sample_mm_space,
     validate_common,
 )
+from mmdist.flow import Transport
 
 F = Fraction
 
@@ -191,3 +192,23 @@ def test_invalid_common_spaces_are_rejected_by_every_route():
             except ValidationError as exc:
                 assert str(exc) == f"invalid common-space input: {violations[0]}"
                 assert exc.violations == violations
+
+
+def test_the_scan_opens_only_the_thresholds_it_reaches(monkeypatch):
+    # three points on a line, d01 = 1/4, d12 = 1/2, d02 = 3/4: four thresholds
+    # 0 < 1/4 < 1/2 < 3/4, each opening its own cells
+    dist = ((F(0), F(1, 4), F(3, 4)), (F(1, 4), F(0), F(1, 2)), (F(3, 4), F(1, 2), F(0)))
+    opened = []
+    real = Transport.allow
+    monkeypatch.setattr(Transport, "allow", lambda t, i, j: opened.append((i, j)) or real(t, i, j))
+    # two weightings whose diagonal flow leaves 1/4 uncoupled: 1/4 <= 1/4,
+    # the next threshold, so the scan stops at d = 0 with the diagonal open
+    mu, nu = (F(1, 2), F(1, 2), F(0)), (F(1, 2), F(1, 4), F(1, 4))
+    assert prohorov_flow(CommonSpaceMeasures(dist, mu, nu)) == F(1, 4)
+    assert opened == [(0, 0), (1, 1), (2, 2)]
+    # a point mass at each end is coupled only at d = 3/4: every threshold
+    # opens, each run row-major
+    del opened[:]
+    one, other = (F(1), F(0), F(0)), (F(0), F(0), F(1))
+    assert prohorov_flow(CommonSpaceMeasures(dist, one, other)) == F(3, 4)
+    assert opened == [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
