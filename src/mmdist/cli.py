@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 import time
@@ -56,6 +55,7 @@ from .spaces import (
     load_document,
     load_ints,
     load_space,
+    paired_forms,
     raise_invalid,
     sample_mm_space,
     space_from_obj,
@@ -154,9 +154,9 @@ def _cmd_dist_prohorov(args):
     # both files straight to ints, with one literal table for the command:
     # --a is checked (one metric-axiom test) and feeds the scan as read
     literals = {}
-    labels, rows, D, mu, W = load_ints(args.a, literals=literals)
+    a = load_ints(args.a, literals=literals)
     b = load_ints(args.b, check=False, literals=literals)
-    _, rows_b, D_b, nu, V = b
+    (labels, rows, D, mu, _), (_, rows_b, D_b, nu, V) = a, b
     # one matrix over its reduced common denominator: equal values, equal ints
     shared = b[0] == labels and D_b == D and rows_b == rows
     # b on a's valid matrix needs only its weights checked; any other b gets
@@ -168,8 +168,8 @@ def _cmd_dist_prohorov(args):
             "--a and --b must carry the same labels and distance matrix "
             "(two measures on one space)"
         )
-    L = math.lcm(W, V)
-    value = _flow_scan(rows, D, [x * (L // W) for x in mu], [x * (L // V) for x in nu], L)
+    (rows, _), D, (mu, nu), W = paired_forms(a[1:], b[1:])
+    value = _flow_scan(rows, D, mu, nu, W)
     payload = _value_payload(value, args.float)
     return payload, format_scalar(value), 0
 

@@ -19,9 +19,12 @@ gp, but no longer equal to it. The glue reuses the ladder's prepared pair
 (`gromov._Pair`: the carried int forms, distances over D and weights over
 W) and is valued by the int scan `prohorov._flow_scan`. `build_glued_space`
 reads the int forms that `spaces.require_valid` returns and puts them over
-one D with `spaces.paired_forms`, so no space is scaled from Fractions;
-the GluedSpace it returns carries its int cross block and both spaces' int
-weights, which `prohorov_of_glue` scans as they are.
+one D with `spaces.paired_forms`, so no space is scaled from Fractions.
+`build_glued_space` and the witness glue both build the int cross block
+with `_cross_block`. The GluedSpace `build_glued_space` returns carries
+that block and both spaces' int weights, which `prohorov_of_glue` scans as
+they are; a hand-built glue is scanned from `prohorov._block` of its
+entries.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from operator import add
 
 from .errors import ValidationError
 from .exact import parse_scalar
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _int_distortion, _ladder
-from .prohorov import CommonSpaceMeasures, _flow_scan, _prohorov_block
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _caller_cells, _int_distortion, _ladder
+from .prohorov import CommonSpaceMeasures, _block, _flow_scan
 from .spaces import FiniteMMSpace, metric_violations, paired_forms, require_valid
 
 
@@ -71,25 +74,18 @@ class GlueSearchResult:
     exact: bool  # False past the search budget: then value only bounds gp
 
 
-def _cross_from_pairs(da, db, pairs):
-    """Int cross block min over (p, q) in pairs of da[x][p] + db[q][y].
-
-    On distances over a common denominator D this is the glue's cross block
-    less its eps, over D; `_shifted` adds the eps.
-    """
-    cols = [[row[q] for p, q in pairs] for row in db]  # db is symmetric
+def _cross_block(da, db, D, pairs, eps):
+    """The glue's cross block, min over (i, j) in pairs of
+    da[x][i] + eps + db[j][y], as int rows over D * eps.denominator, and that
+    denominator; da and db are int distances over D."""
+    q = eps.denominator
+    shift = eps.numerator * D
+    cols = [[row[j] * q for i, j in pairs] for row in db]  # db is symmetric
     out = []
     for row in da:
-        ax = [row[p] for p, q in pairs]
+        ax = [row[i] * q + shift for i, j in pairs]
         out.append([min(map(add, ax, col)) for col in cols])
-    return out
-
-
-def _shifted(base, D, eps):
-    """Int rows of base / D + eps, and their denominator D * eps.denominator."""
-    p, q = eps.numerator, eps.denominator
-    shift = p * D
-    return [[x * q + shift for x in row] for row in base], D * q
+    return out, D * q
 
 
 def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSpace:
@@ -98,19 +94,17 @@ def build_glued_space(a: FiniteMMSpace, b: FiniteMMSpace, pairs, eps) -> GluedSp
     eps = parse_scalar(eps)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    pairs = tuple(sorted(set(map(tuple, pairs))))
+    # an empty list passes the range check, so its own message still wins
+    pairs = _caller_cells(pairs, a.n, b.n, "pair")
     if not pairs:
         raise ValidationError("need at least one pair to glue along")
-    for i, j in pairs:
-        if not (0 <= i < a.n and 0 <= j < b.n):
-            raise ValidationError(f"pair ({i}, {j}) out of range")
     (da, db), D, (wa, wb), W = paired_forms(*forms)
     dis = _int_distortion(da, db, pairs)  # over D
     if dis * eps.denominator > 2 * eps.numerator * D:
         raise ValidationError(
             f"correspondence distortion {Fraction(dis, D)} exceeds 2*eps = {2 * eps}"
         )
-    block, den = _shifted(_cross_from_pairs(da, db, pairs), D, eps)
+    block, den = _cross_block(da, db, D, pairs, eps)
     cross = [[Fraction(x, den) for x in row] for row in block]
     rows = [tuple(a.dist[x]) + tuple(cross[x]) for x in range(a.n)]
     rows += [tuple(row[y] for row in cross) + tuple(b.dist[y]) for y in range(b.n)]
@@ -142,9 +136,10 @@ def prohorov_of_glue(glued: GluedSpace):
     the full glued matrix). A glue `build_glued_space` made is scanned from
     the int block it carries; a hand-built one has its entries scaled.
     """
-    if glued._block is not None:
-        return _flow_scan(*glued._block)
-    return _prohorov_block(glued.cross(), glued.mu_ext[: glued.n1], glued.nu_ext[glued.n1 :])
+    block = glued._block
+    if block is None:
+        block = _block(glued.cross(), glued.mu_ext[: glued.n1], glued.nu_ext[glued.n1 :])
+    return _flow_scan(*block)
 
 
 def glued_common_space(glued: GluedSpace) -> CommonSpaceMeasures:
@@ -162,7 +157,7 @@ def _glued_ladder(a, b, lams, budget):
     # have beaten it; then glue the full grid, whose value is at most 1
     pairs = half.pairs or tuple(P.cells)
     eps = Fraction(_int_distortion(P.da, P.db, pairs), 2 * P.D)
-    value = _flow_scan(*_shifted(_cross_from_pairs(P.da, P.db, pairs), P.D, eps), P.wa, P.wb, P.W)
+    value = _flow_scan(*_cross_block(P.da, P.db, P.D, pairs, eps), P.wa, P.wb, P.W)
     source = "full" if len(pairs) == len(P.cells) else "clique"
     return boxes, GlueSearchResult(value, eps, pairs, source, 1, half.exact)
 

@@ -631,20 +631,34 @@ class _Incumbents:
         return not self.live
 
 
-def _ladder(a, b, lams, budget, seeds=()):
-    """The BoxResults and the prepared pair."""
+def _positive_lams(lams):
+    """A caller's lams as Fractions, every one parsed before any is checked
+    to be positive."""
     lams = [parse_scalar(lam) for lam in lams]
     if any(lam <= 0 for lam in lams):
         raise ValidationError("lambda must be positive")
+    return lams
+
+
+def _caller_cells(cells, n, m, noun):
+    """A caller's cells (i, j), sorted and deduplicated, each checked to lie
+    in range(n) x range(m); `noun` names a cell in the message."""
+    cells = tuple(sorted(set(map(tuple, cells))))
+    for i, j in cells:
+        if not (0 <= i < n and 0 <= j < m):
+            raise ValidationError(f"{noun} ({i}, {j}) out of range")
+    return cells
+
+
+def _ladder(a, b, lams, budget, seeds=()):
+    """The BoxResults and the prepared pair."""
+    lams = _positive_lams(lams)
     P = _Pair(a, b)
     cells, da, db, wa, wb = P.cells, P.da, P.db, P.wa, P.wb
     inc = _Incumbents(lams, P.D, P.W, lambda pairs: max_subcoupling(wa, wb, pairs)[0])
     inc.consider(tuple(cells), P.diam, P.W)  # the full grid carries mass 1
     for seed in seeds:
-        pairs = tuple(sorted(set(map(tuple, seed))))
-        for i, j in pairs:
-            if not (0 <= i < P.A.n and 0 <= j < P.B.n):
-                raise ValidationError(f"seed cell ({i}, {j}) out of range")
+        pairs = _caller_cells(seed, P.A.n, P.B.n, "seed cell")
         inc.consider(pairs, _int_distortion(da, db, pairs))
 
     try:

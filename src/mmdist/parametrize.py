@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exact import parse_scalar, scaled
+from .exact import scaled
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Incumbents
+from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Incumbents, _positive_lams
 from .spaces import FiniteMMSpace, int_form, paired_forms
 
 
@@ -113,9 +113,7 @@ def box_of_parametrizations(
     beat it. The result is exact; the search raises SizeError once it spends
     more than `budget` work units (see `gromov._Budget`).
     """
-    lam = parse_scalar(lam)
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
+    (lam,) = _positive_lams((lam,))
     for p, space in ((p1, a), (p2, b)):
         problems = validate_parametrization(p, space.n)
         if problems:

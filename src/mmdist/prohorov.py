@@ -19,9 +19,10 @@ an assumption.
 
 Both routes run on distances as ints over their common denominator and on
 weights as ints over theirs, and share one cross-multiplied scan; a Fraction
-is built only for the value returned. The distances are scaled once, for
-both the metric-axiom check and the scan. The flow scan takes any rectangular
-int block, which is how `gluing` values its cross blocks.
+is built only for the value returned. Distances and weights are parsed once,
+into one block (`_block`), which the input checks, both routes and the
+definition check all read. The flow scan takes any rectangular int block,
+which is how `gluing` values its cross blocks.
 
 The one-sided subset condition already implies its mirror image for
 probability measures (apply it to the complement of an enlargement), so the
@@ -36,7 +37,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import SizeError, ValidationError
-from .exact import parse_scalar, scaled, scaled_rows
+from .exact import parse_ratio, scaled, scaled_rows
 from .flow import Transport
 from .spaces import _row_violations
 
@@ -73,39 +74,49 @@ def validate_common(cm: CommonSpaceMeasures) -> list:
     return _checked(cm)[0]
 
 
+def _block(dist, mu, nu):
+    """`_flow_scan`'s arguments (rows, D, mu, nu, W) for mu and nu over the
+    distance block `dist` (rows index mu, columns nu): every entry parsed
+    exactly, the distances as int rows over one denominator D and the two
+    weight vectors as ints over one W."""
+    (rows,), D = scaled_rows(dist)
+    weights, W = scaled([*mu, *nu])
+    return rows, D, weights[: len(mu)], weights[len(mu) :], W
+
+
 def _checked(cm: CommonSpaceMeasures):
-    """(violations, scaled): `validate_common`'s list, and cm.dist as int rows
-    over one denominator, (rows, D), scaled once for both the metric check
-    and the scan; scaled is None when the matrix is not square."""
+    """(violations, block): `validate_common`'s list, and cm's `_block`,
+    parsed once for both the checks and the scan; block is None when the
+    matrix is not square."""
     n = cm.n
     if any(len(row) != n for row in cm.dist):
         return ["dist is not square"], None
+    block = _block(cm.dist, cm.mu, cm.nu)
+    rows, _, mu, nu, W = block
     violations = []
-    for name, vec in (("mu", cm.mu), ("nu", cm.nu)):
+    for name, vec in (("mu", mu), ("nu", nu)):
         if len(vec) != n:
             violations.append(f"{name} length {len(vec)} != {n}")
             continue
         if any(w < 0 for w in vec):
             violations.append(f"{name} has a negative entry")
-        total = sum(map(parse_scalar, vec))
-        if total != 1:
-            violations.append(f"{name} sums to {total}, expected 1")
-    (rows,), D = scaled_rows(cm.dist)
+        if sum(vec) != W:
+            violations.append(f"{name} sums to {Fraction(sum(vec), W)}, expected 1")
     violations += [
         _COMMON_MESSAGES[kind].format(i=i, j=j, k=k)
         for kind, i, j, k in _row_violations(rows)
     ]
-    return violations, (rows, D)
+    return violations, block
 
 
 def _require_valid(cm: CommonSpaceMeasures):
-    """cm.dist as int rows over one denominator, (rows, D), once cm is valid."""
-    violations, scaled_dist = _checked(cm)
+    """cm's `_block`, (rows, D, mu, nu, W), once cm is valid."""
+    violations, block = _checked(cm)
     if violations:
         raise ValidationError(
             f"invalid common-space input: {violations[0]}", violations
         )
-    return scaled_dist
+    return block
 
 
 def _scan_infimum(boundaries, t_of_piece, D):
@@ -134,7 +145,8 @@ def _scan_infimum(boundaries, t_of_piece, D):
 
 def _flow_scan(rows, D, mu, nu, W):
     """Prohorov value of int weights mu, nu (over W) whose cell (i, k) lies at
-    int distance rows[i][k] / D, rows indexing mu and columns nu.
+    int distance rows[i][k] / D, rows indexing mu and columns nu: the block
+    `_block` builds, or one a glue carries.
 
     Each distance threshold u allows the cells at distance <= u; the eps of
     its piece must cover the mass W - maxflow that no coupling puts there.
@@ -166,22 +178,12 @@ def _flow_scan(rows, D, mu, nu, W):
     return _scan_infimum(boundaries, t_of_piece, D)
 
 
-def _prohorov_block(dist, mu, nu):
-    """Prohorov value of mu and nu over the distance block `dist` (rows index
-    mu, columns nu), every entry scaled exactly to ints first."""
-    (rows,), D = scaled_rows(dist)
-    weights, W = scaled([*mu, *nu])
-    return _flow_scan(rows, D, weights[: len(mu)], weights[len(mu) :], W)
-
-
 def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
     """Subset-enumeration route; exact, exponential, capped at `cap` points."""
-    d, D = _require_valid(cm)
+    d, D, mu, nu, W = _require_valid(cm)
     n = cm.n
     if n > cap:
         raise SizeError(f"{n} points exceeds brute-force cap {cap}; use prohorov_flow")
-    weights, W = scaled([*cm.mu, *cm.nu])
-    mu, nu = weights[:n], weights[n:]
     worst = Fraction(0)
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
@@ -198,27 +200,25 @@ def prohorov_bruteforce(cm: CommonSpaceMeasures, cap: int = BRUTEFORCE_CAP):
 
 def prohorov_condition_holds(cm: CommonSpaceMeasures, eps, cap: int = BRUTEFORCE_CAP) -> bool:
     """Whether mu(A) <= nu(A^eps) + eps for every subset A, strict enlargement."""
-    _require_valid(cm)
+    d, D, mu, nu, W = _require_valid(cm)
     n = cm.n
     if n > cap:
         raise SizeError(f"{n} points exceeds brute-force cap {cap}")
-    d = cm.dist
+    p, q = parse_ratio(eps)
+    # the definition's comparisons, cross-multiplied: d / D < eps = p / q
+    # and mu_a / W > nu_enl / W + p / q
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
-        mu_a = sum(cm.mu[i] for i in members)
-        nu_enl = sum(
-            cm.nu[x] for x in range(n) if min(d[a][x] for a in members) < eps
-        )
-        if mu_a > nu_enl + eps:
+        mu_a = sum(mu[i] for i in members)
+        nu_enl = sum(nu[x] for x in range(n) if min(d[a][x] for a in members) * q < p * D)
+        if mu_a * q > nu_enl * q + p * W:
             return False
     return True
 
 
 def prohorov_flow(cm: CommonSpaceMeasures):
     """Coupling route: one max-flow grown threshold by threshold (`_flow_scan`)."""
-    rows, D = _require_valid(cm)
-    weights, W = scaled([*cm.mu, *cm.nu])
-    return _flow_scan(rows, D, weights[: cm.n], weights[cm.n :], W)
+    return _flow_scan(*_require_valid(cm))
 
 
 def prohorov(cm: CommonSpaceMeasures):

@@ -15,7 +15,9 @@ from mmdist import (
     check_triangle,
     distortion,
     glued_common_space,
+    prohorov,
     prohorov_bruteforce,
+    prohorov_condition_holds,
     prohorov_flow,
     prohorov_of_glue,
     validate,
@@ -250,7 +252,14 @@ def test_flow_equals_bruteforce_with_zero_weights_and_zero_distances():
         n = rng.randint(1, 8)
         d = tuple(map(tuple, grid_metric(rng, n)))
         cm = CommonSpaceMeasures(d, tuple(random_weights(rng, n)), tuple(random_weights(rng, n)))
-        assert prohorov_flow(cm) == prohorov_bruteforce(cm)
+        v = prohorov_flow(cm)
+        assert v == prohorov_bruteforce(cm)
+        # the same instance with its weights written as "p/q" strings
+        text = CommonSpaceMeasures(d, tuple(map(str, cm.mu)), tuple(map(str, cm.nu)))
+        assert validate_common(text) == []
+        assert prohorov_flow(text) == prohorov(text) == prohorov_bruteforce(text) == v
+        for eps in (v, v + F(1, 997)):
+            assert prohorov_condition_holds(text, eps) == prohorov_condition_holds(cm, eps)
 
 
 def test_glue_prohorov_equals_the_flow_route_with_zero_weights():

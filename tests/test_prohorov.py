@@ -103,6 +103,8 @@ def test_value_is_infimum_of_condition():
     assert v == F(1, 2)
     assert not prohorov_condition_holds(cm, v)
     assert prohorov_condition_holds(cm, v + F(1, 1000))
+    # eps is read as any exact scalar, as build_glued_space reads it
+    assert prohorov_condition_holds(cm, "1/2") == prohorov_condition_holds(cm, F(1, 2))
 
 
 def test_condition_holds_strictly_above_value():
