@@ -71,7 +71,7 @@ class GlueSearchResult:
     pairs: tuple
     source: str  # "full" when pairs is the whole cell grid, else "clique"
     evaluations: int  # always 1, one glue valued; kept for callers that count it
-    exact: bool  # False past the search budget: then value only bounds gp
+    exact: bool  # False past the search budget, where value only bounds gp; 0 is exact
 
 
 def _cross_block(da, db, D, pairs, eps):
@@ -176,7 +176,8 @@ def glued_upper_bound(
     whose value equals gp when the search is exact. Past the budget K is
     the search's incumbent (the full grid, source "full", if that is still
     the empty correspondence), and the result, marked exact=False, is a
-    certified upper bound on gp. `evaluations` is always 1 and
+    certified upper bound on gp; an incumbent of box 0 is optimal all the
+    same, and its glue is marked exact=True. `evaluations` is always 1 and
     `search_budget` is accepted only as 0; both stay for callers written
     when the glue was searched (the bench counts one and passes the other).
     """

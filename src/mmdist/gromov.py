@@ -60,7 +60,8 @@ Exactness is bounded by one deterministic work count, `budget`: one unit
 per pair of cells the sweep is set up over and one per Bron-Kerbosch node,
 pruned or not, never wall time, so results reproduce on any host. Past it
 the search returns the best correspondence found so far or by a
-deterministic heuristic, a certified upper bound marked exact=False. At
+deterministic heuristic, a certified upper bound marked exact=False, or
+exact=True where that bound is 0, since no box value is negative. At
 DEFAULT_SEARCH_BUDGET every bench workload, a 9-point star with distinct
 leaf lengths against its reverse and 49 of fifty seeded L1 lattice pairs
 of 9 and 10 points came back exact, each within 0.3 s on a 2-core host;
@@ -687,7 +688,8 @@ def _ladder(a, b, lams, budget, seeds=()):
         )
         for cand, t in _heuristic_candidates(da, db, wa, wb, cells, sampled, P.diam):
             inc.consider(cand, t)
-    exact = [k not in inc.live for k in range(len(lams))]
+    # box_lam >= 0, so an incumbent of 0 is optimal even past the budget
+    exact = [k not in inc.live or num == 0 for k, (num, _) in enumerate(inc.best)]
     values = [Fraction(num, den) for num, den in inc.best]
     return tuple(map(BoxResult, values, lams, exact, inc.pairs)), P
 

@@ -151,22 +151,26 @@ def _flow_scan(rows, D, mu, nu, W):
     Each distance threshold u allows the cells at distance <= u; the eps of
     its piece must cover the mass W - maxflow that no coupling puts there.
     The allowed cells only grow with u, so one `Transport` serves the whole
-    scan. The block's cells are ordered once, by a stable sort on distance
-    (row-major within a value), and each threshold the scan visits opens its
-    own run of them and augments from the previous threshold's flow
-    (`_scan_infimum` asks for pieces in ascending order, once each); a scan
-    that stops early never opens the cells past its last threshold.
+    scan. The cells are opened in order of distance, row-major within a
+    value, and each threshold the scan visits opens its own run of them and
+    augments from the previous threshold's flow (`_scan_infimum` asks for
+    pieces in ascending order, once each); a scan that stops early never
+    opens the cells past its last threshold. The first threshold is 0, whose
+    run is listed directly; the other cells are sorted only once the scan
+    goes past it.
     """
     flat = list(chain.from_iterable(rows))
     values = sorted(set(flat))
-    order = sorted(range(len(flat)), key=flat.__getitem__)
     boundaries = values if values[0] == 0 else [0] + values
+    order = [p for p, u in enumerate(flat) if u == 0]
     m = len(rows[0])
     transport = Transport(mu, nu)
     opened = 0
 
     def t_of_piece(j):
         nonlocal opened
+        if j == 1:  # past d = 0: a stable sort keeps each run row-major
+            order.extend(sorted((p for p, u in enumerate(flat) if u), key=flat.__getitem__))
         u, end = boundaries[j], opened
         while end < len(order) and flat[order[end]] == u:
             end += 1

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -485,14 +486,14 @@ def test_glue_search_and_explicit_glue(capsys, tmp_path):
 def test_searches_past_the_budget(capsys, tmp_path):
     # 19 points a side make 64 980 cell pairs, past the default budget of
     # 60 000 work units, so gp's search gives up before any bucket and `glue`
-    # glues its heuristic incumbent, a certified bound
+    # glues its heuristic incumbent, the identity: of value 0, so exact
     n = 19
     dist = [[0 if i == j else 1 if 0 in (i, j) else 2 for j in range(n)] for i in range(n)]
     star = str(tmp_path / "star.json")
     save_space(star, mm_space([f"s{i}" for i in range(n)], dist, [F(1, n)] * n))
     code, out, _ = run(capsys, "glue", "--a", star, "--b", star)
     payload = json.loads(out)
-    assert (code, payload["exact"], payload["value"]) == (0, False, "0")
+    assert (code, payload["exact"], payload["value"]) == (0, True, "0")
     # gp and box degrade to a certified bound too
     a = str(sample_file(capsys, tmp_path, seed="3", name="a.json"))
     b = str(sample_file(capsys, tmp_path, seed="17", name="b.json"))
@@ -855,6 +856,11 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
             ["experiment", "theorem-check", "--count", "1", "--n-max", "100000"],
             "mmdist experiment theorem-check: n_max 100000 exceeds the sampling cap",
         ),
+        # enough instances to fork: every share fails, and no child outlives the run
+        (
+            ["experiment", "theorem-check", "--count", "300", "--n-max", "100000"],
+            "mmdist experiment theorem-check: n_max 100000 exceeds the sampling cap",
+        ),
         (["dist", "excursion", "--gamma-tol", "-1"], "--gamma-tol: expected a nonnegative"),
         (["dist", "excursion", "--gamma-tol", ""], '--gamma-tol: invalid literal ""'),
         (["dist", "excursion", "--budget", "-1"], "--budget: expected a nonnegative"),
@@ -874,6 +880,7 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
         "theorem-check-n-max",
         "sample-n-max-cap",
         "theorem-check-n-max-cap",
+        "theorem-check-n-max-cap-forked",
         "gamma-tol",
         "gamma-tol-empty",
         "gamma-budget",
@@ -893,6 +900,7 @@ def test_bad_argv_values_exit_one_with_one_line(capsys, tmp_path, argv, message)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert message in err and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -294,9 +294,17 @@ def test_caps_raise_or_degrade_honestly():
     rough = box_lambda_detail(a, b, F(1), budget=299)
     sharp = box_lambda_detail(a, b, F(1))
     assert sharp.exact
-    assert not rough.exact
+    assert rough.exact  # box >= 0, so an incumbent of 0 is optimal past the budget too
     assert rough.value >= sharp.value
     assert sharp.value == 0
+    # the same 25 cells at distance 2 in b: a positive incumbent past the
+    # budget is only a bound
+    b = FiniteMMSpace(b.labels, tuple(tuple(2 * d for d in row) for row in b.dist), b.weights)
+    rough = box_lambda_detail(a, b, F(1), budget=299)
+    sharp = box_lambda_detail(a, b, F(1))
+    assert sharp.exact
+    assert not rough.exact
+    assert rough.value >= sharp.value > 0
 
 
 def test_sweep_threshold_is_each_new_cliques_distortion():
@@ -588,6 +596,19 @@ def test_symmetric_frontier_of_the_readme_is_exact():
         assert (gp.value, gp.exact) == (value, True)
 
 
+def test_a_zero_box_is_exact_past_the_budget():
+    # identical 19- and 25-point stars spend the default budget on the
+    # set-up charge, and the greedy fallback finds the identity, of box 0 at
+    # every lam; box >= 0, so that incumbent is optimal
+    for n in (19, 25):
+        star = tree_star(n)
+        budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
+        boxes = gromov._ladder(star, star, LAMBDA_LADDER, budget)[0]
+        assert [(box.value, box.exact) for box in boxes] == [(0, True)] * len(LAMBDA_LADDER)
+        gp, glue = gromov_prohorov_detail(star, star), glued_upper_bound(star, star)
+        assert (gp.value, gp.exact) == (glue.value, glue.exact) == (0, True)
+
+
 # ---------------------------------------------------------------------------
 # the lazy, twin-pruned sweep against the eager, unpruned one it replaced
 
@@ -820,7 +841,7 @@ def test_fallback_never_scores_the_full_grid_again(monkeypatch):
     monkeypatch.setattr(gromov, "_heuristic_candidates", recording)
     star = tree_star(12)
     box = box_lambda_detail(star, star, F(1, 2), budget=0)
-    assert (box.value, box.exact) == (0, False)
+    assert (box.value, box.exact) == (0, True)  # a value of 0 is exact at any budget
     assert candidates and all(len(cand) < 12 * 12 for cand in candidates)
 
 

@@ -2,9 +2,14 @@
 
 import csv
 import io
+import multiprocessing
+import os
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
+
+import pytest
 
 from mmdist import (
     ExperimentReport,
@@ -17,7 +22,7 @@ from mmdist import (
     run_theorem_check,
     sup_diff,
 )
-from mmdist import excursions, gluing, harness, spaces
+from mmdist import ValidationError, excursions, gluing, harness, spaces
 
 F = Fraction
 
@@ -142,6 +147,8 @@ def test_theorem_check_compares_the_glue_only_where_gp_is_exact(monkeypatch):
         return tuple(replace(box, exact=False) for box in boxes), replace(glue, exact=False)
 
     monkeypatch.setattr(harness, "_glued_ladder", inexact_past_the_pinned_pair)
+    # a run of fewer than 2 * harness.SHARE instances does not fork, so every
+    # call is made, and counted, in this process
     obj = run_theorem_check(seed=1, count=2).to_obj()
     # one ladder per instance, the glue riding on it
     assert calls == [harness.LAMBDA_LADDER] * 3
@@ -161,6 +168,7 @@ def test_theorem_check_validates_each_space_once(monkeypatch):
     real = spaces.require_valid
     for module in (spaces, gluing):
         monkeypatch.setattr(module, "require_valid", lambda sp: validated.append(sp) or real(sp))
+    # too few instances to fork: every check is counted in this process
     report = run_theorem_check(seed=5, count=6, n_max=4)
     assert report.passed
     assert len(validated) <= 2 * report.totals["instances"]
@@ -172,6 +180,7 @@ def test_excursion_experiments_check_each_excursion_once(monkeypatch):
     checked = []
     real = excursions.validate_excursion
     monkeypatch.setattr(excursions, "validate_excursion", lambda h: checked.append(h) or real(h))
+    # too few instances to fork: every check is counted in this process
     report = run_lipschitz_check(seed=4, count=10)
     assert report.passed
     assert len(checked) == 4 * report.totals["instances"]
@@ -221,3 +230,89 @@ def test_continuity_modes_keep_their_own_keys_and_checks():
             gp = "null_perturbation_zero" if inst["step"] == 0 else "gp_below_envelope"
             own = {gp, "dexc_le_slope_bound"}
         assert set(inst["checks"]) == shared_checks | own
+
+
+# ---------------------------------------------------------------------------
+# the seeded-count experiments in forked shares
+
+
+def test_forked_reports_equal_the_sequential_ones(monkeypatch):
+    # with more than one usable CPU both runs fork at the default SHARE
+    for run in (
+        lambda: run_theorem_check(seed=5, count=200),
+        lambda: run_lipschitz_check(seed=4, count=150),
+    ):
+        forked = run()
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(harness, "SHARE", 10**9)
+        sequential = run()
+        monkeypatch.undo()
+        assert (forked.to_json(), forked.to_csv()) == (sequential.to_json(), sequential.to_csv())
+
+
+def test_each_share_is_one_contiguous_run_of_indices():
+    n = 4 * harness.SHARE + 3
+    workers = harness._worker_count(n)
+    assert 1 <= workers <= len(os.sched_getaffinity(0))
+    results = harness._ordered_map(lambda i: (i, os.getpid()), n)
+    assert [i for i, _ in results] == list(range(n))
+    pids = [pid for _, pid in results]
+    runs = [pid for k, pid in enumerate(pids) if k == 0 or pid != pids[k - 1]]
+    # this process takes the first share, a child each other one
+    assert runs[0] == os.getpid() and len(set(runs)) == len(runs) == workers
+    assert multiprocessing.active_children() == []
+    assert harness._worker_count(2 * harness.SHARE - 1) == 1
+
+
+def failing_at(*bad):
+    def fn(i):
+        if i in bad:
+            raise ValidationError(f"index {i} is bad", [f"violation {i}"])
+        return i
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1, 70, 120), (70, 120), (127,)],
+    ids=["here-and-in-a-child", "twice-in-a-child", "at-the-last-index"],
+)
+def test_a_share_raises_the_sequential_first_error(monkeypatch, bad):
+    # 128 indices make one share per usable CPU, up to 4: [0, 64) here and
+    # [64, 128) in a child on a 2-CPU host
+    n = 4 * harness.SHARE
+    with pytest.raises(ValidationError) as forked:
+        harness._ordered_map(failing_at(*bad), n)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "SHARE", 10**9)
+    with pytest.raises(ValidationError) as sequential:
+        harness._ordered_map(failing_at(*bad), n)
+    assert str(forked.value) == str(sequential.value) == f"index {bad[0]} is bad"
+    assert forked.value.violations == sequential.value.violations == [f"violation {bad[0]}"]
+
+
+def test_an_interrupt_ends_every_running_child():
+    def fn(i):
+        if i == harness.SHARE:  # in the first child's share
+            time.sleep(60)
+        if i == 1:
+            raise KeyboardInterrupt
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        harness._ordered_map(fn, 2 * harness.SHARE)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_fork_raises_and_leaves_no_child(monkeypatch):
+    def fail(proc):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fail)
+    if harness._worker_count(8 * harness.SHARE) > 1:
+        with pytest.raises(OSError):
+            harness._ordered_map(lambda i: i, 8 * harness.SHARE)
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,6 @@
 """Prohorov distance between two measures on one finite space, two routes."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -214,3 +215,26 @@ def test_the_scan_opens_only_the_thresholds_it_reaches(monkeypatch):
     one, other = (F(1), F(0), F(0)), (F(0), F(0), F(1))
     assert prohorov_flow(CommonSpaceMeasures(dist, one, other)) == F(3, 4)
     assert opened == [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
+
+
+def test_a_scan_that_stops_at_zero_sorts_no_cell(monkeypatch):
+    # the zero-distance run is listed as it lies; the other cells are sorted
+    # by distance only once the scan goes past d = 0, and only they are
+    dist = ((F(0), F(1, 4), F(3, 4)), (F(1, 4), F(0), F(1, 2)), (F(3, 4), F(1, 2), F(0)))
+    # the package exports a function named prohorov, so fetch the module
+    module = importlib.import_module("mmdist.prohorov")
+    keyed = []
+
+    def recording(items, key=None):
+        items = list(items)
+        if key is not None:
+            keyed.append(len(items))
+        return sorted(items, key=key)
+
+    monkeypatch.setattr(module, "sorted", recording, raising=False)
+    mu, nu = (F(1, 2), F(1, 2), F(0)), (F(1, 2), F(1, 4), F(1, 4))
+    assert prohorov_flow(CommonSpaceMeasures(dist, mu, nu)) == F(1, 4)
+    assert keyed == []
+    one, other = (F(1), F(0), F(0)), (F(0), F(0), F(1))
+    assert prohorov_flow(CommonSpaceMeasures(dist, one, other)) == F(3, 4)
+    assert keyed == [6]
