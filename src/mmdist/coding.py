@@ -24,8 +24,10 @@ which is the mean of h's limits at the segment's ends (pl, so heights are
 over twice the values' denominator) or the piece value (pc). The running
 minimum across the cuts runs on those ints, and Fractions are built only
 for the coded tree: one per distinct distance, weight, cut and
-representative. The coded space carries its int matrix and weights as its
-int form (`spaces._made`), so the box search reads them as they are.
+representative. The coded space is the quotient of the int matrix by
+distance 0, with the segment lengths summed per class (`spaces._quotient`,
+which `canonicalize` shares), and it carries that int form, so the box
+search reads it as it is.
 Resolution points join the cuts of either kind, each checked to lie in
 [0, 1] in the order given.
 
@@ -48,7 +50,7 @@ from math import gcd, lcm
 from .errors import SizeError, ValidationError
 from .exact import parse_scalar
 from .excursions import Excursion, _int_excursions, _on_int_grid, normalize
-from .spaces import FiniteMMSpace, _class_roots, _made, int_form
+from .spaces import FiniteMMSpace, _quotient, int_form
 
 MAX_CODING_SEGMENTS = 5000
 
@@ -108,29 +110,6 @@ def pl_cut_points(h: Excursion, resolution=()) -> tuple:
     return tuple(Fraction(c, den) for c in cuts)
 
 
-def _merge_to_space(d, den, lengths, length_den, zeros):
-    """Quotient by d == 0 (leftmost representative), weights summed.
-
-    d is an int matrix over `den`, `zeros` its pairs (i, j), i < j, at
-    distance 0, and `lengths` are ints over `length_den`; the space is
-    built from those ints (`spaces._made`) and marked canonical, as it is by
-    construction when d is d_h on segment midpoints (a pseudometric) and
-    `lengths` partition [0, 1]: the merged matrix is a metric with no zero
-    off the diagonal, and the weights are positive and sum to 1.
-    """
-    m = len(lengths)
-    roots = _class_roots(m, zeros)
-    classes = sorted(set(roots))
-    index_of = {r: k for k, r in enumerate(classes)}
-    projection = tuple(index_of[r] for r in roots)
-    weights = [0] * len(classes)
-    for k, length in zip(projection, lengths):
-        weights[k] += length
-    kept = [[d[a][b] for b in classes] for a in classes]
-    labels = [f"s{r}" for r in classes]
-    return _made(labels, kept, den, weights, length_den, canonical=True), projection
-
-
 def code_excursion(h: Excursion, resolution=()) -> CodedTree:
     h = normalize(h)
     cuts, cut_den, grid, den = _int_cuts(h, resolution)
@@ -151,23 +130,21 @@ def code_excursion(h: Excursion, resolution=()) -> CodedTree:
         cutvals, den = [2 * v for v in cutvals], 2 * den
     m = len(heights)
     d = [[0] * m for _ in range(m)]
-    zeros = []  # the pairs at distance 0, found as d is filled
     for i, hi in enumerate(heights):
         run_min = hi
         for j in range(i + 1, m):
             run_min = min(run_min, cutvals[j])  # cut between segment j-1 and j
             hj = heights[j]
-            v = hi + hj - 2 * min(run_min, hj)
-            d[i][j] = d[j][i] = v
-            if not v:
-                zeros.append((i, j))
+            d[i][j] = d[j][i] = hi + hj - 2 * min(run_min, hj)
     lengths = [b - a for a, b in zip(cuts, cuts[1:])]
-    space, projection = _merge_to_space(d, den, lengths, cut_den, zeros)
+    # d is d_h on the midpoints, a pseudometric, and the lengths are positive
+    space, roots, reps = _quotient([f"s{i}" for i in range(m)], d, den, lengths, cut_den)
+    index_of = {r: k for k, r in enumerate(reps)}
     times = [Fraction(c, cut_den) for c in cuts]
     return CodedTree(
         space=space,
         segments=tuple(zip(times, times[1:])),
-        projection=projection,
+        projection=tuple(index_of[r] for r in roots),
         representatives=tuple(Fraction(a + b, 2 * cut_den) for a, b in zip(cuts, cuts[1:])),
         resolution_bound=bound,
     )

@@ -27,21 +27,21 @@ drives too), and one max-flow per clique whose Hall bound could beat some
 incumbent; an exact result's witness is an optimal correspondence. The
 bound (`_HallBound`) caps the mass a subcoupling can put on a clique: each
 row ships at most its weight and at most the weight of the columns it meets
-in the clique, and likewise each column. A clique whose bound is at most
-the live cut, min(m_cut) over the unfrozen lams, cannot change any
-incumbent, so its flow is skipped. The rows half of the bound also prunes
-the search itself (bounded clique search, Carraghan & Pardalos 1990,
-Östergård 2001): it only grows with the mask, so a Bron-Kerbosch node whose
-R | P is at most the cut roots only such cliques, and its subtree is cut. A
-lam freezes at the first clique after which t alone cannot beat its
-incumbent, and the sweep ends once all are frozen: it polls its stop test
-before each threshold and right after each clique it hands over, the only
-two events that can freeze a lam (t rises, or an incumbent improves).
+in the clique. A clique whose bound is at most the live cut, min(m_cut)
+over the unfrozen lams, cannot change any incumbent, so its flow is
+skipped. The same test prunes the search itself (bounded clique search,
+Carraghan & Pardalos 1990, Östergård 2001): the bound only grows with the
+mask, so a Bron-Kerbosch node whose R | P is at most the cut roots only
+such cliques, and its subtree is cut. A lam freezes at the first clique
+after which t alone cannot beat its incumbent, and the sweep ends once all
+are frozen: it polls its stop test before each threshold and right after
+each clique it hands over, the only two events that can freeze a lam (t
+rises, or an incumbent improves).
 Wherever the unpruned search is exact the pruned one is too, with the same
 value and witness, and it never spends more units, so past the budget it
 ends at an incumbent at least as good. On one pass of the excursion-pairs
 bench's coded trees the sweep lists 3 121 cliques (13 549 unpruned) and
-flows 546 of them, on 35 381 units (58 814). The clique order does not
+flows 733 of them, on 35 381 units (58 814). The clique order does not
 depend on lam, and the ladder prunes only what no live lam can use, so it
 spends at least the units of each lam's own search: a lam it freezes within
 the budget gets its own search's result, one it does not an upper bound no
@@ -207,17 +207,16 @@ class _HallBound:
 
     Row i ships at most wa[i], and at most the weight of the columns it
     meets in the mask, so the mass is at most `rows`, the sum over rows of
-    the smaller of the two; likewise `cols` over columns, and the bound is
-    the smaller sum (the deficiency form of Hall's theorem, taken one row or
-    one column at a time). It is never above the smaller of the total row
-    and column weights the mask touches. A row's column weight is read from
-    its slice of the mask, memoized per slice.
+    the smaller of the two (the deficiency form of Hall's theorem, taken
+    one row at a time). It is never above the total row weight the mask
+    touches, and it only grows with the mask. A row's column weight is
+    read from its slice of the mask, memoized per slice.
     """
 
     def __init__(self, wa, wb):
-        self.wa, self.wb, self.n2 = wa, wb, len(wb)
-        self.slices = [(w, i * self.n2) for i, w in enumerate(wa)]
-        self.low = (1 << self.n2) - 1
+        self.wb, n2 = wb, len(wb)
+        self.slices = [(w, i * n2) for i, w in enumerate(wa)]
+        self.low = (1 << n2) - 1
         self.col_weight = {0: 0}
 
     def rows(self, mask):
@@ -229,18 +228,6 @@ class _HallBound:
                 s = col_weight[cols] = sum(self.wb[j] for j in _bits(cols))
             total += w if w < s else s
         return total
-
-    def cols(self, mask):
-        wa, wb, n2 = self.wa, self.wb, self.n2
-        row_weight = [0] * n2
-        for c in _bits(mask):
-            i, j = divmod(c, n2)
-            row_weight[j] += wa[i]
-        return sum(map(min, wb, row_weight))
-
-    def exceeds(self, mask, cut):
-        """Whether the bound is above `cut`; the column sum only if need be."""
-        return self.rows(mask) > cut and self.cols(mask) > cut
 
 
 def _int_distortion(da, db, pairs):
@@ -665,13 +652,13 @@ def _ladder(a, b, lams, budget, seeds=()):
     try:
         hall, m_cut = _HallBound(wa, wb), inc.m_cut
         # a clique whose mass m is at most min(m_cut) beats no incumbent, and
-        # the Hall bound caps m; inside the search only its rows half, which
-        # is cheap and only grows with the mask, cuts a node's R | P
+        # the Hall bound caps m; it only grows with the mask, so the same test
+        # cuts a node's R | P in the search and skips a listed clique's flow
         sweep = _CliqueSweep(
             da, db, cells, budget, (wa, wb), lambda mask: hall.rows(mask) <= min(m_cut)
         )
         for t, mask in sweep.cliques(inc.frozen):
-            if hall.exceeds(mask, min(m_cut)):
+            if hall.rows(mask) > min(m_cut):
                 inc.consider(sweep.pairs(mask), t)
         inc.live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:

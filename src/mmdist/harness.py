@@ -32,8 +32,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coding import code_excursion, pl_cut_points
-from .errors import ValidationError
+from .coding import MAX_CODING_SEGMENTS, code_excursion, pl_cut_points
+from .errors import SizeError, ValidationError
 from .exact import decimal_str, format_scalar
 from .excursion_metrics import d_excursion_detail, d_gamma_detail, d_lambda
 from .excursions import comb, normalize, pl_excursion, step_one, sup_diff, tent, zero_excursion
@@ -401,12 +401,17 @@ def run_lipschitz_check(
 
 
 def run_counterexample(n_list=(2, 3, 4, 6, 8)) -> ExperimentReport:
-    ns = tuple(sorted({int(n) for n in n_list}))
-    if not ns or ns[0] < 1:
+    counts = list(n_list)
+    if not counts or any(isinstance(n, bool) or n != int(n) or n < 1 for n in counts):
         raise ValidationError("tooth counts must be positive integers")
+    ns = tuple(sorted(set(map(int, counts))))
     if len(ns) < 2:
         # the table's assertions are about off-diagonal pairs
         raise ValidationError(f"need at least two distinct tooth counts, got {ns[0]}")
+    # comb(n) codes to n segments: the coder's refusal, before any comb is built
+    for n in ns:
+        if n > MAX_CODING_SEGMENTS:
+            raise SizeError(f"{n} segments exceeds the coding cap {MAX_CODING_SEGMENTS}")
     combs = {n: normalize(comb(n)) for n in ns}  # checked once, for every distance and coding
     stars = {n: code_excursion(combs[n]).space for n in ns}
     instances = []

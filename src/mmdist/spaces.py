@@ -23,13 +23,15 @@ or scales a hand-built space's entries (int and float entries convert
 exactly) when it carries none; `require_valid` returns the form, checking
 the space first when it carries none; `paired_forms` puts two forms over
 one denominator each, which is what the box search and the glue read.
-`canonicalize` merges and sums in ints and marks its output canonical; a
-marked space comes back as it is. `int_violations` is the one check of an
-int form, so `dist prohorov` reads, checks and scans its files without a
-Fraction per entry. Validation has no tolerance: `metric_violations`, the
-one metric-axiom check, tests a matrix as ints over its common denominator;
-messages quote a space's entries as given, and an int form's by their exact
-values.
+`canonicalize` and the coder share one quotient, `_quotient`: on a checked
+pseudometric, distance 0 is an equivalence relation, so each point's class
+is read off its row (its first zero), and the classes are merged and
+summed in ints. Its output is marked canonical; a marked space comes back
+as it is. `int_violations` is the one check of an int form, so `dist
+prohorov` reads, checks and scans its files without a Fraction per entry.
+Validation has no tolerance: `metric_violations`, the one metric-axiom
+check, tests a matrix as ints over its common denominator; messages quote
+a space's entries as given, and an int form's by their exact values.
 
 The triangle test is packed (a SIMD-within-a-register test, Lamport 1975,
 "Multiple byte processing with full-word instructions"). Each row of a
@@ -417,51 +419,44 @@ def is_canonical(space: FiniteMMSpace) -> bool:
     return True
 
 
-def _class_roots(n, pairs) -> list:
-    """Each of n points' class root once every pair (i, j) in `pairs` is
-    merged, transitively; a root is the smallest index of its class."""
-    parent = list(range(n))
+def _quotient(labels, rows, D, weights, W):
+    """The quotient of a checked int form by distance 0: (space, roots, reps).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(n)]
-
-
-def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
-    """Merge distance-0 pairs (summing weights) and drop weight-0 points.
-
-    Representatives keep the smallest original index and its label; order is
-    by representative index. The classes are merged and their weights
-    summed on the int form (`require_valid`), and the result is built from
-    ints (`_made`), so every entry is a Fraction: int and float entries of
-    a hand-built space convert exactly. A space marked canonical comes back
-    as it is.
+    On a pseudometric, d(i, j) = 0 is an equivalence relation (the triangle
+    inequality makes it transitive), so the first zero in row i is the
+    smallest point of i's class: `roots[i]`. Each class's weight is summed,
+    classes of weight 0 are dropped, and `reps`, the kept roots in
+    ascending order, keep their labels; the space is built from ints
+    (`_made`) and marked canonical.
     """
-    if space._canonical:
-        return space
-    rows, D, weights, W = require_valid(space)
-    n = space.n
-    close = ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] == 0)
-    class_weight = {}
-    for r, w in zip(_class_roots(n, close), weights):
-        class_weight[r] = class_weight.get(r, 0) + w
-    reps = sorted(r for r, w in class_weight.items() if w > 0)
-    return _made(
-        [space.labels[r] for r in reps],
+    roots = [row.index(0) for row in rows]
+    class_weight = [0] * len(rows)
+    for r, w in zip(roots, weights):
+        class_weight[r] += w
+    reps = [r for r, w in enumerate(class_weight) if w > 0]
+    space = _made(
+        [labels[r] for r in reps],
         [[rows[a][b] for b in reps] for a in reps],
         D,
         [class_weight[r] for r in reps],
         W,
         canonical=True,
     )
+    return space, roots, reps
+
+
+def canonicalize(space: FiniteMMSpace) -> FiniteMMSpace:
+    """Merge distance-0 pairs (summing weights) and drop weight-0 points.
+
+    Representatives keep the smallest original index and its label; order is
+    by representative index. The classes are read off the checked int form
+    (`require_valid`) and merged and summed in ints (`_quotient`), so every
+    entry is a Fraction: int and float entries of a hand-built space
+    convert exactly. A space marked canonical comes back as it is.
+    """
+    if space._canonical:
+        return space
+    return _quotient(space.labels, *require_valid(space))[0]
 
 
 def are_isomorphic(a: FiniteMMSpace, b: FiniteMMSpace) -> bool:

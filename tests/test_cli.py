@@ -843,6 +843,11 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
             ["experiment", "counterexample", "--n-list", "2,2"],
             "mmdist experiment counterexample: need at least two distinct tooth counts, got 2",
         ),
+        # refused before a comb is built or its coded matrix allocated
+        (
+            ["experiment", "counterexample", "--n-list", "100000000,2"],
+            "mmdist experiment counterexample: 100000000 segments exceeds the coding cap",
+        ),
         (["experiment", "theorem-check", "--count", "-1"], "count must be at least 0"),
         (["experiment", "lipschitz", "--count", "-1"], "count must be at least 0"),
         (["sample", "--n-max", "-2"], "mmdist sample: n_max must be at least 1"),
@@ -874,6 +879,7 @@ def test_pc_documents_without_breakpoint_values_take_the_defaults(capsys, tmp_pa
         "glue-eps-huge-exponent",
         "n-list",
         "n-list-one-count",
+        "n-list-coding-cap",
         "negative-count",
         "lipschitz-count",
         "sample-n-max",

@@ -31,6 +31,7 @@ from mmdist import (
 from mmdist import coding, spaces
 
 from excursion_refs import ref_cuts, ref_evaluate, ref_piece_limits
+from quotient_refs import class_roots, zero_pairs
 
 F = Fraction
 
@@ -131,12 +132,28 @@ def test_merge_makes_one_fraction_per_distinct_distance(monkeypatch):
     # four segments over 4, the last two at distance 0: three points whose
     # nine distances take the three values 0, 2/4 and 3/4
     d = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 0], [3, 3, 0, 0]]
-    space, projection = coding._merge_to_space(d, 4, [1, 1, 1, 1], 4, [(2, 3)])
+    space, roots, reps = spaces._quotient(["s0", "s1", "s2", "s3"], d, 4, [1, 1, 1, 1], 4)
     half, three = F(1, 2), F(3, 4)
-    assert projection == (0, 1, 2, 2)
+    assert [reps.index(r) for r in roots] == [0, 1, 2, 2]
     assert space.dist == ((0, half, three), (half, 0, three), (three, three, 0))
     assert space.weights == (F(1, 4), F(1, 4), F(1, 2))
     assert len(made) == 3 + 2  # one per distinct distance and one per distinct weight
+
+
+def test_projection_groups_segments_as_union_find_over_dh_zeros():
+    rng = random.Random(541)
+    merged = {"pl": 0, "pc": 0}
+    for k in range(60):
+        kind = ("pl", "pc")[k % 2]
+        # few levels, so that segments repeat heights and tie at distance 0
+        h = random_excursion(rng, kind, max_pieces=10, value_den=2)
+        coded = code_excursion(h)
+        reps, m = coded.representatives, len(coded.segments)
+        roots = class_roots(m, zero_pairs(m, lambda i, j: dh(h, reps[i], reps[j])))
+        index_of = {r: c for c, r in enumerate(sorted(set(roots)))}
+        assert coded.projection == tuple(index_of[r] for r in roots)
+        merged[kind] += coded.space.n < m
+    assert merged["pl"] >= 15 and merged["pc"] >= 6
 
 
 def test_resolution_refinement_tightens_the_bound():

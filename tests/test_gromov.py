@@ -801,6 +801,26 @@ def test_default_cap_frontier_is_exact_to_64_cells():
     assert (gp.value, gp.exact) == (F(1, 5), True)
 
 
+def test_lattice_frontier_is_exact_at_the_default_budget():
+    """gp of the L1 lattice pairs `grid_space(random.Random(n), n)`, three
+    consecutive pairs per n, is exact at the default budget: all three at
+    10 points, and pairs #0 and #2 at 12 points.
+
+    Today's first non-exact cases stay unasserted, so that a change that
+    moves the frontier can add them here: lattice 12 pair #1 (262/1035),
+    lattice 14, `star_of` at 10 points (14/55) and coded comb(19) vs
+    comb(21) (2/21).
+    """
+    want = {10: [F(19, 82), F(1, 4), F(157, 702)], 12: [F(598, 2703), None, F(328, 1395)]}
+    for n, values in want.items():
+        rng = random.Random(n)
+        for value in values:
+            a, b = grid_space(rng, n), grid_space(rng, n)
+            if value is not None:
+                gp = gromov_prohorov_detail(a, b)
+                assert (gp.value, gp.exact) == (value, True)
+
+
 def test_budget_past_or_during_the_sweep_leaves_a_scored_upper_bound(monkeypatch):
     a, b = (grid_space(random.Random(seed), 5) for seed in (167, 173))
     spent = []
@@ -1061,14 +1081,14 @@ def test_hall_bound_sits_between_the_flow_and_the_touched_weights():
         wb = [rng.randint(0, 6) for _ in range(n2)]
         mask = rng.getrandbits(n1 * n2) & rng.getrandbits(n1 * n2)  # sparse cell sets
         pairs = [divmod(c, n2) for c in gromov._bits(mask)]
-        hall = gromov._HallBound(wa, wb)
-        bound = min(hall.rows(mask), hall.cols(mask))
-        touched = min(touched_weight(wa, pairs, 0), touched_weight(wb, pairs, 1))
+        bound = gromov._HallBound(wa, wb).rows(mask)
+        # the rows sum can exceed the touched column weight: two rows that
+        # meet one light column each ship up to its weight
+        touched = touched_weight(wa, pairs, 0)
         assert max_subcoupling(wa, wb, pairs)[0] <= bound <= touched
-        assert [hall.exceeds(mask, cut) for cut in (bound - 1, bound)] == [True, False]
         tighter += bound < touched
-    # the bound often beats the touched weights the old prefilter compared
-    assert tighter >= 60
+    # the bound often beats the touched row weight
+    assert tighter >= 170
 
 
 def ladder_runs(a, b, lams, units):
@@ -1077,12 +1097,12 @@ def ladder_runs(a, b, lams, units):
     result, the budget units left and the flows made."""
     runs = []
     never = lambda hall, mask: math.inf
-    for rows, cols in ((gromov._HallBound.rows, gromov._HallBound.cols), (never, never)):
+    for rows in (gromov._HallBound.rows, never):
         flows = []
         real = gromov.max_subcoupling
         with mock.patch.object(gromov._HallBound, "rows", rows), mock.patch.object(
-            gromov._HallBound, "cols", cols
-        ), mock.patch.object(gromov, "max_subcoupling", lambda *x: flows.append(x) or real(*x)):
+            gromov, "max_subcoupling", lambda *x: flows.append(x) or real(*x)
+        ):
             budget = gromov._Budget(units)
             boxes = gromov._ladder(a, b, lams, budget)[0]
             gp = gromov_prohorov_detail(a, b, units)

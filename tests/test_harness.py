@@ -22,7 +22,7 @@ from mmdist import (
     run_theorem_check,
     sup_diff,
 )
-from mmdist import ValidationError, excursions, gluing, harness, spaces
+from mmdist import SizeError, ValidationError, coding, excursions, gluing, harness, spaces
 
 F = Fraction
 
@@ -62,6 +62,24 @@ def test_counterexample_small_run():
     assert by_id["pair-3-4"]["gp_coded"]["rational"] == "1/4"
     assert by_id["pair-2-3"]["d_lambda"]["rational"] == "0"
     assert obj["summary"]["min_positive_gp"]["rational"] == "1/4"
+
+
+@pytest.mark.parametrize("n_list", [(2.5, 3, True), (2, 3, True), (2, F(5, 2)), ()], ids=str)
+def test_tooth_counts_must_be_positive_integers(n_list):
+    # int() would read 2.5 as 2 and True as 1
+    with pytest.raises(ValidationError, match="^tooth counts must be positive integers$"):
+        run_counterexample(n_list=n_list)
+
+
+def test_a_tooth_count_past_the_coding_cap_is_refused_before_any_comb(monkeypatch):
+    def comb(n):
+        raise AssertionError(f"comb({n}) was built")
+
+    monkeypatch.setattr(harness, "comb", comb)
+    cap = coding.MAX_CODING_SEGMENTS
+    # comb(n) codes to n segments; the smallest count past the cap is named
+    with pytest.raises(SizeError, match=f"^{cap + 1} segments exceeds the coding cap {cap}$"):
+        run_counterexample(n_list=(10**8, 2, cap + 1))
 
 
 def test_continuity_small_run():

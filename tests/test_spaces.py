@@ -38,6 +38,8 @@ from mmdist.spaces import (
     read_ints,
 )
 
+from quotient_refs import ref_quotient
+
 F = Fraction
 
 
@@ -86,6 +88,36 @@ def test_canonicalize_drops_zero_weight_points():
     c = canonicalize(zw)
     assert c.labels == ("a",)
     assert c.weights == (F(1),)
+
+
+def blown_up(rng):
+    """A sampled metric with each point copied one to three times at
+    distance 0, weights that include zeros, and the points shuffled."""
+    base = sample_mm_space(rng.randrange(10**9), n_max=6)
+    copies = [i for i in range(base.n) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(copies)
+    raw = [rng.choice((0, 0, 1, 2, 5)) for _ in copies]
+    raw[rng.randrange(len(raw))] += 1  # some weight is positive
+    return FiniteMMSpace(
+        tuple(f"q{k}" for k in range(len(copies))),
+        tuple(tuple(base.dist[a][b] for b in copies) for a in copies),
+        tuple(F(w, sum(raw)) for w in raw),
+    )
+
+
+def test_canonicalize_equals_the_union_find_quotient():
+    rng = random.Random(37)
+    merged = dropped = 0
+    for _ in range(200):
+        sp = blown_up(rng)
+        want = ref_quotient(sp)
+        # hand-built (checked by canonicalize) and read (carrying its form)
+        read = space_from_obj(space_to_obj(sp))
+        for c in (canonicalize(sp), canonicalize(read)):
+            assert (c.labels, c.dist, c.weights) == want
+        merged += len(set(map(tuple, sp.dist))) < sp.n
+        dropped += 0 in sp.weights
+    assert merged >= 100 and dropped >= 100
 
 
 def test_canonicalize_idempotent_and_flagged():
