@@ -14,9 +14,12 @@ error, 3 experiment report with failing checks.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import re
+import stat
 import sys
 import time
 
@@ -423,6 +426,23 @@ def _parser(words):
     return _leaf(argparse.ArgumentParser(prog=f"mmdist {words}"), words)
 
 
+def _refuse_unwritable(path) -> None:
+    """Raise, before any work, the error that opening `path` to write would
+    raise when its folder cannot be reached (missing, or a file on the way)
+    or when it names a directory; the handlers in `main` name it on one
+    line."""
+    folder = os.path.dirname(path.rstrip(os.sep)) or os.curdir
+    try:
+        code = None if stat.S_ISDIR(os.stat(folder).st_mode) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    # open() refuses a name with a trailing separator as a directory too
+    if code is None and (path.endswith(os.sep) or os.path.isdir(path)):
+        code = errno.EISDIR
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)  # FileNotFoundError, ...
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # leading words that name a command use its parser alone; -h, a missing
@@ -441,6 +461,9 @@ def main(argv=None) -> int:
     label = args.words
     started = time.perf_counter()
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _refuse_unwritable(path)
         payload, raw, code = _COMMANDS[label][0](args)
         text = raw + "\n" if getattr(args, "raw", False) else dumps_json(payload)
         if args.out:

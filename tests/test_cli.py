@@ -564,12 +564,17 @@ def test_experiments_look_their_runner_up_when_called(capsys, monkeypatch, name,
 # continuity was retaken when the d_gamma search began to split its segments
 # where the nearest target features tie: 8 `dexc_hi` entries moved down, each
 # by under 1e-9 (e.g. 0.110694297695 -> 0.110694296935), inside the
-# enclosure's 1e-9 tolerance; every check still passes
+# enclosure's 1e-9 tolerance; every check still passes.
+# theorem-check at seed 541 with 450 instances is the bench's own report,
+# the one whose rendering `dumps_json` was written to speed up
 PINNED_REPORTS = {
     "continuity": "f07f603496b3af656f42ecd87104dff63e2bd8b14e463e1f1741e131ce7a8fc1",
     "counterexample": "112a3bb9da97ae61a05f7c26451cba54168493bf9d0ad3c73cc4a6c53eb45409",
     "lipschitz": "4e079c6197079e0cbfd5205a722ea07fcaf90f67259c883a2a332e92960e996f",
     "theorem-check --seed 1 --count 60": "bf44726cf26cecfe9bdc8900df7434c4ed3cd2291b976c7498f5ce9ef96112f2",
+    "theorem-check --seed 541 --count 450": (
+        "8f7a956ed295e2a1a0006f317e33a680618ede2f3bd9d4acb5c6a0efb8d89b21"
+    ),
     # spaces of up to 6 points, so sampling's min-plus closure and the
     # ladder's int incumbents run on more than the default 3 points
     "theorem-check --seed 3 --count 40 --n-max 6": (
@@ -1137,6 +1142,41 @@ def test_file_errors_exit_one_naming_the_path(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *argv.format(**paths).split())
     assert (code, out) == (1, "")
     assert err == f"mmdist {message.format(**paths)}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--out {dir}", "is a directory: {dir}"),
+        ("--csv {dir}", "is a directory: {dir}"),
+        ("--csv {dir}/report.csv --out {dir}", "is a directory: {dir}"),
+        ("--out {dir}/missing/report.json", "no such file: {dir}/missing/report.json"),
+        ("--csv {dir}/missing/report.csv", "no such file: {dir}/missing/report.csv"),
+        ("--out {file}/report.json", "not a directory: {file}/report.json"),
+        ("--out {dir}/new/", "is a directory: {dir}/new/"),
+    ],
+    ids=[
+        "out-dir",
+        "csv-dir",
+        "csv-written-out-dir",
+        "out-missing",
+        "csv-missing",
+        "out-in-file",
+        "out-trailing-separator",
+    ],
+)
+def test_unwritable_outputs_are_refused_before_the_run(monkeypatch, capsys, tmp_path, flags, message):
+    def refuse(**kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_theorem_check", refuse)
+    paths = {"dir": tmp_path, "file": tmp_path / "plain.txt"}
+    paths["file"].write_text("")
+    argv = f"experiment theorem-check --count 5 {flags}".format(**paths).split()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"mmdist experiment theorem-check: {message.format(**paths)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """Finite metric measure spaces: validation, canonical form, isomorphism, IO."""
 
+import enum
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmdist import (
     FiniteMMSpace,
@@ -592,3 +595,94 @@ def test_equal_values_read_to_equal_ints(tmp_path):
 def test_loads_document_keeps_decimals_as_strings():
     obj = loads_document('{"x": 0.1}')
     assert obj["x"] == "0.1"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+class _Label(str):
+    pass
+
+
+def _stdlib_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(render, obj):
+    """What `render(obj)` returns, or the type and message of what it raises."""
+    try:
+        return render(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ASCII, escapes, control characters, non-ASCII, an astral character and
+# lone surrogates, from a fixed alphabet: st.text would first build its
+# Unicode table, longer than the whole property takes
+_ALPHABET = "az \"\\/\x00\x1f\x7f\n\té☃\u2028\ud800\udfff𝄞"
+_TEXT = st.lists(st.sampled_from(_ALPHABET), max_size=6).map("".join)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**40, -(10**40), _Level.LOW, _Level.HIGH])
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+    | _TEXT
+    | _TEXT.map(_Label)
+)
+# one key type per dict, so the dict sorts: a dict that mixes key types is
+# refused by both renderers, and whatever it holds would go unchecked
+_JSON_KEYS = (_TEXT, _TEXT.map(_Label), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4)
+    | st.one_of([st.dictionaries(keys, children, max_size=3) for keys in _JSON_KEYS]),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=40)
+@given(_JSON_TREES)
+def test_dumps_json_is_the_stdlib_rendering(tree):
+    assert _outcome(dumps_json, tree) == _outcome(_stdlib_dumps, tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        {2: "int", 1: "keys"},
+        {1.5: "float", -0.0: "keys", float("inf"): "sort"},
+        {True: "bool", False: "keys"},
+        {None: "null key"},
+        {_Label("b"): _Label("str"), "a": "subclass"},
+        [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 0.1],
+        [10**40, -(10**40), _Level.LOW, _Level.HIGH, True, None],
+        ("\ud800", "\udfff", "\x00\x1f\x7f", "é☃𝄞\u2028", '"\\/'),
+        {"deep": [{"x": (1, {"y": [{2: 2.5}]})}]},
+    ],
+)
+def test_dumps_json_is_the_stdlib_rendering_on_each_node_kind(tree):
+    assert dumps_json(tree) == _stdlib_dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [F(1, 2), [F(1, 2)], {"a": {"b": [1, F(1, 2)]}}, {"a": 1, 2: "b"}, {"a": {1: "x", "y": 2}}],
+    ids=["leaf", "in-list", "nested", "mixed-keys", "nested-mixed-keys"],
+)
+def test_dumps_json_refuses_what_the_stdlib_refuses(tree):
+    with pytest.raises(TypeError) as ours:
+        dumps_json(tree)
+    with pytest.raises(TypeError) as theirs:
+        _stdlib_dumps(tree)
+    assert str(ours.value) == str(theirs.value)
+    assert ours.value.__context__ is None
