@@ -78,7 +78,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .exact import isqrt_enclosure
+from .exact import isqrt_enclosure, parse_scalar
 from .excursions import Excursion, _int_diff, _int_excursions, normalize
 from .prohorov import _scan_infimum
 
@@ -547,7 +547,7 @@ def _directed_bb(s: Excursion, t: Excursion, den: int):
 
     def run(tol, budget, floor=(0, 1)):
         lo, counter, spent, final_hi = start, len(heap), 0, hi_points
-        tn, td = Fraction(tol).as_integer_ratio()
+        tn, td = tol.as_integer_ratio()
         while heap:
             top = heapq.heappop(heap)
             ub = top.n, top.d
@@ -576,6 +576,14 @@ def d_gamma_detail(
     tol=DEFAULT_GAMMA_TOL,
     budget: int = DEFAULT_GAMMA_BUDGET,
 ) -> IntervalResult:
+    """d_gamma's enclosure, certified when hi - lo <= tol. `tol` is read
+    exactly by `parse_scalar`; a negative tol, which no enclosure meets,
+    or a negative split budget is refused before any search runs."""
+    tol = parse_scalar(tol)
+    if tol < 0:
+        raise ValidationError("tol must be nonnegative")
+    if budget < 0:
+        raise ValidationError("budget must be nonnegative")
     h, g = normalize(h), normalize(g)  # the one check of each input
     (s, t), _, den = _int_excursions(h, g)  # the one scaling, for both directed sups
     if s.kind == "pc" and t.kind == "pc":

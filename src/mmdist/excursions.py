@@ -297,9 +297,11 @@ def zero_excursion(kind: str = "pl") -> Excursion:
 
 
 def comb(n: int) -> Excursion:
-    """Value 1 except at the n+1 equally spaced zeros k/n (pc kind)."""
-    if n < 1:
-        raise ValidationError("comb needs n >= 1")
+    """Value 1 except at the n+1 equally spaced zeros k/n (pc kind); n is
+    a positive integer, of any numeric type but bool."""
+    if isinstance(n, bool) or n != int(n) or n < 1:
+        raise ValidationError(f"comb needs an integer n >= 1, got {n!r}")
+    n = int(n)
     bps = tuple(Fraction(k, n) for k in range(n + 1))
     return pc_excursion(bps, (Fraction(1),) * n, (Fraction(0),) * (n + 1))
 

@@ -41,7 +41,11 @@ Wherever the unpruned search is exact the pruned one is too, with the same
 value and witness, and it never spends more units, so past the budget it
 ends at an incumbent at least as good. On one pass of the excursion-pairs
 bench's coded trees the sweep lists 3 121 cliques (13 549 unpruned) and
-flows 733 of them, on 35 381 units (58 814). The clique order does not
+flows 733 of them, on 35 381 units (58 814). On the 100 coded
+`random_excursion` pairs of `random.Random(1201)` gp lists 1 389 cliques
+and flows 510 of them, on 11 403 units; tests/test_gromov.py pins these
+three counts, so a kernel change that visits other nodes must restate
+them. The clique order does not
 depend on lam, and the ladder prunes only what no live lam can use, so it
 spends at least the units of each lam's own search: a lam it freezes within
 the budget gets its own search's result, one it does not an upper bound no
@@ -97,9 +101,12 @@ class _Budget:
     """The work one public search may do, counted without a clock so that
     results and report bytes never depend on the host: one unit per pair of
     cells a `_CliqueSweep` is set up over, charged before its set-up, and
-    one per Bron-Kerbosch node. Spending past it raises SizeError."""
+    one per Bron-Kerbosch node. Spending past it raises SizeError. A
+    negative budget is refused; 0 falls back at once."""
 
     def __init__(self, units):
+        if units < 0:
+            raise ValidationError("budget must be nonnegative")
         self.units = self.left = units
 
     def spend(self, units):
@@ -210,24 +217,44 @@ class _HallBound:
     the smaller of the two (the deficiency form of Hall's theorem, taken
     one row at a time). It is never above the total row weight the mask
     touches, and it only grows with the mask. A row's column weight is
-    read from its slice of the mask, memoized per slice.
+    read from its slice of the mask, one lookup per row in `col_weight`.
+    With at most TABLE_COLUMNS columns that is a list of every column
+    subset's weight, built once, column by column, in 2^n2 additions;
+    wider, where a full table doubles with each column, a memo filled per
+    slice as it is first asked for.
     """
 
+    TABLE_COLUMNS = 8
+
     def __init__(self, wa, wb):
-        self.wb, n2 = wb, len(wb)
+        n2 = len(wb)
         self.slices = [(w, i * n2) for i, w in enumerate(wa)]
         self.low = (1 << n2) - 1
-        self.col_weight = {0: 0}
+        if n2 > self.TABLE_COLUMNS:
+            self.col_weight = _ColumnMemo(wb)
+            return
+        self.col_weight = table = [0]
+        for w in wb:  # a subset with column j weighs the subset without it, plus w
+            table += [s + w for s in table]
 
     def rows(self, mask):
         total, low, col_weight = 0, self.low, self.col_weight
         for w, shift in self.slices:
-            cols = (mask >> shift) & low
-            s = col_weight.get(cols)
-            if s is None:
-                s = col_weight[cols] = sum(self.wb[j] for j in _bits(cols))
+            s = col_weight[(mask >> shift) & low]
             total += w if w < s else s
         return total
+
+
+class _ColumnMemo(dict):
+    """Column-subset weights of `wb`, each summed the first time it is read."""
+
+    def __init__(self, wb):
+        super().__init__({0: 0})
+        self.wb = wb
+
+    def __missing__(self, cols):
+        s = self[cols] = sum(self.wb[j] for j in _bits(cols))
+        return s
 
 
 def _int_distortion(da, db, pairs):
@@ -425,26 +452,45 @@ class _CliqueSweep:
         Such a clique has distortion exactly t and was no clique before t.
         One without such an edge has distortion t' < t, is maximal at t' too
         (every outside cell conflicts with it by more than t > t'), and was
-        yielded there.
+        yielded there. The test walks the bits of the clique's cells that
+        have such an edge, `touched`, and stops at the first whose fresh
+        neighbours meet the clique.
         """
         nbr = [0] * len(self.cells)
-        for t in self.thresholds:
+        for k, t in enumerate(self.thresholds):
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
-            # the cells with an edge of mismatch exactly t
-            touched = sum(1 << c for c, f in enumerate(fresh) if f)
+            touched = 0  # the cells with an edge of mismatch exactly t
+            for c, f in enumerate(fresh):
+                if f:
+                    touched |= 1 << c
             for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
-                if t == self.thresholds[0] or any(fresh[c] & mask for c in _bits(mask & touched)):
-                    yield t, mask
-                    if stop(t):
-                        return
+                if k:  # past the first threshold, where every clique is new
+                    m = mask & touched
+                    while m:
+                        low = m & -m
+                        if fresh[low.bit_length() - 1] & mask:
+                            break
+                        m ^= low
+                    else:
+                        continue  # no edge of mismatch t: yielded at its own t
+                yield t, mask
+                if stop(t):
+                    return
 
 
 def _max_cliques(nbr, budget, twins, prune):
     """Yield the maximal cliques, as bitmasks, of the graph `nbr` as
     Bron-Kerbosch (with pivoting) finds them, so its caller may stop early.
-    Each node spends one unit of `budget`, which raises SizeError once spent.
+    Each node spends one unit of `budget`, pruned or not, which raises
+    SizeError once spent. A node's unit is spent where its parent branches
+    to it (the root's before the search), and two kinds of node are settled
+    right there: a leaf (P empty), which is a maximal clique iff X is
+    empty, and a node the prune below holds. Only the rest, live internal
+    nodes, get a generator frame, which enters with its unit spent; the
+    units, their order and the cliques are those of a search that gave
+    every node its own frame and spent its unit first.
 
     `prune` (from `_CliqueSweep`, or None) cuts by mass: a node with entry
     masks R and P, P not empty, whose R | P it holds spends its unit and
@@ -468,16 +514,9 @@ def _max_cliques(nbr, budget, twins, prune):
     """
 
     def bk(r, p, x):
-        budget.spend(1)
-        if p == 0:
-            if x == 0:
-                yield r
-            return
-        if prune is not None and prune(r | p):
-            return
-        px = p | x
+        """The cliques below a live internal node with entry masks R, P, X."""
+        m = p | x
         pivot, best = -1, -1
-        m = px
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
@@ -492,12 +531,25 @@ def _max_cliques(nbr, budget, twins, prune):
             m &= m - 1
             earlier = branch & (vbit - 1) & orbits[v]
             if not earlier or not twins.maps_onto(v, earlier, r, p0):
-                yield from bk(r | vbit, p & nbr[v], x & nbr[v])
+                spend(1)  # the child's unit
+                r2, nv = r | vbit, nbr[v]
+                p2 = p & nv
+                if not p2:
+                    if not x & nv:
+                        yield r2
+                elif prune is None or not prune(r2 | p2):
+                    yield from bk(r2, p2, x & nv)
             p &= ~vbit
             x |= vbit
 
     orbits = [0] * len(nbr) if twins is None else twins.orbits
-    yield from bk(0, (1 << len(nbr)) - 1, 0)
+    spend = budget.spend
+    spend(1)  # the root's unit
+    p = (1 << len(nbr)) - 1
+    if not p:
+        yield 0
+    elif prune is None or not prune(p):
+        yield from bk(0, p, 0)
 
 
 def _northwest_support(mu, nu):

@@ -807,3 +807,27 @@ def test_int_kernel_leaves_the_exact_pc_route_unchanged():
         g = random_excursion(rng, kind="pc", max_pieces=4)
         for src, tgt in ((h, g), (g, h)):
             assert directed_gamma_sq(src, tgt) == ref_directed_gamma_sq(src, tgt)
+
+
+def test_tol_is_read_exactly_and_negative_parameters_are_refused(monkeypatch):
+    rng = random.Random(1213)
+    pairs = [(random_excursion(rng, "pl"), random_excursion(rng, "pl")) for _ in range(6)]
+    for h, g in pairs:
+        want = d_gamma_detail(h, g, F(1, 1000))
+        assert d_gamma_detail(h, g, "1/1000") == d_gamma_detail(h, g, "0.001") == want
+        assert d_excursion_detail(h, g, "1/1000").gamma == want
+    # both are refused before any search runs: a negative tol, which no
+    # enclosure meets, used to spend the whole split budget
+    monkeypatch.setattr(excursion_metrics, "_directed_bb", None)
+    h, g = pairs[0]
+    for f in (d_gamma_detail, d_gamma, d_excursion_detail, d_excursion):
+        for (tol, budget), text in (
+            ((-1, 6000), "tol must be nonnegative"),
+            ((F(-1, 10**9), 6000), "tol must be nonnegative"),
+            ((DEFAULT_GAMMA_TOL, -1), "budget must be nonnegative"),
+        ):
+            try:
+                f(h, g, tol, budget)
+                assert False, f.__name__
+            except ValidationError as exc:
+                assert str(exc) == text

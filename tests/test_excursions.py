@@ -316,3 +316,14 @@ def test_file_round_trip(tmp_path):
     text = path.read_text()
     save_excursion(path, h)
     assert path.read_text() == text
+
+
+def test_comb_refuses_a_bool_or_a_non_integral_count():
+    for n in (True, False, 2.5, F(5, 2), 0, -1, 0.0):
+        try:
+            comb(n)
+            assert False, n
+        except ValidationError as exc:
+            assert str(exc) == f"comb needs an integer n >= 1, got {n!r}"
+    # an integral count of another type builds the same comb
+    assert comb(3.0) == comb(F(3)) == comb(3)

@@ -24,6 +24,7 @@ from mmdist import (
     gromov_prohorov,
     gromov_prohorov_detail,
     pl_excursion,
+    random_excursion,
     run_counterexample,
     sample_mm_space,
 )
@@ -1218,3 +1219,231 @@ def test_the_stop_rule_spends_no_more_units_than_polling_at_every_node():
                         inexact += 1
     # many searches stop sooner, and many reference runs spend their budget
     assert fewer >= 30 and inexact >= 50
+
+
+# ---------------------------------------------------------------------------
+# the clique-search kernel against the routes it replaced: a generator per
+# node, a generator per newness test and a memo per row slice
+
+
+class MemoHallBound:
+    """`gromov._HallBound` with every column-subset weight memoized per
+    slice as it is first asked for, at any width."""
+
+    def __init__(self, wa, wb):
+        self.wb, n2 = wb, len(wb)
+        self.slices = [(w, i * n2) for i, w in enumerate(wa)]
+        self.low = (1 << n2) - 1
+        self.col_weight = {0: 0}
+
+    def rows(self, mask):
+        total, low, col_weight = 0, self.low, self.col_weight
+        for w, shift in self.slices:
+            cols = (mask >> shift) & low
+            s = col_weight.get(cols)
+            if s is None:
+                s = col_weight[cols] = sum(self.wb[j] for j in gromov._bits(cols))
+            total += w if w < s else s
+        return total
+
+
+def recursive_max_cliques(nbr, budget, twins, prune):
+    """`gromov._max_cliques` with one generator frame per node, each node
+    spending its own unit on entry."""
+
+    def bk(r, p, x):
+        budget.spend(1)
+        if p == 0:
+            if x == 0:
+                yield r
+            return
+        if prune is not None and prune(r | p):
+            return
+        px = p | x
+        pivot, best = -1, -1
+        m = px
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            cnt = (p & nbr[u]).bit_count()
+            if cnt > best:
+                best, pivot = cnt, u
+        branch = m = p & ~nbr[pivot]
+        p0 = p
+        while m:
+            vbit = m & -m
+            v = vbit.bit_length() - 1
+            m &= m - 1
+            earlier = branch & (vbit - 1) & orbits[v]
+            if not earlier or not twins.maps_onto(v, earlier, r, p0):
+                yield from bk(r | vbit, p & nbr[v], x & nbr[v])
+            p &= ~vbit
+            x |= vbit
+
+    orbits = [0] * len(nbr) if twins is None else twins.orbits
+    yield from bk(0, (1 << len(nbr)) - 1, 0)
+
+
+def generator_cliques(sweep, stop):
+    """`gromov._CliqueSweep.cliques` testing newness with `any` over a
+    generator, on `recursive_max_cliques`."""
+    nbr = [0] * len(sweep.cells)
+    for t in sweep.thresholds:
+        if stop(t):
+            return
+        fresh = sweep._grow(nbr, t)
+        touched = sum(1 << c for c, f in enumerate(fresh) if f)
+        for mask in recursive_max_cliques(nbr, sweep.budget, sweep.twins, sweep.prune):
+            if t == sweep.thresholds[0] or any(
+                fresh[c] & mask for c in gromov._bits(mask & touched)
+            ):
+                yield t, mask
+                if stop(t):
+                    return
+
+
+def kernel_trace(a, b, lams, units, reference):
+    """`gromov._ladder` run with the kernel or with the replaced routes: the
+    (t, mask) cliques its sweep yields, the units left (negative where
+    SizeError was raised) and the BoxResults."""
+    cliques = generator_cliques if reference else gromov._CliqueSweep.cliques
+    listed = []
+
+    def recording(sweep, stop):
+        for clique in cliques(sweep, stop):
+            listed.append(clique)
+            yield clique
+
+    hall = MemoHallBound if reference else gromov._HallBound
+    with mock.patch.object(gromov._CliqueSweep, "cliques", recording), mock.patch.object(
+        gromov, "_HallBound", hall
+    ):
+        budget = gromov._Budget(units)
+        boxes = gromov._ladder(a, b, lams, budget)[0]
+    return listed, budget.left, boxes
+
+
+def plain_sweep_trace(a, b, units, cliques, prune):
+    """The (t, mask) cliques of a sweep without twins, as parametrize runs
+    one, up to its end or to SizeError, and the units left."""
+    P = gromov._Pair(a, b)
+    listed, budget = [], gromov._Budget(units)
+    try:
+        sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget, None, prune)
+        for clique in cliques(sweep, lambda t: False):
+            listed.append(clique)
+    except gromov.SizeError:
+        pass
+    return listed, budget.left
+
+
+def kernel_pairs():
+    """Coded random and sawtooth excursions, sampled spaces of up to 6
+    points, stars and coded combs (twin-rich), and pairs whose B side has 9
+    to 12 points."""
+    rng = random.Random(1187)
+    pairs = [tuple(code_excursion(random_excursion(rng)).space for _ in range(2)) for _ in range(8)]
+    pairs += [tuple(code_excursion(sawtooth(rng)).space for _ in range(2)) for _ in range(2)]
+    pairs += [
+        (sample_mm_space(rng.randint(0, 10**9), n_max=6), sample_mm_space(rng.randint(0, 10**9), 6))
+        for _ in range(8)
+    ]
+    combs = {n: code_excursion(comb(n)).space for n in (2, 3, 5)}
+    pairs += [(combs[2], combs[3]), (combs[3], combs[5]), (tree_star(4), tree_star(5))]
+    pairs += [(tree_star(3), combs[3])]
+    for n in (9, 10, 11, 12):
+        a = grid_space(rng, 2 + n % 2)
+        pairs.append((a, grid_space(rng, n) if n % 2 else tree_star(n)))
+    return pairs
+
+
+def test_kernel_lists_spends_and_fails_as_the_replaced_routes():
+    raised = pruned = listed = 0
+    for a, b in kernel_pairs():
+        cells = canonicalize(a).n * canonicalize(b).n
+        base = cells * (cells - 1) // 2
+        for units in (1, base + 1, base + 9, base + 60, base + 300, gromov.DEFAULT_SEARCH_BUDGET):
+            for lams in (LAMBDA_LADDER, (F(1, 2),)):
+                run = kernel_trace(a, b, lams, units, reference=False)
+                assert run == kernel_trace(a, b, lams, units, reference=True)
+                raised += run[1] < 0
+                listed += len(run[0])
+            if units >= base + 1000:  # past that an unpruned sweep lists thousands
+                continue
+            # no prune, and a prune by cell count; with every cell it cuts the root
+            for cut in (None, cells // 2, cells):
+                prune = None if cut is None else lambda mask: mask.bit_count() <= cut
+                plain = plain_sweep_trace(a, b, units, gromov._CliqueSweep.cliques, prune)
+                assert plain == plain_sweep_trace(a, b, units, generator_cliques, prune)
+                assert cut != cells or plain[0] == []
+        # the Hall bound cuts some node of the search
+        units = gromov.DEFAULT_SEARCH_BUDGET
+        left = kernel_trace(a, b, (F(1, 2),), units, reference=False)[1]
+        with mock.patch.object(gromov._HallBound, "rows", lambda hall, mask: math.inf):
+            pruned += left > kernel_trace(a, b, (F(1, 2),), units, reference=False)[1]
+    # many runs stop at SizeError mid-sweep or in its set-up, many searches
+    # prune, and thousands of cliques are compared
+    assert raised >= 120 and pruned >= 12 and listed >= 3000
+
+
+def test_hall_table_and_memo_are_the_rows_sum():
+    rng = random.Random(1193)
+    for n2 in (8, 9):
+        for _ in range(150):
+            n1 = rng.randint(1, 5)
+            wa = [rng.randint(0, 9) for _ in range(n1)]
+            wb = [rng.randint(0, 9) for _ in range(n2)]
+            hall, memo = gromov._HallBound(wa, wb), MemoHallBound(wa, wb)
+            assert isinstance(hall.col_weight, list) == (n2 <= 8)
+            for _ in range(6):
+                mask = rng.getrandbits(n1 * n2) & rng.choice((-1, rng.getrandbits(n1 * n2)))
+                rows = sum(
+                    min(w, sum(wb[j] for j in range(n2) if mask >> (i * n2 + j) & 1))
+                    for i, w in enumerate(wa)
+                )
+                assert hall.rows(mask) == memo.rows(mask) == rows
+
+
+def test_search_counts_on_coded_random_excursions_are_pinned():
+    # the gromov module docstring quotes these counts; a kernel change that
+    # visits other nodes moves them
+    rng = random.Random(1201)
+    pairs = [tuple(code_excursion(random_excursion(rng)).space for _ in range(2)) for _ in range(100)]
+    spent, flows, listed = [], [], []
+    real_spend, real_flow, real_cliques = (
+        gromov._Budget.spend,
+        gromov.max_subcoupling,
+        gromov._CliqueSweep.cliques,
+    )
+
+    def cliques(sweep, stop):
+        for clique in real_cliques(sweep, stop):
+            listed.append(clique)
+            yield clique
+
+    with mock.patch.object(
+        gromov._Budget, "spend", lambda budget, units: spent.append(units) or real_spend(budget, units)
+    ), mock.patch.object(
+        gromov, "max_subcoupling", lambda *x: flows.append(x) or real_flow(*x)
+    ), mock.patch.object(gromov._CliqueSweep, "cliques", cliques):
+        assert all(gromov_prohorov_detail(a, b).exact for a, b in pairs)
+    assert (sum(spent), len(flows), len(listed)) == (11_403, 510, 1_389)
+
+
+def test_a_negative_budget_is_refused_and_zero_falls_back():
+    a, b = code_excursion(comb(2)).space, code_excursion(comb(3)).space
+    calls = (
+        lambda budget: box_ladder(a, b, LAMBDAS, budget),
+        lambda budget: box_lambda_detail(a, b, F(1), budget),
+        lambda budget: gromov_prohorov_detail(a, b, budget),
+        lambda budget: glued_upper_bound(a, b, budget),
+    )
+    for call in calls:
+        try:
+            call(-1)
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == "budget must be nonnegative"
+    # budget 0 falls back at once, to the past-budget heuristic's bound
+    gp = gromov_prohorov_detail(a, b, 0)
+    assert not gp.exact and gp.value >= gromov_prohorov(a, b) > 0

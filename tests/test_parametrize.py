@@ -187,3 +187,13 @@ def test_lambda_must_be_positive():
         assert False
     except ValidationError:
         pass
+
+
+def test_a_negative_budget_is_refused():
+    a = canonicalize(sample_mm_space(7, n_max=3))
+    p1, p2 = coupling_to_parametrizations(product_coupling(a, a), a, a)
+    try:
+        box_of_parametrizations(p1, p2, a, a, F(1), budget=-1)
+        assert False
+    except ValidationError as exc:
+        assert str(exc) == "budget must be nonnegative"
