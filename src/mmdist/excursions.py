@@ -296,10 +296,21 @@ def zero_excursion(kind: str = "pl") -> Excursion:
     return pc_excursion((0, 1), (0,), (0, 0))
 
 
+def is_count(n) -> bool:
+    """Whether `n` is an integer >= 1 of any numeric type but bool: 3, 3.0
+    and Fraction(3) are counts; True, 2.5, nan, inf and "3" are not."""
+    if isinstance(n, bool):
+        return False
+    try:
+        return n == int(n) and n >= 1
+    except (TypeError, ValueError, OverflowError):  # not a number, nan, inf
+        return False
+
+
 def comb(n: int) -> Excursion:
     """Value 1 except at the n+1 equally spaced zeros k/n (pc kind); n is
-    a positive integer, of any numeric type but bool."""
-    if isinstance(n, bool) or n != int(n) or n < 1:
+    a count in the sense of `is_count`."""
+    if not is_count(n):
         raise ValidationError(f"comb needs an integer n >= 1, got {n!r}")
     n = int(n)
     bps = tuple(Fraction(k, n) for k in range(n + 1))

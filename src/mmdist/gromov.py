@@ -461,10 +461,8 @@ class _CliqueSweep:
             if stop(t):
                 return
             fresh = self._grow(nbr, t)
-            touched = 0  # the cells with an edge of mismatch exactly t
-            for c, f in enumerate(fresh):
-                if f:
-                    touched |= 1 << c
+            # the cells with an edge of mismatch exactly t
+            touched = sum(1 << c for c, f in enumerate(fresh) if f)
             for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
                 if k:  # past the first threshold, where every clique is new
                     m = mask & touched

@@ -36,7 +36,7 @@ from .coding import MAX_CODING_SEGMENTS, code_excursion, pl_cut_points
 from .errors import SizeError, ValidationError
 from .exact import decimal_str, format_scalar
 from .excursion_metrics import d_excursion_detail, d_gamma_detail, d_lambda
-from .excursions import comb, normalize, pl_excursion, step_one, sup_diff, tent, zero_excursion
+from .excursions import comb, is_count, normalize, pl_excursion, step_one, sup_diff, tent, zero_excursion
 from .gluing import _glued_ladder
 from .gromov import (
     DEFAULT_SEARCH_BUDGET,
@@ -402,7 +402,7 @@ def run_lipschitz_check(
 
 def run_counterexample(n_list=(2, 3, 4, 6, 8)) -> ExperimentReport:
     counts = list(n_list)
-    if not counts or any(isinstance(n, bool) or n != int(n) or n < 1 for n in counts):
+    if not counts or not all(map(is_count, counts)):
         raise ValidationError("tooth counts must be positive integers")
     ns = tuple(sorted(set(map(int, counts))))
     if len(ns) < 2:

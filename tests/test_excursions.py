@@ -319,7 +319,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_comb_refuses_a_bool_or_a_non_integral_count():
-    for n in (True, False, 2.5, F(5, 2), 0, -1, 0.0):
+    for n in (True, False, 2.5, F(5, 2), 0, -1, 0.0, float("nan"), float("inf"), "3"):
         try:
             comb(n)
             assert False, n

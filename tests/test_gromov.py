@@ -1357,14 +1357,34 @@ def kernel_pairs():
     return pairs
 
 
+def counting_cuts(cuts):
+    """Patch `gromov._max_cliques` to append to `cuts` each mask its prune
+    holds, so a run shows the Hall bound cutting a node without a second,
+    unpruned search."""
+    real = gromov._max_cliques
+
+    def max_cliques(nbr, budget, twins, prune):
+        def held(mask):
+            cut = prune(mask)
+            if cut:
+                cuts.append(mask)
+            return cut
+
+        return real(nbr, budget, twins, None if prune is None else held)
+
+    return mock.patch.object(gromov, "_max_cliques", max_cliques)
+
+
 def test_kernel_lists_spends_and_fails_as_the_replaced_routes():
     raised = pruned = listed = 0
     for a, b in kernel_pairs():
         cells = canonicalize(a).n * canonicalize(b).n
         base = cells * (cells - 1) // 2
+        cuts = []
         for units in (1, base + 1, base + 9, base + 60, base + 300, gromov.DEFAULT_SEARCH_BUDGET):
             for lams in (LAMBDA_LADDER, (F(1, 2),)):
-                run = kernel_trace(a, b, lams, units, reference=False)
+                with counting_cuts(cuts):
+                    run = kernel_trace(a, b, lams, units, reference=False)
                 assert run == kernel_trace(a, b, lams, units, reference=True)
                 raised += run[1] < 0
                 listed += len(run[0])
@@ -1376,13 +1396,9 @@ def test_kernel_lists_spends_and_fails_as_the_replaced_routes():
                 plain = plain_sweep_trace(a, b, units, gromov._CliqueSweep.cliques, prune)
                 assert plain == plain_sweep_trace(a, b, units, generator_cliques, prune)
                 assert cut != cells or plain[0] == []
-        # the Hall bound cuts some node of the search
-        units = gromov.DEFAULT_SEARCH_BUDGET
-        left = kernel_trace(a, b, (F(1, 2),), units, reference=False)[1]
-        with mock.patch.object(gromov._HallBound, "rows", lambda hall, mask: math.inf):
-            pruned += left > kernel_trace(a, b, (F(1, 2),), units, reference=False)[1]
-    # many runs stop at SizeError mid-sweep or in its set-up, many searches
-    # prune, and thousands of cliques are compared
+        pruned += bool(cuts)  # the Hall bound cuts some node of a search
+    # many runs stop at SizeError mid-sweep or in its set-up, the searches
+    # of many pairs prune, and thousands of cliques are compared
     assert raised >= 120 and pruned >= 12 and listed >= 3000
 
 

@@ -64,7 +64,11 @@ def test_counterexample_small_run():
     assert obj["summary"]["min_positive_gp"]["rational"] == "1/4"
 
 
-@pytest.mark.parametrize("n_list", [(2.5, 3, True), (2, 3, True), (2, F(5, 2)), ()], ids=str)
+@pytest.mark.parametrize(
+    "n_list",
+    [(2.5, 3, True), (2, 3, True), (2, F(5, 2)), (), (float("nan"), 2), (2, float("inf")), ("3", 2)],
+    ids=str,
+)
 def test_tooth_counts_must_be_positive_integers(n_list):
     # int() would read 2.5 as 2 and True as 1
     with pytest.raises(ValidationError, match="^tooth counts must be positive integers$"):
