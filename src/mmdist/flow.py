@@ -189,11 +189,17 @@ def complete_subcoupling(cells, mu, nu) -> Coupling:
     """Extend a subcoupling to a full coupling of (mu, nu).
 
     The defect is filled with the product of the residual marginals scaled by
-    the residual mass, which keeps every existing cell untouched.
+    the residual mass, which keeps every existing cell untouched. A cell
+    outside range(len(mu)) x range(len(nu)) or a negative mass raises
+    ValidationError.
     """
     n1, n2 = len(mu), len(nu)
     xi = [[Fraction(0)] * n2 for _ in range(n1)]
     for (i, j), x in cells.items():
+        if not (0 <= i < n1 and 0 <= j < n2):
+            raise ValidationError(f"cell ({i}, {j}) out of range")
+        if x < 0:
+            raise ValidationError(f"cell ({i}, {j}) has negative mass {x}")
         xi[i][j] = x
     mass = sum(sum(row) for row in xi)
     if mass > 1 or any(sum(row) > m for row, m in zip(xi, mu)):

@@ -22,21 +22,22 @@ point are interchangeable), so a star's interchangeable leaves are matched
 once, not in every order.
 
 Every box search is one ladder (`box_ladder`; box and gp run one lam): one
-sweep, an incumbent per lam (`_Incumbents`, which parametrize's sweep
-drives too), and one max-flow per clique whose Hall bound could beat some
-incumbent; an exact result's witness is an optimal correspondence. The
-bound (`_HallBound`) caps the mass a subcoupling can put on a clique: each
-row ships at most its weight and at most the weight of the columns it meets
-in the clique. A clique whose bound is at most the live cut, min(m_cut)
-over the unfrozen lams, cannot change any incumbent, so its flow is
-skipped. The same test prunes the search itself (bounded clique search,
-Carraghan & Pardalos 1990, Östergård 2001): the bound only grows with the
-mask, so a Bron-Kerbosch node whose R | P is at most the cut roots only
-such cliques, and its subtree is cut. A lam freezes at the first clique
-after which t alone cannot beat its incumbent, and the sweep ends once all
-are frozen: it polls its stop test before each threshold and right after
-each clique it hands over, the only two events that can freeze a lam (t
-rises, or an incumbent improves).
+sweep, an incumbent per lam, and one max-flow per clique whose Hall bound
+could beat some incumbent; an exact result's witness is an optimal
+correspondence. The bound (`_HallBound`) caps the mass a subcoupling can
+put on a clique: each row ships at most its weight and at most the weight
+of the columns it meets in the clique. One loop, `_Incumbents.search`,
+drives this sweep and parametrize's (whose bound is the exact sum of its
+fixed cell masses): a clique whose bound is at most the live cut
+`_Incumbents.cut`, min(m_cut) over the unfrozen lams, cannot change any
+incumbent, so it is not scored. The same test prunes the search itself
+(bounded clique search, Carraghan & Pardalos 1990, Östergård 2001): the
+bound only grows with the mask, so a Bron-Kerbosch node whose R | P is at
+most the cut roots only such cliques, and its subtree is cut. A lam
+freezes at the first clique after which t alone cannot beat its
+incumbent, and the sweep ends once all are frozen: it polls its stop test
+before each threshold and right after each clique it hands over, the only
+two events that can freeze a lam (t rises, or an incumbent improves).
 Wherever the unpruned search is exact the pruned one is too, with the same
 value and witness, and it never spends more units, so past the budget it
 ends at an incumbent at least as good. On one pass of the excursion-pairs
@@ -78,7 +79,6 @@ distinct leaf lengths and 12- to 16-point lattice pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,10 +146,11 @@ def distortion(pairs, a: FiniteMMSpace, b: FiniteMMSpace) -> Fraction:
     Both matrices, in their int forms (`spaces.int_form`, which scales a
     space that carries none, floats by their exact binary value), go over
     one denominator D, are scored by `_int_distortion`, and the worst
-    mismatch comes back as one Fraction over D.
+    mismatch comes back as one Fraction over D. A cell outside
+    range(a.n) x range(b.n) raises ValidationError.
     """
     (da, db), D, _, _ = paired_forms(int_form(a), int_form(b))
-    return Fraction(_int_distortion(da, db, tuple(pairs)), D)
+    return Fraction(_int_distortion(da, db, _caller_cells(pairs, a.n, b.n, "cell")), D)
 
 
 def correspondence_info(a: FiniteMMSpace, b: FiniteMMSpace, pairs) -> Correspondence:
@@ -249,7 +250,6 @@ class _ColumnMemo(dict):
     """Column-subset weights of `wb`, each summed the first time it is read."""
 
     def __init__(self, wb):
-        super().__init__({0: 0})
         self.wb = wb
 
     def __missing__(self, cols):
@@ -404,14 +404,13 @@ class _CliqueSweep:
     mass, so `_max_cliques` may skip a branch that such a swap maps onto an
     earlier branch of the same node (see `_TwinOrbits`).
 
-    `prune`, a test on cell masks that holds for a mask only if no clique
-    within it can change its caller's result, turns on pruning by mass: see
-    `_max_cliques`.
+    One driver runs every sweep, `_Incumbents.search`, which hands
+    `cliques` its stop test and its prune by mass.
     """
 
-    def __init__(self, da, db, cells, budget, weights=None, prune=None):
+    def __init__(self, da, db, cells, budget, weights=None):
         budget.spend(len(cells) * (len(cells) - 1) // 2)
-        self.budget, self.prune = budget, prune
+        self.budget = budget
         self.cells = cells
         n1, n2 = len(da), len(db)
         if len(cells) == n1 * n2:
@@ -436,7 +435,7 @@ class _CliqueSweep:
             nbr[c] |= f
         return fresh
 
-    def cliques(self, stop):
+    def cliques(self, stop, prune):
         """Yield (t, mask) for each maximal clique new at threshold t, in
         ascending t and, within t, in Bron-Kerbosch order; its distortion is
         t / D.
@@ -445,7 +444,10 @@ class _CliqueSweep:
         as soon as `stop(t)` holds, polled before threshold t is searched
         and right after the caller has handled each clique: callers pass a
         test against incumbents that only improve, and only a rise of t or
-        a handled clique can make it hold.
+        a handled clique can make it hold. `prune`, a test on cell masks
+        that holds for a mask only if no clique within it can change the
+        caller's result, cuts search nodes (see `_max_cliques`); a cut
+        node's cliques are never yielded.
 
         New at t: a maximal clique is yielded at t iff it holds an edge of
         mismatch exactly t (every clique is new at the first threshold, 0).
@@ -463,7 +465,7 @@ class _CliqueSweep:
             fresh = self._grow(nbr, t)
             # the cells with an edge of mismatch exactly t
             touched = sum(1 << c for c, f in enumerate(fresh) if f)
-            for mask in _max_cliques(nbr, self.budget, self.twins, self.prune):
+            for mask in _max_cliques(nbr, self.budget, self.twins, prune):
                 if k:  # past the first threshold, where every clique is new
                     m = mask & touched
                     while m:
@@ -490,12 +492,13 @@ def _max_cliques(nbr, budget, twins, prune):
     units, their order and the cliques are those of a search that gave
     every node its own frame and spent its unit first.
 
-    `prune` (from `_CliqueSweep`, or None) cuts by mass: a node with entry
+    `prune` (from `_CliqueSweep.cliques`) cuts by mass: a node with entry
     masks R and P, P not empty, whose R | P it holds spends its unit and
-    yields nothing. `_ladder` passes "the Hall rows bound of the mask is at
-    most the live cut min(m_cut)"; the bound only grows with the mask and
-    m_cut only grows, so no clique below the node can change an incumbent.
+    yields nothing. `_Incumbents.search` passes "the mass bound of the mask
+    is at most the live cut"; the bound only grows with the mask and the
+    cut only grows, so no clique below the node can change an incumbent.
     The surviving nodes come in the unpruned order with the same R, P and X.
+    A prune that holds for no mask searches every node.
 
     `twins` (a `_TwinOrbits` from `_CliqueSweep`, or None) prunes by
     symmetry. At a node with entry masks R and P, branch vertex v is
@@ -535,7 +538,7 @@ def _max_cliques(nbr, budget, twins, prune):
                 if not p2:
                     if not x & nv:
                         yield r2
-                elif prune is None or not prune(r2 | p2):
+                elif not prune(r2 | p2):
                     yield from bk(r2, p2, x & nv)
             p &= ~vbit
             x |= vbit
@@ -546,7 +549,7 @@ def _max_cliques(nbr, budget, twins, prune):
     p = (1 << len(nbr)) - 1
     if not p:
         yield 0
-    elif prune is None or not prune(p):
+    elif not prune(p):
         yield from bk(0, p, 0)
 
 
@@ -628,23 +631,31 @@ def box_lambda_detail(
 class _Incumbents:
     """The best cell set found so far for each lam of a search that scores
     a set of distortion t / D and mass m / W by max(t / D, (1 - m / W) / lam),
-    D and W int denominators. `mass(pairs)` gives m; it is asked only when
-    t could beat a live incumbent.
+    D and W int denominators, and the one loop that drives a clique sweep
+    against them (`search`). `mass(pairs)` gives m; it is asked only when t
+    could beat a live incumbent. `bound(mask)` caps the m of every clique
+    within a cell mask of the sweep and only grows with the mask: the box
+    ladder's Hall rows bound (`_HallBound.rows`), or parametrize's exact sum
+    of fixed cell masses.
 
     Each incumbent is an int pair (num, den) in `best`, its value num / den,
     at first the empty set's 1 / lam = q / p for lam = p / q, with its cells
     in `pairs`. A candidate beats it iff t < t_lim = ceil(num D / den) and
     m > m_cut = floor(W (1 - lam num / den)). A lam freezes the first time
-    t >= its t_lim; `live` holds the rest, and a frozen lam's t_lim and
-    m_cut become inf and W, so that min(t_lim) and min(m_cut) skip it.
+    t >= its t_lim; `live` holds the rest, and a frozen lam's m_cut becomes
+    W, which no mass beats, so that min(m_cut) skips it.
+    `cut` is min(m_cut), the live cut: it is set again only when an
+    incumbent improves or a lam freezes, the two events that move it, and
+    a mask whose bound is at most `cut` holds nothing that beats any
+    incumbent.
     """
 
-    def __init__(self, lams, D, W, mass):
+    def __init__(self, lams, D, W, mass, bound):
         self.ratios = [lam.as_integer_ratio() for lam in lams]
-        self.D, self.W, self.mass = D, W, mass
+        self.D, self.W, self.mass, self.bound = D, W, mass, bound
         self.best, self.pairs = [(q, p) for p, q in self.ratios], [()] * len(lams)
         self.t_lim, self.m_cut = [-(-q * D // p) for p, q in self.ratios], [0] * len(lams)
-        self.live = list(range(len(lams)))
+        self.live, self.cut = list(range(len(lams))), 0
 
     def consider(self, pairs, t, m=None):
         D, W, t_lim, m_cut = self.D, self.W, self.t_lim, self.m_cut
@@ -659,14 +670,25 @@ class _Incumbents:
                     self.best[k], self.pairs[k] = (num, den), pairs
                     t_lim[k] = -(-num * D // den)
                     m_cut[k] = W * (den * q - p * num) // (den * q)
+                    self.cut = min(m_cut)
 
     def frozen(self, t):
         """Freeze the lams that t alone cannot beat; whether all are frozen."""
-        if self.live and t >= min(self.t_lim):
-            for k in [j for j in self.live if t >= self.t_lim[j]]:
-                self.live.remove(k)
-                self.t_lim[k], self.m_cut[k] = math.inf, self.W
+        for k in [j for j in self.live if t >= self.t_lim[j]]:
+            self.live.remove(k)
+            self.m_cut[k] = self.W
+            self.cut = min(self.m_cut)
         return not self.live
+
+    def search(self, sweep):
+        """Run `sweep` (a `_CliqueSweep`) to its end or until every lam is
+        frozen, and score each clique it yields whose bound beats the cut;
+        the same test cuts a search node whose R | P bound is at most the
+        cut (see the module docstring)."""
+        prune = lambda mask: self.bound(mask) <= self.cut
+        for t, mask in sweep.cliques(self.frozen, prune):
+            if not prune(mask):
+                self.consider(sweep.pairs(mask), t)
 
 
 def _positive_lams(lams):
@@ -693,23 +715,15 @@ def _ladder(a, b, lams, budget, seeds=()):
     lams = _positive_lams(lams)
     P = _Pair(a, b)
     cells, da, db, wa, wb = P.cells, P.da, P.db, P.wa, P.wb
-    inc = _Incumbents(lams, P.D, P.W, lambda pairs: max_subcoupling(wa, wb, pairs)[0])
+    flow = lambda pairs: max_subcoupling(wa, wb, pairs)[0]
+    inc = _Incumbents(lams, P.D, P.W, flow, _HallBound(wa, wb).rows)
     inc.consider(tuple(cells), P.diam, P.W)  # the full grid carries mass 1
     for seed in seeds:
         pairs = _caller_cells(seed, P.A.n, P.B.n, "seed cell")
         inc.consider(pairs, _int_distortion(da, db, pairs))
 
     try:
-        hall, m_cut = _HallBound(wa, wb), inc.m_cut
-        # a clique whose mass m is at most min(m_cut) beats no incumbent, and
-        # the Hall bound caps m; it only grows with the mask, so the same test
-        # cuts a node's R | P in the search and skips a listed clique's flow
-        sweep = _CliqueSweep(
-            da, db, cells, budget, (wa, wb), lambda mask: hall.rows(mask) <= min(m_cut)
-        )
-        for t, mask in sweep.cliques(inc.frozen):
-            if hall.rows(mask) > min(m_cut):
-                inc.consider(sweep.pairs(mask), t)
+        inc.search(_CliqueSweep(da, db, cells, budget, (wa, wb)))
         inc.live.clear()  # the sweep ran out of thresholds: every lam is exact
     except SizeError:
         nc = len(cells)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exact import scaled
 from .flow import Coupling, validate_coupling
-from .gromov import DEFAULT_SEARCH_BUDGET, _Budget, _CliqueSweep, _Incumbents, _positive_lams
-from .spaces import FiniteMMSpace, int_form, paired_forms
+from .gromov import DEFAULT_SEARCH_BUDGET, _bits, _Budget, _CliqueSweep, _Incumbents, _positive_lams
+from .spaces import FiniteMMSpace, paired_forms, require_valid
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,19 @@ def box_of_parametrizations(
 ):
     """Box value of the specific coupling carried by (p1, p2).
 
-    Minimizes max(distortion(K), (1 - mass(K)) / lam) over subsets K of the
-    occupied cells, mass(K) being the summed cell masses (no re-optimization
-    of the coupling). Since the mass term is additive, only maximal cliques
-    per distortion threshold matter. The box search's sweep lists them and
-    its incumbent (`gromov._Incumbents`) scores them in ints, with the cell
-    masses over one denominator, and stops the sweep once no clique can
-    beat it. The result is exact; the search raises SizeError once it spends
-    more than `budget` work units (see `gromov._Budget`).
+    This is Gromov's own definition of the box metric, read through the
+    parametrizations. Minimizes max(distortion(K), (1 - mass(K)) / lam) over
+    subsets K of the occupied cells, mass(K) being the summed cell masses (no
+    re-optimization of the coupling). Since the mass term is additive, only
+    maximal cliques per distortion threshold matter. The box search's sweep
+    lists them and its driver (`gromov._Incumbents.search`) scores them in
+    ints, with the cell masses over one denominator. The mass bound it
+    prunes by is that additive mass itself, the sum of the masses in a cell
+    mask, so a search node is cut once its cells together cannot beat the
+    incumbent, and the sweep stops once no clique can. The result is exact;
+    the search raises SizeError once it spends more than `budget` work units
+    (see `gromov._Budget`). Both spaces must be valid (`spaces.require_valid`:
+    ValidationError on the first violation), as for `box_lambda`.
     """
     (lam,) = _positive_lams((lam,))
     for p, space in ((p1, a), (p2, b)):
@@ -120,12 +125,12 @@ def box_of_parametrizations(
             raise ValidationError(f"bad parametrization: {problems[0]}", problems)
     masses = parametrizations_to_cells(p1, p2)
     cells = sorted(masses)
-    (da, db), D, _, _ = paired_forms(int_form(a), int_form(b))
+    (da, db), D, _, _ = paired_forms(require_valid(a), require_valid(b))
     sweep = _CliqueSweep(da, db, cells, _Budget(budget))
     int_masses, M = scaled(masses[c] for c in cells)
     int_mass = dict(zip(cells, int_masses))
-    inc = _Incumbents((lam,), D, M, lambda pairs: sum(int_mass[c] for c in pairs))
+    mass = lambda pairs: sum(int_mass[c] for c in pairs)
+    inc = _Incumbents((lam,), D, M, mass, lambda mask: sum(int_masses[c] for c in _bits(mask)))
     inc.consider(tuple(cells), sweep.thresholds[-1], M)  # the full set carries mass 1
-    for t, mask in sweep.cliques(inc.frozen):
-        inc.consider(sweep.pairs(mask), t)
+    inc.search(sweep)
     return Fraction(*inc.best[0])

@@ -179,6 +179,23 @@ def test_complete_subcoupling_rejects_overfull_cells():
         pass
 
 
+def test_complete_subcoupling_refuses_foreign_cells_and_negative_masses():
+    mu = nu = (F(1, 2), F(1, 2))
+    for cells, message in (
+        ({(-1, 0): F(1, 2)}, "cell (-1, 0) out of range"),
+        ({(0, -1): F(1, 2)}, "cell (0, -1) out of range"),
+        ({(2, 0): F(1, 2)}, "cell (2, 0) out of range"),
+        ({(0, 2): F(1, 4)}, "cell (0, 2) out of range"),
+        ({(0, 0): F(-1, 2)}, "cell (0, 0) has negative mass -1/2"),
+        ({(1, 1): F(1, 4), (0, 1): F(-1, 8)}, "cell (0, 1) has negative mass -1/8"),
+    ):
+        try:
+            complete_subcoupling(cells, mu, nu)
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == message
+
+
 def test_coupling_marginals_and_mass_where():
     c = Coupling(((F(1, 4), F(1, 4)), (F(0), F(1, 2))))
     assert c.shape == (2, 2)

@@ -273,6 +273,12 @@ def test_out_of_range_cells_are_named():
             assert False
         except ValidationError as exc:
             assert str(exc) == f"cell {cell} out of range"
+        # a negative index is refused, not read from the end of a row
+        try:
+            distortion(((1, 1), cell), a, b)
+            assert False
+        except ValidationError as exc:
+            assert str(exc) == f"cell {cell} out of range"
         try:
             box_lambda_detail(a, b, F(1), seeds=(((1, 1), cell),))
             assert False
@@ -319,7 +325,7 @@ def test_sweep_threshold_is_each_new_cliques_distortion():
         budget = gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET)
         sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget)
         yielded = 0
-        for t, mask in sweep.cliques(lambda t: False):
+        for t, mask in sweep.cliques(lambda t: False, lambda mask: False):
             assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
             yielded += 1
         assert yielded >= 1
@@ -376,12 +382,12 @@ class ListedTwins:
         )
 
 
-def bucket_init(sweep, da, db, cells, budget, weights=None, prune=None):
+def bucket_init(sweep, da, db, cells, budget, weights=None):
     """`gromov._CliqueSweep.__init__` built from every cell pair: each pair
     put in a bucket keyed by its mismatch, and per cell a list of its twin
     images."""
     budget.spend(len(cells) * (len(cells) - 1) // 2)
-    sweep.budget, sweep.prune, sweep.cells = budget, prune, cells
+    sweep.budget, sweep.cells = budget, cells
     sweep.buckets = {}
     for c1, (i, j) in enumerate(cells):
         for c2 in range(c1 + 1, len(cells)):
@@ -634,9 +640,9 @@ def eager_max_cliques(candidates, nbr, budget):
     return out
 
 
-def eager_cliques(sweep, stop):
+def eager_cliques(sweep, stop, prune):
     """The reference sweep: each threshold's maximal cliques listed in full,
-    a clique yielded the first time it is listed."""
+    a clique yielded the first time it is listed; it prunes no node."""
     nbr = [0] * len(sweep.cells)
     seen = set()
     for t in sweep.thresholds:
@@ -697,13 +703,13 @@ def test_pruned_lazy_sweep_matches_the_eager_reference(a, b, lam):
     units = gromov.DEFAULT_SEARCH_BUDGET
     sweep = gromov._CliqueSweep(P.da, P.db, P.cells, gromov._Budget(units), (P.wa, P.wb))
     never = lambda t: False
-    pruned = list(sweep.cliques(never))
+    pruned = list(sweep.cliques(never, lambda mask: False))
     for t, mask in pruned:
         assert distortion(sweep.pairs(mask), P.A, P.B) == F(t, P.D)
     # pruning only drops cliques: the rest come in the reference's order
     with bucket_reference():
         ref = gromov._CliqueSweep(P.da, P.db, P.cells, gromov._Budget(units))
-        reference = iter(list(eager_cliques(ref, never)))
+        reference = iter(list(eager_cliques(ref, never, lambda mask: False)))
     assert all(clique in reference for clique in pruned)
 
 
@@ -1159,7 +1165,7 @@ def polling_max_cliques(nbr, budget, twins, prune):
             if x == 0:
                 yield r
             return
-        if prune is not None and prune(r | p):
+        if prune(r | p):
             yield None
             return
         pivot = max(gromov._bits(p | x), key=lambda u: ((p & nbr[u]).bit_count(), -u))
@@ -1174,7 +1180,7 @@ def polling_max_cliques(nbr, budget, twins, prune):
     yield from bk(0, (1 << len(nbr)) - 1, 0)
 
 
-def polling_cliques(sweep, stop):
+def polling_cliques(sweep, stop, prune):
     """The reference sweep: `stop` polled before each threshold, before each
     yield and at each node cut by mass."""
     nbr = [0] * len(sweep.cells)
@@ -1182,7 +1188,7 @@ def polling_cliques(sweep, stop):
         if stop(t):
             return
         fresh = sweep._grow(nbr, t)
-        for mask in polling_max_cliques(nbr, sweep.budget, sweep.twins, sweep.prune):
+        for mask in polling_max_cliques(nbr, sweep.budget, sweep.twins, prune):
             if mask is None:  # a cut subtree, polled where its cliques would be
                 if stop(t):
                     return
@@ -1257,7 +1263,7 @@ def recursive_max_cliques(nbr, budget, twins, prune):
             if x == 0:
                 yield r
             return
-        if prune is not None and prune(r | p):
+        if prune(r | p):
             return
         px = p | x
         pivot, best = -1, -1
@@ -1284,7 +1290,7 @@ def recursive_max_cliques(nbr, budget, twins, prune):
     yield from bk(0, (1 << len(nbr)) - 1, 0)
 
 
-def generator_cliques(sweep, stop):
+def generator_cliques(sweep, stop, prune):
     """`gromov._CliqueSweep.cliques` testing newness with `any` over a
     generator, on `recursive_max_cliques`."""
     nbr = [0] * len(sweep.cells)
@@ -1293,7 +1299,7 @@ def generator_cliques(sweep, stop):
             return
         fresh = sweep._grow(nbr, t)
         touched = sum(1 << c for c, f in enumerate(fresh) if f)
-        for mask in recursive_max_cliques(nbr, sweep.budget, sweep.twins, sweep.prune):
+        for mask in recursive_max_cliques(nbr, sweep.budget, sweep.twins, prune):
             if t == sweep.thresholds[0] or any(
                 fresh[c] & mask for c in gromov._bits(mask & touched)
             ):
@@ -1309,8 +1315,8 @@ def kernel_trace(a, b, lams, units, reference):
     cliques = generator_cliques if reference else gromov._CliqueSweep.cliques
     listed = []
 
-    def recording(sweep, stop):
-        for clique in cliques(sweep, stop):
+    def recording(sweep, stop, prune):
+        for clique in cliques(sweep, stop, prune):
             listed.append(clique)
             yield clique
 
@@ -1329,8 +1335,8 @@ def plain_sweep_trace(a, b, units, cliques, prune):
     P = gromov._Pair(a, b)
     listed, budget = [], gromov._Budget(units)
     try:
-        sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget, None, prune)
-        for clique in cliques(sweep, lambda t: False):
+        sweep = gromov._CliqueSweep(P.da, P.db, P.cells, budget)
+        for clique in cliques(sweep, lambda t: False, prune):
             listed.append(clique)
     except gromov.SizeError:
         pass
@@ -1370,7 +1376,7 @@ def counting_cuts(cuts):
                 cuts.append(mask)
             return cut
 
-        return real(nbr, budget, twins, None if prune is None else held)
+        return real(nbr, budget, twins, held)
 
     return mock.patch.object(gromov, "_max_cliques", max_cliques)
 
@@ -1392,7 +1398,7 @@ def test_kernel_lists_spends_and_fails_as_the_replaced_routes():
                 continue
             # no prune, and a prune by cell count; with every cell it cuts the root
             for cut in (None, cells // 2, cells):
-                prune = None if cut is None else lambda mask: mask.bit_count() <= cut
+                prune = lambda mask: cut is not None and mask.bit_count() <= cut
                 plain = plain_sweep_trace(a, b, units, gromov._CliqueSweep.cliques, prune)
                 assert plain == plain_sweep_trace(a, b, units, generator_cliques, prune)
                 assert cut != cells or plain[0] == []
@@ -1432,8 +1438,8 @@ def test_search_counts_on_coded_random_excursions_are_pinned():
         gromov._CliqueSweep.cliques,
     )
 
-    def cliques(sweep, stop):
-        for clique in real_cliques(sweep, stop):
+    def cliques(sweep, stop, prune):
+        for clique in real_cliques(sweep, stop, prune):
             listed.append(clique)
             yield clique
 

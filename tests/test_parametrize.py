@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 from mmdist import (
     Coupling,
@@ -148,7 +149,7 @@ def fraction_box_of_parametrizations(p1, p2, a, b, lam):
     sweep = gromov._CliqueSweep(da, db, cells, gromov._Budget(gromov.DEFAULT_SEARCH_BUDGET))
     # the empty subset, and the full set, which carries mass 1
     best = min(1 / lam, Fraction(sweep.thresholds[-1], D))
-    for t, mask in sweep.cliques(lambda t: t >= D * best):
+    for t, mask in sweep.cliques(lambda t: t >= D * best, lambda mask: False):
         mass = sum(masses[c] for c in sweep.pairs(mask))
         best = min(best, max(Fraction(t, D), (1 - mass) / lam))
     return best
@@ -166,6 +167,77 @@ def test_box_of_parametrizations_equals_the_fraction_scan():
                 p1, p2 = coupling_to_parametrizations(coupling, a, b)
                 want = fraction_box_of_parametrizations(p1, p2, a, b, lam)
                 assert box_of_parametrizations(p1, p2, a, b, lam) == want
+
+
+def unpruned_search(inc, sweep):
+    """`gromov._Incumbents.search` as parametrize ran its sweep before it
+    pruned by mass: no node cut, every listed clique scored."""
+    for t, mask in sweep.cliques(inc.frozen, lambda mask: False):
+        inc.consider(sweep.pairs(mask), t)
+
+
+def spent_units(call):
+    """call()'s value and the work units its search spent."""
+    spent, real = [], gromov._Budget.spend
+    spend = lambda budget, units: spent.append(units) or real(budget, units)
+    with mock.patch.object(gromov._Budget, "spend", spend):
+        value = call()
+    return value, sum(spent)
+
+
+def cut_checked(method, calls):
+    """An `_Incumbents` method that checks, after each call, that the live
+    cut is min(m_cut), and counts its calls."""
+
+    def checked(inc, *args):
+        out = method(inc, *args)
+        assert inc.cut == min(inc.m_cut)
+        calls.append(method.__name__)
+        return out
+
+    return checked
+
+
+def line_space(rng, n):
+    """n points at distinct random multiples of 1/8 on a line, uniform weights."""
+    pos = rng.sample(range(60), n)
+    dist = tuple(tuple(F(abs(x - y), 8) for y in pos) for x in pos)
+    return FiniteMMSpace(tuple(f"p{i}" for i in range(n)), dist, (F(1, n),) * n)
+
+
+def test_pruned_parametrize_search_keeps_values_and_spends_no_more_units():
+    rng = random.Random(101)
+    cases = []
+    for _ in range(12):
+        a = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=4))
+        b = canonicalize(sample_mm_space(rng.randint(0, 10**9), n_max=4))
+        _, cells = max_subcoupling(a.weights, b.weights, box_lambda_detail(a, b, F(1, 2)).pairs)
+        for coupling in (product_coupling(a, b), complete_subcoupling(cells, a.weights, b.weights)):
+            cases.append((*coupling_to_parametrizations(coupling, a, b), a, b))
+    # the northwest-corner coupling of uniform weights on 20 and 21 points:
+    # a staircase of 40 cells
+    staircase = [
+        IntervalParametrization(tuple(F(k, n) for k in range(n + 1)), tuple(range(n)))
+        for n in (20, 21)
+    ]
+    assert len(parametrizations_to_cells(*staircase)) == 40
+    cases.append((*staircase, line_space(rng, 20), line_space(rng, 21)))
+    calls, fewer = [], 0
+    consider = cut_checked(gromov._Incumbents.consider, calls)
+    frozen = cut_checked(gromov._Incumbents.frozen, calls)
+    for p1, p2, a, b in cases:
+        for lam in LAMBDAS + (F(3, 7),):
+            call = lambda: box_of_parametrizations(p1, p2, a, b, lam)
+            with mock.patch.multiple(gromov._Incumbents, consider=consider, frozen=frozen):
+                value, units = spent_units(call)
+            with mock.patch.object(gromov._Incumbents, "search", unpruned_search):
+                ref_value, ref_units = spent_units(call)
+            assert value == ref_value == fraction_box_of_parametrizations(p1, p2, a, b, lam)
+            assert units <= ref_units
+            fewer += units < ref_units
+    # many searches cut a node, and the cut is checked after many calls of each
+    assert fewer >= 50
+    assert calls.count("consider") >= 400 and calls.count("frozen") >= 1500
 
 
 def test_box_of_parametrizations_raises_above_cell_cap():
@@ -187,6 +259,24 @@ def test_lambda_must_be_positive():
         assert False
     except ValidationError:
         pass
+
+
+def test_an_invalid_space_is_refused_as_box_lambda_refuses_it():
+    # d02 = 5 > d01 + d12 = 2: no metric, though every parametrization is fine
+    dist = ((0, 1, 5), (1, 0, 1), (5, 1, 0))
+    a = FiniteMMSpace(
+        ("x", "y", "z"), tuple(tuple(F(x) for x in row) for row in dist), (F(1, 3),) * 3
+    )
+    p1, p2 = coupling_to_parametrizations(product_coupling(a, a), a, a)
+    messages = []
+    for call in (lambda: box_lambda(a, a, F(1)), lambda: box_of_parametrizations(p1, p2, a, a, F(1))):
+        try:
+            call()
+            assert False
+        except ValidationError as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("invalid space: triangle violation: dist[0][2]")
 
 
 def test_a_negative_budget_is_refused():
