@@ -8,6 +8,7 @@ Prints one line per module and a total; it gates nothing.
 """
 
 import ast
+import io
 import sys
 import tokenize
 from pathlib import Path
@@ -38,13 +39,12 @@ def docstring_lines(tree):
 
 
 def code_lines(path):
-    with open(path, "rb") as f:
-        tokens = list(tokenize.tokenize(f.readline))
+    source = Path(path).read_bytes()
     lines = set()
-    for tok in tokens:
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type not in SKIP:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(Path(path).read_bytes())))
+    return len(lines - docstring_lines(ast.parse(source)))
 
 
 def main(args):
